@@ -18,7 +18,8 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .dynamics import Schedule, frame_transform
+from .dynamics import Schedule, frame_transform, time_scale
+from .opalg import SIGMA_X, SIGMA_Y, SIGMA_Z
 from .spectral import SpectralFrame, fourth_order_derivative, frame_from_functions
 
 _STATS = {"max": np.max, "mean": np.mean}
@@ -30,7 +31,7 @@ def _h_samples(h: Schedule, grid: np.ndarray) -> np.ndarray:
 
 def _hdot_samples(h: Schedule, grid: np.ndarray, tau: float) -> np.ndarray:
     ds = grid[1] - grid[0]
-    return fourth_order_derivative(_h_samples(h, grid), ds) / (tau if tau else 1.0)
+    return fourth_order_derivative(_h_samples(h, grid), ds) / time_scale(tau)
 
 
 def _offdiag_pairs(n: int):
@@ -78,7 +79,7 @@ def c_tong(frame: SpectralFrame, h: Schedule, stat: str = "max") -> dict:
         np.max([np.abs(coupling[:, m, n]) for m, n in _offdiag_pairs(dim)])
     )
 
-    dcoupling = fourth_order_derivative(coupling, ds) / (tau if tau else 1.0)
+    dcoupling = fourth_order_derivative(coupling, ds) / time_scale(tau)
     part_b = float(
         max(reduce(np.abs(dcoupling[:, m, n])) for m, n in _offdiag_pairs(dim)) * tau
     )
@@ -135,7 +136,7 @@ def c_wu(frame: SpectralFrame) -> float:
             )
             continue
         phase = np.unwrap(np.angle(g_nm))
-        dphase = fourth_order_derivative(phase, ds) / (tau if tau else 1.0)
+        dphase = fourth_order_derivative(phase, ds) / time_scale(tau)
         detune = np.real(gamma[:, m, m] - gamma[:, n, n]) + dphase
         gap = frame.energies[:, n] - frame.energies[:, m]
         denom = np.sqrt(gap**2 + detune**2)
@@ -161,7 +162,7 @@ def c_ar(
     grid, tau = frame.grid, frame.tau
     ds = grid[1] - grid[0]
     hdot = _hdot_samples(h, grid, tau)
-    hddot = fourth_order_derivative(hdot, ds) / (tau if tau else 1.0)
+    hddot = fourth_order_derivative(hdot, ds) / time_scale(tau)
     norm1 = np.linalg.norm(hdot, axis=(1, 2))
     norm2 = np.linalg.norm(hddot, axis=(1, 2))
     if gap_fn is None:
@@ -189,10 +190,6 @@ def scan_min_gap(h: Schedule, n_points: int = 1001) -> float:
 
 # ---------------------------------------------------------------------------
 # built-in driven-qubit models
-
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 @dataclass(eq=False)

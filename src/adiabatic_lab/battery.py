@@ -17,19 +17,13 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .dynamics import LindbladGenerator, Schedule, evolve_lindblad, evolve_unitary
-from .opalg import dagger, is_hermitian
-from .spectral import fourth_order_derivative
+from .opalg import SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, is_hermitian
+from .spectral import cumtrapz, fourth_order_derivative
 
 BOUNDARY_TOL = 1e-9
 RAMP_TOL = 1e-12
-
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-I2 = np.eye(2, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +239,7 @@ def stirap_unstable_ergotropy(
     d2 = w12**2 + w23**2
     if np.any(d2 <= 0):
         raise ValueError("drive gap closes; bright doublet degenerates")
-    phi = cumulative_trapezoid(np.sqrt(d2), grid * tau, initial=0.0)
+    phi = cumtrapz(np.sqrt(d2), grid * tau)
     energy = np.cos(phi) ** 2 * (w1 * w12**2 + w3 * w23**2) / d2 + w2 * np.sin(phi) ** 2
     return grid, energy - w1
 
@@ -267,7 +261,7 @@ class DischargeReport:
 
 
 def _two_body(op_a: np.ndarray, slot_a: int, op_b: np.ndarray, slot_b: int) -> np.ndarray:
-    ops = [I2, I2, I2]
+    ops = [SIGMA_0, SIGMA_0, SIGMA_0]
     ops[slot_a] = op_a
     ops[slot_b] = op_b
     return np.kron(np.kron(ops[0], ops[1]), ops[2])
@@ -277,9 +271,9 @@ def two_cell_hamiltonians(j_coupling: float) -> dict:
     """The three bond layouts of the discharge sweep on (cell1, cell2, hub):
     the starting intra-cell exchange, the bridge that adds the cell2-hub
     exchange, and the final Ising bonds onto the hub."""
-    xx_b = _two_body(SX, 0, SX, 1) + _two_body(SY, 0, SY, 1)
-    xx_bridge = xx_b + _two_body(SX, 1, SX, 2) + _two_body(SY, 1, SY, 2)
-    zz_fin = _two_body(SZ, 0, SZ, 2) + _two_body(SZ, 1, SZ, 2)
+    xx_b = _two_body(SIGMA_X, 0, SIGMA_X, 1) + _two_body(SIGMA_Y, 0, SIGMA_Y, 1)
+    xx_bridge = xx_b + _two_body(SIGMA_X, 1, SIGMA_X, 2) + _two_body(SIGMA_Y, 1, SIGMA_Y, 2)
+    zz_fin = _two_body(SIGMA_Z, 0, SIGMA_Z, 2) + _two_body(SIGMA_Z, 1, SIGMA_Z, 2)
     return {
         "initial": j_coupling * xx_b,
         "bridge": j_coupling * xx_bridge,
@@ -334,8 +328,8 @@ def two_cell_discharge(
     sched = Schedule(tau * stretch, sampler)
     traj = evolve_unitary(sched, psi0, n_steps)
 
-    h0_hub = np.kron(np.kron(I2, I2), -omega0 * SZ)
-    parity_op = np.kron(np.kron(SZ, SZ), SZ)
+    h0_hub = np.kron(np.kron(SIGMA_0, SIGMA_0), -omega0 * SIGMA_Z)
+    parity_op = np.kron(np.kron(SIGMA_Z, SIGMA_Z), SIGMA_Z)
     m = len(traj.times)
     charge = np.empty(m)
     power = np.empty(m)

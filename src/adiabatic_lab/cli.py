@@ -10,10 +10,6 @@ frequencies in rad/s are formed at ingestion.  Plain rates (1/s) are
 taken as given.  Configuration files are INI: one section per
 subcommand, keys equal to the long flag names with dashes as
 underscores; explicit flags override file values.
-
-The environment variable ADIABATIC_LAB_THREADS caps the sweep worker
-pool; results are aggregated in sweep order, so the pool size never
-changes the output.
 """
 
 from __future__ import annotations
@@ -21,9 +17,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -34,6 +28,7 @@ from . import battery as _battery
 from . import openad as _openad
 from . import thermo as _thermo
 from . import tqd as _tqd
+from .dynamics import IntegrationError
 
 MIN_GRID = 100
 
@@ -70,11 +65,10 @@ def _parse_value(p: Param, raw: str):
 
 
 def _range_values(rng: tuple) -> list[float]:
+    """Points of start:stop:step; ``check_config`` has vetted the step."""
     start, stop, step = rng
-    if step <= 0:
-        raise ValueError("range step must be positive")
     n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + k * step for k in range(max(n, 0))]
+    return [start + k * step for k in range(n)]
 
 
 SCENARIOS: dict[str, list[Param]] = {
@@ -207,8 +201,12 @@ def check_config(name: str, cfg: dict) -> list[str]:
             problems.append(f"{key} must be one of {p.choices}, got {val!r}")
         if p.kind == "float" and not math.isfinite(float(val)):
             problems.append(f"{key} must be finite")
-        if p.kind == "floats" and not all(math.isfinite(v) for v in val):
+        if p.kind in ("floats", "range") and not all(math.isfinite(v) for v in val):
             problems.append(f"{key} entries must be finite")
+        elif p.kind == "range" and val[2] <= 0:
+            problems.append(f"{key} step must be positive")
+        elif p.kind == "range" and not _range_values(val):
+            problems.append(f"{key} is empty: stop lies below start")
     for key in cfg:
         if key not in params:
             problems.append(f"unknown parameter {key}")
@@ -222,6 +220,10 @@ def check_config(name: str, cfg: dict) -> list[str]:
         val = cfg.get(key)
         if val is not None and val < MIN_GRID:
             problems.append(f"{key} must be at least {MIN_GRID}")
+
+    def nonempty(key: str) -> None:
+        if cfg.get(key) is not None and not cfg[key]:
+            problems.append(f"{key} must list at least one value")
 
     if name == "adcheck":
         positive("omega0_hz")
@@ -248,6 +250,7 @@ def check_config(name: str, cfg: dict) -> list[str]:
         positive("beta_inv_pev")
         positive("tau_dec_s")
         grid("n_steps")
+        nonempty("gamma0_list")
         if cfg.get("gamma0_list") is not None and any(g < 0 for g in cfg["gamma0_list"]):
             problems.append("gamma0_list rates must be non-negative")
     elif name == "lz-tqd":
@@ -255,6 +258,8 @@ def check_config(name: str, cfg: dict) -> list[str]:
         positive("tau_min_s")
         positive("tau_max_s")
         grid("n_quad")
+        if cfg.get("n_tau") is not None and cfg["n_tau"] < 1:
+            problems.append("n_tau must be at least 1")
         if (
             cfg.get("tau_min_s") is not None
             and cfg.get("tau_max_s") is not None
@@ -272,6 +277,7 @@ def check_config(name: str, cfg: dict) -> list[str]:
         if cfg.get("axis") is not None:
             if len(cfg["axis"]) != 3 or all(abs(a) < 1e-12 for a in cfg["axis"]):
                 problems.append("axis must be a nonzero 3-vector")
+        nonempty("tau_list")
         if cfg.get("tau_list") is not None and any(t <= 0 for t in cfg["tau_list"]):
             problems.append("tau_list entries must be positive")
     elif name == "pulses":
@@ -305,23 +311,6 @@ def check_config(name: str, cfg: dict) -> list[str]:
         positive("jtau")
         grid("n_steps")
     return problems
-
-
-# ---------------------------------------------------------------------------
-# worker pool
-
-
-def _pool_map(fn: Callable, items: Sequence) -> list:
-    cap_raw = os.environ.get("ADIABATIC_LAB_THREADS", "")
-    try:
-        cap = int(cap_raw) if cap_raw else 4
-    except ValueError:
-        cap = 4
-    workers = max(1, min(cap, len(items) or 1))
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +348,7 @@ def _run_adcheck(cfg: dict):
         except ValueError:
             return (r, math.nan, math.nan, math.nan, math.nan)
 
-    rows = _pool_map(point, r_values)
+    rows = [point(r) for r in r_values]
     return [], ["r", "c_trad", "c_tong", "c_wu", "c_ar"], rows
 
 
@@ -379,7 +368,7 @@ def _run_deutsch(cfg: dict):
         res = _openad.deutsch_scenario(f_values, omega, gamma, tau, n_steps=cfg["n_steps"])
         return (tau, float(res["f_os"][-1]), float(res["f_cs"][-1]))
 
-    rows = _pool_map(point, taus)
+    rows = [point(tau) for tau in taus]
     return [f"f_values={f_values[0]}{f_values[1]}"], ["tau_s", "f_os", "f_cs"], rows
 
 
@@ -399,7 +388,7 @@ def _run_heat(cfg: dict):
             _thermo.rads_to_ev(res["q_asymptote"]) * 1e12,
         )
 
-    rows = _pool_map(point, list(cfg["gamma0_list"]))
+    rows = [point(gamma0) for gamma0 in cfg["gamma0_list"]]
     return (
         [f"q_max_pev={_thermo.rads_to_ev(omega * math.tanh(beta * omega)) * 1e12!r}"],
         ["gamma0_per_s", "q_pev", "q_closed_pev", "q_asymptote_pev"],
@@ -416,7 +405,7 @@ def _run_lz_tqd(cfg: dict):
         res = _tqd.lz_intensities(lambda s: theta0 * s, delta, tau, n_quad=cfg["n_quad"])
         return (float(tau), res["i_std"], res["i_opt"])
 
-    rows = _pool_map(point, list(taus))
+    rows = [point(tau) for tau in taus]
     tau_b = _tqd.lz_intensities(lambda s: theta0 * s, delta, 1.0, n_quad=cfg["n_quad"])["tau_b"]
     return [f"tau_b_s={tau_b!r}"], ["tau_s", "i_std", "i_opt"], rows
 
@@ -429,7 +418,7 @@ def _run_nmr_tqd(cfg: dict):
         norms = _tqd.nmr_tqd_field_norms(w0, w1, 2.0 * math.pi * f)
         return (f, norms["b0"], norms["b_opt"], norms["b_std"], norms["ratio"])
 
-    rows = _pool_map(point, _range_values(cfg["omega_sweep"]))
+    rows = [point(f) for f in _range_values(cfg["omega_sweep"])]
     return [], ["omega_hz", "b0_rads", "b_opt_rads", "b_std_rads", "ratio"], rows
 
 
@@ -448,7 +437,7 @@ def _run_gate(cfg: dict):
         res = _tqd.gate_run(sched, register, axis, phi, cfg["n_steps"], controlled=controlled)
         return (tau, res["success_prob"], res["fidelity"])
 
-    rows = _pool_map(point, list(cfg["tau_list"]))
+    rows = [point(tau) for tau in cfg["tau_list"]]
     return [], ["tau_s", "success_prob", "fidelity"], rows
 
 
@@ -637,7 +626,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"error: {msg}", file=sys.stderr)
         return 2
 
-    result = RUNNERS[name](cfg)
+    try:
+        result = RUNNERS[name](cfg)
+    except IntegrationError as exc:
+        print(f"error: {exc}; increase --n-steps", file=sys.stderr)
+        return 2
     if isinstance(result, str):
         _emit(result, args.out)
     else:

@@ -68,6 +68,11 @@ class Schedule:
     def at(self, s: float):
         return self.sampler(float(s))
 
+    def generator_at(self, s: float) -> LindbladGenerator:
+        """Sample at s as a generator; a bare Hamiltonian gets no jumps."""
+        g = self.at(s)
+        return g if isinstance(g, LindbladGenerator) else LindbladGenerator(g)
+
     def probe(self, n_probe: int = 5, tol: float = TOL_HERM) -> None:
         """Spot-check sampler invariants on a coarse grid.
 
@@ -76,15 +81,13 @@ class Schedule:
         every point and NaNs surface immediately.
         """
         for s in np.linspace(0.0, 1.0, n_probe):
-            g = self.at(s)
-            h = g.hamiltonian if isinstance(g, LindbladGenerator) else np.asarray(g)
-            scale = max(1.0, float(np.max(np.abs(h))))
-            if not is_hermitian(h, tol * scale):
+            g = self.generator_at(s)
+            scale = max(1.0, float(np.max(np.abs(g.hamiltonian))))
+            if not is_hermitian(g.hamiltonian, tol * scale):
                 raise ValueError(f"non-Hermitian Hamiltonian sample at s={s}")
-            if isinstance(g, LindbladGenerator):
-                for rate, _ in g.jumps:
-                    if rate < 0:
-                        raise ValueError(f"negative rate {rate} at s={s}")
+            for rate, _ in g.jumps:
+                if rate < 0:
+                    raise ValueError(f"negative rate {rate} at s={s}")
 
 
 @dataclass(eq=False)
@@ -100,6 +103,11 @@ class Trajectory:
     @property
     def final(self) -> np.ndarray:
         return self.states[-1]
+
+
+def time_scale(tau: float) -> float:
+    """Divisor from physical to normalized time: tau, or 1 for a zero duration."""
+    return tau if tau else 1.0
 
 
 def recommended_steps(omega_max: float, tau: float, resolution: float = 0.05) -> int:
@@ -140,7 +148,7 @@ def evolve_unitary(h: Schedule, psi0: np.ndarray, n_steps: int,
         raise ValueError("psi0 is not normalized")
     h.probe()
     times = np.linspace(0.0, h.tau, n_steps + 1)
-    tau = h.tau if h.tau != 0 else 1.0
+    tau = time_scale(h.tau)
 
     def deriv(t, psi):
         return -1j * (np.asarray(h.at(t / tau)) @ psi)
@@ -168,13 +176,10 @@ def evolve_lindblad(l: Schedule, rho0: np.ndarray, n_steps: int,
         raise ValueError("rho0 is not a density matrix")
     l.probe()
     times = np.linspace(0.0, l.tau, n_steps + 1)
-    tau = l.tau if l.tau != 0 else 1.0
+    tau = time_scale(l.tau)
 
     def deriv(t, rho):
-        gen = l.at(t / tau)
-        if not isinstance(gen, LindbladGenerator):
-            gen = LindbladGenerator(gen)
-        return lindblad_action(gen, rho)
+        return lindblad_action(l.generator_at(t / tau), rho)
 
     states = rk4(deriv, rho0, times)
     traces = np.trace(states, axis1=1, axis2=2)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .dynamics import (
     LindbladGenerator,
@@ -26,43 +25,39 @@ from .dynamics import (
     fidelity,
     lindblad_action,
     rk4,
+    time_scale,
 )
 from .opalg import (
+    SIGMA_0,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     CoherenceVector,
     OperatorBasis,
     from_coherence_vector,
     superoperator_matrix,
     to_coherence_vector,
 )
-from .spectral import fourth_order_derivative
+from .spectral import cumtrapz, fourth_order_derivative
 
 IDENTICAL_BLOCK_TOL = 1e-10
 EXPANSION_RESIDUAL_TOL = 1e-8
-
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def superoperator_at(l: Schedule, s: float, basis: OperatorBasis) -> np.ndarray:
     """Sample a Liouvillian schedule as a coherence-vector matrix (1/s).
 
-    The sampler may return the matrix itself, a :class:`LindbladGenerator`,
-    or a bare Hamiltonian (coherent part only).
+    The sampler may return a :class:`LindbladGenerator`, a bare
+    Hamiltonian (coherent part only), or the D^2 x D^2 matrix itself.
     """
-    sample = l.at(s)
+    gen = l.generator_at(s)
     dim = basis.dim
-    if isinstance(sample, LindbladGenerator):
-        return superoperator_matrix(
-            lambda op: lindblad_action(sample, op), basis
-        ).matrix
-    arr = np.asarray(sample, dtype=complex)
-    if arr.shape == (dim * dim, dim * dim):
-        return arr
-    if arr.shape == (dim, dim):
-        gen = LindbladGenerator(arr, ())
+    shape = gen.hamiltonian.shape
+    if shape == (dim * dim, dim * dim) and not gen.jumps:
+        return gen.hamiltonian
+    if shape == (dim, dim):
         return superoperator_matrix(lambda op: lindblad_action(gen, op), basis).matrix
-    raise ValueError(f"cannot interpret Liouvillian sample of shape {arr.shape}")
+    raise ValueError(f"cannot interpret Liouvillian sample of shape {shape}")
 
 
 @dataclass(eq=False)
@@ -149,10 +144,6 @@ def track_liouville_spectrum(
     )
 
 
-def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return cumulative_trapezoid(y, x, axis=0, initial=0.0)
-
-
 @dataclass(eq=False)
 class XiReport:
     """Validity coefficients for the one-dimensional-block adiabatic
@@ -197,11 +188,11 @@ def xi_coefficients(
     else:
         r0, _ = expand_in_blocks(rho0, frame, basis)
 
-    int_diag = _cumtrapz(diag_conn, grid)
+    int_diag = cumtrapz(diag_conn, grid)
     p = r0[None, :] * np.exp(-int_diag)
 
     gcal = frame.eigenvalues[:, :, None] - frame.eigenvalues[:, None, :]
-    int_g = _cumtrapz(gcal, grid)
+    int_g = cumtrapz(gcal, grid)
 
     ftilde = np.exp(-int_diag)[:, None, :] * p[:, :, None] * np.transpose(
         conn, (0, 2, 1)
@@ -276,7 +267,7 @@ def adiabatic_propagate_1d(
     frame = track_liouville_spectrum(l, n_points, basis)
     r0, residual = expand_in_blocks(rho0, frame, basis)
     diag_conn = np.einsum("kaa->ka", frame.connection)
-    exponent = _cumtrapz(tau * frame.eigenvalues - diag_conn, frame.grid)
+    exponent = cumtrapz(tau * frame.eigenvalues - diag_conn, frame.grid)
     coeffs = r0[None, :] * np.exp(exponent)
 
     m = len(frame.grid)
@@ -316,7 +307,7 @@ def jordan_block_coefficient_ode(
     times = np.linspace(0.0, tau, n_steps + 1)
 
     def deriv(t: float, p: np.ndarray) -> np.ndarray:
-        g = np.asarray(g_fn(t / tau if tau else 0.0), dtype=complex)
+        g = np.asarray(g_fn(t / time_scale(tau)), dtype=complex)
         if g.shape != (u, u):
             raise ValueError(f"block matrix shape {g.shape} does not match p")
         return (shift - g) @ p
@@ -386,20 +377,20 @@ def deutsch_scenario(
         ham = -0.5 * omega * (np.cos(p) * SIGMA_X - np.sin(p) * SIGMA_Y)
         return LindbladGenerator(ham, ((gamma_fn(s), SIGMA_Z),))
 
-    rho0 = 0.5 * (np.eye(2, dtype=complex) + SIGMA_X)
+    rho0 = 0.5 * (SIGMA_0 + SIGMA_X)
     traj = evolve_lindblad(Schedule(tau, sampler), rho0, n_steps)
 
-    s_grid = traj.times / tau if tau else traj.times
+    s_grid = traj.times / time_scale(tau)
     gamma_samples = np.array([gamma_fn(s) for s in s_grid])
-    gamma_int = _cumtrapz(gamma_samples, traj.times)
+    gamma_int = cumtrapz(gamma_samples, traj.times)
 
     f_os = np.empty(len(traj.times))
     f_cs = np.empty(len(traj.times))
     for k, s in enumerate(s_grid):
         p = phi(s)
         coherence = np.cos(p) * SIGMA_X - np.sin(p) * SIGMA_Y
-        rho_os = 0.5 * (np.eye(2) + np.exp(-2.0 * gamma_int[k]) * coherence)
-        rho_cs = 0.5 * (np.eye(2) + coherence)
+        rho_os = 0.5 * (SIGMA_0 + np.exp(-2.0 * gamma_int[k]) * coherence)
+        rho_cs = 0.5 * (SIGMA_0 + coherence)
         f_os[k] = fidelity(traj.states[k], rho_os)
         f_cs[k] = fidelity(traj.states[k], rho_cs)
 

@@ -16,9 +16,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
+from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import linear_sum_assignment
 
-from .dynamics import Schedule
+from .dynamics import Schedule, time_scale
 from .opalg import Superoperator, dagger
 
 GAP_TOL_FACTOR = 1e-8
@@ -50,6 +51,11 @@ def fourth_order_derivative(samples: np.ndarray, dx: float) -> np.ndarray:
         -25.0 * f[-1] + 48.0 * f[-2] - 36.0 * f[-3] + 16.0 * f[-4] - 3.0 * f[-5]
     ) / (12.0 * dx)
     return out
+
+
+def cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cumulative trapezoid integral along axis 0, starting from zero."""
+    return cumulative_trapezoid(y, x, axis=0, initial=0.0)
 
 
 class LevelCrossingError(RuntimeError):
@@ -176,7 +182,7 @@ def tracked_eigensystem(
 
     vectors = _smooth_phases(vectors)
     ds = grid[1] - grid[0]
-    tau = h.tau if h.tau != 0 else 1.0
+    tau = time_scale(h.tau)
 
     if gauge == "parallel-transport":
         # remove the accumulated diagonal connection; two sweeps push the
@@ -223,7 +229,7 @@ def frame_from_functions(
     energies = np.array([np.asarray(energy_fn(s), dtype=float) for s in grid])
     vectors = np.array([np.asarray(vector_fn(s), dtype=complex) for s in grid])
     ds = grid[1] - grid[0]
-    scale_tau = tau if tau != 0 else 1.0
+    scale_tau = time_scale(tau)
     if dvector_fn is not None:
         dvectors = np.array([np.asarray(dvector_fn(s), dtype=complex) for s in grid])
     else:

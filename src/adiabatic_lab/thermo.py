@@ -16,25 +16,30 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
-from .dynamics import LindbladGenerator, Schedule, Trajectory, evolve_lindblad, lindblad_action
+from .dynamics import (
+    LindbladGenerator,
+    Schedule,
+    Trajectory,
+    evolve_lindblad,
+    lindblad_action,
+    time_scale,
+)
 from .opalg import (
+    SIGMA_0,
+    SIGMA_X,
+    SIGMA_Z,
     OperatorBasis,
     dagger,
     is_unitary,
     superoperator_matrix,
     to_coherence_vector,
 )
-from .spectral import fourth_order_derivative
+from .spectral import cumtrapz, fourth_order_derivative
 
 HBAR_EVS = 6.582119569e-16  # eV s
 DUAL_ROUTE_TOL = 1e-10
 ENTROPY_EIG_FLOOR = 1e-14
-
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def _dual_route_check(direct: float, paired: float, label: str) -> None:
@@ -132,10 +137,6 @@ class ThermoLedger:
     first_law_residual: float
 
 
-def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return cumulative_trapezoid(y, x, initial=0.0)
-
-
 def build_ledger(
     l: Schedule,
     traj: Trajectory,
@@ -151,12 +152,9 @@ def build_ledger(
     """
     times = traj.times
     m = len(times)
-    tau = l.tau if l.tau else 1.0
+    tau = time_scale(l.tau)
 
-    gens = []
-    for t in times:
-        g = l.at(t / tau)
-        gens.append(g if isinstance(g, LindbladGenerator) else LindbladGenerator(g))
+    gens = [l.generator_at(t / tau) for t in times]
     hams = np.array([g.hamiltonian for g in gens])
     if m >= 5:
         h_dots = fourth_order_derivative(hams, times[1] - times[0])
@@ -177,8 +175,8 @@ def build_ledger(
         s[k] = von_neumann_entropy(rho)
         s_rate[k] = entropy_rate(gens[k], rho)
 
-    heat = _cumtrapz(q_rate, times)
-    work = _cumtrapz(w_rate, times)
+    heat = cumtrapz(q_rate, times)
+    work = cumtrapz(w_rate, times)
     residual = float(np.max(np.abs(u - u[0] - heat - work)))
     return ThermoLedger(
         times=times,
@@ -230,9 +228,7 @@ def unitary_conjugate_channel(l: Schedule, u: np.ndarray) -> Schedule:
     ud = dagger(u)
 
     def sampler(s: float) -> LindbladGenerator:
-        g = l.at(s)
-        if not isinstance(g, LindbladGenerator):
-            g = LindbladGenerator(g)
+        g = l.generator_at(s)
         jumps = tuple((rate, u @ jump @ ud) for rate, jump in g.jumps)
         return LindbladGenerator(u @ g.hamiltonian @ ud, jumps)
 
@@ -266,7 +262,7 @@ def dephasing_heat_scenario(
     gamma_fn = gamma if callable(gamma) else (lambda s, _g=float(gamma): _g)
     ham = omega * SIGMA_X
     g0 = np.tanh(beta * omega)
-    rho0 = 0.5 * (np.eye(2, dtype=complex) - g0 * SIGMA_X)
+    rho0 = 0.5 * (SIGMA_0 - g0 * SIGMA_X)
 
     def sampler(s: float) -> LindbladGenerator:
         return LindbladGenerator(ham, ((gamma_fn(s), SIGMA_Z),))
@@ -275,8 +271,8 @@ def dephasing_heat_scenario(
     traj = evolve_lindblad(sched, rho0, n_steps)
     ledger = build_ledger(sched, traj, basis=basis, check_stride=max(1, n_steps // 8) if basis else 0)
 
-    s_grid = traj.times / tau if tau else traj.times
-    gamma_int = _cumtrapz(np.array([gamma_fn(s) for s in s_grid]), traj.times)
+    s_grid = traj.times / time_scale(tau)
+    gamma_int = cumtrapz(np.array([gamma_fn(s) for s in s_grid]), traj.times)
     g = np.exp(-2.0 * gamma_int) * g0
     beta_eff = np.arctanh(np.clip(g, -1 + 1e-15, 1 - 1e-15)) / omega
     q_closed = omega * g0 * (1.0 - np.exp(-2.0 * gamma_int[-1]))

@@ -22,13 +22,8 @@ import numpy as np
 from scipy.integrate import trapezoid
 
 from .dynamics import Schedule, evolve_unitary, pure_state_density
-from .opalg import dagger
+from .opalg import SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger
 from .spectral import SpectralFrame, fourth_order_derivative, frame_from_functions
-
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-ID2 = np.eye(2, dtype=complex)
 
 HERMITICITY_TOL = 1e-8
 PHASE_IMAG_TOL = 1e-8
@@ -306,19 +301,6 @@ def nmr_field_ratio(omega0: float, omega1: float, omega: float) -> float:
     return (omega0**2 + omega1**2) / denom
 
 
-def bloch_field(h: np.ndarray) -> np.ndarray:
-    """Components (bx, by, bz) of a traceless qubit Hamiltonian
-    H = (1/2) b . sigma."""
-    h = np.asarray(h, dtype=complex)
-    return np.array(
-        [
-            float(np.real(np.trace(h @ SIGMA_X))),
-            float(np.real(np.trace(h @ SIGMA_Y))),
-            float(np.real(np.trace(h @ SIGMA_Z))),
-        ]
-    )
-
-
 def nmr_tqd_field_norms(omega0: float, omega1: float, omega: float) -> dict:
     """Closed-form field magnitudes of the rotating-drive qubit protocols.
 
@@ -418,7 +400,7 @@ def controlled_gate_schedule(
         )
         if controlled:
             off = branch(s, h_plus, cd_plus)
-            return np.kron(np.diag([1.0, 0.0]), np.kron(ID2, off)) + np.kron(
+            return np.kron(np.diag([1.0, 0.0]), np.kron(SIGMA_0, off)) + np.kron(
                 np.diag([0.0, 1.0]), h
             )
         return h
@@ -454,7 +436,7 @@ def gate_run(
 
     u_rot = gate_target_unitary(axis, phi)
     if controlled:
-        u_rot = np.kron(np.diag([1.0, 0.0]), ID2) + np.kron(np.diag([0.0, 1.0]), u_rot)
+        u_rot = np.kron(np.diag([1.0, 0.0]), SIGMA_0) + np.kron(np.diag([0.0, 1.0]), u_rot)
     expected = u_rot @ register_state
     fid = float(abs(np.vdot(expected, out)) ** 2)
     return {
@@ -481,7 +463,7 @@ def phase_gate_schedule(nu_hz: float, tau: float, variant: str) -> Schedule:
         raise ValueError(f"unknown variant {variant!r}")
     w = 2.0 * math.pi * nu_hz
     zz_x = np.kron(SIGMA_Z, SIGMA_X)
-    one_z = np.kron(ID2, SIGMA_Z)
+    one_z = np.kron(SIGMA_0, SIGMA_Z)
     correction = (0.5 * math.pi / tau) * np.kron(SIGMA_Z, SIGMA_Y)
 
     def sampler(s: float) -> np.ndarray:
@@ -629,7 +611,7 @@ def compile_pulse_sequence(
 def _rotation_matrix(theta: float, phi: float) -> np.ndarray:
     axis = math.cos(phi) * SIGMA_X + math.sin(phi) * SIGMA_Y
     return (
-        math.cos(0.5 * theta) * ID2 - 1j * math.sin(0.5 * theta) * axis
+        math.cos(0.5 * theta) * SIGMA_0 - 1j * math.sin(0.5 * theta) * axis
     )
 
 
@@ -641,7 +623,7 @@ def pulse_sequence_unitary(seq: PulseSequence) -> np.ndarray:
         if item[0] == "ROT":
             _, spin, theta, phi = item
             r = _rotation_matrix(theta, phi)
-            step = np.kron(r, ID2) if spin == 1 else np.kron(ID2, r)
+            step = np.kron(r, SIGMA_0) if spin == 1 else np.kron(SIGMA_0, r)
         else:
             phase = 0.5 * math.pi * seq.j_hz * item[1]
             step = np.diag(np.exp(-1j * phase * np.diag(zz)))

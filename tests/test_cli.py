@@ -34,14 +34,24 @@ def test_scenario_output_matches_golden(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
 
 
-def test_thread_count_does_not_change_output(tmp_path, monkeypatch):
-    outputs = []
-    for threads in ("1", "7"):
-        monkeypatch.setenv("ADIABATIC_LAB_THREADS", threads)
-        out = tmp_path / f"t{threads}.csv"
-        assert main(CASES["adcheck"] + ["--out", str(out)]) == 0
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["adcheck", "--r-sweep", "0:1:0"],
+        ["lz-tqd", "--n-tau", "0"],
+        ["nmr-tqd", "--omega-sweep", "1:0:1"],
+        ["gate", "--tau-list", ""],
+        ["heat", "--gamma0-list", "1e9", "--n-steps", "100"],
+        ["battery-stirap", "--gamma0", "50", "--n-steps", "100"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_hopeless_config_exits_two_with_error_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert any(line.startswith("error: ") for line in captured.err.splitlines())
+    assert captured.out == ""
 
 
 def test_resonant_sweep_point_becomes_nan_row():
