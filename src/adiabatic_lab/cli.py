@@ -32,6 +32,12 @@ from .dynamics import IntegrationError
 
 MIN_GRID = 100
 
+RAMPS: dict[str, Callable[[float], float]] = {
+    "linear": lambda s: s,
+    "sin2": lambda s: math.sin(0.5 * math.pi * s) ** 2,
+    "smooth": lambda s: s * s * (3.0 - 2.0 * s),
+}
+
 
 # ---------------------------------------------------------------------------
 # parameter schema
@@ -45,6 +51,15 @@ class Param:
     help: str
     required: bool = False
     choices: tuple | None = None
+    low: tuple | None = None  # (">", x) or (">=", x); list kinds bound every entry
+
+    @property
+    def key(self) -> str:
+        """Config-key spelling of the flag name."""
+        return self.name.replace("-", "_")
+
+
+POS, NONNEG, GRID = (">", 0), (">=", 0), (">=", MIN_GRID)
 
 
 def _parse_value(p: Param, raw: str):
@@ -64,11 +79,17 @@ def _parse_value(p: Param, raw: str):
     return raw
 
 
-def _range_values(rng: tuple) -> list[float]:
-    """Points of start:stop:step; ``check_config`` has vetted the step."""
+def _range_count(rng: tuple) -> float:
+    """Number of points of start:stop:step (step > 0), or +-inf if it overflows."""
     start, stop, step = rng
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + k * step for k in range(n)]
+    span = (stop - start) / step + 1e-9
+    return math.floor(span) + 1 if math.isfinite(span) else span
+
+
+def _range_values(rng: tuple) -> list[float]:
+    """Points of start:stop:step; ``check_config`` has vetted the count."""
+    start, _, step = rng
+    return [start + k * step for k in range(_range_count(rng))]
 
 
 SCENARIOS: dict[str, list[Param]] = {
@@ -77,104 +98,120 @@ SCENARIOS: dict[str, list[Param]] = {
         Param("frame", "str", "noninertial", "reference frame: nmr uses lab/rotating, "
               "oscillating uses inertial/noninertial",
               choices=("lab", "rotating", "inertial", "noninertial")),
-        Param("omega0-hz", "float", 1.0e4, "level-splitting frequency omega0/2pi (Hz)"),
+        Param("omega0-hz", "float", 1.0e4, "level-splitting frequency omega0/2pi (Hz)", low=POS),
         Param("omega1-hz", "float", 0.5e4, "transverse drive frequency omega1/2pi (Hz, nmr model)"),
         Param("theta-rad", "float", 0.03, "drive angle theta (rad, oscillating model)"),
         Param("r-sweep", "range", (0.0, 3.0, 0.05), "sweep of r = omega/omega0 as start:stop:step"),
-        Param("tau-s", "float", 1.0e-3, "protocol duration (s)"),
-        Param("n-points", "int", 301, "frame grid size (>= 100)"),
+        Param("tau-s", "float", 1.0e-3, "protocol duration (s)", low=POS),
+        Param("n-points", "int", 301, "frame grid size", low=GRID),
     ],
     "deutsch": [
         Param("balanced", "flag", None, "use a balanced function pair (f0, f1) = (0, 1)"),
         Param("constant", "flag", None, "use a constant function pair (f0, f1) = (0, 0)"),
-        Param("f0", "int", 0, "f(0) in {0, 1}"),
-        Param("f1", "int", 1, "f(1) in {0, 1}"),
-        Param("omega-hz", "float", 1.0e4, "drive frequency omega/2pi (Hz)"),
-        Param("gamma", "float", 0.1, "dephasing rate as a fraction of omega (dimensionless)"),
-        Param("tau-ladder", "int", 8, "number of runs on the geometric ladder ending at 100/omega"),
-        Param("n-steps", "int", 2000, "integrator steps per run (>= 100)"),
+        Param("f0", "int", 0, "f(0) in {0, 1}", choices=(0, 1)),
+        Param("f1", "int", 1, "f(1) in {0, 1}", choices=(0, 1)),
+        Param("omega-hz", "float", 1.0e4, "drive frequency omega/2pi (Hz)", low=POS),
+        Param("gamma", "float", 0.1, "dephasing rate as a fraction of omega (dimensionless)", low=NONNEG),
+        Param("tau-ladder", "int", 8, "number of runs on the geometric ladder ending at 100/omega",
+              low=(">=", 2)),
+        Param("n-steps", "int", 2000, "integrator steps per run", low=GRID),
     ],
     "heat": [
-        Param("omega-pev", "float", 82.662, "qubit gap (peV)"),
-        Param("beta-inv-pev", "float", 17.238, "bath temperature k_B T (peV)"),
-        Param("gamma0-list", "floats", (314.0, 628.0, 1257.0), "dephasing base rates (1/s), comma separated"),
-        Param("tau-dec-s", "float", 1.0e-3, "run duration (s); the rate doubles over it"),
-        Param("n-steps", "int", 2000, "integrator steps (>= 100)"),
+        Param("omega-pev", "float", 82.662, "qubit gap (peV)", low=POS),
+        Param("beta-inv-pev", "float", 17.238, "bath temperature k_B T (peV)", low=POS),
+        Param("gamma0-list", "floats", (314.0, 628.0, 1257.0), "dephasing base rates (1/s), comma separated",
+              low=NONNEG),
+        Param("tau-dec-s", "float", 1.0e-3, "run duration (s); the rate doubles over it", low=POS),
+        Param("n-steps", "int", 2000, "integrator steps", low=GRID),
     ],
     "lz-tqd": [
         Param("intensities", "flag", None, "emit the field-intensity ladder (default output)"),
-        Param("delta-hz", "float", 2000.0, "gap scale delta/2pi (Hz)"),
+        Param("delta-hz", "float", 2000.0, "gap scale delta/2pi (Hz)", low=POS),
         Param("theta0-rad", "float", math.pi / 3, "sweep angle at s = 1 (rad); theta(s) = theta0 s"),
-        Param("tau-min-s", "float", 1.0e-5, "smallest duration (s)"),
-        Param("tau-max-s", "float", 1.0e-3, "largest duration (s)"),
-        Param("n-tau", "int", 25, "ladder size (geometric)"),
-        Param("n-quad", "int", 2001, "quadrature grid (>= 100)"),
+        Param("tau-min-s", "float", 1.0e-5, "smallest duration (s)", low=POS),
+        Param("tau-max-s", "float", 1.0e-3, "largest duration (s)", low=POS),
+        Param("n-tau", "int", 25, "ladder size (geometric)", low=(">=", 1)),
+        Param("n-quad", "int", 2001, "quadrature grid", low=GRID),
     ],
     "nmr-tqd": [
-        Param("omega0-hz", "float", 1.0e4, "level-splitting frequency omega0/2pi (Hz)"),
-        Param("omega1-hz", "float", 1.0e4, "transverse drive frequency omega1/2pi (Hz)"),
+        Param("omega0-hz", "float", 1.0e4, "level-splitting frequency omega0/2pi (Hz)", low=POS),
+        Param("omega1-hz", "float", 1.0e4, "transverse drive frequency omega1/2pi (Hz)", low=POS),
         Param("omega-sweep", "range", (2000.0, 40000.0, 2000.0), "rotation frequency sweep (Hz) start:stop:step"),
     ],
     "gate": [
         Param("axis", "floats", (0.0, 0.0, 1.0), "rotation axis (unnormalized), comma separated"),
         Param("phi-rad", "float", math.pi, "rotation angle (rad)"),
         Param("phi0-rad", "float", math.pi, "ancilla sweep angle (rad)"),
-        Param("nu-hz", "float", 35.0, "ancilla sweep frequency (Hz)"),
-        Param("variant", "str", "optimal", "driving variant",
-              choices=("adiabatic", "standard", "optimal")),
+        Param("nu-hz", "float", 35.0, "ancilla sweep frequency (Hz)", low=POS),
+        Param("variant", "str", "optimal", "driving variant", choices=_tqd.VARIANTS),
         Param("controlled", "flag", None, "prepend a control qubit"),
-        Param("tau-list", "floats", (1.0e-4, 1.0e-3, 1.0e-2), "durations (s), comma separated"),
-        Param("n-steps", "int", 2000, "integrator steps per run (>= 100)"),
+        Param("tau-list", "floats", (1.0e-4, 1.0e-3, 1.0e-2), "durations (s), comma separated", low=POS),
+        Param("n-steps", "int", 2000, "integrator steps per run", low=GRID),
     ],
     "pulses": [
-        Param("variant", "str", "optimal", "program variant",
-              choices=("adiabatic", "standard", "optimal")),
-        Param("n-blocks", "int", 8, "number of decomposition blocks (ignored for optimal)"),
-        Param("tau-s", "float", None, "protocol duration (s)", required=True),
-        Param("nu-hz", "float", 35.0, "sweep frequency (Hz)"),
-        Param("j-hz", "float", 215.0, "scalar coupling J (Hz)"),
+        Param("variant", "str", "optimal", "program variant", choices=_tqd.VARIANTS),
+        Param("n-blocks", "int", 8, "number of decomposition blocks (ignored for optimal)",
+              low=(">=", 1)),
+        Param("tau-s", "float", None, "protocol duration (s)", required=True, low=POS),
+        Param("nu-hz", "float", 35.0, "sweep frequency (Hz)", low=POS),
+        Param("j-hz", "float", 215.0, "scalar coupling J (Hz)", low=POS),
     ],
     "battery-stirap": [
         Param("protocol", "str", "stable", "drive ordering", choices=("stable", "unstable")),
-        Param("rabi-hz", "float", 1000.0, "peak drive frequency Omega0/2pi (Hz)"),
-        Param("omega0tau", "float", 20.0, "dimensionless duration Omega0 tau"),
+        Param("rabi-hz", "float", 1000.0, "peak drive frequency Omega0/2pi (Hz)", low=POS),
+        Param("omega0tau", "float", 20.0, "dimensionless duration Omega0 tau", low=POS),
         Param("level2", "float", 1.0, "middle level (units of Omega0)"),
         Param("level3", "float", 1.95, "top level (units of Omega0)"),
-        Param("gamma0", "float", 0.0, "noise strength Gamma0 (dimensionless)"),
-        Param("n-steps", "int", 2000, "integrator steps (>= 100)"),
+        Param("gamma0", "float", 0.0, "noise strength Gamma0 (dimensionless)", low=NONNEG),
+        Param("n-steps", "int", 2000, "integrator steps", low=GRID),
     ],
     "battery-cells": [
-        Param("ramp", "str", "linear", "interpolation shape", choices=("linear", "sin2", "smooth")),
-        Param("j-hz", "float", 100.0, "exchange coupling J/2pi (Hz)"),
-        Param("omega0-hz", "float", 100.0, "hub splitting omega0/2pi (Hz)"),
-        Param("jtau", "float", 80.0, "dimensionless duration J tau (J in rad/s)"),
-        Param("n-steps", "int", 4000, "integrator steps (>= 100)"),
+        Param("ramp", "str", "linear", "interpolation shape", choices=tuple(RAMPS)),
+        Param("j-hz", "float", 100.0, "exchange coupling J/2pi (Hz)", low=POS),
+        Param("omega0-hz", "float", 100.0, "hub splitting omega0/2pi (Hz)", low=POS),
+        Param("jtau", "float", 80.0, "dimensionless duration J tau (J in rad/s)", low=POS),
+        Param("n-steps", "int", 4000, "integrator steps", low=GRID),
     ],
 }
 
-RAMPS: dict[str, Callable[[float], float]] = {
-    "linear": lambda s: s,
-    "sin2": lambda s: math.sin(0.5 * math.pi * s) ** 2,
-    "smooth": lambda s: s * s * (3.0 - 2.0 * s),
-}
+# Constraints a single bound cannot state: (scenario, keys read, predicate
+# on their values that must hold, message).  A rule runs only when every
+# key it reads is set and passed its own checks.
+RULES: list[tuple[str, tuple[str, ...], Callable[..., bool], str]] = [
+    ("adcheck", ("model", "frame"), lambda model, frame: model != "nmr" or frame in ("lab", "rotating"),
+     "nmr model uses frame in {lab, rotating}"),
+    ("adcheck", ("model", "frame"),
+     lambda model, frame: model != "oscillating" or frame in ("inertial", "noninertial"),
+     "oscillating model uses frame in {inertial, noninertial}"),
+    ("deutsch", ("balanced", "constant"), lambda balanced, constant: not (balanced and constant),
+     "balanced and constant are mutually exclusive"),
+    ("lz-tqd", ("tau_min_s", "tau_max_s"), lambda lo, hi: hi >= lo, "tau_max_s must be >= tau_min_s"),
+    ("lz-tqd", ("theta0_rad",), lambda theta0: 0 < abs(theta0) < 0.5 * math.pi,
+     "theta0_rad must lie in (0, pi/2) up to sign"),
+    ("gate", ("axis",), lambda axis: len(axis) == 3 and any(abs(a) >= 1e-12 for a in axis),
+     "axis must be a nonzero 3-vector"),
+    ("pulses", ("variant", "tau_s", "j_hz"), lambda variant, tau, j: variant != "optimal" or tau >= 1.0 / j,
+     "optimal variant needs tau_s >= 1/j_hz (echo delay)"),
+    ("battery-stirap", ("level2", "level3"), lambda level2, level3: 0 < level2 < level3,
+     "levels must satisfy 0 < level2 < level3"),
+]
 
 
 # ---------------------------------------------------------------------------
 # configuration merge and validation
 
 
-def _load_config_section(path: str, section: str) -> dict:
+def _read_ini(path: str) -> dict[str, dict]:
+    """Sections of an INI file as plain dicts."""
     parser = configparser.ConfigParser()
     with open(path, "r", encoding="utf-8") as fh:
         parser.read_file(fh)
-    if not parser.has_section(section):
-        return {}
-    return dict(parser.items(section))
+    return {section: dict(parser.items(section)) for section in parser.sections()}
 
 
 def _merge_config(name: str, cli_values: dict, file_values: dict) -> dict:
-    """Defaults, then file values, then explicit flags."""
-    params = {p.name.replace("-", "_"): p for p in SCENARIOS[name]}
+    """Defaults, then file values, then explicit flags (other keys ignored)."""
+    params = {p.key: p for p in SCENARIOS[name]}
     merged = {key: p.default for key, p in params.items()}
     for raw_key, raw in file_values.items():
         key = raw_key.replace("-", "_")
@@ -187,130 +224,67 @@ def _merge_config(name: str, cli_values: dict, file_values: dict) -> dict:
     return merged
 
 
+def _bound_words(low: tuple) -> str:
+    op, bound = low
+    if bound == 0:
+        return "positive" if op == ">" else "non-negative"
+    return f"at least {bound}" if op == ">=" else f"greater than {bound}"
+
+
+def _value_problem(p: Param, val) -> str | None:
+    """What is wrong with one parameter's value on its own, or None."""
+    if p.choices and val not in p.choices:
+        return f"must be one of {p.choices}, got {val!r}"
+    listed = p.kind in ("floats", "range")
+    entries = val if listed else (val,)
+    noun = "entries " if listed else ""
+    if p.kind in ("float", "floats", "range") and not all(math.isfinite(v) for v in entries):
+        return noun + "must be finite"
+    if p.kind == "floats" and not val:
+        return "must list at least one value"
+    if p.kind == "range":
+        if val[2] <= 0:
+            return "step must be positive"
+        count = _range_count(val)
+        if count < 1:
+            return "is empty: stop lies below start"
+        if not math.isfinite(count):
+            return "has too many points to count"
+    if p.low and any(v <= p.low[1] if p.low[0] == ">" else v < p.low[1] for v in entries):
+        return f"{noun}must be {_bound_words(p.low)}"
+    return None
+
+
 def check_config(name: str, cfg: dict) -> list[str]:
     """Constraint report for a merged configuration; empty means valid."""
     problems: list[str] = []
-    params = {p.name.replace("-", "_"): p for p in SCENARIOS[name]}
+    passed: set[str] = set()
+    params = {p.key: p for p in SCENARIOS[name]}
     for key, p in params.items():
         val = cfg.get(key)
         if val is None:
             if p.required:
                 problems.append(f"missing required parameter {key}")
             continue
-        if p.choices and val not in p.choices:
-            problems.append(f"{key} must be one of {p.choices}, got {val!r}")
-        if p.kind == "float" and not math.isfinite(float(val)):
-            problems.append(f"{key} must be finite")
-        if p.kind in ("floats", "range") and not all(math.isfinite(v) for v in val):
-            problems.append(f"{key} entries must be finite")
-        elif p.kind == "range" and val[2] <= 0:
-            problems.append(f"{key} step must be positive")
-        elif p.kind == "range" and not _range_values(val):
-            problems.append(f"{key} is empty: stop lies below start")
-    for key in cfg:
-        if key not in params:
-            problems.append(f"unknown parameter {key}")
-
-    def positive(key: str) -> None:
-        val = cfg.get(key)
-        if val is not None and val <= 0:
-            problems.append(f"{key} must be positive")
-
-    def grid(key: str) -> None:
-        val = cfg.get(key)
-        if val is not None and val < MIN_GRID:
-            problems.append(f"{key} must be at least {MIN_GRID}")
-
-    def nonempty(key: str) -> None:
-        if cfg.get(key) is not None and not cfg[key]:
-            problems.append(f"{key} must list at least one value")
-
-    if name == "adcheck":
-        positive("omega0_hz")
-        positive("tau_s")
-        grid("n_points")
-        if cfg.get("model") == "nmr" and cfg.get("frame") in ("inertial", "noninertial"):
-            problems.append("nmr model uses frame in {lab, rotating}")
-        if cfg.get("model") == "oscillating" and cfg.get("frame") in ("lab", "rotating"):
-            problems.append("oscillating model uses frame in {inertial, noninertial}")
-    elif name == "deutsch":
-        positive("omega_hz")
-        grid("n_steps")
-        if cfg.get("gamma") is not None and cfg["gamma"] < 0:
-            problems.append("gamma must be non-negative")
-        for key in ("f0", "f1"):
-            if cfg.get(key) not in (0, 1, None):
-                problems.append(f"{key} must be 0 or 1")
-        if cfg.get("balanced") and cfg.get("constant"):
-            problems.append("balanced and constant are mutually exclusive")
-        if cfg.get("tau_ladder") is not None and cfg["tau_ladder"] < 2:
-            problems.append("tau_ladder must be at least 2")
-    elif name == "heat":
-        positive("omega_pev")
-        positive("beta_inv_pev")
-        positive("tau_dec_s")
-        grid("n_steps")
-        nonempty("gamma0_list")
-        if cfg.get("gamma0_list") is not None and any(g < 0 for g in cfg["gamma0_list"]):
-            problems.append("gamma0_list rates must be non-negative")
-    elif name == "lz-tqd":
-        positive("delta_hz")
-        positive("tau_min_s")
-        positive("tau_max_s")
-        grid("n_quad")
-        if cfg.get("n_tau") is not None and cfg["n_tau"] < 1:
-            problems.append("n_tau must be at least 1")
-        if (
-            cfg.get("tau_min_s") is not None
-            and cfg.get("tau_max_s") is not None
-            and cfg["tau_max_s"] < cfg["tau_min_s"]
-        ):
-            problems.append("tau_max_s must be >= tau_min_s")
-        if cfg.get("theta0_rad") is not None and not 0 < abs(cfg["theta0_rad"]) < 0.5 * math.pi:
-            problems.append("theta0_rad must lie in (0, pi/2) up to sign")
-    elif name == "nmr-tqd":
-        positive("omega0_hz")
-        positive("omega1_hz")
-    elif name == "gate":
-        positive("nu_hz")
-        grid("n_steps")
-        if cfg.get("axis") is not None:
-            if len(cfg["axis"]) != 3 or all(abs(a) < 1e-12 for a in cfg["axis"]):
-                problems.append("axis must be a nonzero 3-vector")
-        nonempty("tau_list")
-        if cfg.get("tau_list") is not None and any(t <= 0 for t in cfg["tau_list"]):
-            problems.append("tau_list entries must be positive")
-    elif name == "pulses":
-        positive("tau_s")
-        positive("nu_hz")
-        positive("j_hz")
-        if cfg.get("n_blocks") is not None and cfg["n_blocks"] < 1:
-            problems.append("n_blocks must be at least 1")
-        if (
-            cfg.get("variant") == "optimal"
-            and cfg.get("tau_s") is not None
-            and cfg.get("j_hz") is not None
-            and cfg["tau_s"] < 1.0 / cfg["j_hz"]
-        ):
-            problems.append("optimal variant needs tau_s >= 1/j_hz (echo delay)")
-    elif name == "battery-stirap":
-        positive("rabi_hz")
-        positive("omega0tau")
-        grid("n_steps")
-        if cfg.get("gamma0") is not None and cfg["gamma0"] < 0:
-            problems.append("gamma0 must be non-negative")
-        if (
-            cfg.get("level2") is not None
-            and cfg.get("level3") is not None
-            and not 0 < cfg["level2"] < cfg["level3"]
-        ):
-            problems.append("levels must satisfy 0 < level2 < level3")
-    elif name == "battery-cells":
-        positive("j_hz")
-        positive("omega0_hz")
-        positive("jtau")
-        grid("n_steps")
+        problem = _value_problem(p, val)
+        if problem:
+            problems.append(f"{key} {problem}")
+        else:
+            passed.add(key)
+    problems += [f"unknown parameter {key}" for key in cfg if key not in params]
+    for scenario, keys, holds, message in RULES:
+        if scenario == name and passed.issuperset(keys) and not holds(*(cfg[k] for k in keys)):
+            problems.append(message)
     return problems
+
+
+def _configure(name: str, cli_values: dict, file_values: dict) -> tuple[dict, list]:
+    """Merged configuration and its problems; no problems means valid."""
+    try:
+        cfg = _merge_config(name, cli_values, file_values)
+    except ValueError as exc:
+        return {}, [str(exc)]
+    return cfg, check_config(name, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -555,20 +529,12 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="INI file; section [%s] supplies defaults" % name)
         sp.add_argument("--out", help="output path (default stdout)")
         for p in params:
-            flag = f"--{p.name}"
+            text = f"{p.help} ({p.low[0]} {p.low[1]})" if p.low else p.help
             if p.kind == "flag":
-                sp.add_argument(flag, action="store_const", const=True, default=None, help=p.help)
-            elif p.kind == "int":
-                sp.add_argument(flag, type=int, default=None, help=p.help)
-            elif p.kind == "float":
-                sp.add_argument(flag, type=float, default=None, help=p.help)
+                sp.add_argument(f"--{p.name}", action="store_const", const=True, help=text)
             else:
-                sp.add_argument(
-                    flag,
-                    type=lambda raw, _p=p: _parse_value(_p, raw),
-                    default=None,
-                    help=p.help,
-                )
+                parse = {"int": int, "float": float}.get(p.kind, lambda raw, _p=p: _parse_value(_p, raw))
+                sp.add_argument(f"--{p.name}", type=parse, help=text)
     vp = sub.add_parser("validate", help="check a configuration file without running")
     vp.add_argument("--config", required=True, help="INI file to check")
     vp.add_argument("--scenario", help="restrict the check to one section")
@@ -576,29 +542,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_validate(args: argparse.Namespace) -> int:
-    parser = configparser.ConfigParser()
-    with open(args.config, "r", encoding="utf-8") as fh:
-        parser.read_file(fh)
-    sections = [args.scenario] if args.scenario else parser.sections()
-    problems_total = 0
-    for section in sections:
-        if section not in SCENARIOS:
-            print(f"{section}: unknown scenario")
-            problems_total += 1
-            continue
-        try:
-            merged = _merge_config(section, {}, dict(parser.items(section)) if parser.has_section(section) else {})
-        except ValueError as exc:
-            print(f"{section}: {exc}")
-            problems_total += 1
-            continue
-        problems = check_config(section, merged)
-        for msg in problems:
+    ini = _read_ini(args.config)
+    failed = False
+    for section in [args.scenario] if args.scenario else list(ini):
+        if section in SCENARIOS:
+            _, problems = _configure(section, {}, ini.get(section, {}))
+        else:
+            problems = ["unknown scenario"]
+        for msg in problems or ["ok"]:
             print(f"{section}: {msg}")
-        problems_total += len(problems)
-        if not problems:
-            print(f"{section}: ok")
-    return 2 if problems_total else 0
+        failed = failed or bool(problems)
+    return 2 if failed else 0
+
+
+def _fail(problems: list) -> int:
+    for msg in problems:
+        print(f"error: {msg}", file=sys.stderr)
+    return 2
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -607,30 +567,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _run_validate(args)
 
     name = args.command
-    file_values = {}
-    if args.config:
-        file_values = _load_config_section(args.config, name)
-    cli_values = {
-        key: val
-        for key, val in vars(args).items()
-        if key not in ("command", "config", "out")
-    }
-    try:
-        cfg = _merge_config(name, cli_values, file_values)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    problems = check_config(name, cfg)
+    file_values = _read_ini(args.config).get(name, {}) if args.config else {}
+    cfg, problems = _configure(name, vars(args), file_values)
     if problems:
-        for msg in problems:
-            print(f"error: {msg}", file=sys.stderr)
-        return 2
+        return _fail(problems)
 
     try:
         result = RUNNERS[name](cfg)
     except IntegrationError as exc:
-        print(f"error: {exc}; increase --n-steps", file=sys.stderr)
-        return 2
+        return _fail([f"{exc}; increase --n-steps"])
+    except ValueError as exc:
+        return _fail([exc])
     if isinstance(result, str):
         _emit(result, args.out)
     else:

@@ -117,21 +117,27 @@ def recommended_steps(omega_max: float, tau: float, resolution: float = 0.05) ->
 
 def rk4(deriv: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
         times: np.ndarray) -> np.ndarray:
-    """Fixed-step RK4 over a uniform grid; returns the state at every node."""
+    """Fixed-step RK4 over a uniform grid; returns the state at every node.
+
+    Overflow and invalid-value warnings are silenced inside the loop: the
+    update is linear, so an inf or NaN never turns finite again, and the
+    per-step check below reports it as a named :class:`IntegrationError`.
+    """
     y = np.asarray(y0, dtype=complex)
     out = np.empty((len(times),) + y.shape, dtype=complex)
     out[0] = y
-    for k in range(len(times) - 1):
-        t = times[k]
-        dt = times[k + 1] - t
-        k1 = deriv(t, y)
-        k2 = deriv(t + 0.5 * dt, y + 0.5 * dt * k1)
-        k3 = deriv(t + 0.5 * dt, y + 0.5 * dt * k2)
-        k4 = deriv(t + dt, y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if not np.all(np.isfinite(y)):
-            raise IntegrationError(k + 1, "non-finite state entries")
-        out[k + 1] = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(times) - 1):
+            t = times[k]
+            dt = times[k + 1] - t
+            k1 = deriv(t, y)
+            k2 = deriv(t + 0.5 * dt, y + 0.5 * dt * k1)
+            k3 = deriv(t + 0.5 * dt, y + 0.5 * dt * k2)
+            k4 = deriv(t + dt, y + dt * k3)
+            y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            if not np.all(np.isfinite(y)):
+                raise IntegrationError(k + 1, "non-finite state entries")
+            out[k + 1] = y
     return out
 
 

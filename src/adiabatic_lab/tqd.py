@@ -356,6 +356,24 @@ def _ancilla_ham(xi: float, omega: float, phi0: float) -> Callable[[float], np.n
     return sampler
 
 
+VARIANTS = ("adiabatic", "standard", "optimal")
+
+
+def variant_sampler(
+    variant: str, base: Callable[[float], np.ndarray], correction: np.ndarray
+) -> Callable[[float], np.ndarray]:
+    """Sampler of a driving variant: "adiabatic" is the bare ``base``
+    sweep, "standard" adds the fixed ``correction``, "optimal" keeps
+    only the correction."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    if variant == "adiabatic":
+        return base
+    if variant == "standard":
+        return lambda s: base(s) + correction
+    return lambda s: correction
+
+
 def _ancilla_cd(xi: float, phi0: float, tau: float) -> np.ndarray:
     return (0.5 * phi0 / tau) * (math.cos(xi) * SIGMA_Y - math.sin(xi) * SIGMA_X)
 
@@ -379,28 +397,15 @@ def controlled_gate_schedule(
     time independent).  With ``controlled`` a further qubit gates the
     rotation: the branch Hamiltonian acts only in its excited subspace.
     """
-    if variant not in ("adiabatic", "standard", "optimal"):
-        raise ValueError(f"unknown variant {variant!r}")
+    plus = variant_sampler(variant, _ancilla_ham(0.0, omega, phi0), _ancilla_cd(0.0, phi0, tau))
+    minus = variant_sampler(variant, _ancilla_ham(phi, omega, phi0), _ancilla_cd(phi, phi0, tau))
     _, _, p_plus, p_minus = _projector_pair(axis)
-    h_plus = _ancilla_ham(0.0, omega, phi0)
-    h_minus = _ancilla_ham(phi, omega, phi0)
-    cd_plus = _ancilla_cd(0.0, phi0, tau)
-    cd_minus = _ancilla_cd(phi, phi0, tau)
-
-    def branch(s: float, base: Callable[[float], np.ndarray], cd: np.ndarray) -> np.ndarray:
-        if variant == "adiabatic":
-            return base(s)
-        if variant == "standard":
-            return base(s) + cd
-        return cd
 
     def sampler(s: float) -> np.ndarray:
-        h = np.kron(p_plus, branch(s, h_plus, cd_plus)) + np.kron(
-            p_minus, branch(s, h_minus, cd_minus)
-        )
+        h_plus = plus(s)
+        h = np.kron(p_plus, h_plus) + np.kron(p_minus, minus(s))
         if controlled:
-            off = branch(s, h_plus, cd_plus)
-            return np.kron(np.diag([1.0, 0.0]), np.kron(SIGMA_0, off)) + np.kron(
+            return np.kron(np.diag([1.0, 0.0]), np.kron(SIGMA_0, h_plus)) + np.kron(
                 np.diag([0.0, 1.0]), h
             )
         return h
@@ -459,22 +464,15 @@ def phase_gate_schedule(nu_hz: float, tau: float, variant: str) -> Schedule:
     "standard" adds (pi / 2 tau) sigma_z x sigma_y, "optimal" keeps only
     that correction.
     """
-    if variant not in ("adiabatic", "standard", "optimal"):
-        raise ValueError(f"unknown variant {variant!r}")
     w = 2.0 * math.pi * nu_hz
     zz_x = np.kron(SIGMA_Z, SIGMA_X)
     one_z = np.kron(SIGMA_0, SIGMA_Z)
     correction = (0.5 * math.pi / tau) * np.kron(SIGMA_Z, SIGMA_Y)
 
-    def sampler(s: float) -> np.ndarray:
-        base = -w * (math.cos(math.pi * s) * one_z + math.sin(math.pi * s) * zz_x)
-        if variant == "adiabatic":
-            return base
-        if variant == "standard":
-            return base + correction
-        return correction
+    def base(s: float) -> np.ndarray:
+        return -w * (math.cos(math.pi * s) * one_z + math.sin(math.pi * s) * zz_x)
 
-    return Schedule(tau=tau, sampler=sampler)
+    return Schedule(tau=tau, sampler=variant_sampler(variant, base, correction))
 
 
 @dataclass(eq=False)
@@ -547,7 +545,7 @@ def compile_pulse_sequence(
     3 rotations.  Durations that cannot fit the echo (tau < 1/J) are
     refused.
     """
-    if variant not in ("adiabatic", "standard", "optimal"):
+    if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if tau <= 0 or j_hz <= 0:
         raise ValueError("tau and j_hz must be positive")

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from adiabatic_lab.cli import check_config, main
+from adiabatic_lab.cli import SCENARIOS, _merge_config, check_config, main
 from adiabatic_lab.tqd import compile_pulse_sequence, parse_pulse_sequence
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -43,10 +43,15 @@ def test_scenario_output_matches_golden(name, tmp_path):
         ["gate", "--tau-list", ""],
         ["heat", "--gamma0-list", "1e9", "--n-steps", "100"],
         ["battery-stirap", "--gamma0", "50", "--n-steps", "100"],
+        ["deutsch", "--gamma", "1e6", "--tau-ladder", "2", "--n-steps", "100"],
+        ["battery-cells", "--jtau", "1e6", "--n-steps", "100"],
+        pytest.param(["heat", "--gamma0-list", "1e5", "--n-steps", "100"], id="heat-negative-eigenvalue"),
+        pytest.param(["pulses", "--tau-s", "0.01", "--j-hz", "0"], id="pulses-zero-coupling"),
+        pytest.param(["adcheck", "--r-sweep", "0:1e300:1e-300"], id="adcheck-uncountable-range"),
     ],
     ids=lambda argv: argv[0],
 )
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error:overflow:RuntimeWarning", "error:invalid value:RuntimeWarning")
 def test_hopeless_config_exits_two_with_error_line(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -131,6 +136,103 @@ def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["adcheck", "--bogus", "1"])
     assert exc.value.code == 2
+
+
+# Every single-flag bound of the CLI schema: (scenario, key, op, bound).
+# For list kinds the bound applies to every entry.
+BOUNDS = [
+    ("adcheck", "omega0_hz", ">", 0),
+    ("adcheck", "tau_s", ">", 0),
+    ("adcheck", "n_points", ">=", 100),
+    ("deutsch", "omega_hz", ">", 0),
+    ("deutsch", "gamma", ">=", 0),
+    ("deutsch", "tau_ladder", ">=", 2),
+    ("deutsch", "n_steps", ">=", 100),
+    ("heat", "omega_pev", ">", 0),
+    ("heat", "beta_inv_pev", ">", 0),
+    ("heat", "gamma0_list", ">=", 0),
+    ("heat", "tau_dec_s", ">", 0),
+    ("heat", "n_steps", ">=", 100),
+    ("lz-tqd", "delta_hz", ">", 0),
+    ("lz-tqd", "tau_min_s", ">", 0),
+    ("lz-tqd", "tau_max_s", ">", 0),
+    ("lz-tqd", "n_tau", ">=", 1),
+    ("lz-tqd", "n_quad", ">=", 100),
+    ("nmr-tqd", "omega0_hz", ">", 0),
+    ("nmr-tqd", "omega1_hz", ">", 0),
+    ("gate", "nu_hz", ">", 0),
+    ("gate", "tau_list", ">", 0),
+    ("gate", "n_steps", ">=", 100),
+    ("pulses", "n_blocks", ">=", 1),
+    ("pulses", "tau_s", ">", 0),
+    ("pulses", "nu_hz", ">", 0),
+    ("pulses", "j_hz", ">", 0),
+    ("battery-stirap", "rabi_hz", ">", 0),
+    ("battery-stirap", "omega0tau", ">", 0),
+    ("battery-stirap", "gamma0", ">=", 0),
+    ("battery-stirap", "n_steps", ">=", 100),
+    ("battery-cells", "j_hz", ">", 0),
+    ("battery-cells", "omega0_hz", ">", 0),
+    ("battery-cells", "jtau", ">", 0),
+    ("battery-cells", "n_steps", ">=", 100),
+]
+
+
+def _default_config(name: str) -> dict:
+    # tau_s is the only required flag (pulses); other scenarios ignore it
+    return _merge_config(name, {"tau_s": 0.01}, {})
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_default_config_is_valid(name):
+    assert check_config(name, _default_config(name)) == []
+
+
+@pytest.mark.parametrize("name,key,op,bound", BOUNDS, ids=lambda v: str(v))
+def test_value_just_past_bound_is_named(name, key, op, bound):
+    cfg = _default_config(name)
+    if isinstance(cfg[key], int):
+        past = bound - 1 if op == ">=" else bound
+    else:
+        past = math.nextafter(float(bound), -math.inf)
+    cfg[key] = (1.0, past) if isinstance(cfg[key], tuple) else past
+    problems = check_config(name, cfg)
+    assert any(key in p for p in problems), problems
+
+
+def test_schema_declares_exactly_the_pinned_bounds():
+    declared = [(name, p.key, *p.low) for name, params in SCENARIOS.items() for p in params if p.low]
+    assert sorted(declared) == sorted(BOUNDS)
+
+
+@pytest.mark.parametrize("name,key,op,bound", BOUNDS, ids=lambda v: str(v))
+def test_help_shows_each_bound(name, key, op, bound, capsys):
+    with pytest.raises(SystemExit):
+        main([name, "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    flag = "--" + key.replace("_", "-")
+    assert f"({op} {bound})" in help_text.rsplit(flag, 1)[1].split(" --", 1)[0]
+
+
+def test_zero_coupling_is_named_by_run_and_validate(tmp_path, capsys):
+    assert main(["pulses", "--tau-s", "0.01", "--j-hz", "0"]) == 2
+    assert "error: j_hz must be positive" in capsys.readouterr().err
+    ini = tmp_path / "run.ini"
+    ini.write_text("[pulses]\ntau-s = 0.01\nj-hz = 0\n")
+    assert main(["validate", "--config", str(ini)]) == 2
+    assert "pulses: j_hz must be positive" in capsys.readouterr().out
+
+
+def test_range_with_uncountable_points_is_named():
+    problems = check_config("adcheck", {**_default_config("adcheck"), "r_sweep": (0.0, 1e300, 1e-300)})
+    assert problems == ["r_sweep has too many points to count"]
+    problems = check_config("adcheck", {**_default_config("adcheck"), "r_sweep": (1e308, -1e308, 1.0)})
+    assert problems == ["r_sweep is empty: stop lies below start"]
+
+
+def test_cross_flag_rule_skips_flags_that_failed_their_own_check():
+    problems = check_config("lz-tqd", {**_default_config("lz-tqd"), "tau_max_s": -1.0})
+    assert problems == ["tau_max_s must be positive"]
 
 
 def test_check_config_flags_mutual_exclusion():
