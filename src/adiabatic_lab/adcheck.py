@@ -19,37 +19,42 @@ import numpy as np
 import scipy.linalg
 
 from .dynamics import Schedule, frame_transform, time_scale
-from .opalg import SIGMA_X, SIGMA_Y, SIGMA_Z
+from .opalg import SIGMA_X, SIGMA_Y, SIGMA_Z, dagger
 from .spectral import SpectralFrame, fourth_order_derivative, frame_from_functions
 
 _STATS = {"max": np.max, "mean": np.mean}
 
 
-def _h_samples(h: Schedule, grid: np.ndarray) -> np.ndarray:
-    return np.array([np.asarray(h.at(s), dtype=complex) for s in grid])
-
-
 def _hdot_samples(h: Schedule, grid: np.ndarray, tau: float) -> np.ndarray:
-    ds = grid[1] - grid[0]
-    return fourth_order_derivative(_h_samples(h, grid), ds) / time_scale(tau)
+    return fourth_order_derivative(h.sample(grid), grid[1] - grid[0]) / time_scale(tau)
 
 
 def _offdiag_pairs(n: int):
     return [(m, k) for m in range(n) for k in range(n) if m != k]
 
 
+def _coupling(frame: SpectralFrame, h: Schedule, modulus: bool = False) -> np.ndarray:
+    """<E_m|dH/dt|E_n> / (E_m - E_n)^2 on every node, (M, d, d) with a zero
+    diagonal.  ``modulus`` divides |<E_m|dH/dt|E_n>| instead, as
+    :func:`c_trad` is defined; that rounds differently from the modulus of
+    the quotient."""
+    hdot = _hdot_samples(h, frame.grid, frame.tau)
+    num = dagger(frame.vectors) @ hdot @ frame.vectors
+    if modulus:
+        num = np.abs(num)
+    gap = frame.energies[:, :, None] - frame.energies[:, None, :]
+    off = ~np.eye(frame.n_levels, dtype=bool)
+    out = np.zeros_like(num)
+    # float_power rounds like a scalar ``gap ** 2`` (libm pow); ndarray ** 2
+    # multiplies instead and can differ in the last bit
+    out[:, off] = num[:, off] / np.float_power(gap[:, off], 2)
+    return out
+
+
 def c_trad(frame: SpectralFrame, h: Schedule) -> float:
     """Traditional gap condition: max over time and level pairs of
     |<E_m|dH/dt|E_n>| / (E_m - E_n)^2."""
-    hdot = _hdot_samples(h, frame.grid, frame.tau)
-    worst = 0.0
-    for k in range(len(frame.grid)):
-        v = frame.vectors[k]
-        num = np.abs(v.conj().T @ hdot[k] @ v)
-        for m, n in _offdiag_pairs(frame.n_levels):
-            gap = frame.energies[k, m] - frame.energies[k, n]
-            worst = max(worst, num[m, n] / gap**2)
-    return float(worst)
+    return float(np.max(_coupling(frame, h, modulus=True)))
 
 
 def c_tong(frame: SpectralFrame, h: Schedule, stat: str = "max") -> dict:
@@ -63,23 +68,11 @@ def c_tong(frame: SpectralFrame, h: Schedule, stat: str = "max") -> dict:
     """
     reduce = _STATS[stat.lower()]
     grid, tau = frame.grid, frame.tau
-    ds = grid[1] - grid[0]
-    hdot = _hdot_samples(h, grid, tau)
-    m_pts, dim = frame.energies.shape
+    dim = frame.n_levels
+    coupling = _coupling(frame, h)
+    part_a = float(np.max(np.abs(coupling)))
 
-    coupling = np.empty((m_pts, dim, dim), dtype=complex)
-    for k in range(m_pts):
-        v = frame.vectors[k]
-        num = v.conj().T @ hdot[k] @ v
-        for m, n in _offdiag_pairs(dim):
-            gap = frame.energies[k, m] - frame.energies[k, n]
-            coupling[k, m, n] = num[m, n] / gap**2
-
-    part_a = float(
-        np.max([np.abs(coupling[:, m, n]) for m, n in _offdiag_pairs(dim)])
-    )
-
-    dcoupling = fourth_order_derivative(coupling, ds) / time_scale(tau)
+    dcoupling = fourth_order_derivative(coupling, grid[1] - grid[0]) / time_scale(tau)
     part_b = float(
         max(reduce(np.abs(dcoupling[:, m, n])) for m, n in _offdiag_pairs(dim)) * tau
     )
@@ -181,11 +174,8 @@ def scan_min_gap(h: Schedule, n_points: int = 1001) -> float:
     Unlike tracked frames this tolerates exact degeneracies, so it is the
     right probe when a crossing is the expected answer.
     """
-    best = np.inf
-    for s in np.linspace(0.0, 1.0, n_points):
-        vals = np.linalg.eigvalsh(np.asarray(h.at(s), dtype=complex))
-        best = min(best, float(vals[1] - vals[0]))
-    return best
+    vals = np.linalg.eigvalsh(h.sample(np.linspace(0.0, 1.0, n_points)))
+    return float(np.min(vals[:, 1] - vals[:, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +194,19 @@ class ModelKit:
     frame: SpectralFrame
     frame_map: Callable[[float], np.ndarray] | None = None
     frame_map_dot: Callable[[float], np.ndarray] | None = None
+
+
+def _z_rotation(omega: float, tau: float) -> tuple[Callable, Callable]:
+    """Frame map O(s) = exp(i omega t sigma_z / 2), t = s tau, the z
+    rotation at the drive frequency, and its physical-time derivative."""
+
+    def frame_map(s: float) -> np.ndarray:
+        return scipy.linalg.expm(0.5j * omega * s * tau * SIGMA_Z)
+
+    def frame_map_dot(s: float) -> np.ndarray:
+        return (0.5j * omega * SIGMA_Z) @ frame_map(s)
+
+    return frame_map, frame_map_dot
 
 
 def nmr_rotating(
@@ -247,14 +250,7 @@ def nmr_rotating(
         )
 
     frame = frame_from_functions(tau, n_points, energy_fn, vector_fn, dvector_fn)
-
-    def frame_map(s: float) -> np.ndarray:
-        return scipy.linalg.expm(0.5j * omega * s * tau * SIGMA_Z)
-
-    def frame_map_dot(s: float) -> np.ndarray:
-        return (0.5j * omega * SIGMA_Z) @ frame_map(s)
-
-    return ModelKit(Schedule(tau, sampler), frame, frame_map, frame_map_dot)
+    return ModelKit(Schedule(tau, sampler), frame, *_z_rotation(omega, tau))
 
 
 def nmr_rotating_frame(
@@ -325,14 +321,7 @@ def oscillating(
         )
 
     frame = frame_from_functions(tau, n_points, energy_fn, vector_fn, dvector_fn)
-
-    def frame_map(s: float) -> np.ndarray:
-        return scipy.linalg.expm(0.5j * omega * s * tau * SIGMA_Z)
-
-    def frame_map_dot(s: float) -> np.ndarray:
-        return (0.5j * omega * SIGMA_Z) @ frame_map(s)
-
-    return ModelKit(Schedule(tau, sampler), frame, frame_map, frame_map_dot)
+    return ModelKit(Schedule(tau, sampler), frame, *_z_rotation(omega, tau))
 
 
 def oscillating_noninertial(
@@ -425,16 +414,13 @@ def theorem1_check(
     if len(lab.grid) != n_points:
         raise ValueError("frame grid disagrees; rebuild the kit with n_points")
     grid = lab.grid
-    dim = lab.n_levels
     # Per-node diagonalization with ascending order: the moduli below are
     # gauge independent node by node, so no continuity tracking is needed
     # and isolated degeneracies of the transformed Hamiltonian (where the
     # overlap row is genuinely basis-arbitrary) do not abort the check.
-    overlaps = np.empty((n_points, dim))
-    for k, s in enumerate(grid):
-        _, vecs_o = np.linalg.eigh(np.asarray(h_o.at(s), dtype=complex))
-        o_s = np.asarray(kit.frame_map(s), dtype=complex)
-        overlaps[k] = np.abs(vecs_o.conj().T @ o_s @ lab.vectors[k][:, level])
+    _, vecs_o = np.linalg.eigh(h_o.sample(grid))
+    o = Schedule(lab.tau, kit.frame_map).sample(grid)
+    overlaps = np.abs(dagger(vecs_o) @ o @ lab.vectors[:, :, level, None])[:, :, 0]
     drift = np.abs(overlaps - overlaps[0])
     max_dev = float(np.max(drift))
     return {
@@ -469,11 +455,13 @@ def theorem2_check(
     if h_o_const is None:
         h_o_const = np.asarray(h_o.at(0.0), dtype=complex)
     scale = max(1.0, float(np.linalg.norm(h_o_const)))
-    for s in np.linspace(0.0, 1.0, 17):
-        if np.max(np.abs(np.asarray(h_o.at(s)) - h_o_const)) > const_tol * scale:
-            raise ValueError(
-                f"transformed Hamiltonian is not constant at s={s:.4f}"
-            )
+    probe = np.linspace(0.0, 1.0, 17)
+    dev = np.max(np.abs(h_o.sample(probe) - h_o_const), axis=(1, 2))
+    bad = np.flatnonzero(dev > const_tol * scale)
+    if bad.size:
+        raise ValueError(
+            f"transformed Hamiltonian is not constant at s={probe[bad[0]]:.4f}"
+        )
 
     evals, evecs = np.linalg.eigh(h_o_const)
     o0 = np.asarray(kit.frame_map(0.0), dtype=complex)
@@ -483,14 +471,13 @@ def theorem2_check(
 
     psi0 = lab.vectors[0][:, level]
     ref = np.abs(lab.vectors[0].conj().T @ psi0)
-    drift = np.empty((n_points, lab.n_levels))
-    for k, s in enumerate(grid):
-        t = s * lab.tau
-        u_exp = evecs @ np.diag(np.exp(-1j * evals * t)) @ evecs.conj().T
-        o_t = np.asarray(kit.frame_map(s), dtype=complex)
-        u = o_t.conj().T @ u_exp @ o0
-        amps = np.abs(lab.vectors[k].conj().T @ (u @ psi0))
-        drift[k] = np.abs(amps - ref)
+    t = grid * lab.tau
+    phase_diag = np.zeros((n_points,) + evecs.shape, dtype=complex)
+    phase_diag[:, range(len(evals)), range(len(evals))] = np.exp(-1j * evals * t[:, None])
+    o_t = Schedule(lab.tau, kit.frame_map).sample(grid)
+    u = dagger(o_t) @ (evecs @ phase_diag @ dagger(evecs)) @ o0
+    amps = np.abs(dagger(lab.vectors) @ (u @ psi0)[:, :, None])[:, :, 0]
+    drift = np.abs(amps - ref)
     max_dev = float(np.max(drift))
     return {"satisfied": max_dev < tol, "max_deviation": max_dev, "grid": grid}
 

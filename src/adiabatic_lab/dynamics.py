@@ -68,6 +68,14 @@ class Schedule:
     def at(self, s: float):
         return self.sampler(float(s))
 
+    def sample(self, grid: np.ndarray) -> np.ndarray:
+        """Matrix samples at every s of ``grid``, stacked as (M, D, D) complex.
+
+        Calls :meth:`at` node by node in grid order, so a sampler error
+        names the first failing node.
+        """
+        return np.array([np.asarray(self.at(s), dtype=complex) for s in grid])
+
     def generator_at(self, s: float) -> LindbladGenerator:
         """Sample at s as a generator; a bare Hamiltonian gets no jumps."""
         g = self.at(s)
@@ -280,13 +288,15 @@ def nmr_extremal_times(omega0: float, omega1: float, omega: float,
 def _sqrtm_psd(rho: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(rho)
     vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ dagger(vecs)
+    return (vecs * np.sqrt(vals)[..., None, :]) @ dagger(vecs)
 
 
-def fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
+def fidelity(rho1: np.ndarray, rho2: np.ndarray):
     """Uhlmann fidelity Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)).
 
     Accepts pure-state vectors as well; they are promoted to projectors.
+    Stacks of density matrices (..., D, D) broadcast against each other
+    and give an array of fidelities; two single states give a float.
     """
     rho1 = _as_density(rho1)
     rho2 = _as_density(rho2)
@@ -296,7 +306,8 @@ def fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
     s1 = _sqrtm_psd(rho1)
     inner = s1 @ rho2 @ s1
     vals = np.clip(np.linalg.eigvalsh(0.5 * (inner + dagger(inner))), 0.0, None)
-    return float(np.sum(np.sqrt(vals)))
+    out = np.sum(np.sqrt(vals), axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def relative_purity(rho_gs: np.ndarray, rho: np.ndarray) -> float:

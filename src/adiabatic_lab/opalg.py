@@ -31,8 +31,8 @@ _PAULI_BY_LETTER = {"I": SIGMA_0, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(np.asarray(a)).T
+    """Conjugate transpose of a matrix, or of every matrix in a stack (..., D, D)."""
+    return np.swapaxes(np.conj(np.asarray(a)), -1, -2)
 
 
 def is_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> bool:

@@ -121,15 +121,15 @@ def track_liouville_spectrum(
         eigenvalues[k], right[k] = vals, vecs
         prev_vals, prev_vecs = vals, vecs
 
-    left = np.empty_like(right)
-    for k in range(n_points):
-        cond = np.linalg.cond(right[k])
-        if cond > 1e10:
-            raise ValueError(
-                f"Liouvillian is defective or near-defective at s={grid[k]:.4f} "
-                f"(eigenvector condition number {cond:.2e})"
-            )
-        left[k] = np.linalg.inv(right[k])
+    cond = np.linalg.cond(right)
+    bad = np.flatnonzero(cond > 1e10)
+    if bad.size:
+        k = bad[0]
+        raise ValueError(
+            f"Liouvillian is defective or near-defective at s={grid[k]:.4f} "
+            f"(eigenvector condition number {cond[k]:.2e})"
+        )
+    left = np.linalg.inv(right)
 
     ds = grid[1] - grid[0]
     dright = fourth_order_derivative(right, ds)
@@ -384,15 +384,11 @@ def deutsch_scenario(
     gamma_samples = np.array([gamma_fn(s) for s in s_grid])
     gamma_int = cumtrapz(gamma_samples, traj.times)
 
-    f_os = np.empty(len(traj.times))
-    f_cs = np.empty(len(traj.times))
-    for k, s in enumerate(s_grid):
-        p = phi(s)
-        coherence = np.cos(p) * SIGMA_X - np.sin(p) * SIGMA_Y
-        rho_os = 0.5 * (SIGMA_0 + np.exp(-2.0 * gamma_int[k]) * coherence)
-        rho_cs = 0.5 * (SIGMA_0 + coherence)
-        f_os[k] = fidelity(traj.states[k], rho_os)
-        f_cs[k] = fidelity(traj.states[k], rho_cs)
+    p = phi(s_grid)[:, None, None]
+    coherence = np.cos(p) * SIGMA_X - np.sin(p) * SIGMA_Y
+    damping = np.exp(-2.0 * gamma_int)[:, None, None]
+    f_os = fidelity(traj.states, 0.5 * (SIGMA_0 + damping * coherence))
+    f_cs = fidelity(traj.states, 0.5 * (SIGMA_0 + coherence))
 
     return {
         "trajectory": traj,

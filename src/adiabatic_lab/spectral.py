@@ -151,34 +151,27 @@ def tracked_eigensystem(
     if gauge not in ("smooth", "parallel-transport"):
         raise ValueError(f"unknown gauge {gauge!r}")
     grid = np.linspace(0.0, 1.0, n_points)
-    h0 = np.asarray(h.at(0.0), dtype=complex)
-    dim = h0.shape[0]
-    energies = np.empty((n_points, dim))
-    vectors = np.empty((n_points, dim, dim), dtype=complex)
-    max_res = 0.0
+    hams = h.sample(grid)
+    energies, vectors = np.linalg.eigh(hams)
+    scale = np.maximum(1.0, np.max(np.abs(energies), axis=1))
+    gap_closed = np.min(np.diff(energies, axis=1), axis=1) < gap_tol_factor * scale
 
-    prev = None
     for k, s in enumerate(grid):
-        ham = np.asarray(h.at(s), dtype=complex)
-        vals, vecs = np.linalg.eigh(ham)
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        if np.min(np.diff(vals)) < gap_tol_factor * scale:
+        if gap_closed[k]:
             raise LevelCrossingError(
                 f"spectral gap below tolerance at s={s:.6f} (t={s * h.tau:.3e} s)"
             )
-        if prev is not None:
-            order = _assign_by_overlap(prev, vecs)
-            vals, vecs = vals[order], vecs[:, order]
-            adj = np.abs(np.einsum("in,in->n", np.conj(prev), vecs))
+        if k:
+            prev = vectors[k - 1]
+            order = _assign_by_overlap(prev, vectors[k])
+            energies[k], vectors[k] = energies[k, order], vectors[k][:, order]
+            adj = np.abs(np.einsum("in,in->n", np.conj(prev), vectors[k]))
             if np.min(adj) < min_adjacent_overlap:
                 raise LevelCrossingError(
                     f"continuity tracking failed at s={s:.6f} "
                     f"(min adjacent overlap {np.min(adj):.4f}); increase n_points"
                 )
-        res = np.max(np.abs(ham @ vecs - vecs * vals[None, :]))
-        max_res = max(max_res, float(res))
-        energies[k], vectors[k] = vals, vecs
-        prev = vecs
+    max_res = float(np.max(np.abs(hams @ vectors - vectors * energies[:, None, :])))
 
     vectors = _smooth_phases(vectors)
     ds = grid[1] - grid[0]
@@ -378,11 +371,8 @@ def eigvec_overlap_matrix(
         np.abs(frame_a.grid - frame_b.grid)
     ) > 1e-12:
         raise ValueError("frames are on different grids")
-    m = len(frame_a.grid)
-    dim_a = frame_a.n_levels
-    dim_b = frame_b.n_levels
-    out = np.empty((m, dim_b, dim_a))
-    for k, s in enumerate(frame_a.grid):
-        mid = np.eye(dim_a) if o is None else np.asarray(o(s), dtype=complex)
-        out[k] = np.abs(dagger(frame_b.vectors[k]) @ mid @ frame_a.vectors[k])
-    return out
+    if o is None:
+        mid = np.eye(frame_a.n_levels)
+    else:
+        mid = Schedule(frame_a.tau, o).sample(frame_a.grid)
+    return np.abs(dagger(frame_b.vectors) @ mid @ frame_a.vectors)

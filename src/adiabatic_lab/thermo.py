@@ -198,21 +198,11 @@ def adiabatic_heat_1d(solution, h_components: np.ndarray) -> np.ndarray:
     ``h_components`` is either one component vector or one per grid node.
     """
     frame = solution.frame
-    m = len(frame.grid)
     h_comp = np.asarray(h_components, dtype=complex)
-    if h_comp.ndim == 1:
-        h_comp = np.broadcast_to(h_comp, (m, h_comp.shape[0]))
     dim = int(round(np.sqrt(frame.right.shape[1])))
-    out = np.empty(m)
-    for k in range(m):
-        pairing = h_comp[k] @ frame.right[k]  # h . D_a for every block
-        out[k] = float(
-            np.real(
-                np.sum(solution.coefficients[k] * frame.eigenvalues[k] * pairing)
-            )
-            / dim
-        )
-    return out
+    pairing = (h_comp[..., None, :] @ frame.right)[:, 0, :]  # h . D_a for every block
+    flux = np.sum(solution.coefficients * frame.eigenvalues * pairing, axis=1)
+    return np.real(flux) / dim
 
 
 def unitary_conjugate_channel(l: Schedule, u: np.ndarray) -> Schedule:

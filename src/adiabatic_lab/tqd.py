@@ -113,19 +113,18 @@ def generalized_tqd(frame: SpectralFrame, phases: PhaseChoice) -> Schedule:
     m, d = frame.energies.shape
     if phases.theta.shape != (m, d):
         raise ValueError("phase array does not match the frame grid")
-    mats = np.empty((m, d, d), dtype=complex)
-    for k in range(m):
-        v, dv = frame.vectors[k], frame.dvectors[k]
-        h = 1j * (dv @ dagger(v)) - (v * phases.theta[k][None, :]) @ dagger(v)
-        asym = float(np.max(np.abs(h - dagger(h))))
-        scale = max(1.0, float(np.max(np.abs(h))))
-        if asym > HERMITICITY_TOL * scale:
-            raise AssertionError(
-                f"driving Hamiltonian asymmetry {asym:.2e} at node {k}; "
-                "frame derivatives are too noisy"
-            )
-        mats[k] = 0.5 * (h + dagger(h))
-    return matrix_series_schedule(frame.grid, frame.tau, mats)
+    v, dv = frame.vectors, frame.dvectors
+    h = 1j * (dv @ dagger(v)) - (v * phases.theta[:, None, :]) @ dagger(v)
+    asym = np.max(np.abs(h - dagger(h)), axis=(1, 2))
+    scale = np.maximum(1.0, np.max(np.abs(h), axis=(1, 2)))
+    bad = np.flatnonzero(asym > HERMITICITY_TOL * scale)
+    if bad.size:
+        k = bad[0]
+        raise AssertionError(
+            f"driving Hamiltonian asymmetry {asym[k]:.2e} at node {k}; "
+            "frame derivatives are too noisy"
+        )
+    return matrix_series_schedule(frame.grid, frame.tau, 0.5 * (h + dagger(h)))
 
 
 def standard_tqd(frame: SpectralFrame) -> Schedule:
@@ -143,10 +142,8 @@ def counter_diabatic_term(frame: SpectralFrame) -> Schedule:
 def energy_cost_sigma(h: Schedule, n_quad: int = 801) -> float:
     """Mean Hilbert-Schmidt field size (1/tau) int sqrt(Tr H^2) dt."""
     grid = np.linspace(0.0, 1.0, n_quad)
-    vals = np.empty(n_quad)
-    for k, s in enumerate(grid):
-        ham = np.asarray(h.at(s), dtype=complex)
-        vals[k] = math.sqrt(max(float(np.real(np.trace(ham @ ham))), 0.0))
+    hams = h.sample(grid)
+    vals = np.sqrt(np.maximum(np.real(np.trace(hams @ hams, axis1=1, axis2=2)), 0.0))
     return float(trapezoid(vals, grid))
 
 
@@ -159,20 +156,13 @@ def tqd_time_independence(frame: SpectralFrame, phases: PhaseChoice) -> dict:
     relative to their initial scale.
     """
     d = frame.n_levels
-    conn0 = np.array([[frame.connection(k, n)[0] for n in range(d)] for k in range(d)])
-    drift = 0.0
-    for k in range(d):
-        for n in range(d):
-            series = frame.connection(k, n)
-            drift = max(drift, float(np.max(np.abs(series - conn0[k, n]))))
-    conn_scale = max(float(np.max(np.abs(conn0))), 1e-300)
+    conn = np.array([[frame.connection(k, n) for n in range(d)] for k in range(d)])
+    drift = float(np.max(np.abs(conn - conn[:, :, :1])))
+    conn_scale = max(float(np.max(np.abs(conn[:, :, 0]))), 1e-300)
 
-    sched = generalized_tqd(frame, phases)
-    h0 = np.asarray(sched.at(0.0))
-    h_scale = max(float(np.max(np.abs(h0))), 1e-300)
-    h_drift = 0.0
-    for s in frame.grid:
-        h_drift = max(h_drift, float(np.max(np.abs(np.asarray(sched.at(s)) - h0))))
+    hams = generalized_tqd(frame, phases).sample(frame.grid)
+    h_scale = max(float(np.max(np.abs(hams[0]))), 1e-300)
+    h_drift = float(np.max(np.abs(hams - hams[0])))
     return {
         "connection_drift": drift / conn_scale,
         "field_drift": h_drift / h_scale,

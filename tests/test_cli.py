@@ -45,7 +45,11 @@ def test_scenario_output_matches_golden(name, tmp_path):
         ["battery-stirap", "--gamma0", "50", "--n-steps", "100"],
         ["deutsch", "--gamma", "1e6", "--tau-ladder", "2", "--n-steps", "100"],
         ["battery-cells", "--jtau", "1e6", "--n-steps", "100"],
-        pytest.param(["heat", "--gamma0-list", "1e5", "--n-steps", "100"], id="heat-negative-eigenvalue"),
+        pytest.param(
+            ["heat", "--gamma0-list", "1e5", "--n-steps", "100"],
+            id="heat-negative-eigenvalue",
+            marks=pytest.mark.filterwarnings("ignore:positivity dip:RuntimeWarning"),
+        ),
         pytest.param(["pulses", "--tau-s", "0.01", "--j-hz", "0"], id="pulses-zero-coupling"),
         pytest.param(["adcheck", "--r-sweep", "0:1e300:1e-300"], id="adcheck-uncountable-range"),
     ],
@@ -57,6 +61,11 @@ def test_hopeless_config_exits_two_with_error_line(argv, capsys):
     captured = capsys.readouterr()
     assert any(line.startswith("error: ") for line in captured.err.splitlines())
     assert captured.out == ""
+
+
+def test_negative_eigenvalue_config_warns_of_the_positivity_dip():
+    with pytest.warns(RuntimeWarning, match="positivity dip"):
+        assert main(["heat", "--gamma0-list", "1e5", "--n-steps", "100"]) == 2
 
 
 def test_resonant_sweep_point_becomes_nan_row():

@@ -20,6 +20,7 @@ from adiabatic_lab.dynamics import (
     relative_purity,
     rk4,
 )
+from adiabatic_lab.battery import ergotropy
 from adiabatic_lab.opalg import SIGMA_X, SIGMA_Y, SIGMA_Z, dagger
 
 RNG = np.random.default_rng(7)
@@ -232,3 +233,39 @@ def test_unitary_evolution_preserves_overlaps(seed):
     before = np.vdot(v1, v2)
     after = np.vdot(t1.final, t2.final)
     assert abs(before - after) < 1e-7
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=8),
+    st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=2),
+)
+def test_stacked_inputs_match_per_element_loop(seed, dim, lead):
+    """Stacks (..., D, D) give exactly the per-element results, and a
+    single pair of matrices still gives a Python float."""
+    rng = np.random.default_rng(seed)
+    shape = tuple(lead) + (dim, dim)
+
+    def rnd():
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    def rnd_rho():
+        a = rnd()
+        rho = a @ dagger(a)
+        return rho / np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
+
+    r1, r2, h = rnd_rho(), rnd_rho(), rnd()
+    h = h + dagger(h)
+    rows = list(zip(*(x.reshape(-1, dim, dim) for x in (r1, r2, h))))
+    fids = [fidelity(a, b) for a, b, _ in rows]
+    ergs = [ergotropy(a, g) for a, _, g in rows]
+    assert all(type(v) is float for v in fids + ergs)
+    assert np.array_equal(fidelity(r1, r2), np.reshape(fids, lead))
+    assert np.array_equal(ergotropy(r1, h), np.reshape(ergs, lead))
+    assert np.array_equal(dagger(h), np.reshape([dagger(g) for _, _, g in rows], shape))
+
+    table = h.reshape(-1, dim, dim)
+    sched = Schedule(1.0, lambda s: np.cos(3.0 * s) * table[0] + s * table[-1])
+    grid = np.sort(rng.uniform(0.0, 1.0, 7))
+    assert np.array_equal(sched.sample(grid), np.array([sched.at(s) for s in grid]))

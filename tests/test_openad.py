@@ -75,6 +75,18 @@ def test_tracked_spectrum_rejects_defective_liouvillian():
         track_liouville_spectrum(sched, 11, BASIS)
 
 
+def test_tracked_spectrum_names_first_defective_node():
+    # a 2x2 Jordan block forms where c(s) = 0, at s = 0.25 and s = 0.75
+    def sampler(s):
+        c = 16.0 * (s - 0.25) * (s - 0.75)
+        return np.array(
+            [[0.0, 1.0, 0.0, 0.0], [0.0, c, 0.0, 0.0], [0.0, 0.0, -5.0, 0.0], [0.0, 0.0, 0.0, -7.0]]
+        )
+
+    with pytest.raises(ValueError, match=r"defective at s=0\.2500"):
+        track_liouville_spectrum(Schedule(1.0, sampler), 5, BASIS)
+
+
 # ---------------------------------------------------------------------------
 # block propagation against the exact exponential
 

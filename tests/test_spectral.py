@@ -101,6 +101,20 @@ def test_level_crossing_refused():
         tracked_eigensystem(sched, 101)
 
 
+def test_level_crossing_names_first_closure():
+    sched = Schedule(1.0, lambda s: (s - 0.3) * (s - 0.7) * SIGMA_Z)
+    with pytest.raises(LevelCrossingError, match=r"gap below tolerance at s=0\.300000"):
+        tracked_eigensystem(sched, 11)
+
+
+def test_continuity_failure_before_a_later_gap_closure_is_named():
+    # the eigenbasis jumps from z to x between s = 0.3 and 0.4, and the gap
+    # closes at s = 0.8
+    sched = Schedule(1.0, lambda s: SIGMA_Z if s < 0.35 else (s - 0.8) * SIGMA_X)
+    with pytest.raises(LevelCrossingError, match=r"continuity tracking failed at s=0\.400000"):
+        tracked_eigensystem(sched, 11)
+
+
 def test_frame_from_functions_matches_tracked():
     delta, theta0, tau = 2 * np.pi * 2e3, np.pi / 4, 1e-3
     tracked = tracked_eigensystem(_lz_schedule(delta, theta0, tau), 201)

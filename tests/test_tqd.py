@@ -117,6 +117,22 @@ def test_generalized_tqd_rejects_noisy_frame_derivatives():
         generalized_tqd(frame, constant_phases(frame, (0.0, 0.0)))
 
 
+def test_generalized_tqd_asymmetry_names_node_on_its_own_scale():
+    # a 1e-4 asymmetry everywhere; only node 20, where the phase rates
+    # vanish, has a scale small enough for it to count
+    frame = frame_from_functions(
+        1.0,
+        51,
+        lambda s: np.array([-1.0, 1.0]),
+        lambda s: np.eye(2, dtype=complex),
+        lambda s: np.array([[0.0, 1e-4], [0.0, 0.0]], dtype=complex),
+    )
+    theta = np.full((51, 2), 1e9)
+    theta[20] = 0.0
+    with pytest.raises(AssertionError, match="asymmetry 1.00e-04 at node 20;"):
+        generalized_tqd(frame, PhaseChoice(theta))
+
+
 def test_time_independence_for_linear_sweep():
     frame = lz_frame(1.0e-4)
     report = tqd_report = None
