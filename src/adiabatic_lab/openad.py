@@ -12,7 +12,6 @@ conjugation): the left family is the row inverse of the right matrix.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -306,13 +305,13 @@ def jordan_block_coefficient_ode(
     shift = np.eye(u, k=1, dtype=complex)
     times = np.linspace(0.0, tau, n_steps + 1)
 
-    def deriv(t: float, p: np.ndarray) -> np.ndarray:
+    def sample(t: float) -> np.ndarray:
         g = np.asarray(g_fn(t / time_scale(tau)), dtype=complex)
         if g.shape != (u, u):
             raise ValueError(f"block matrix shape {g.shape} does not match p")
-        return (shift - g) @ p
+        return shift - g
 
-    return times, rk4(deriv, p0, times)
+    return times, rk4(sample, p0, times, np.matmul)
 
 
 def adiabatic_propagator_inverse_identities(

@@ -11,8 +11,8 @@ finite differences, one-sided at the grid ends.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -368,6 +368,13 @@ def _ancilla_cd(xi: float, phi0: float, tau: float) -> np.ndarray:
     return (0.5 * phi0 / tau) * (math.cos(xi) * SIGMA_Y - math.sin(xi) * SIGMA_X)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices: the same products as one broadcast multiply,
+    without np.kron's generic-shape overhead."""
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
+
+
 def controlled_gate_schedule(
     axis: Sequence[float],
     phi: float,
@@ -390,14 +397,13 @@ def controlled_gate_schedule(
     plus = variant_sampler(variant, _ancilla_ham(0.0, omega, phi0), _ancilla_cd(0.0, phi0, tau))
     minus = variant_sampler(variant, _ancilla_ham(phi, omega, phi0), _ancilla_cd(phi, phi0, tau))
     _, _, p_plus, p_minus = _projector_pair(axis)
+    off, on = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])  # control-qubit projectors
 
     def sampler(s: float) -> np.ndarray:
         h_plus = plus(s)
-        h = np.kron(p_plus, h_plus) + np.kron(p_minus, minus(s))
+        h = _kron(p_plus, h_plus) + _kron(p_minus, minus(s))
         if controlled:
-            return np.kron(np.diag([1.0, 0.0]), np.kron(SIGMA_0, h_plus)) + np.kron(
-                np.diag([0.0, 1.0]), h
-            )
+            return _kron(off, _kron(SIGMA_0, h_plus)) + _kron(on, h)
         return h
 
     return Schedule(tau=tau, sampler=sampler)

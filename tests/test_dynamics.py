@@ -32,15 +32,124 @@ def test_rk4_against_matrix_exponential():
     a = a / np.linalg.norm(a)
     y0 = RNG.normal(size=3) + 1j * RNG.normal(size=3)
     times = np.linspace(0.0, 2.0, 401)
-    got = rk4(lambda t, y: a @ y, y0, times)[-1]
+    got = rk4(lambda t: a, y0, times, np.matmul)[-1]
     want = scipy.linalg.expm(2.0 * a) @ y0
     assert np.max(np.abs(got - want)) < 1e-9
 
 
 def test_rk4_raises_on_blowup():
+    """A linear generator that switches on at t = 5 overflows on the step
+    leaving node 5, so the error names node 6."""
     times = np.linspace(0.0, 10.0, 11)
-    with np.errstate(over="ignore"), pytest.raises(IntegrationError):
-        rk4(lambda t, y: np.array([np.exp(y[0].real) ** 2 + 1e300]), np.array([1e300]), times)
+    with pytest.raises(IntegrationError) as err:
+        rk4(lambda t: np.array([[0.0 if t < 5.0 else 1e200]]), np.array([1.0]), times, np.matmul)
+    assert err.value.step == 6
+
+
+def _rk4_four_samples(sample, y0, times, act):
+    """Textbook RK4 that samples the generator four times per step."""
+    y = np.asarray(y0, dtype=complex)
+    out = [y]
+    for k in range(len(times) - 1):
+        t = times[k]
+        dt = times[k + 1] - t
+        k1 = act(sample(t), y)
+        k2 = act(sample(t + 0.5 * dt), y + 0.5 * dt * k1)
+        k3 = act(sample(t + 0.5 * dt), y + 0.5 * dt * k2)
+        k4 = act(sample(t + dt), y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        out.append(y)
+    return np.array(out)
+
+
+def _extra_samples(times):
+    """Nodes where the previous step's t + dt is a different float from the grid time."""
+    return sum(times[k - 1] + (times[k] - times[k - 1]) != times[k] for k in range(1, len(times) - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+    t_end=st.floats(1e-6, 50.0),
+    n_steps=st.integers(1, 60),
+    uniform=st.booleans(),
+)
+def test_rk4_matches_four_sample_rk4_bit_for_bit(dim, seed, t_end, n_steps, uniform):
+    """Same states as the textbook loop, from 2n + 1 samples on a linspace
+    grid; a non-uniform grid, where t + dt can miss the next node, resamples
+    there instead of reusing the end sample."""
+    rng = np.random.default_rng(seed)
+    a0, a1, a2 = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(3))
+    rate = 3.0 * n_steps / t_end  # keeps dt * ||A|| moderate, so states stay finite
+    freq = rng.uniform(0.1, 10.0) / t_end
+    calls = []
+
+    def sample(t):
+        calls.append(t)
+        return (rate / dim) * (a0 + np.cos(freq * t) * a1 + (t / t_end) * a2)
+
+    y0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    if uniform:
+        times = np.linspace(0.0, t_end, n_steps + 1)
+    else:
+        times = np.sort(rng.uniform(-t_end, t_end, n_steps + 1) * 10.0 ** rng.uniform(-4, 0, n_steps + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _rk4_four_samples(sample, y0, times, np.matmul)
+    if not np.all(np.isfinite(want)):
+        return
+    calls.clear()
+    assert np.array_equal(rk4(sample, y0, times, np.matmul), want)
+    assert len(calls) == 2 * n_steps + 1 + _extra_samples(times)
+    if uniform:
+        assert _extra_samples(times) == 0
+
+
+def _counting(sampler):
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return sampler(s)
+
+    return counted, calls
+
+
+@pytest.mark.parametrize("tau, n_steps", [(1.0, 64), (1.0e-3, 100)])
+def test_evolve_samples_schedule_2n_plus_1_times(tau, n_steps):
+    """n steps sample the schedule 2n + 1 times, after the 5 probe samples."""
+    closed, closed_calls = _counting(lambda s: (1.0 + s) * SIGMA_X + 0.3 * SIGMA_Z)
+    evolve_unitary(Schedule(tau, closed), np.array([1.0, 0.0]), n_steps)
+    assert len(closed_calls) == 5 + 2 * n_steps + 1
+    ham = 2.0 / tau * SIGMA_X
+    open_, open_calls = _counting(lambda s: LindbladGenerator((1.0 + s) * ham, ((0.5 / tau, SIGMA_Z),)))
+    evolve_lindblad(Schedule(tau, open_), 0.5 * (np.eye(2, dtype=complex) + SIGMA_Z), n_steps)
+    assert len(open_calls) == 5 + 2 * n_steps + 1
+
+
+def _lindblad_action_per_call(gen, rho):
+    """lindblad_action as it was before J^dag and J^dag J were cached."""
+    h = gen.hamiltonian
+    out = -1j * (h @ rho - rho @ h)
+    for rate, jump in gen.jumps:
+        jd = dagger(jump)
+        jdj = jd @ jump
+        out += rate * (jump @ rho @ jd - 0.5 * (jdj @ rho + rho @ jdj))
+    return out
+
+
+@pytest.mark.parametrize("n_jumps", [0, 1, 2, 3])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_lindblad_action_cache_is_bit_identical(n_jumps, dim):
+    rng = np.random.default_rng(10 * dim + n_jumps)
+    h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    jumps = tuple(
+        (float(rng.uniform(0.0, 2.0)), rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        for _ in range(n_jumps)
+    )
+    gen = LindbladGenerator(h + dagger(h), jumps)
+    rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    assert np.array_equal(lindblad_action(gen, rho), _lindblad_action_per_call(gen, rho))
 
 
 def test_evolve_unitary_norm_and_oracle():

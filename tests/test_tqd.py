@@ -5,8 +5,12 @@ import pytest
 import scipy.linalg
 
 from adiabatic_lab.dynamics import Schedule, evolve_unitary
+from adiabatic_lab.opalg import SIGMA_0
 from adiabatic_lab.spectral import frame_from_functions
 from adiabatic_lab.tqd import (
+    _ancilla_cd,
+    _ancilla_ham,
+    _projector_pair,
     PhaseChoice,
     adiabatic_phases,
     compile_pulse_sequence,
@@ -28,6 +32,7 @@ from adiabatic_lab.tqd import (
     pulse_sequence_unitary,
     serialize_pulse_sequence,
     standard_tqd,
+    variant_sampler,
 )
 
 RNG = np.random.default_rng(77)
@@ -273,6 +278,25 @@ def test_controlled_gate_acts_only_on_the_marked_branch():
     register = np.kron(plus, plus)
     res = gate_run(sched, register, axis, math.pi, n_steps=3000, controlled=True)
     assert res["fidelity"] > 1.0 - 1e-6
+
+
+@pytest.mark.parametrize("controlled", [False, True])
+@pytest.mark.parametrize("variant", ["adiabatic", "standard", "optimal"])
+def test_controlled_gate_samples_match_np_kron_bit_for_bit(variant, controlled):
+    """The sampler's broadcast Kronecker products are np.kron's, signed zeros included."""
+    axis, phi, phi0, omega, tau = (0.3, -0.5, 0.8), 0.7, math.pi, 2.0 * math.pi * 35.0, 1.0e-3
+    sched = controlled_gate_schedule(axis, phi, phi0, omega, tau, variant, controlled)
+    plus = variant_sampler(variant, _ancilla_ham(0.0, omega, phi0), _ancilla_cd(0.0, phi0, tau))
+    minus = variant_sampler(variant, _ancilla_ham(phi, omega, phi0), _ancilla_cd(phi, phi0, tau))
+    _, _, p_plus, p_minus = _projector_pair(axis)
+    for s in (0.0, 0.25, 0.5, 1.0):
+        want = np.kron(p_plus, plus(s)) + np.kron(p_minus, minus(s))
+        if controlled:
+            want = np.kron(np.diag([1.0, 0.0]), np.kron(SIGMA_0, plus(s))) + np.kron(
+                np.diag([0.0, 1.0]), want
+            )
+        got = sched.at(s)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_gate_run_refuses_empty_branch():
