@@ -33,6 +33,11 @@ class LindbladGenerator:
     ``channels`` holds (rate, J, J^dag, J^dag J) per jump, computed once at
     construction for :func:`lindblad_action`; a generator is not to be
     mutated after it is built.
+
+    A generator may also hold a stack of M nodes: an (M, D, D) Hamiltonian
+    and, per jump, (M,) rates with (M, D, D) jumps.  Its channel rates are
+    shaped (M, 1, 1) here, so :func:`lindblad_action` acts node by node on
+    an (M, D, D) stack of states.
     """
 
     hamiltonian: np.ndarray
@@ -41,12 +46,20 @@ class LindbladGenerator:
 
     def __post_init__(self) -> None:
         self.hamiltonian = np.asarray(self.hamiltonian, dtype=complex)
-        self.jumps = tuple((float(g), np.asarray(j, dtype=complex)) for g, j in self.jumps)
-        channels = []
+        jumps, channels = [], []
         for g, j in self.jumps:
+            stacked = isinstance(g, np.ndarray) and g.ndim > 0
+            g = np.asarray(g, dtype=float) if stacked else float(g)
+            j = np.asarray(j, dtype=complex)
             jd = dagger(j)
-            channels.append((g, j, jd, jd @ j))
+            jumps.append((g, j))
+            channels.append((g[..., None, None] if stacked else g, j, jd, jd @ j))
+        self.jumps = tuple(jumps)
         self.channels = tuple(channels)
+
+    def __getitem__(self, k: int) -> "LindbladGenerator":
+        """Node k of a stacked generator."""
+        return LindbladGenerator(self.hamiltonian[k], tuple((g[k], j[k]) for g, j in self.jumps))
 
 
 def lindblad_action(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
@@ -77,13 +90,27 @@ class Schedule:
     def at(self, s: float):
         return self.sampler(float(s))
 
-    def sample(self, grid: np.ndarray) -> np.ndarray:
-        """Matrix samples at every s of ``grid``, stacked as (M, D, D) complex.
+    def sample(self, grid: np.ndarray):
+        """Samples at every s of ``grid``, stacked over the grid's M nodes.
 
-        Calls :meth:`at` node by node in grid order, so a sampler error
-        names the first failing node.
+        Matrix samples give an (M, D, D) complex array.  Generator samples
+        give one stacked :class:`LindbladGenerator`; every node must then be
+        a generator with the same jump count.  Calls :meth:`at` node by node
+        in grid order, so a sampler error names the first failing node.
         """
-        return np.array([np.asarray(self.at(s), dtype=complex) for s in grid])
+        samples = [self.at(s) for s in grid]
+        counts = [len(g.jumps) if isinstance(g, LindbladGenerator) else None for g in samples]
+        for s, n in zip(grid, counts):
+            if n != counts[0]:
+                what = "sample kind" if None in (n, counts[0]) else f"jump count ({counts[0]} -> {n})"
+                raise ValueError(f"{what} changes at s={s}")
+        if not samples or counts[0] is None:
+            return np.array([np.asarray(g, dtype=complex) for g in samples])
+        jumps = tuple(
+            tuple(np.array(col) for col in zip(*(g.jumps[n] for g in samples)))
+            for n in range(counts[0])
+        )
+        return LindbladGenerator(np.array([g.hamiltonian for g in samples]), jumps)
 
     def generator_at(self, s: float) -> LindbladGenerator:
         """Sample at s as a generator; a bare Hamiltonian gets no jumps."""
@@ -109,13 +136,11 @@ class Schedule:
 
 @dataclass(eq=False)
 class Trajectory:
-    """Uniform-grid time series of states plus derived observables."""
+    """Uniform-grid time series of states plus integration diagnostics."""
 
     times: np.ndarray
     states: np.ndarray
-    kind: str  # "pure" or "density"
     diagnostics: dict = field(default_factory=dict)
-    observables: dict = field(default_factory=dict)
 
     @property
     def final(self) -> np.ndarray:
@@ -191,7 +216,7 @@ def evolve_unitary(h: Schedule, psi0: np.ndarray, n_steps: int,
     if renormalize:
         states = states / np.linalg.norm(states, axis=1)[:, None]
     drift = abs(np.linalg.norm(states[-1]) - 1.0)
-    return Trajectory(times=times, states=states, kind="pure",
+    return Trajectory(times=times, states=states,
                       diagnostics={"final_norm_deviation": drift})
 
 
@@ -228,7 +253,7 @@ def evolve_lindblad(l: Schedule, rho0: np.ndarray, n_steps: int,
             f"try n_steps={2 * n_steps}",
             RuntimeWarning,
         )
-    return Trajectory(times=times, states=states, kind="density",
+    return Trajectory(times=times, states=states,
                       diagnostics={"trace_drift": drift, "min_eigenvalue": min_eig})
 
 

@@ -51,19 +51,27 @@ def _dual_route_check(direct: float, paired: float, label: str) -> None:
         )
 
 
+def _real_trace(a: np.ndarray):
+    """Re Tr(a): a float for one matrix, an array for a stack (..., D, D)."""
+    out = np.real(np.trace(a, axis1=-2, axis2=-1))
+    return float(out) if out.ndim == 0 else out
+
+
 def heat_rate(
     gen: LindbladGenerator,
     rho: np.ndarray,
     h: np.ndarray,
     basis: OperatorBasis | None = None,
-) -> float:
+):
     """Instantaneous heat current Tr(L[rho] H).
 
-    When ``basis`` is supplied the same number is recomputed as the
-    bilinear pairing (1/D) h . (L rho) of component vectors and the two
+    Takes one node or a stack of M nodes (a stacked generator with (M, D, D)
+    states and Hamiltonians) and gives a float or an (M,) array.  When
+    ``basis`` is supplied (one node only) the same number is recomputed as
+    the bilinear pairing (1/D) h . (L rho) of component vectors and the two
     routes are required to agree within 1e-10 relative.
     """
-    direct = float(np.real(np.trace(lindblad_action(gen, rho) @ h)))
+    direct = _real_trace(lindblad_action(gen, rho) @ h)
     if basis is not None:
         lmat = superoperator_matrix(lambda op: lindblad_action(gen, op), basis).matrix
         h_vec = to_coherence_vector(np.asarray(h, dtype=complex), basis).components
@@ -77,10 +85,10 @@ def work_rate(
     h_dot: np.ndarray,
     rho: np.ndarray,
     basis: OperatorBasis | None = None,
-) -> float:
-    """Instantaneous work rate Tr(rho dH/dt), with the optional paired
-    coherence-vector evaluation as in :func:`heat_rate`."""
-    direct = float(np.real(np.trace(np.asarray(rho) @ np.asarray(h_dot))))
+):
+    """Instantaneous work rate Tr(rho dH/dt), for one node or a stack, with
+    the optional paired coherence-vector evaluation as in :func:`heat_rate`."""
+    direct = _real_trace(np.asarray(rho) @ np.asarray(h_dot))
     if basis is not None:
         hd_vec = to_coherence_vector(np.asarray(h_dot, dtype=complex), basis).components
         rho_vec = to_coherence_vector(np.asarray(rho, dtype=complex), basis).components
@@ -89,17 +97,21 @@ def work_rate(
     return direct
 
 
-def entropy_rate(gen: LindbladGenerator, rho: np.ndarray) -> float:
-    """Von Neumann entropy production rate -Tr(L[rho] log rho).
+def entropy_rate(gen: LindbladGenerator, rho: np.ndarray):
+    """Von Neumann entropy production rate -Tr(L[rho] log rho), for one
+    node or a stack as in :func:`heat_rate`.
 
-    Eigenvalues of rho below 1e-14 are floored there (and flagged) so the
-    logarithm stays finite; an eigenvalue that is negative beyond
-    tolerance means the input is not a state and is refused.
+    Eigenvalues of rho below 1e-14 are floored there (and flagged once per
+    call) so the logarithm stays finite; an eigenvalue that is negative
+    beyond tolerance means the input is not a state and is refused, naming
+    the lowest eigenvalue of the first such node.
     """
     rho = np.asarray(rho, dtype=complex)
     vals, vecs = np.linalg.eigh(0.5 * (rho + dagger(rho)))
-    if vals.min() < -1e-12:
-        raise ValueError(f"state has negative eigenvalue {vals.min():.3e}")
+    lowest = np.ravel(vals.min(axis=-1))
+    bad = lowest < -1e-12
+    if bad.any():
+        raise ValueError(f"state has negative eigenvalue {lowest[np.argmax(bad)]:.3e}")
     if np.any(vals < ENTROPY_EIG_FLOOR):
         warnings.warn(
             "state is rank deficient at working precision; "
@@ -107,14 +119,17 @@ def entropy_rate(gen: LindbladGenerator, rho: np.ndarray) -> float:
             RuntimeWarning,
         )
         vals = np.clip(vals, ENTROPY_EIG_FLOOR, None)
-    log_rho = (vecs * np.log(vals)) @ dagger(vecs)
-    return float(-np.real(np.trace(lindblad_action(gen, rho) @ log_rho)))
+    log_rho = (vecs * np.log(vals)[..., None, :]) @ dagger(vecs)
+    return -_real_trace(lindblad_action(gen, rho) @ log_rho)
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
+def von_neumann_entropy(rho: np.ndarray):
+    """-Tr(rho log rho) with eigenvalues floored at 1e-14; a float for one
+    matrix, an array for a stack (..., D, D)."""
     vals = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
     vals = np.clip(vals, ENTROPY_EIG_FLOOR, None)
-    return float(-np.sum(vals * np.log(vals)))
+    out = -np.sum(vals * np.log(vals), axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(eq=False)
@@ -141,39 +156,37 @@ def build_ledger(
     l: Schedule,
     traj: Trajectory,
     basis: OperatorBasis | None = None,
-    check_stride: int = 0,
 ) -> ThermoLedger:
     """Assemble the heat/work/entropy ledger of an integrated trajectory.
 
-    ``check_stride`` > 0 additionally runs the dual-route agreement check
-    on every stride-th node (the superoperator build is the expensive
-    part, so the default checks nothing and trusts :func:`heat_rate`
-    tests).
+    The schedule is sampled once on the trajectory's grid and every rate is
+    one stacked evaluation.  With a ``basis``, the dual-route agreement
+    check of :func:`heat_rate` and :func:`work_rate` runs first, on every
+    (M - 1) // 8-th of the M nodes (the superoperator build is the
+    expensive part, so not on all of them).
     """
     times = traj.times
+    rho = traj.states
     m = len(times)
-    tau = time_scale(l.tau)
 
-    gens = [l.generator_at(t / tau) for t in times]
-    hams = np.array([g.hamiltonian for g in gens])
+    gen = l.sample(times / time_scale(l.tau))
+    if not isinstance(gen, LindbladGenerator):
+        gen = LindbladGenerator(gen)
+    hams = gen.hamiltonian
     if m >= 5:
         h_dots = fourth_order_derivative(hams, times[1] - times[0])
     else:
         h_dots = np.gradient(hams, times, axis=0)
 
-    q_rate = np.empty(m)
-    w_rate = np.empty(m)
-    u = np.empty(m)
-    s = np.empty(m)
-    s_rate = np.empty(m)
-    for k in range(m):
-        rho = traj.states[k]
-        use_basis = basis if (check_stride and k % check_stride == 0) else None
-        q_rate[k] = heat_rate(gens[k], rho, hams[k], use_basis)
-        w_rate[k] = work_rate(h_dots[k], rho, use_basis)
-        u[k] = float(np.real(np.trace(rho @ hams[k])))
-        s[k] = von_neumann_entropy(rho)
-        s_rate[k] = entropy_rate(gens[k], rho)
+    if basis is not None:
+        for k in range(0, m, max(1, (m - 1) // 8)):
+            heat_rate(gen[k], rho[k], hams[k], basis)
+            work_rate(h_dots[k], rho[k], basis)
+    q_rate = heat_rate(gen, rho, hams)
+    w_rate = work_rate(h_dots, rho)
+    u = _real_trace(rho @ hams)
+    s = von_neumann_entropy(rho)
+    s_rate = entropy_rate(gen, rho)
 
     heat = cumtrapz(q_rate, times)
     work = cumtrapz(w_rate, times)
@@ -259,7 +272,7 @@ def dephasing_heat_scenario(
 
     sched = Schedule(tau, sampler)
     traj = evolve_lindblad(sched, rho0, n_steps)
-    ledger = build_ledger(sched, traj, basis=basis, check_stride=max(1, n_steps // 8) if basis else 0)
+    ledger = build_ledger(sched, traj, basis=basis)
 
     s_grid = traj.times / time_scale(tau)
     gamma_int = cumtrapz(np.array([gamma_fn(s) for s in s_grid]), traj.times)

@@ -22,6 +22,7 @@ from adiabatic_lab.dynamics import (
 )
 from adiabatic_lab.battery import ergotropy
 from adiabatic_lab.opalg import SIGMA_X, SIGMA_Y, SIGMA_Z, dagger
+from adiabatic_lab.thermo import entropy_rate, heat_rate, von_neumann_entropy, work_rate
 
 RNG = np.random.default_rng(7)
 
@@ -352,7 +353,9 @@ def test_unitary_evolution_preserves_overlaps(seed):
 )
 def test_stacked_inputs_match_per_element_loop(seed, dim, lead):
     """Stacks (..., D, D) give exactly the per-element results, and a
-    single pair of matrices still gives a Python float."""
+    single pair of matrices still gives a Python float.  An open schedule
+    samples to one stacked generator whose per-node rates and jumps act
+    node by node, in lindblad_action and in the thermo rates."""
     rng = np.random.default_rng(seed)
     shape = tuple(lead) + (dim, dim)
 
@@ -378,3 +381,47 @@ def test_stacked_inputs_match_per_element_loop(seed, dim, lead):
     sched = Schedule(1.0, lambda s: np.cos(3.0 * s) * table[0] + s * table[-1])
     grid = np.sort(rng.uniform(0.0, 1.0, 7))
     assert np.array_equal(sched.sample(grid), np.array([sched.at(s) for s in grid]))
+
+    jump_a, jump_b = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(2))
+    open_sched = Schedule(1.0, lambda s: LindbladGenerator(
+        np.cos(3.0 * s) * table[0] + s * table[-1],
+        ((1.0 + s, s * jump_a + jump_b), (s * s, table[0])),
+    ))
+    grid = np.sort(rng.uniform(0.0, 1.0, len(rows)))
+    gen = open_sched.sample(grid)
+    nodes = [open_sched.at(s) for s in grid]
+    assert np.array_equal(gen.hamiltonian, np.array([g.hamiltonian for g in nodes]))
+    for n in range(2):
+        assert np.array_equal(gen.jumps[n][0], [g.jumps[n][0] for g in nodes])
+        assert np.array_equal(gen.jumps[n][1], np.array([g.jumps[n][1] for g in nodes]))
+
+    rhos, rhos2, hams = (x.reshape(-1, dim, dim) for x in (r1, r2, h))
+    mixed = 0.5 * rhos + 0.5 * np.eye(dim) / dim  # full rank, so entropy_rate needs no floor
+    per_node = [
+        (lindblad_action(g, rho), heat_rate(g, rho, ham), work_rate(ham, rho2),
+         entropy_rate(g, mix), von_neumann_entropy(rho))
+        for g, rho, rho2, ham, mix in zip(nodes, rhos, rhos2, hams, mixed)
+    ]
+    actions, heats, works, ents, entropies = (list(col) for col in zip(*per_node))
+    assert all(type(v) is float for v in heats + works + ents + entropies)
+    assert np.array_equal(lindblad_action(gen, rhos), np.array(actions))
+    assert np.array_equal(heat_rate(gen, rhos, hams), heats)
+    assert np.array_equal(work_rate(h, r2), np.reshape(works, lead))
+    assert np.array_equal(entropy_rate(gen, mixed), ents)
+    assert np.array_equal(von_neumann_entropy(r1), np.reshape(entropies, lead))
+
+
+def _open_sampler(jump_counts):
+    """Dephasing generator whose jump count at s is jump_counts(s)."""
+    return lambda s: LindbladGenerator(SIGMA_X, ((1.0 + s, SIGMA_Z),) * jump_counts(s))
+
+
+def test_sample_names_first_change_of_jump_count_or_kind():
+    grid = np.linspace(0.0, 1.0, 5)
+    sched = Schedule(1.0, _open_sampler(lambda s: 1 if s < 0.5 else 2))
+    with pytest.raises(ValueError, match=r"jump count \(1 -> 2\) changes at s=0.5$"):
+        sched.sample(grid)
+    mixed = Schedule(1.0, lambda s: SIGMA_X if s < 0.7 else LindbladGenerator(SIGMA_X))
+    with pytest.raises(ValueError, match=r"sample kind changes at s=0.75$"):
+        mixed.sample(grid)
+    assert Schedule(1.0, _open_sampler(lambda s: 1)).sample(np.array([])).shape == (0,)

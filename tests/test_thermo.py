@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from adiabatic_lab.dynamics import LindbladGenerator, Schedule, evolve_lindblad
-from adiabatic_lab.opalg import SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, pauli_basis
+from adiabatic_lab import thermo
+from adiabatic_lab.dynamics import LindbladGenerator, Schedule, evolve_lindblad, time_scale
+from adiabatic_lab.opalg import SIGMA_X, SIGMA_Y, SIGMA_Z, Superoperator, dagger, pauli_basis
 from adiabatic_lab.openad import adiabatic_propagate_1d
+from adiabatic_lab.spectral import cumtrapz, fourth_order_derivative
 from adiabatic_lab.thermo import (
     HBAR_EVS,
     adiabatic_heat_1d,
@@ -59,6 +61,18 @@ def test_entropy_rate_guards():
         entropy_rate(gen, np.diag([1.2, -0.2]).astype(complex))
     with pytest.warns(RuntimeWarning, match="rank deficient"):
         entropy_rate(gen, np.diag([1.0, 0.0]).astype(complex))
+
+
+def test_stacked_entropy_rate_names_first_failing_node_and_warns_once():
+    gen = LindbladGenerator(np.zeros((2, 2)), ((1.0, SIGMA_Z),))
+    good = 0.5 * np.eye(2, dtype=complex)
+    stack = np.array([good, np.diag([1.1, -0.1]), np.diag([1.2, -0.2])]).astype(complex)
+    with pytest.raises(ValueError, match=r"negative eigenvalue -1\.000e-01$"):
+        entropy_rate(gen, stack)
+    deficient = np.array([good, np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+    with pytest.warns(RuntimeWarning, match="rank deficient") as record:
+        entropy_rate(gen, deficient)
+    assert len(record) == 1
 
 
 def test_von_neumann_entropy_values():
@@ -126,6 +140,77 @@ def test_scenario_input_validation():
         dephasing_heat_scenario(-1.0, BETA, 314.0, TAU_DEC, n_steps=200)
     with pytest.raises(ValueError, match="positive"):
         dephasing_heat_scenario(OMEGA, 0.0, 314.0, TAU_DEC, n_steps=200)
+
+
+def _ledger_per_node(l, traj):
+    """build_ledger as a loop over nodes, one generator sample and one call
+    of each rate per node."""
+    times = traj.times
+    tau = time_scale(l.tau)
+    gens = [l.generator_at(t / tau) for t in times]
+    hams = np.array([g.hamiltonian for g in gens])
+    h_dots = fourth_order_derivative(hams, times[1] - times[0])
+    cols = np.array([
+        (heat_rate(g, rho, ham), work_rate(h_dot, rho), float(np.real(np.trace(rho @ ham))),
+         von_neumann_entropy(rho), entropy_rate(g, rho))
+        for g, rho, ham, h_dot in zip(gens, traj.states, hams, h_dots)
+    ])
+    q_rate, w_rate, u, s, s_rate = cols.T
+    heat, work = cumtrapz(q_rate, times), cumtrapz(w_rate, times)
+    return (times, u, heat, work, q_rate, w_rate, s, s_rate,
+            float(np.max(np.abs(u - u[0] - heat - work))))
+
+
+def _three_level_ham(s):
+    h = np.diag([0.0, 1.0 + s, 2.5 - s]).astype(complex)
+    h[0, 1] = h[1, 0] = 0.4 * np.cos(2.0 * s)
+    h[1, 2] = 0.3j * s
+    h[2, 1] = -0.3j * s
+    return h
+
+
+def _lowering(a, b):
+    j = np.zeros((3, 3), dtype=complex)
+    j[a, b] = 1.0
+    return j
+
+
+@pytest.mark.parametrize("bare", [False, True], ids=["two-channels", "bare-hamiltonian"])
+def test_ledger_equals_per_node_loop(bare):
+    def sampler(s):
+        if bare:
+            return _three_level_ham(s)
+        return LindbladGenerator(_three_level_ham(s), (
+            (0.3 * (1.0 + s), _lowering(0, 1)),
+            (0.2 * s * s, np.cos(s) * _lowering(1, 2) + s * _lowering(0, 2)),
+        ))
+
+    sched = Schedule(2.0, sampler)
+    rho0 = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    rho0[0, 1] = rho0[1, 0] = 0.1
+    traj = evolve_lindblad(sched, rho0, 200)
+    led = build_ledger(sched, traj)
+    got = (led.times, led.internal_energy, led.heat, led.work, led.heat_rate, led.work_rate,
+           led.entropy, led.entropy_rate, led.first_law_residual)
+    for a, b in zip(got, _ledger_per_node(sched, traj)):
+        assert np.array_equal(a, b)
+
+
+def test_ledger_with_basis_runs_the_dual_route_check(monkeypatch):
+    res = dephasing_heat_scenario(OMEGA, BETA, 628.0, TAU_DEC, n_steps=64, basis=BASIS)
+    real = thermo.superoperator_matrix
+
+    def scaled(generator, basis):
+        op = real(generator, basis)
+        return Superoperator(1.5 * op.matrix, op.basis, op.trace_preserving)
+
+    monkeypatch.setattr(thermo, "superoperator_matrix", scaled)
+    with pytest.raises(AssertionError, match="heat rate: operator-trace route"):
+        build_ledger(
+            Schedule(TAU_DEC, lambda s: LindbladGenerator(OMEGA * SIGMA_X, ((628.0, SIGMA_Z),))),
+            res["trajectory"],
+            BASIS,
+        )
 
 
 # ---------------------------------------------------------------------------
