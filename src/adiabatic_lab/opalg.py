@@ -183,25 +183,46 @@ def from_coherence_vector(
     comps = v.components.copy()
     if normalize_trace:
         comps[0] = 1.0
-    dim = v.basis.dim
-    out = np.zeros((dim, dim), dtype=complex)
-    for c, sig in zip(comps, v.basis.elements):
-        out += c * sig
-    return out / dim
+    return combine_components(comps, v.basis)
+
+
+def combine_components(comps: np.ndarray, basis: OperatorBasis) -> np.ndarray:
+    """(1/D) sum_n c_n sigma_n for components (..., D^2), summed in basis
+    order; a stack of component vectors gives a stack (..., D, D)."""
+    comps = np.asarray(comps)
+    out = np.zeros(comps.shape[:-1] + (basis.dim, basis.dim), dtype=complex)
+    for n, sig in enumerate(basis.elements):
+        out += comps[..., n, None, None] * sig
+    return out / basis.dim
 
 
 @dataclass(eq=False)
 class Superoperator:
-    """Matrix representation of a linear operator map in a fixed basis."""
+    """Matrix representation of a linear operator map in a fixed basis.
+
+    ``matrix`` may be a stack (..., D^2, D^2) of such maps, one per node;
+    ``trace_preserving`` is then an array of per-node flags and
+    :meth:`apply` is not defined for it.
+    """
 
     matrix: np.ndarray
     basis: OperatorBasis
-    trace_preserving: bool
+    trace_preserving: bool | np.ndarray
 
     def apply(self, v: CoherenceVector) -> CoherenceVector:
         if not self.basis.same_as(v.basis):
             raise ValueError("basis mismatch between superoperator and vector")
         return CoherenceVector(self.matrix @ v.components, self.basis)
+
+
+class LinearityError(ValueError):
+    """A generator failed the linearity probe of :func:`superoperator_matrix`;
+    ``node`` is the index of the first failing node of a stack (None for one)."""
+
+    def __init__(self, node: int | None):
+        where = "" if node is None else f" at node {node}"
+        super().__init__(f"generator failed the linearity probe{where}")
+        self.node = node
 
 
 def superoperator_matrix(
@@ -214,39 +235,49 @@ def superoperator_matrix(
     Parameters
     ----------
     generator : callable
-        Maps a D x D operator to a D x D operator.  Must be linear; a
-        superposition probe on two basis elements rejects non-linear maps.
+        Maps a stack of operators (N, D, D) to their images, called once
+        on the N = D^2 + 1 stack of the basis elements followed by a
+        superposition of two of them, which probes linearity and rejects
+        non-linear maps.  It returns (N, D, D) for one map, or
+        (N, ..., D, D) for a stack of maps, one per node of the middle
+        axes.
     basis : OperatorBasis
         Expansion basis.
 
     Returns
     -------
     Superoperator
-        Matrix with entries M[k, i] = (1/D) Tr(sigma_k^dag L[sigma_i]).
-        Applying it to a component vector reproduces the components of
-        L[rho].  The trace-preserving flag is set when the identity row
-        vanishes, which is the matrix-level statement of d/dt Tr(rho) = 0.
+        Matrix with entries M[k, i] = (1/D) Tr(sigma_k^dag L[sigma_i]),
+        stacked (..., D^2, D^2) over the nodes of a stacked map.  Applying
+        it to a component vector reproduces the components of L[rho].
+        The trace-preserving flag is set when the identity row vanishes,
+        which is the matrix-level statement of d/dt Tr(rho) = 0; the probe
+        and the flag are per node, and a probe failure raises
+        :class:`LinearityError` naming the first failing node.
     """
-    dim = basis.dim
+    dim, d2 = basis.dim, basis.dim**2
+    elements = np.array(basis.elements)
     # linearity probe with fixed, reproducible coefficients
     a, b = 0.7 - 0.3j, -1.1 + 0.2j
-    s1, s2 = basis.elements[1], basis.elements[min(2, dim**2 - 1)]
-    lhs = generator(a * s1 + b * s2)
-    rhs = a * generator(s1) + b * generator(s2)
-    scale = max(1.0, float(np.max(np.abs(rhs))))
-    if np.max(np.abs(lhs - rhs)) > linearity_tol * scale:
-        raise ValueError("generator failed the linearity probe")
+    i1, i2 = 1, min(2, d2 - 1)
+    images = np.asarray(generator(np.concatenate([elements, [a * elements[i1] + b * elements[i2]]])))
+    lead = images.shape[1:-2]
+    lhs = images[d2]
+    rhs = a * images[i1] + b * images[i2]
+    scale = np.maximum(1.0, np.max(np.abs(rhs), axis=(-2, -1)))
+    bad = np.ravel(np.max(np.abs(lhs - rhs), axis=(-2, -1)) > linearity_tol * scale)
+    if bad.any():
+        raise LinearityError(int(np.argmax(bad)) if lead else None)
 
-    mat = np.empty((dim**2, dim**2), dtype=complex)
-    for i, sig_i in enumerate(basis.elements):
-        image = generator(sig_i)
-        for k, sig_k in enumerate(basis.elements):
-            mat[k, i] = np.vdot(sig_k, image) / dim
+    # Gram entries Tr(sigma_k^dag L[sigma_i]), each the same BLAS dot np.vdot runs
+    flat = np.moveaxis(images[:d2], 0, -3).reshape(lead + (d2, d2))
+    gram = (np.conj(elements.reshape(d2, d2))[:, None, None, :] @ flat[..., None, :, :, None])
+    mat = gram[..., 0, 0] / dim
     # relative to the matrix scale, so rad/s-sized generators don't lose
     # the flag to float roundoff
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    tp = bool(np.max(np.abs(mat[0, :])) < 1e-12 * scale)
-    return Superoperator(matrix=mat, basis=basis, trace_preserving=tp)
+    scale = np.maximum(1.0, np.max(np.abs(mat), axis=(-2, -1)))
+    tp = np.max(np.abs(mat[..., 0, :]), axis=-1) < 1e-12 * scale
+    return Superoperator(matrix=mat, basis=basis, trace_preserving=tp if lead else bool(tp))
 
 
 def hs_inner(a: CoherenceVector, b: CoherenceVector) -> complex:

@@ -31,9 +31,9 @@ from .opalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    CoherenceVector,
+    LinearityError,
     OperatorBasis,
-    from_coherence_vector,
+    combine_components,
     superoperator_matrix,
     to_coherence_vector,
 )
@@ -43,20 +43,33 @@ IDENTICAL_BLOCK_TOL = 1e-10
 EXPANSION_RESIDUAL_TOL = 1e-8
 
 
-def superoperator_at(l: Schedule, s: float, basis: OperatorBasis) -> np.ndarray:
-    """Sample a Liouvillian schedule as a coherence-vector matrix (1/s).
+def superoperator_at(l: Schedule, s, basis: OperatorBasis) -> np.ndarray:
+    """Sample a Liouvillian schedule as coherence-vector matrices (1/s).
 
-    The sampler may return a :class:`LindbladGenerator`, a bare
+    ``s`` is one normalized time or an array of them; the result is one
+    D^2 x D^2 matrix or a stack of them with the shape of ``s`` in front.
+    The schedule is sampled once through :meth:`Schedule.sample`, and every
+    node's matrix comes from one :func:`lindblad_action` call over the
+    node axis.  The sampler may return a :class:`LindbladGenerator`, a bare
     Hamiltonian (coherent part only), or the D^2 x D^2 matrix itself.
     """
-    gen = l.generator_at(s)
+    s = np.asarray(s, dtype=float)
+    grid = s.reshape(-1)
+    gen = l.sample(grid)
+    if not isinstance(gen, LindbladGenerator):
+        gen = LindbladGenerator(gen)
     dim = basis.dim
-    shape = gen.hamiltonian.shape
+    shape = gen.hamiltonian.shape[1:]
     if shape == (dim * dim, dim * dim) and not gen.jumps:
-        return gen.hamiltonian
-    if shape == (dim, dim):
-        return superoperator_matrix(lambda op: lindblad_action(gen, op), basis).matrix
-    raise ValueError(f"cannot interpret Liouvillian sample of shape {shape}")
+        mats = gen.hamiltonian
+    elif shape == (dim, dim):
+        try:
+            mats = superoperator_matrix(lambda ops: lindblad_action(gen, ops[:, None]), basis).matrix
+        except LinearityError as exc:
+            raise ValueError(f"generator failed the linearity probe at s={grid[exc.node]}") from None
+    else:
+        raise ValueError(f"cannot interpret Liouvillian sample of shape {shape}")
+    return mats.reshape(s.shape + mats.shape[1:])
 
 
 @dataclass(eq=False)
@@ -98,8 +111,7 @@ def track_liouville_spectrum(
     right = np.empty((n_points, d2, d2), dtype=complex)
 
     prev_vals = prev_vecs = None
-    for k, s in enumerate(grid):
-        mat = superoperator_at(l, s, basis)
+    for k, mat in enumerate(superoperator_at(l, grid, basis)):
         vals, vecs = scipy.linalg.eig(mat)
         vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
         if prev_vecs is None:
@@ -269,14 +281,7 @@ def adiabatic_propagate_1d(
     exponent = cumtrapz(tau * frame.eigenvalues - diag_conn, frame.grid)
     coeffs = r0[None, :] * np.exp(exponent)
 
-    m = len(frame.grid)
-    dim = basis.dim
-    states = np.empty((m, dim, dim), dtype=complex)
-    for k in range(m):
-        vec = frame.right[k] @ coeffs[k]
-        states[k] = from_coherence_vector(
-            CoherenceVector(vec, basis), normalize_trace=False
-        )
+    states = combine_components((frame.right @ coeffs[..., None])[..., 0], basis)
     return AdiabaticOpenSolution(
         grid=frame.grid,
         tau=tau,
@@ -418,13 +423,13 @@ def asymptotic_adiabaticity_certificate(
     scale = max(float(np.max(np.abs(frame.eigenvalues))), 1e-300)
     reasons = []
 
-    trace_ok = True
-    for s in np.linspace(0.0, 1.0, 17):
-        mat = superoperator_at(l, s, basis)
-        if np.max(np.abs(mat[0])) > 1e-12 * max(1.0, float(np.max(np.abs(mat)))):
-            trace_ok = False
-            reasons.append(f"identity row of the generator is nonzero at s={s:.3f}")
-            break
+    grid = np.linspace(0.0, 1.0, 17)
+    mats = superoperator_at(l, grid, basis)
+    scale_k = np.maximum(1.0, np.max(np.abs(mats), axis=(1, 2)))
+    leak = np.max(np.abs(mats[:, 0]), axis=1) > 1e-12 * scale_k
+    trace_ok = not leak.any()
+    if not trace_ok:
+        reasons.append(f"identity row of the generator is nonzero at s={grid[np.argmax(leak)]:.3f}")
 
     min_sep = np.inf
     b = frame.n_blocks

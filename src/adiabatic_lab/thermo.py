@@ -51,6 +51,17 @@ def _dual_route_check(direct: float, paired: float, label: str) -> None:
         )
 
 
+def _require_one_node(label: str, gen: LindbladGenerator | None, *ops) -> None:
+    stacked = [np.ndim(op) > 2 for op in ops]
+    if gen is not None:
+        stacked.append(gen.hamiltonian.ndim > 2)
+        stacked += [np.ndim(g) > 0 or np.ndim(j) > 2 for g, j in gen.jumps]
+    if any(stacked):
+        raise ValueError(
+            f"{label}: the dual route takes one node; pass the nodes of a stack one at a time"
+        )
+
+
 def _real_trace(a: np.ndarray):
     """Re Tr(a): a float for one matrix, an array for a stack (..., D, D)."""
     out = np.real(np.trace(a, axis1=-2, axis2=-1))
@@ -67,10 +78,13 @@ def heat_rate(
 
     Takes one node or a stack of M nodes (a stacked generator with (M, D, D)
     states and Hamiltonians) and gives a float or an (M,) array.  When
-    ``basis`` is supplied (one node only) the same number is recomputed as
-    the bilinear pairing (1/D) h . (L rho) of component vectors and the two
-    routes are required to agree within 1e-10 relative.
+    ``basis`` is supplied the same number is recomputed as the bilinear
+    pairing (1/D) h . (L rho) of component vectors and the two routes are
+    required to agree within 1e-10 relative; this dual route takes one node,
+    and a stacked generator or operator is refused with a ValueError.
     """
+    if basis is not None:
+        _require_one_node("heat rate", gen, rho, h)
     direct = _real_trace(lindblad_action(gen, rho) @ h)
     if basis is not None:
         lmat = superoperator_matrix(lambda op: lindblad_action(gen, op), basis).matrix
@@ -88,6 +102,8 @@ def work_rate(
 ):
     """Instantaneous work rate Tr(rho dH/dt), for one node or a stack, with
     the optional paired coherence-vector evaluation as in :func:`heat_rate`."""
+    if basis is not None:
+        _require_one_node("work rate", None, h_dot, rho)
     direct = _real_trace(np.asarray(rho) @ np.asarray(h_dot))
     if basis is not None:
         hd_vec = to_coherence_vector(np.asarray(h_dot, dtype=complex), basis).components

@@ -21,7 +21,8 @@ from adiabatic_lab.dynamics import (
     rk4,
 )
 from adiabatic_lab.battery import ergotropy
-from adiabatic_lab.opalg import SIGMA_X, SIGMA_Y, SIGMA_Z, dagger
+from adiabatic_lab.opalg import SIGMA_X, SIGMA_Y, SIGMA_Z, Superoperator, dagger, pauli_basis, superoperator_matrix
+from adiabatic_lab.openad import superoperator_at
 from adiabatic_lab.thermo import entropy_rate, heat_rate, von_neumann_entropy, work_rate
 
 RNG = np.random.default_rng(7)
@@ -345,6 +346,28 @@ def test_unitary_evolution_preserves_overlaps(seed):
     assert abs(before - after) < 1e-7
 
 
+def _superoperator_matrix_per_node(generator, basis, linearity_tol=1e-9):
+    """Reference superoperator builder for one node: D^2 + 3 generator
+    calls and D^4 vdots."""
+    dim = basis.dim
+    a, b = 0.7 - 0.3j, -1.1 + 0.2j
+    s1, s2 = basis.elements[1], basis.elements[min(2, dim**2 - 1)]
+    lhs = generator(a * s1 + b * s2)
+    rhs = a * generator(s1) + b * generator(s2)
+    scale = max(1.0, float(np.max(np.abs(rhs))))
+    if np.max(np.abs(lhs - rhs)) > linearity_tol * scale:
+        raise ValueError("generator failed the linearity probe")
+
+    mat = np.empty((dim**2, dim**2), dtype=complex)
+    for i, sig_i in enumerate(basis.elements):
+        image = generator(sig_i)
+        for k, sig_k in enumerate(basis.elements):
+            mat[k, i] = np.vdot(sig_k, image) / dim
+    scale = max(1.0, float(np.max(np.abs(mat))))
+    tp = bool(np.max(np.abs(mat[0, :])) < 1e-12 * scale)
+    return Superoperator(matrix=mat, basis=basis, trace_preserving=tp)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
@@ -355,7 +378,8 @@ def test_stacked_inputs_match_per_element_loop(seed, dim, lead):
     """Stacks (..., D, D) give exactly the per-element results, and a
     single pair of matrices still gives a Python float.  An open schedule
     samples to one stacked generator whose per-node rates and jumps act
-    node by node, in lindblad_action and in the thermo rates."""
+    node by node, in lindblad_action, in the thermo rates and in the grid
+    superoperators, which equal the one-node builder's bit for bit."""
     rng = np.random.default_rng(seed)
     shape = tuple(lead) + (dim, dim)
 
@@ -409,6 +433,27 @@ def test_stacked_inputs_match_per_element_loop(seed, dim, lead):
     assert np.array_equal(work_rate(h, r2), np.reshape(works, lead))
     assert np.array_equal(entropy_rate(gen, mixed), ents)
     assert np.array_equal(von_neumann_entropy(r1), np.reshape(entropies, lead))
+
+    for basis in (pauli_basis(1), pauli_basis(2)):
+        d = basis.dim
+        h0, h1, j0, j1, j2 = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(5))
+        h0, h1 = h0 + dagger(h0), h1 + dagger(h1)
+        grid = np.sort(rng.uniform(0.0, 1.0, 4))
+        for n_jumps in range(3):
+            liou = Schedule(1.0, lambda s, n=n_jumps: LindbladGenerator(
+                np.cos(3.0 * s) * h0 + s * h1, ((1.0 + s, s * j0 + j1), (s * s, j2))[:n]))
+            want = [_superoperator_matrix_per_node(lambda op, g=liou.at(s): lindblad_action(g, op), basis)
+                    for s in grid]
+            one = superoperator_matrix(lambda ops: lindblad_action(liou.at(grid[0]), ops), basis)
+            assert np.array_equal(one.matrix, want[0].matrix)
+            assert one.trace_preserving is want[0].trace_preserving
+            stacked_gen = liou.sample(grid)
+            stack = superoperator_matrix(lambda ops: lindblad_action(stacked_gen, ops[:, None]), basis)
+            assert np.array_equal(stack.trace_preserving, [w.trace_preserving for w in want])
+            mats = superoperator_at(liou, grid, basis)
+            assert np.array_equal(mats, stack.matrix)
+            assert np.array_equal(mats, np.array([w.matrix for w in want]))
+            assert np.array_equal(mats, np.array([superoperator_at(liou, s, basis) for s in grid]))
 
 
 def _open_sampler(jump_counts):

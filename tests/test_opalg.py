@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from adiabatic_lab.opalg import (
     CoherenceVector,
+    LinearityError,
     OperatorBasis,
     SIGMA_X,
     SIGMA_Y,
@@ -117,6 +118,11 @@ def test_superoperator_rejects_nonlinear_map():
     basis = pauli_basis(1)
     with pytest.raises(ValueError, match="linearity"):
         superoperator_matrix(lambda op: op @ op, basis)
+    # a stack of maps, linear (zero) on nodes 0 and 1 only
+    weights = np.array([0.0, 0.0, 1.0, 1.0])[:, None, None]
+    with pytest.raises(LinearityError, match="probe at node 2$") as err:
+        superoperator_matrix(lambda ops: weights * (ops @ ops)[:, None], basis)
+    assert err.value.node == 2
 
 
 def test_density_matrix_detector():

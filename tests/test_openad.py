@@ -7,6 +7,7 @@ from adiabatic_lab.opalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    CoherenceVector,
     from_coherence_vector,
     pauli_basis,
     superoperator_matrix,
@@ -50,6 +51,29 @@ def test_superoperator_at_accepts_three_sample_kinds():
     assert np.max(np.abs(mat3 - want)) < 1e-14
     with pytest.raises(ValueError, match="shape"):
         superoperator_at(Schedule(1.0, lambda s: np.zeros((3, 3))), 0.0, BASIS)
+
+    # a grid call passes each kind through node by node
+    grid = np.linspace(0.0, 1.0, 5)
+    raw = Schedule(1.0, lambda s: s * np.arange(16.0).reshape(4, 4))
+    assert np.array_equal(superoperator_at(raw, grid, BASIS), np.array([raw.at(s) for s in grid]))
+    bare = Schedule(1.0, lambda s: np.cos(s) * SIGMA_X + s * SIGMA_Z)
+    got = superoperator_at(bare, grid, BASIS)
+    assert got.shape == (5, 4, 4)
+    assert np.array_equal(got, superoperator_at(Schedule(1.0, lambda s: LindbladGenerator(bare.at(s))), grid, BASIS))
+    assert np.array_equal(got, np.array([superoperator_at(bare, s, BASIS) for s in grid]))
+    with pytest.raises(ValueError, match=r"shape \(3, 3\)"):
+        superoperator_at(Schedule(1.0, lambda s: np.zeros((3, 3))), grid, BASIS)
+
+
+def test_grid_linearity_probe_names_first_failing_s(monkeypatch):
+    # the action squares its argument wherever the Hamiltonian is nonzero,
+    # which the schedule makes it from s > 0.5 on
+    monkeypatch.setattr(
+        "adiabatic_lab.openad.lindblad_action", lambda gen, op: gen.hamiltonian @ op @ op
+    )
+    sched = Schedule(1.0, lambda s: LindbladGenerator(max(0.0, s - 0.5) * SIGMA_X))
+    with pytest.raises(ValueError, match=r"linearity probe at s=0\.75$"):
+        superoperator_at(sched, np.linspace(0.0, 1.0, 5), BASIS)
 
 
 def test_tracked_spectrum_constant_dephasing_eigenvalues():
@@ -98,8 +122,6 @@ def test_adiabatic_propagation_exact_for_constant_generator():
     sol = adiabatic_propagate_1d(sched, rho0, tau, BASIS, n_points=101)
     assert sol.expansion_residual < 1e-10
 
-    from adiabatic_lab.opalg import CoherenceVector
-
     mat = superoperator_at(sched, 0.0, BASIS)
     v0 = to_coherence_vector(rho0, BASIS).components
     for k in (0, 33, 66, 100):
@@ -107,6 +129,25 @@ def test_adiabatic_propagation_exact_for_constant_generator():
         want_vec = scipy.linalg.expm(mat * t) @ v0
         want = from_coherence_vector(CoherenceVector(want_vec, BASIS), normalize_trace=False)
         assert np.max(np.abs(sol.states[k] - want)) < 1e-8
+
+
+def test_propagated_states_equal_per_node_reconstruction():
+    basis = pauli_basis(2)
+    rng = np.random.default_rng(5)
+    h0, h1, jump = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(3))
+    h0, h1 = h0 + h0.conj().T, h1 + h1.conj().T
+    sched = Schedule(2.0, lambda s: LindbladGenerator(np.cos(s) * h0 + s * h1, ((0.5 + s, jump),)))
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho0 = a @ a.conj().T
+    sol = adiabatic_propagate_1d(sched, rho0 / np.trace(rho0), 2.0, basis, n_points=41)
+    want = np.zeros_like(sol.states)
+    for k, (right, c) in enumerate(zip(sol.frame.right, sol.coefficients)):
+        # reference: one node at a time, c_n sigma_n added in basis order
+        for comp, sig in zip(right @ c, basis.elements):
+            want[k] += comp * sig
+    assert np.array_equal(sol.states, want / 4)
+    last = CoherenceVector(sol.frame.right[-1] @ sol.coefficients[-1], basis)
+    assert np.array_equal(sol.states[-1], from_coherence_vector(last, normalize_trace=False))
 
 
 def test_expansion_residual_guard():

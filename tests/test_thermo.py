@@ -50,6 +50,24 @@ def test_heat_and_work_rate_dual_routes():
     assert w == pytest.approx(work_rate(0.9 * SIGMA_Y, rho), rel=1e-12)
 
 
+@pytest.mark.parametrize("m", [3, 5])  # 5 = D^2 + 1 would broadcast against the probe stack
+def test_dual_route_refuses_stacks_before_building_a_matrix(monkeypatch, m):
+    def no_matrix(generator, basis):
+        raise AssertionError("superoperator built for a stack")
+
+    monkeypatch.setattr(thermo, "superoperator_matrix", no_matrix)
+    grid = np.linspace(0.0, 1.0, m)
+    gen = Schedule(1.0, lambda s: LindbladGenerator(SIGMA_X, ((1.0 + s, SIGMA_Z),))).sample(grid)
+    rho = 0.5 * (np.eye(2, dtype=complex) + 0.3 * SIGMA_X)
+    rhos, hams = np.array([rho] * m), np.array([SIGMA_X] * m)
+    for args in ((gen, rhos, hams), (gen, rho, SIGMA_X), (gen[0], rhos, SIGMA_X), (gen[0], rho, hams)):
+        with pytest.raises(ValueError, match="heat rate: the dual route takes one node"):
+            heat_rate(*args, BASIS)
+    for args in ((hams, rhos), (SIGMA_X, rhos), (hams, rho)):
+        with pytest.raises(ValueError, match="work rate: the dual route takes one node"):
+            work_rate(*args, BASIS)
+
+
 def test_constant_hamiltonian_has_zero_work():
     rho = 0.5 * (np.eye(2, dtype=complex) + 0.4 * SIGMA_X)
     assert work_rate(np.zeros((2, 2)), rho) == 0.0
