@@ -179,6 +179,7 @@ def stirap_charge(
     if hold_fraction < 0:
         raise ValueError("hold_fraction must be non-negative")
     stretch = 1.0 + hold_fraction
+    dissipator = LindbladGenerator(np.zeros((3, 3)), tuple(jumps))
 
     def sampler(s: float) -> LindbladGenerator:
         s_prot = min(s * stretch, 1.0)
@@ -186,7 +187,7 @@ def stirap_charge(
         ham = np.array(
             [[0.0, w12, 0.0], [w12, 0.0, w23], [0.0, w23, 0.0]], dtype=complex
         )
-        return LindbladGenerator(ham, tuple(jumps))
+        return dissipator.replace(ham)
 
     rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
     traj = evolve_lindblad(Schedule(tau * stretch, sampler), rho0, n_steps)

@@ -338,11 +338,8 @@ def _run_deutsch(cfg: dict):
     n = cfg["tau_ladder"]
     taus = [(100.0 / omega) * 2.0 ** (k - n + 1) for k in range(n)]
 
-    def point(tau: float):
-        res = _openad.deutsch_scenario(f_values, omega, gamma, tau, n_steps=cfg["n_steps"])
-        return (tau, float(res["f_os"][-1]), float(res["f_cs"][-1]))
-
-    rows = [point(tau) for tau in taus]
+    results = _openad.deutsch_scenario(f_values, omega, gamma, taus, n_steps=cfg["n_steps"])
+    rows = [(tau, float(res["f_os"][-1]), float(res["f_cs"][-1])) for tau, res in zip(taus, results)]
     return [f"f_values={f_values[0]}{f_values[1]}"], ["tau_s", "f_os", "f_cs"], rows
 
 
@@ -351,18 +348,14 @@ def _run_heat(cfg: dict):
     beta = 1.0 / _thermo.ev_to_rads(cfg["beta_inv_pev"] * 1e-12)
     tau = cfg["tau_dec_s"]
 
-    def point(gamma0: float):
-        res = _thermo.dephasing_heat_scenario(
-            omega, beta, lambda s: gamma0 * (1.0 + s), tau, n_steps=cfg["n_steps"]
-        )
-        return (
-            gamma0,
-            _thermo.rads_to_ev(res["q_total"]) * 1e12,
-            _thermo.rads_to_ev(res["q_closed"]) * 1e12,
-            _thermo.rads_to_ev(res["q_asymptote"]) * 1e12,
-        )
-
-    rows = [point(gamma0) for gamma0 in cfg["gamma0_list"]]
+    gammas = cfg["gamma0_list"]
+    results = _thermo.dephasing_heat_scenario(
+        omega, beta, [lambda s, g=gamma0: g * (1.0 + s) for gamma0 in gammas], tau, n_steps=cfg["n_steps"]
+    )
+    rows = [
+        (gamma0, *(_thermo.rads_to_ev(res[key]) * 1e12 for key in ("q_total", "q_closed", "q_asymptote")))
+        for gamma0, res in zip(gammas, results)
+    ]
     return (
         [f"q_max_pev={_thermo.rads_to_ev(omega * math.tanh(beta * omega)) * 1e12!r}"],
         ["gamma0_per_s", "q_pev", "q_closed_pev", "q_asymptote_pev"],
@@ -377,7 +370,7 @@ def _run_lz_tqd(cfg: dict):
 
     def point(tau: float):
         res = _tqd.lz_intensities(lambda s: theta0 * s, delta, tau, n_quad=cfg["n_quad"])
-        return (float(tau), res["i_std"], res["i_opt"])
+        return (float(tau), float(res["i_std"]), float(res["i_opt"]))
 
     rows = [point(tau) for tau in taus]
     tau_b = _tqd.lz_intensities(lambda s: theta0 * s, delta, 1.0, n_quad=cfg["n_quad"])["tau_b"]
@@ -434,10 +427,7 @@ def _run_battery_stirap(cfg: dict):
     rep = _battery.stirap_charge(
         o12, o23, spectrum, tau, noise=noise, n_steps=cfg["n_steps"], protocol=cfg["protocol"]
     )
-    rows = [
-        (float(t), float(e), float(p), float(p1), float(p2), float(p3))
-        for t, e, p, (p1, p2, p3) in zip(rep.times, rep.ergotropy, rep.power, rep.populations)
-    ]
+    rows = list(zip(rep.times.tolist(), rep.ergotropy.tolist(), rep.power.tolist(), *rep.populations.T.tolist()))
     extra = [
         f"e_max_rads={spectrum[2] - spectrum[0]!r}",
         f"p_max_norm={rep.p_max_norm!r}",
@@ -456,10 +446,7 @@ def _run_battery_cells(cfg: dict):
         tau,
         n_steps=cfg["n_steps"],
     )
-    rows = [
-        (float(t), float(c), float(p), float(pi))
-        for t, c, p, pi in zip(rep.times, rep.charge, rep.power, rep.parity)
-    ]
+    rows = list(zip(rep.times.tolist(), rep.charge.tolist(), rep.power.tolist(), rep.parity.tolist()))
     extra = [
         f"c_max_rads={rep.c_max!r}",
         f"tail_max_power={rep.tail_max_power!r}",
@@ -501,7 +488,7 @@ def _render_csv(name: str, cfg: dict, extra: list[str], header: list[str], rows:
         lines.append(f"# {note}")
     lines.append(",".join(header))
     for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
+        lines.append(",".join(map(repr, row)))
     return "\n".join(lines) + "\n"
 
 

@@ -32,12 +32,14 @@ class LindbladGenerator:
 
     ``channels`` holds (rate, J, J^dag, J^dag J) per jump, computed once at
     construction for :func:`lindblad_action`; a generator is not to be
-    mutated after it is built.
+    mutated after it is built.  :meth:`replace` makes a generator with new
+    rates or a new Hamiltonian that shares these channel products.
 
-    A generator may also hold a stack of M nodes: an (M, D, D) Hamiltonian
-    and, per jump, (M,) rates with (M, D, D) jumps.  Its channel rates are
-    shaped (M, 1, 1) here, so :func:`lindblad_action` acts node by node on
-    an (M, D, D) stack of states.
+    A generator may also hold a stack of M nodes (or M sweep members): an
+    (M, D, D) Hamiltonian and, per jump, (M,) rates with (M, D, D) jumps, or
+    one (D, D) jump shared by every node.  Its channel rates are shaped
+    (M, 1, 1) here, so :func:`lindblad_action` acts node by node on an
+    (M, D, D) stack of states.
     """
 
     hamiltonian: np.ndarray
@@ -48,18 +50,45 @@ class LindbladGenerator:
         self.hamiltonian = np.asarray(self.hamiltonian, dtype=complex)
         jumps, channels = [], []
         for g, j in self.jumps:
-            stacked = isinstance(g, np.ndarray) and g.ndim > 0
-            g = np.asarray(g, dtype=float) if stacked else float(g)
+            g, scale = _rate(g)
             j = np.asarray(j, dtype=complex)
             jd = dagger(j)
             jumps.append((g, j))
-            channels.append((g[..., None, None] if stacked else g, j, jd, jd @ j))
+            channels.append((scale, j, jd, jd @ j))
         self.jumps = tuple(jumps)
         self.channels = tuple(channels)
 
+    def replace(self, hamiltonian: np.ndarray, rates: tuple | None = None) -> "LindbladGenerator":
+        """This generator with another Hamiltonian and, if given, one new rate
+        (a float or an (M,) array) per jump.  The jump operators and their
+        J^dag and J^dag J are shared with this generator, not rebuilt."""
+        new = object.__new__(LindbladGenerator)
+        new.hamiltonian = np.asarray(hamiltonian, dtype=complex)
+        if rates is None:
+            new.jumps, new.channels = self.jumps, self.channels
+        else:
+            rates = [_rate(g) for g in rates]
+            new.jumps = tuple((g, j) for (g, _), (_, j) in zip(rates, self.jumps))
+            new.channels = tuple((scale,) + ch[1:] for (_, scale), ch in zip(rates, self.channels))
+        return new
+
     def __getitem__(self, k: int) -> "LindbladGenerator":
-        """Node k of a stacked generator."""
-        return LindbladGenerator(self.hamiltonian[k], tuple((g[k], j[k]) for g, j in self.jumps))
+        """Node (or member) k of a stacked generator; parts shared by every node stay whole."""
+        h = self.hamiltonian
+        return LindbladGenerator(
+            h[k] if h.ndim > 2 else h,
+            tuple((g[k] if np.ndim(g) else g, j[k] if j.ndim > 2 else j) for g, j in self.jumps),
+        )
+
+
+def _rate(g) -> tuple:
+    """A channel rate as ``jumps`` stores it and as it scales its channel:
+    a float twice, or an (M,) array and its (M, 1, 1) view."""
+    if isinstance(g, np.ndarray) and g.ndim > 0:
+        g = np.asarray(g, dtype=float)
+        return g, g[..., None, None]
+    g = float(g)
+    return g, g
 
 
 def lindblad_action(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
@@ -77,18 +106,35 @@ class Schedule:
 
     Parameters
     ----------
-    tau : float
-        Total duration in seconds; physical time is t = s * tau.
+    tau : float or sequence of floats
+        Total duration in seconds; physical time is t = s * tau.  A
+        sequence of R durations makes a sweep schedule: its R members are
+        sampled together, one s per member.
     sampler : callable
         Maps s to a Hamiltonian matrix (closed case) or to a
-        :class:`LindbladGenerator` (open case).
+        :class:`LindbladGenerator` (open case).  The sampler of a sweep
+        schedule maps the (R,) array of member times to a sample stacked
+        over the R members.
     """
 
     tau: float
     sampler: Callable[[float], object]
+    members: int | None = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.members = None
+        if np.ndim(self.tau):
+            self.tau = np.asarray(self.tau, dtype=float)
+            if self.tau.ndim != 1 or not self.tau.size:
+                raise ValueError("a sweep schedule needs a non-empty 1-d sequence of durations")
+            self.members = self.tau.size
 
     def at(self, s: float):
-        return self.sampler(float(s))
+        """The sample at s; a sweep schedule takes one s per member, or one s for all."""
+        if self.members is None:
+            return self.sampler(float(s))
+        s = np.asarray(s, dtype=float)
+        return self.sampler(s if s.shape == self.tau.shape else np.broadcast_to(s, self.tau.shape))
 
     def sample(self, grid: np.ndarray):
         """Samples at every s of ``grid``, stacked over the grid's M nodes.
@@ -122,21 +168,29 @@ class Schedule:
 
         Hamiltonian samples must be Hermitian and rates non-negative; the
         full grid is not checked here because integrators already touch
-        every point and NaNs surface immediately.
+        every point and NaNs surface immediately.  A sweep schedule is
+        checked member by member, in sweep order.
         """
-        for s in np.linspace(0.0, 1.0, n_probe):
-            g = self.generator_at(s)
-            scale = max(1.0, float(np.max(np.abs(g.hamiltonian))))
-            if not is_hermitian(g.hamiltonian, tol * scale):
-                raise ValueError(f"non-Hermitian Hamiltonian sample at s={s}")
-            for rate, _ in g.jumps:
-                if rate < 0:
-                    raise ValueError(f"negative rate {rate} at s={s}")
+        grid = np.linspace(0.0, 1.0, n_probe)
+        samples = [self.generator_at(s) for s in grid]
+        members = [samples] if self.members is None else [[g[r] for g in samples] for r in range(self.members)]
+        for member in members:
+            for s, g in zip(grid, member):
+                scale = max(1.0, float(np.max(np.abs(g.hamiltonian))))
+                if not is_hermitian(g.hamiltonian, tol * scale):
+                    raise ValueError(f"non-Hermitian Hamiltonian sample at s={s}")
+                for rate, _ in g.jumps:
+                    if rate < 0:
+                        raise ValueError(f"negative rate {rate} at s={s}")
 
 
 @dataclass(eq=False)
 class Trajectory:
-    """Uniform-grid time series of states plus integration diagnostics."""
+    """Uniform-grid time series of states plus integration diagnostics.
+
+    A sweep's trajectory has a member axis: (n+1, R) times, (n+1, R, ...)
+    states and (R,) diagnostics; :meth:`member` takes one member out.
+    """
 
     times: np.ndarray
     states: np.ndarray
@@ -146,9 +200,20 @@ class Trajectory:
     def final(self) -> np.ndarray:
         return self.states[-1]
 
+    def member(self, r: int) -> "Trajectory":
+        """Member r of a sweep, as its run on its own would return it."""
+        return Trajectory(
+            times=np.ascontiguousarray(self.times[:, r]),
+            states=np.ascontiguousarray(self.states[:, r]),
+            diagnostics={key: float(val[r]) for key, val in self.diagnostics.items()},
+        )
 
-def time_scale(tau: float) -> float:
-    """Divisor from physical to normalized time: tau, or 1 for a zero duration."""
+
+def time_scale(tau):
+    """Divisor from physical to normalized time: tau, or 1 for a zero
+    duration; member by member for an array of durations."""
+    if np.ndim(tau):
+        return np.where(np.asarray(tau) == 0, 1.0, tau)
     return tau if tau else 1.0
 
 
@@ -170,26 +235,39 @@ def rk4(sample: Callable[[float], object], y0: np.ndarray, times: np.ndarray,
     with its arithmetic, so the states are the same bit for bit.
     ``sample`` must be a pure function of t.
 
+    ``times`` may also be (n+1, R), one grid per member of a sweep that
+    advances in lock step: ``y0`` then has a leading (R,) member axis,
+    ``sample`` gets the (R,) member times of a node, each member's step
+    broadcasts over its own state, and an end sample is reused only when
+    every member's time agrees.  Each member's states are the ones its own
+    run would give, bit for bit.
+
     Overflow and invalid-value warnings are silenced inside the loop: the
     update is linear, so an inf or NaN never turns finite again, and the
     per-step check below reports it as a named :class:`IntegrationError`.
     """
     y = np.asarray(y0, dtype=complex)
+    times = np.asarray(times, dtype=float)
     out = np.empty((len(times),) + y.shape, dtype=complex)
     out[0] = y
-    t_end = a_end = None
+    start = times[:-1]
+    dt = times[1:] - start
+    stop = start + dt
+    same = start[1:] == stop[:-1]
+    reuse = [False] + np.all(same, axis=tuple(range(1, same.ndim))).tolist()
+    mid = start + 0.5 * dt
+    if times.ndim > 1:  # a member's step sizes broadcast over its own state
+        dt = dt.reshape(dt.shape + (1,) * (y.ndim - 1))
+    steps = zip(start, mid, stop, dt, 0.5 * dt, dt / 6.0, reuse)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(len(times) - 1):
-            t = times[k]
-            dt = times[k + 1] - t
-            k1 = act(a_end if t == t_end else sample(t), y)
-            a_mid = sample(t + 0.5 * dt)
-            k2 = act(a_mid, y + 0.5 * dt * k1)
-            k3 = act(a_mid, y + 0.5 * dt * k2)
-            t_end = t + dt
+        for k, (t, t_mid, t_end, h, h_half, h_sixth, again) in enumerate(steps):
+            k1 = act(a_end if again else sample(t), y)
+            a_mid = sample(t_mid)
+            k2 = act(a_mid, y + h_half * k1)
+            k3 = act(a_mid, y + h_half * k2)
             a_end = sample(t_end)
-            k4 = act(a_end, y + dt * k3)
-            y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            k4 = act(a_end, y + h * k3)
+            y = y + h_sixth * (k1 + 2.0 * (k2 + k3) + k4)
             if not np.all(np.isfinite(y)):
                 raise IntegrationError(k + 1, "non-finite state entries")
             out[k + 1] = y
@@ -229,6 +307,13 @@ def evolve_lindblad(l: Schedule, rho0: np.ndarray, n_steps: int,
     positivity dip beyond ``pos_tol`` is only flagged with a step-size hint
     since transient negative eigenvalues at the integrator tolerance level
     are expected.
+
+    A sweep schedule integrates its R members in one lock-step :func:`rk4`
+    from the same ``rho0``, each on its own grid, and returns one
+    trajectory with a member axis.  The probe, the non-finite check, the
+    trace-drift raise and the positivity warning each scan the members in
+    sweep order, and the first guard that trips wins, so a sweep with one
+    failing member fails as that member fails on its own.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if not is_density_matrix(rho0):
@@ -236,23 +321,29 @@ def evolve_lindblad(l: Schedule, rho0: np.ndarray, n_steps: int,
     l.probe()
     times = np.linspace(0.0, l.tau, n_steps + 1)
     tau = time_scale(l.tau)
+    y0 = rho0 if l.members is None else np.stack([rho0] * l.members)
 
-    states = rk4(lambda t: l.generator_at(t / tau), rho0, times, lindblad_action)
-    traces = np.trace(states, axis1=1, axis2=2)
-    drift = float(np.max(np.abs(traces - 1.0)))
-    if drift >= trace_tol:
+    states = rk4(lambda t: l.generator_at(t / tau), y0, times, lindblad_action)
+    per_member = states.reshape((len(times), -1) + rho0.shape)
+    deviation = np.abs(np.trace(per_member, axis1=-2, axis2=-1) - 1.0)
+    drift = np.max(deviation, axis=0)
+    failing = np.flatnonzero(drift >= trace_tol)
+    if failing.size:
+        r = failing[0]
         raise IntegrationError(
-            int(np.argmax(np.abs(traces - 1.0))),
-            f"trace drift {drift:.3e} exceeds {trace_tol:.1e}; increase n_steps",
+            int(np.argmax(deviation[:, r])),
+            f"trace drift {drift[r]:.3e} exceeds {trace_tol:.1e}; increase n_steps",
         )
-    herm = 0.5 * (states + np.conj(np.transpose(states, (0, 2, 1))))
-    min_eig = float(np.min(np.linalg.eigvalsh(herm)))
-    if min_eig < -pos_tol:
+    herm = 0.5 * (per_member + dagger(per_member))
+    min_eig = np.min(np.linalg.eigvalsh(herm), axis=(0, 2))
+    for dip in min_eig[min_eig < -pos_tol]:
         warnings.warn(
-            f"positivity dip {min_eig:.3e} beyond tolerance; "
+            f"positivity dip {dip:.3e} beyond tolerance; "
             f"try n_steps={2 * n_steps}",
             RuntimeWarning,
         )
+    if l.members is None:
+        drift, min_eig = float(drift[0]), float(min_eig[0])
     return Trajectory(times=times, states=states,
                       diagnostics={"trace_drift": drift, "min_eigenvalue": min_eig})
 

@@ -37,7 +37,7 @@ from .opalg import (
     superoperator_matrix,
     to_coherence_vector,
 )
-from .spectral import cumtrapz, fourth_order_derivative
+from .spectral import cumtrapz, fourth_order_derivative, require_stencil_points
 
 IDENTICAL_BLOCK_TOL = 1e-10
 EXPANSION_RESIDUAL_TOL = 1e-8
@@ -105,6 +105,7 @@ def track_liouville_spectrum(
     from scipy.optimize import linear_sum_assignment
     import scipy.linalg
 
+    require_stencil_points(n_points)
     grid = np.linspace(0.0, 1.0, n_points)
     d2 = basis.dim**2
     eigenvalues = np.empty((n_points, d2), dtype=complex)
@@ -352,9 +353,9 @@ def deutsch_scenario(
     f_values: tuple,
     omega: float,
     gamma: float | Callable[[float], float],
-    tau: float,
+    tau: float | Sequence[float],
     n_steps: int = 4000,
-) -> dict:
+) -> dict | list[dict]:
     """Single-qubit function-parity interrogation under dephasing.
 
     The register starts in the +x pure state and follows a Hamiltonian
@@ -365,42 +366,53 @@ def deutsch_scenario(
     Returns the integrated trajectory and two fidelity series: against
     the open-system adiabatic reference (coherence damped by
     exp(-2 int gamma)) and against the decoherence-free rotating pure
-    state.
+    state.  A sequence of durations ``tau`` integrates every duration as
+    one member of a single lock-step sweep and returns a list with one
+    such dict per duration, each equal to the dict of its own scalar call.
     """
     f0, f1 = (int(v) for v in f_values)
     if f0 not in (0, 1) or f1 not in (0, 1):
         raise ValueError("function values must be 0 or 1")
     f_param = 1 - (-1) ** (f0 + f1)
     gamma_fn = gamma if callable(gamma) else (lambda s, _g=float(gamma): _g)
+    taus = np.asarray(tau, dtype=float)
+    dephasing = LindbladGenerator(SIGMA_0, ((0.0, SIGMA_Z),))
 
-    def phi(s: float) -> float:
+    def phi(s):
         return 0.5 * np.pi * f_param * s
 
-    def sampler(s: float) -> LindbladGenerator:
-        p = phi(s)
+    def rates(s: np.ndarray) -> np.ndarray:
+        return np.array([gamma_fn(x) for x in s.ravel().tolist()]).reshape(s.shape)
+
+    def sampler(s: np.ndarray) -> LindbladGenerator:
+        p = phi(s)[:, None, None]
         ham = -0.5 * omega * (np.cos(p) * SIGMA_X - np.sin(p) * SIGMA_Y)
-        return LindbladGenerator(ham, ((gamma_fn(s), SIGMA_Z),))
+        return dephasing.replace(ham, (rates(s),))
 
     rho0 = 0.5 * (SIGMA_0 + SIGMA_X)
-    traj = evolve_lindblad(Schedule(tau, sampler), rho0, n_steps)
+    sweep = Schedule(taus.reshape(-1), sampler)
+    traj = evolve_lindblad(sweep, rho0, n_steps)
 
-    s_grid = traj.times / time_scale(tau)
-    gamma_samples = np.array([gamma_fn(s) for s in s_grid])
-    gamma_int = cumtrapz(gamma_samples, traj.times)
+    s_grid = traj.times / time_scale(sweep.tau)
+    gamma_int = cumtrapz(rates(s_grid), traj.times)
 
-    p = phi(s_grid)[:, None, None]
+    p = phi(s_grid)[..., None, None]
     coherence = np.cos(p) * SIGMA_X - np.sin(p) * SIGMA_Y
-    damping = np.exp(-2.0 * gamma_int)[:, None, None]
+    damping = np.exp(-2.0 * gamma_int)[..., None, None]
     f_os = fidelity(traj.states, 0.5 * (SIGMA_0 + damping * coherence))
     f_cs = fidelity(traj.states, 0.5 * (SIGMA_0 + coherence))
 
-    return {
-        "trajectory": traj,
-        "times": traj.times,
-        "f_os": f_os,
-        "f_cs": f_cs,
-        "f_param": f_param,
-    }
+    results = []
+    for r in range(sweep.members):
+        member = traj.member(r)
+        results.append({
+            "trajectory": member,
+            "times": member.times,
+            "f_os": f_os[:, r],
+            "f_cs": f_cs[:, r],
+            "f_param": f_param,
+        })
+    return results if taus.ndim else results[0]
 
 
 def asymptotic_adiabaticity_certificate(

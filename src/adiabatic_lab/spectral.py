@@ -35,9 +35,7 @@ def fourth_order_derivative(samples: np.ndarray, dx: float) -> np.ndarray:
     each end use one-sided five-point stencils of the same order.
     """
     f = np.asarray(samples)
-    m = f.shape[0]
-    if m < 5:
-        raise ValueError("need at least 5 samples for the fourth-order stencils")
+    require_stencil_points(f.shape[0])
     out = np.empty_like(f, dtype=complex if np.iscomplexobj(f) else float)
     out[2:-2] = (-f[4:] + 8.0 * f[3:-1] - 8.0 * f[1:-3] + f[:-4]) / (12.0 * dx)
     out[0] = (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3] - 3.0 * f[4]) / (
@@ -51,6 +49,12 @@ def fourth_order_derivative(samples: np.ndarray, dx: float) -> np.ndarray:
         -25.0 * f[-1] + 48.0 * f[-2] - 36.0 * f[-3] + 16.0 * f[-4] - 3.0 * f[-5]
     ) / (12.0 * dx)
     return out
+
+
+def require_stencil_points(m: int) -> None:
+    """Refuse a grid too short for the five-point stencils."""
+    if m < 5:
+        raise ValueError("need at least 5 samples for the fourth-order stencils")
 
 
 def cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -257,11 +257,11 @@ def unitary_conjugate_channel(l: Schedule, u: np.ndarray) -> Schedule:
 def dephasing_heat_scenario(
     omega: float,
     beta: float,
-    gamma: Callable[[float], float] | float,
+    gamma: Callable[[float], float] | float | Sequence,
     tau: float,
     n_steps: int = 4000,
     basis: OperatorBasis | None = None,
-) -> dict:
+) -> dict | list[dict]:
     """Thermal qubit under a z-axis bath misaligned with its x Hamiltonian.
 
     H = omega sigma_x is constant (no work), the initial state is thermal
@@ -274,36 +274,45 @@ def dephasing_heat_scenario(
     Returns a dict with the ledger, the total heat, the effective inverse
     temperature series beta_eff(t) = arctanh(g)/omega, and the closed-form
     references ``q_closed`` and ``q_asymptote`` (the gamma -> infinity
-    plateau omega tanh(beta omega)).
+    plateau omega tanh(beta omega)).  A sequence of rates ``gamma`` (each
+    a callable or a float) integrates every rate as one member of a single
+    lock-step sweep and returns a list with one such dict per rate, each
+    equal to the dict of its own scalar call.
     """
     if omega <= 0 or beta <= 0:
         raise ValueError("omega and beta must be positive")
-    gamma_fn = gamma if callable(gamma) else (lambda s, _g=float(gamma): _g)
+    one = callable(gamma) or np.ndim(gamma) == 0
+    gamma_fns = [g if callable(g) else (lambda s, _g=float(g): _g) for g in ([gamma] if one else gamma)]
     ham = omega * SIGMA_X
     g0 = np.tanh(beta * omega)
     rho0 = 0.5 * (SIGMA_0 - g0 * SIGMA_X)
+    dephasing = LindbladGenerator(ham, ((0.0, SIGMA_Z),))
 
-    def sampler(s: float) -> LindbladGenerator:
-        return LindbladGenerator(ham, ((gamma_fn(s), SIGMA_Z),))
+    def sampler(s: np.ndarray) -> LindbladGenerator:
+        return dephasing.replace(ham, (np.array([f(x) for f, x in zip(gamma_fns, s.tolist())]),))
 
-    sched = Schedule(tau, sampler)
-    traj = evolve_lindblad(sched, rho0, n_steps)
-    ledger = build_ledger(sched, traj, basis=basis)
+    traj = evolve_lindblad(Schedule(np.full(len(gamma_fns), tau), sampler), rho0, n_steps)
 
-    s_grid = traj.times / time_scale(tau)
-    gamma_int = cumtrapz(np.array([gamma_fn(s) for s in s_grid]), traj.times)
-    g = np.exp(-2.0 * gamma_int) * g0
-    beta_eff = np.arctanh(np.clip(g, -1 + 1e-15, 1 - 1e-15)) / omega
-    q_closed = omega * g0 * (1.0 - np.exp(-2.0 * gamma_int[-1]))
-    return {
-        "ledger": ledger,
-        "trajectory": traj,
-        "q_total": float(ledger.heat[-1]),
-        "q_closed": float(q_closed),
-        "q_asymptote": float(omega * g0),
-        "beta_eff": beta_eff,
-        "coherence": g,
-    }
+    results = []
+    for r, gamma_fn in enumerate(gamma_fns):
+        member = traj.member(r)
+        sched = Schedule(tau, lambda s, f=gamma_fn: dephasing.replace(ham, (f(s),)))
+        ledger = build_ledger(sched, member, basis=basis)
+        s_grid = member.times / time_scale(tau)
+        gamma_int = cumtrapz(np.array([gamma_fn(s) for s in s_grid]), member.times)
+        g = np.exp(-2.0 * gamma_int) * g0
+        beta_eff = np.arctanh(np.clip(g, -1 + 1e-15, 1 - 1e-15)) / omega
+        q_closed = omega * g0 * (1.0 - np.exp(-2.0 * gamma_int[-1]))
+        results.append({
+            "ledger": ledger,
+            "trajectory": member,
+            "q_total": float(ledger.heat[-1]),
+            "q_closed": float(q_closed),
+            "q_asymptote": float(omega * g0),
+            "beta_eff": beta_eff,
+            "coherence": g,
+        })
+    return results[0] if one else results
 
 
 def ev_to_rads(energy_ev: float) -> float:

@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 
 from adiabatic_lab.cli import SCENARIOS, _merge_config, check_config, main
+from adiabatic_lab.dynamics import IntegrationError
+from adiabatic_lab.openad import deutsch_scenario
 from adiabatic_lab.tqd import compile_pulse_sequence, parse_pulse_sequence
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -66,6 +68,48 @@ def test_hopeless_config_exits_two_with_error_line(argv, capsys):
 def test_negative_eigenvalue_config_warns_of_the_positivity_dip():
     with pytest.warns(RuntimeWarning, match="positivity dip"):
         assert main(["heat", "--gamma0-list", "1e5", "--n-steps", "100"]) == 2
+
+
+def _data_rows(argv, capsys):
+    assert main(argv) == 0
+    return [ln for ln in capsys.readouterr().out.splitlines() if ln[:1].isdigit()]
+
+
+def test_sweep_rows_equal_one_member_runs(capsys):
+    """Each row of a lock-step sweep is byte-identical to its member's own run."""
+    heat = ["heat", "--n-steps", "200", "--gamma0-list"]
+    rows = _data_rows(heat + ["314,628,1257"], capsys)
+    assert rows == [_data_rows(heat + [g], capsys)[0] for g in ("314", "628", "1257")]
+
+    rows = _data_rows(["deutsch", "--balanced", "--tau-ladder", "4", "--n-steps", "200"], capsys)
+    omega = 2.0 * math.pi * 1.0e4
+    assert len(rows) == 4
+    for row in rows:
+        tau = float(row.split(",")[0])
+        res = deutsch_scenario((0, 1), omega, 0.1 * omega, tau, n_steps=200)
+        assert row == f"{tau!r},{float(res['f_os'][-1])!r},{float(res['f_cs'][-1])!r}"
+
+
+@pytest.mark.parametrize("gamma0", ["1e5", "1e9"])
+@pytest.mark.filterwarnings("ignore:positivity dip:RuntimeWarning")
+def test_sweep_with_one_failing_member_prints_its_error_line(gamma0, capsys):
+    """A failing second member fails the sweep with the error line of its own run."""
+    assert main(["heat", "--gamma0-list", gamma0, "--n-steps", "100"]) == 2
+    alone = capsys.readouterr().err.splitlines()[-1]
+    assert main(["heat", "--gamma0-list", "314," + gamma0, "--n-steps", "100"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == alone
+    if gamma0 == "1e5":
+        assert alone == "error: state has negative eigenvalue -8.878e-01"
+
+
+def test_deutsch_sweep_with_one_failing_member_prints_its_error_line(capsys):
+    omega = 2.0 * math.pi * 1.0e4
+    first, second = ((100.0 / omega) * 2.0 ** (k - 1) for k in range(2))
+    deutsch_scenario((0, 1), omega, 2.0 * omega, first, n_steps=100)
+    with pytest.raises(IntegrationError, match="trace drift") as alone:
+        deutsch_scenario((0, 1), omega, 2.0 * omega, second, n_steps=100)
+    assert main(["deutsch", "--gamma", "2", "--tau-ladder", "2", "--n-steps", "100"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {alone.value}; increase --n-steps"]
 
 
 def test_resonant_sweep_point_becomes_nan_row():

@@ -107,6 +107,43 @@ def test_rk4_matches_four_sample_rk4_bit_for_bit(dim, seed, t_end, n_steps, unif
         assert _extra_samples(times) == 0
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    members=st.integers(1, 4),
+    dim=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    n_steps=st.integers(1, 40),
+)
+def test_member_axis_rk4_matches_separate_runs(members, dim, seed, n_steps):
+    """R members advanced in lock step, each on its own linspace grid,
+    give every member's own run bit for bit, from 2n + 1 stacked samples."""
+    rng = np.random.default_rng(seed)
+    taus = rng.uniform(0.1, 5.0, members)
+    parts = rng.normal(size=(members, 3, dim, dim)) + 1j * rng.normal(size=(members, 3, dim, dim))
+    freqs = rng.uniform(0.1, 3.0, members)
+
+    def member(r):
+        rate = n_steps / (taus[r] * dim)  # dt * ||A|| stays near 1, so states stay finite
+        a0, a1, a2 = parts[r]
+        return lambda t: rate * (a0 + np.cos(freqs[r] * t) * a1 + (t / taus[r]) * a2)
+
+    samplers = [member(r) for r in range(members)]
+    calls = []
+
+    def stacked(t):
+        calls.append(t)
+        return np.array([f(x) for f, x in zip(samplers, t.tolist())])
+
+    y0 = rng.normal(size=(members, dim, dim)) + 1j * rng.normal(size=(members, dim, dim))
+    times = np.linspace(0.0, taus, n_steps + 1)
+    got = rk4(stacked, y0, times, np.matmul)
+    assert got.shape == (n_steps + 1, members, dim, dim)
+    assert len(calls) == 2 * n_steps + 1
+    for r, f in enumerate(samplers):
+        assert np.array_equal(times[:, r], np.linspace(0.0, taus[r], n_steps + 1))
+        assert np.array_equal(got[:, r], rk4(f, y0[r], times[:, r], np.matmul))
+
+
 def _counting(sampler):
     calls = []
 
@@ -203,6 +240,36 @@ def test_lindblad_trace_drift_error_on_coarse_grid():
     rho0 = np.diag([0.0, 1.0]).astype(complex)
     with pytest.raises(IntegrationError, match="trace drift"):
         evolve_lindblad(sched, rho0, 10)
+
+
+def test_evolve_lindblad_sweep_matches_member_runs():
+    """A sweep schedule's members, integrated in lock step, equal their own
+    runs: times, states and diagnostics."""
+    taus = np.array([1.0e-3, 2.5e-3, 4.0e-3])
+    rates = np.array([50.0, 300.0, 900.0])
+    lower = np.array([[0, 1], [0, 0]], dtype=complex)
+    channels = LindbladGenerator(SIGMA_X, ((0.0, lower), (0.0, SIGMA_Z)))
+
+    def alone(r):
+        return lambda s: LindbladGenerator(
+            (2e3 * np.cos(3.0 * s)) * SIGMA_X + 1e3 * s * SIGMA_Z,
+            ((rates[r] * (1.0 + s), lower), (rates[r], SIGMA_Z)),
+        )
+
+    def stacked(s):
+        ham = (2e3 * np.cos(3.0 * s))[:, None, None] * SIGMA_X + (1e3 * s)[:, None, None] * SIGMA_Z
+        return channels.replace(ham, (rates * (1.0 + s), rates))
+
+    rho0 = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+    sweep = evolve_lindblad(Schedule(taus, stacked), rho0, 200)
+    assert sweep.times.shape == (201, 3) and sweep.states.shape == (201, 3, 2, 2)
+    for r, tau in enumerate(taus):
+        want = evolve_lindblad(Schedule(tau, alone(r)), rho0, 200)
+        got = sweep.member(r)
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.states, want.states)
+        assert got.diagnostics == want.diagnostics
+        assert all(type(v) is float for v in got.diagnostics.values())
 
 
 def test_lindblad_action_matches_brute_force():

@@ -111,6 +111,13 @@ def test_tracked_spectrum_names_first_defective_node():
         track_liouville_spectrum(Schedule(1.0, sampler), 5, BASIS)
 
 
+@pytest.mark.parametrize("n_points", [0, 1, 2, 4])
+def test_tracked_spectrum_needs_five_points(n_points):
+    sched = dephasing_schedule(2 * np.pi * 1e3, 100.0, 1e-3)
+    with pytest.raises(ValueError, match="at least 5 samples"):
+        track_liouville_spectrum(sched, n_points, BASIS)
+
+
 # ---------------------------------------------------------------------------
 # block propagation against the exact exponential
 
@@ -272,6 +279,23 @@ def test_deutsch_callable_gamma_matches_integrated_decay():
     rho = res["trajectory"].final
     coh = 2.0 * abs(rho[0, 1])
     assert coh == pytest.approx(np.exp(-3.0 * gamma0 * tau), rel=1e-9)
+
+
+def test_deutsch_duration_sweep_equals_scalar_calls():
+    """A sequence of durations gives one dict per duration, equal to the
+    dict of that duration's own call, with a callable rate."""
+    omega = 2 * np.pi * 1e4
+    taus = [20.0 / omega, 35.0 / omega, 80.0 / omega]
+    gamma = lambda s: 0.1 * omega * (1.0 + s)  # noqa: E731
+    sweep = deutsch_scenario((0, 1), omega, gamma, taus, n_steps=150)
+    assert len(sweep) == len(taus)
+    for got, tau in zip(sweep, taus):
+        want = deutsch_scenario((0, 1), omega, gamma, tau, n_steps=150)
+        for key in ("times", "f_os", "f_cs"):
+            assert np.array_equal(got[key], want[key])
+        assert np.array_equal(got["trajectory"].states, want["trajectory"].states)
+        assert got["trajectory"].diagnostics == want["trajectory"].diagnostics
+        assert got["f_param"] == want["f_param"] == 2
 
 
 # ---------------------------------------------------------------------------

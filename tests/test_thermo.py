@@ -153,6 +153,22 @@ def test_beta_eff_series_starts_at_bath_temperature():
     assert np.all(np.diff(res["beta_eff"]) < 0)  # state heats monotonically
 
 
+def test_rate_sweep_equals_scalar_calls():
+    """A sequence of rates, callables and floats, gives one dict per rate,
+    equal to the dict of that rate's own call, ledger included."""
+    gammas = [lambda s: 314.0 * (1.0 + s), 628.0, 1.0e4]
+    sweep = dephasing_heat_scenario(OMEGA, BETA, gammas, TAU_DEC, n_steps=300)
+    assert len(sweep) == len(gammas)
+    for got, gamma in zip(sweep, gammas):
+        want = dephasing_heat_scenario(OMEGA, BETA, gamma, TAU_DEC, n_steps=300)
+        for key in ("q_total", "q_closed", "q_asymptote", "beta_eff", "coherence"):
+            assert np.array_equal(got[key], want[key])
+        for name, val in vars(got["ledger"]).items():
+            assert np.array_equal(val, getattr(want["ledger"], name)), name
+        assert np.array_equal(got["trajectory"].states, want["trajectory"].states)
+        assert got["trajectory"].diagnostics == want["trajectory"].diagnostics
+
+
 def test_scenario_input_validation():
     with pytest.raises(ValueError, match="positive"):
         dephasing_heat_scenario(-1.0, BETA, 314.0, TAU_DEC, n_steps=200)
