@@ -397,7 +397,6 @@ def theorem1_check(
     kit: ModelKit,
     n_points: int = 801,
     level: int = 0,
-    tol: float = 0.02,
 ) -> dict:
     """Constancy of the cross-frame eigenstate overlaps.
 
@@ -405,7 +404,7 @@ def theorem1_check(
     the two descriptions exactly when every |<E^O_m(s)| O(s) |E_n(s)>| is
     constant in time.  Returns the largest drift of those moduli from
     their initial values for the chosen starting level, and whether it
-    stays below ``tol``.
+    stays below 0.02.
     """
     if kit.frame_map is None:
         raise ValueError("model has no frame map")
@@ -424,7 +423,7 @@ def theorem1_check(
     drift = np.abs(overlaps - overlaps[0])
     max_dev = float(np.max(drift))
     return {
-        "satisfied": max_dev < tol,
+        "satisfied": max_dev < 0.02,
         "max_deviation": max_dev,
         "overlaps": overlaps,
         "grid": grid,
@@ -433,11 +432,8 @@ def theorem1_check(
 
 def theorem2_check(
     kit: ModelKit,
-    h_o_const: np.ndarray | None = None,
     n_points: int = 801,
     level: int = 0,
-    tol: float = 0.02,
-    const_tol: float = 1e-9,
 ) -> dict:
     """Eigenstate populations under the exact propagator of a model whose
     companion-frame Hamiltonian is constant.
@@ -452,18 +448,17 @@ def theorem2_check(
         raise ValueError("model has no frame map")
     h_o = frame_transform(kit.schedule, kit.frame_map, kit.frame_map_dot)
     grid = np.linspace(0.0, 1.0, n_points)
-    if h_o_const is None:
-        h_o_const = np.asarray(h_o.at(0.0), dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(h_o_const)))
+    h_o0 = np.asarray(h_o.at(0.0), dtype=complex)
+    scale = max(1.0, float(np.linalg.norm(h_o0)))
     probe = np.linspace(0.0, 1.0, 17)
-    dev = np.max(np.abs(h_o.sample(probe) - h_o_const), axis=(1, 2))
-    bad = np.flatnonzero(dev > const_tol * scale)
+    dev = np.max(np.abs(h_o.sample(probe) - h_o0), axis=(1, 2))
+    bad = np.flatnonzero(dev > 1e-9 * scale)
     if bad.size:
         raise ValueError(
             f"transformed Hamiltonian is not constant at s={probe[bad[0]]:.4f}"
         )
 
-    evals, evecs = np.linalg.eigh(h_o_const)
+    evals, evecs = np.linalg.eigh(h_o0)
     o0 = np.asarray(kit.frame_map(0.0), dtype=complex)
     lab = kit.frame
     if len(lab.grid) != n_points:
@@ -479,7 +474,7 @@ def theorem2_check(
     amps = np.abs(dagger(lab.vectors) @ (u @ psi0)[:, :, None])[:, :, 0]
     drift = np.abs(amps - ref)
     max_dev = float(np.max(drift))
-    return {"satisfied": max_dev < tol, "max_deviation": max_dev, "grid": grid}
+    return {"satisfied": max_dev < 0.02, "max_deviation": max_dev, "grid": grid}
 
 
 def min_gap_noninertial(omega0: float, r: float) -> float:

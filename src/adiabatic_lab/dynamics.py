@@ -17,6 +17,8 @@ import numpy as np
 
 from .opalg import TOL_HERM, TOL_POS, dagger, is_density_matrix, is_hermitian, is_unitary
 
+TRACE_TOL = 1e-9
+
 
 class IntegrationError(RuntimeError):
     """Raised when an integration produces non-finite state entries."""
@@ -163,21 +165,21 @@ class Schedule:
         g = self.at(s)
         return g if isinstance(g, LindbladGenerator) else LindbladGenerator(g)
 
-    def probe(self, n_probe: int = 5, tol: float = TOL_HERM) -> None:
-        """Spot-check sampler invariants on a coarse grid.
+    def probe(self) -> None:
+        """Spot-check sampler invariants on a coarse grid of 5 points.
 
         Hamiltonian samples must be Hermitian and rates non-negative; the
         full grid is not checked here because integrators already touch
         every point and NaNs surface immediately.  A sweep schedule is
         checked member by member, in sweep order.
         """
-        grid = np.linspace(0.0, 1.0, n_probe)
+        grid = np.linspace(0.0, 1.0, 5)
         samples = [self.generator_at(s) for s in grid]
         members = [samples] if self.members is None else [[g[r] for g in samples] for r in range(self.members)]
         for member in members:
             for s, g in zip(grid, member):
                 scale = max(1.0, float(np.max(np.abs(g.hamiltonian))))
-                if not is_hermitian(g.hamiltonian, tol * scale):
+                if not is_hermitian(g.hamiltonian, TOL_HERM * scale):
                     raise ValueError(f"non-Hermitian Hamiltonian sample at s={s}")
                 for rate, _ in g.jumps:
                     if rate < 0:
@@ -217,9 +219,9 @@ def time_scale(tau):
     return tau if tau else 1.0
 
 
-def recommended_steps(omega_max: float, tau: float, resolution: float = 0.05) -> int:
-    """Smallest step count keeping omega_max * dt below ``resolution``."""
-    return max(8, int(np.ceil(abs(omega_max) * abs(tau) / resolution)))
+def recommended_steps(omega_max: float, tau: float) -> int:
+    """Smallest step count keeping omega_max * dt below 0.05 (at least 8)."""
+    return max(8, int(np.ceil(abs(omega_max) * abs(tau) / 0.05)))
 
 
 def rk4(sample: Callable[[float], object], y0: np.ndarray, times: np.ndarray,
@@ -274,12 +276,11 @@ def rk4(sample: Callable[[float], object], y0: np.ndarray, times: np.ndarray,
     return out
 
 
-def evolve_unitary(h: Schedule, psi0: np.ndarray, n_steps: int,
-                   renormalize: bool = False) -> Trajectory:
+def evolve_unitary(h: Schedule, psi0: np.ndarray, n_steps: int) -> Trajectory:
     """Integrate the Schrödinger equation for a Hamiltonian schedule.
 
-    Per-step renormalization is off by default: the norm drift of the raw
-    integrator output is a useful accuracy diagnostic and is reported in
+    States are not renormalized: the norm drift of the raw integrator
+    output is a useful accuracy diagnostic and is reported in
     ``diagnostics["final_norm_deviation"]``.
     """
     psi0 = np.asarray(psi0, dtype=complex)
@@ -291,20 +292,17 @@ def evolve_unitary(h: Schedule, psi0: np.ndarray, n_steps: int,
 
     states = rk4(lambda t: np.asarray(h.at(t / tau)), psi0, times,
                  lambda a, psi: -1j * (a @ psi))
-    if renormalize:
-        states = states / np.linalg.norm(states, axis=1)[:, None]
     drift = abs(np.linalg.norm(states[-1]) - 1.0)
     return Trajectory(times=times, states=states,
                       diagnostics={"final_norm_deviation": drift})
 
 
-def evolve_lindblad(l: Schedule, rho0: np.ndarray, n_steps: int,
-                    trace_tol: float = 1e-9, pos_tol: float = TOL_POS) -> Trajectory:
+def evolve_lindblad(l: Schedule, rho0: np.ndarray, n_steps: int) -> Trajectory:
     """Integrate a Lindblad master equation for an open schedule.
 
-    Trace drift beyond ``trace_tol`` on any grid node is an error (it means
-    the step size is too coarse for the generator's fastest rate).  A
-    positivity dip beyond ``pos_tol`` is only flagged with a step-size hint
+    Trace drift reaching ``TRACE_TOL`` on any grid node is an error (it
+    means the step size is too coarse for the generator's fastest rate).  A
+    positivity dip beyond ``TOL_POS`` is only flagged with a step-size hint
     since transient negative eigenvalues at the integrator tolerance level
     are expected.
 
@@ -327,16 +325,16 @@ def evolve_lindblad(l: Schedule, rho0: np.ndarray, n_steps: int,
     per_member = states.reshape((len(times), -1) + rho0.shape)
     deviation = np.abs(np.trace(per_member, axis1=-2, axis2=-1) - 1.0)
     drift = np.max(deviation, axis=0)
-    failing = np.flatnonzero(drift >= trace_tol)
+    failing = np.flatnonzero(drift >= TRACE_TOL)
     if failing.size:
         r = failing[0]
         raise IntegrationError(
             int(np.argmax(deviation[:, r])),
-            f"trace drift {drift[r]:.3e} exceeds {trace_tol:.1e}; increase n_steps",
+            f"trace drift {drift[r]:.3e} exceeds {TRACE_TOL:.1e}",
         )
     herm = 0.5 * (per_member + dagger(per_member))
     min_eig = np.min(np.linalg.eigvalsh(herm), axis=(0, 2))
-    for dip in min_eig[min_eig < -pos_tol]:
+    for dip in min_eig[min_eig < -TOL_POS]:
         warnings.warn(
             f"positivity dip {dip:.3e} beyond tolerance; "
             f"try n_steps={2 * n_steps}",
@@ -349,20 +347,19 @@ def evolve_lindblad(l: Schedule, rho0: np.ndarray, n_steps: int,
 
 
 def frame_transform(h: Schedule, o: Callable[[float], np.ndarray],
-                    o_dot: Callable[[float], np.ndarray] | None = None,
-                    ds: float = 1e-6) -> Schedule:
+                    o_dot: Callable[[float], np.ndarray] | None = None) -> Schedule:
     """Move a Hamiltonian schedule into the frame defined by O(t).
 
     Returns the schedule of H_O = O H O^dag + i (dO/dt) O^dag.  The second
     term must be Hermitian when O is unitary; it is symmetrized when the
     asymmetry is at rounding level and rejected otherwise.  ``o_dot`` is
     the physical-time derivative; when omitted it is estimated by central
-    differences in s (one-sided at the ends).
+    differences in s with half-width 1e-6 (one-sided at the ends).
     """
     tau = h.tau
 
     def o_dot_fd(s: float) -> np.ndarray:
-        lo, hi = max(0.0, s - ds), min(1.0, s + ds)
+        lo, hi = max(0.0, s - 1e-6), min(1.0, s + 1e-6)
         return (np.asarray(o(hi)) - np.asarray(o(lo))) / ((hi - lo) * tau)
 
     d_o = o_dot if o_dot is not None else o_dot_fd

@@ -41,18 +41,16 @@ def is_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> bool:
     return bool(np.max(np.abs(a - dagger(a))) < tol)
 
 
-def is_unitary(u: np.ndarray, tol: float = 1e-10) -> bool:
-    """Max-entry unitarity test against u u^dag = 1."""
+def is_unitary(u: np.ndarray) -> bool:
+    """Max-entry unitarity test against u u^dag = 1; a non-square matrix is
+    never unitary, even when its rows are orthonormal."""
     u = np.asarray(u)
-    return bool(np.max(np.abs(u @ dagger(u) - np.eye(u.shape[0]))) < tol)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        return False
+    return bool(np.max(np.abs(u @ dagger(u) - np.eye(u.shape[0]))) < 1e-10)
 
 
-def is_density_matrix(
-    rho: np.ndarray,
-    tol_herm: float = TOL_HERM,
-    tol_tr: float = TOL_TR,
-    tol_pos: float = TOL_POS,
-) -> bool:
+def is_density_matrix(rho: np.ndarray) -> bool:
     """Check Hermiticity, unit trace and positivity within tolerances.
 
     The positivity tolerance is looser than the others on purpose: states
@@ -62,12 +60,12 @@ def is_density_matrix(
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         return False
-    if not is_hermitian(rho, tol_herm):
+    if not is_hermitian(rho):
         return False
-    if abs(np.trace(rho) - 1.0) >= tol_tr:
+    if abs(np.trace(rho) - 1.0) >= TOL_TR:
         return False
     evals = np.linalg.eigvalsh(0.5 * (rho + dagger(rho)))
-    return bool(evals.min() >= -tol_pos)
+    return bool(evals.min() >= -TOL_POS)
 
 
 @dataclass(eq=False)
@@ -106,13 +104,13 @@ class OperatorBasis:
             if abs(np.trace(self.elements[n])) > TOL_ORTH:
                 raise ValueError(f"element {n} ({self.labels[n]}) is not traceless")
 
-    def validate_orthogonality(self, tol: float = TOL_ORTH) -> None:
+    def validate_orthogonality(self) -> None:
         """Exhaustive pairwise check of Tr(sigma_n sigma_m^dag) = D delta_nm."""
         for n, a in enumerate(self.elements):
             for m, b in enumerate(self.elements):
                 got = np.vdot(b, a)  # Tr(b^dag a) = Tr(a b^dag)
                 want = self.dim if n == m else 0.0
-                if abs(got - want) > tol:
+                if abs(got - want) > TOL_ORTH:
                     raise ValueError(
                         f"orthogonality failure at ({n},{m}): {got} != {want}"
                     )
@@ -228,7 +226,6 @@ class LinearityError(ValueError):
 def superoperator_matrix(
     generator: Callable[[np.ndarray], np.ndarray],
     basis: OperatorBasis,
-    linearity_tol: float = 1e-9,
 ) -> Superoperator:
     """Build the matrix of a linear map L on operators.
 
@@ -265,7 +262,7 @@ def superoperator_matrix(
     lhs = images[d2]
     rhs = a * images[i1] + b * images[i2]
     scale = np.maximum(1.0, np.max(np.abs(rhs), axis=(-2, -1)))
-    bad = np.ravel(np.max(np.abs(lhs - rhs), axis=(-2, -1)) > linearity_tol * scale)
+    bad = np.ravel(np.max(np.abs(lhs - rhs), axis=(-2, -1)) > 1e-9 * scale)
     if bad.any():
         raise LinearityError(int(np.argmax(bad)) if lead else None)
 

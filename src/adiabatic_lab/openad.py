@@ -37,7 +37,7 @@ from .opalg import (
     superoperator_matrix,
     to_coherence_vector,
 )
-from .spectral import cumtrapz, fourth_order_derivative, require_stencil_points
+from .spectral import NEAR_DEFECTIVE_COND, cumtrapz, fourth_order_derivative, require_stencil_points
 
 IDENTICAL_BLOCK_TOL = 1e-10
 EXPANSION_RESIDUAL_TOL = 1e-8
@@ -134,7 +134,7 @@ def track_liouville_spectrum(
         prev_vals, prev_vecs = vals, vecs
 
     cond = np.linalg.cond(right)
-    bad = np.flatnonzero(cond > 1e10)
+    bad = np.flatnonzero(cond > NEAR_DEFECTIVE_COND)
     if bad.size:
         k = bad[0]
         raise ValueError(
@@ -420,7 +420,6 @@ def asymptotic_adiabaticity_certificate(
     rho0: np.ndarray,
     basis: OperatorBasis,
     n_points: int = 201,
-    zero_tol: float = 1e-9,
 ) -> dict:
     """Structural certificate that the block-adiabatic answer is reached
     at long times regardless of speed.
@@ -456,11 +455,11 @@ def asymptotic_adiabaticity_certificate(
         reasons.append("eigenvalue curves collide along the schedule")
 
     re_parts = np.real(frame.eigenvalues)
-    zero_mask = np.abs(frame.eigenvalues) < zero_tol * scale
+    zero_mask = np.abs(frame.eigenvalues) < 1e-9 * scale
     n_zero = np.unique(np.sum(zero_mask, axis=1))
     decay_ok = bool(
         np.all(n_zero == 1)
-        and np.all(re_parts[~zero_mask] < -zero_tol * scale)
+        and np.all(re_parts[~zero_mask] < -1e-9 * scale)
     )
     if not decay_ok:
         reasons.append("spectrum lacks a unique steady block with decaying rest")

@@ -84,8 +84,6 @@ class SpectralFrame:
         Physical-time derivatives of the eigenvector columns.
     denergies : ndarray, shape (M, d)
         Physical-time derivatives of the eigenvalues.
-    gauge : str
-        "smooth" or "parallel-transport".
     max_residual : float
         Largest eigenvalue-equation residual encountered, for diagnostics.
     """
@@ -96,7 +94,6 @@ class SpectralFrame:
     vectors: np.ndarray
     dvectors: np.ndarray
     denergies: np.ndarray
-    gauge: str
     max_residual: float = 0.0
 
     @property
@@ -107,16 +104,9 @@ class SpectralFrame:
         """Eigenvector time series of level n, shape (M, d)."""
         return self.vectors[:, :, n]
 
-    def dlevel(self, n: int) -> np.ndarray:
-        return self.dvectors[:, :, n]
-
     def connection(self, n: int, m: int) -> np.ndarray:
         """Series <E_n(s)|dE_m/dt(s)> over the grid."""
         return np.einsum("ki,ki->k", np.conj(self.vectors[:, :, n]), self.dvectors[:, :, m])
-
-    def min_gap(self) -> float:
-        e = np.sort(self.energies, axis=1)
-        return float(np.min(np.diff(e, axis=1)))
 
 
 def _assign_by_overlap(prev_vecs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -141,16 +131,15 @@ def tracked_eigensystem(
     h: Schedule,
     n_points: int,
     gauge: str = "smooth",
-    gap_tol_factor: float = GAP_TOL_FACTOR,
-    min_adjacent_overlap: float = 0.999,
 ) -> SpectralFrame:
     """Diagonalize a Hamiltonian schedule on a grid with continuity tracking.
 
     Levels are ordered by ascending energy at s=0 and followed through the
-    grid by maximum-overlap assignment.  A gap below ``gap_tol_factor``
+    grid by maximum-overlap assignment.  A gap below ``GAP_TOL_FACTOR``
     times the Hamiltonian scale anywhere on the grid is treated as a level
     crossing and refused, because derivative and connection data are
-    meaningless across a crossing.
+    meaningless across a crossing; so is an adjacent-node eigenvector
+    overlap below 0.999, which means the grid is too coarse to track.
     """
     if gauge not in ("smooth", "parallel-transport"):
         raise ValueError(f"unknown gauge {gauge!r}")
@@ -158,7 +147,7 @@ def tracked_eigensystem(
     hams = h.sample(grid)
     energies, vectors = np.linalg.eigh(hams)
     scale = np.maximum(1.0, np.max(np.abs(energies), axis=1))
-    gap_closed = np.min(np.diff(energies, axis=1), axis=1) < gap_tol_factor * scale
+    gap_closed = np.min(np.diff(energies, axis=1), axis=1) < GAP_TOL_FACTOR * scale
 
     for k, s in enumerate(grid):
         if gap_closed[k]:
@@ -170,7 +159,7 @@ def tracked_eigensystem(
             order = _assign_by_overlap(prev, vectors[k])
             energies[k], vectors[k] = energies[k, order], vectors[k][:, order]
             adj = np.abs(np.einsum("in,in->n", np.conj(prev), vectors[k]))
-            if np.min(adj) < min_adjacent_overlap:
+            if np.min(adj) < 0.999:
                 raise LevelCrossingError(
                     f"continuity tracking failed at s={s:.6f} "
                     f"(min adjacent overlap {np.min(adj):.4f}); increase n_points"
@@ -202,7 +191,6 @@ def tracked_eigensystem(
         vectors=vectors,
         dvectors=dvectors,
         denergies=np.real(denergies),
-        gauge=gauge,
         max_residual=max_res,
     )
 
@@ -213,7 +201,6 @@ def frame_from_functions(
     energy_fn: Callable[[float], np.ndarray],
     vector_fn: Callable[[float], np.ndarray],
     dvector_fn: Callable[[float], np.ndarray] | None = None,
-    gauge: str = "smooth",
 ) -> SpectralFrame:
     """Build a frame from closed-form eigensystem functions of s in [0, 1].
 
@@ -239,7 +226,6 @@ def frame_from_functions(
         vectors=vectors,
         dvectors=dvectors,
         denergies=np.real(denergies),
-        gauge=gauge,
     )
 
 
@@ -260,11 +246,11 @@ class LiouvilleSpectrum:
     near_defective: bool = False
 
 
-def _matrix_rank(a: np.ndarray, tol_factor: float = RANK_SVD_TOL) -> int:
+def _matrix_rank(a: np.ndarray) -> int:
     svals = np.linalg.svd(a, compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
         return 0
-    return int(np.sum(svals > tol_factor * svals[0]))
+    return int(np.sum(svals > RANK_SVD_TOL * svals[0]))
 
 
 def _jordan_block_sizes(mat: np.ndarray, lam: complex, alg_mult: int) -> list:

@@ -38,7 +38,6 @@ class PhaseChoice:
     """Per-level phase rates theta_n(s) on a frame grid, in rad/s."""
 
     theta: np.ndarray  # (M, d) real
-    name: str = "custom"
 
     def __post_init__(self) -> None:
         self.theta = np.asarray(self.theta, dtype=float)
@@ -47,13 +46,7 @@ class PhaseChoice:
 def adiabatic_phases(frame: SpectralFrame) -> PhaseChoice:
     """Phase rates that mimic slow driving: -E_n plus the connection term
     i <E_n|dE_n/dt>."""
-    m, d = frame.energies.shape
-    theta = np.empty((m, d))
-    for n in range(d):
-        conn = 1j * frame.connection(n, n)
-        _assert_real(conn, "adiabatic phase")
-        theta[:, n] = -frame.energies[:, n] + np.real(conn)
-    return PhaseChoice(theta, name="adiabatic")
+    return PhaseChoice(optimal_phases(frame).theta - frame.energies)
 
 
 def optimal_phases(frame: SpectralFrame) -> PhaseChoice:
@@ -65,13 +58,13 @@ def optimal_phases(frame: SpectralFrame) -> PhaseChoice:
         conn = 1j * frame.connection(n, n)
         _assert_real(conn, "optimal phase")
         theta[:, n] = np.real(conn)
-    return PhaseChoice(theta, name="optimal")
+    return PhaseChoice(theta)
 
 
 def constant_phases(frame: SpectralFrame, values: Sequence[float]) -> PhaseChoice:
     values = np.asarray(values, dtype=float)
     theta = np.broadcast_to(values, (len(frame.grid), values.shape[0])).copy()
-    return PhaseChoice(theta, name="constant")
+    return PhaseChoice(theta)
 
 
 def _assert_real(series: np.ndarray, label: str) -> None:
@@ -139,9 +132,10 @@ def counter_diabatic_term(frame: SpectralFrame) -> Schedule:
     return generalized_tqd(frame, optimal_phases(frame))
 
 
-def energy_cost_sigma(h: Schedule, n_quad: int = 801) -> float:
-    """Mean Hilbert-Schmidt field size (1/tau) int sqrt(Tr H^2) dt."""
-    grid = np.linspace(0.0, 1.0, n_quad)
+def energy_cost_sigma(h: Schedule) -> float:
+    """Mean Hilbert-Schmidt field size (1/tau) int sqrt(Tr H^2) dt, by the
+    trapezoid rule on 801 points."""
+    grid = np.linspace(0.0, 1.0, 801)
     hams = h.sample(grid)
     vals = np.sqrt(np.maximum(np.real(np.trace(hams @ hams, axis1=1, axis2=2)), 0.0))
     return float(trapezoid(vals, grid))

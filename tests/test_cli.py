@@ -1,3 +1,4 @@
+import ast
 import math
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from adiabatic_lab.openad import deutsch_scenario
 from adiabatic_lab.tqd import compile_pulse_sequence, parse_pulse_sequence
 
 GOLDEN = Path(__file__).parent / "golden"
+PACKAGE = Path(__file__).parent.parent / "src" / "adiabatic_lab"
 
 CASES = {
     "adcheck": ["adcheck", "--r-sweep", "0.5:1.5:0.5", "--n-points", "301"],
@@ -109,7 +111,9 @@ def test_deutsch_sweep_with_one_failing_member_prints_its_error_line(capsys):
     with pytest.raises(IntegrationError, match="trace drift") as alone:
         deutsch_scenario((0, 1), omega, 2.0 * omega, second, n_steps=100)
     assert main(["deutsch", "--gamma", "2", "--tau-ladder", "2", "--n-steps", "100"]) == 2
-    assert capsys.readouterr().err.splitlines() == [f"error: {alone.value}; increase --n-steps"]
+    line = "error: step 26: trace drift 1.000e+00 exceeds 1.0e-09; increase --n-steps"
+    assert f"error: {alone.value}; increase --n-steps" == line
+    assert capsys.readouterr().err.splitlines() == [line]
 
 
 def test_resonant_sweep_point_becomes_nan_row():
@@ -303,3 +307,17 @@ def test_check_config_flags_mutual_exclusion():
         },
     )
     assert any("balanced" in p and "constant" in p for p in problems)
+
+
+def test_package_modules_use_every_name_they_import():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert sorted(PACKAGE.glob("*.py")) and not unused, unused

@@ -328,6 +328,9 @@ def test_frame_transform_rejects_nonunitary_map():
     bad = frame_transform(sched, lambda s: (1.0 + s) * np.eye(2))
     with pytest.raises(ValueError, match="unitary"):
         bad.at(0.5)
+    wide = frame_transform(sched, lambda s: np.eye(2, 3))
+    with pytest.raises(ValueError, match="frame map is not unitary at s=0.5"):
+        wide.at(0.5)
 
 
 def test_nmr_closed_form_limits():

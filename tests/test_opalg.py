@@ -137,6 +137,7 @@ def test_unitary_and_hermitian_detectors():
     assert not is_hermitian(SIGMA_X + 1j * np.eye(2))
     assert is_unitary(SIGMA_X)
     assert not is_unitary(2.0 * np.eye(2))
+    assert not is_unitary(np.eye(2, 3))  # orthonormal rows, not square
 
 
 def test_vector_shape_validation():
