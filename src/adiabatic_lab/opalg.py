@@ -32,22 +32,23 @@ _PAULI_BY_LETTER = {"I": SIGMA_0, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of every matrix in a stack (..., D, D)."""
-    return np.swapaxes(np.conj(np.asarray(a)), -1, -2)
+    return np.conj(a).swapaxes(-1, -2)
 
 
 def is_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> bool:
-    """Max-entry Hermiticity test."""
+    """Max-entry Hermiticity test; an empty matrix passes."""
     a = np.asarray(a)
-    return bool(np.max(np.abs(a - dagger(a))) < tol)
+    return bool(np.max(np.abs(a - dagger(a)), initial=0.0) < tol)
 
 
 def is_unitary(u: np.ndarray) -> bool:
     """Max-entry unitarity test against u u^dag = 1; a non-square matrix is
-    never unitary, even when its rows are orthonormal."""
+    never unitary, even when its rows are orthonormal, and the 0x0 matrix
+    is."""
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
-    return bool(np.max(np.abs(u @ dagger(u) - np.eye(u.shape[0]))) < 1e-10)
+    return bool(np.max(np.abs(u @ dagger(u) - np.eye(u.shape[0])), initial=0.0) < 1e-10)
 
 
 def is_density_matrix(rho: np.ndarray) -> bool:
@@ -55,7 +56,8 @@ def is_density_matrix(rho: np.ndarray) -> bool:
 
     The positivity tolerance is looser than the others on purpose: states
     coming out of a fixed-step integrator accumulate a small negative
-    eigenvalue drift that is diagnosed, not rejected.
+    eigenvalue drift that is diagnosed, not rejected.  The 0x0 matrix has
+    trace 0, so it is not a state.
     """
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:

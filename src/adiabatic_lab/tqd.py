@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import trapezoid
 
-from .dynamics import Schedule, evolve_unitary, pure_state_density
+from .dynamics import Schedule, difference_points, evolve_unitary, pure_state_density
 from .opalg import SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger
 from .spectral import SpectralFrame, fourth_order_derivative, frame_from_functions
 
@@ -187,8 +187,7 @@ def lz_schedules(
     def tdot(s: float) -> float:
         if theta_dot_fn is not None:
             return theta_dot_fn(s)
-        h = 1e-6
-        lo, hi = max(0.0, s - h), min(1.0, s + h)
+        lo, hi = difference_points(s)
         return (theta_fn(hi) - theta_fn(lo)) / (hi - lo)
 
     def h0_sampler(s: float) -> np.ndarray:

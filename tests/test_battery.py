@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from adiabatic_lab.opalg import SIGMA_X, SIGMA_Y, SIGMA_Z
+from adiabatic_lab.dynamics import Schedule, evolve_unitary
+from adiabatic_lab.opalg import SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z
 from adiabatic_lab.battery import (
     ergotropy,
     passive_state,
@@ -72,6 +73,26 @@ def test_ergotropy_rejects_non_hermitian_inputs():
 
 def test_power_operator_hand_check():
     assert np.allclose(power_operator(SIGMA_Z, SIGMA_X), 2.0 * SIGMA_Y, atol=1e-12)
+
+
+def test_stacked_power_operator_matches_per_node_loop_and_names_first_bad_node():
+    h0 = np.diag([0.0, 1.0, 2.5]).astype(complex)
+    a = RNG.normal(size=(7, 3, 3)) + 1j * RNG.normal(size=(7, 3, 3))
+    h_c = a + np.conj(np.swapaxes(a, -1, -2))
+    stack = power_operator(h0, h_c)
+    assert np.array_equal(stack, np.array([power_operator(h0, h) for h in h_c]))
+    grid = h_c.reshape(7, 1, 3, 3)
+    assert np.array_equal(power_operator(h0, grid), stack[:, None])
+    bad = h_c.copy()
+    bad[3, 0, 1] += 1e-3
+    bad[5, 1, 2] += 1.0
+    p3 = -1j * (h0 @ bad[3] - bad[3] @ h0)
+    asym = np.max(np.abs(p3 - p3.conj().T))
+    with pytest.raises(AssertionError, match=f"^power observable asymmetry {asym:.2e} at node 3$"):
+        power_operator(h0, bad)
+    with pytest.raises(AssertionError, match=f"^power observable asymmetry {asym:.2e}$"):
+        power_operator(h0, bad[3])
+
 
 
 # ---------------------------------------------------------------------------
@@ -207,3 +228,33 @@ def test_two_cell_ramp_and_hold_guards():
         two_cell_discharge(lambda s: 0.5 + 0.5 * s, J, J, 1.0e-2, n_steps=200)
     with pytest.raises(ValueError, match="hold_fraction"):
         two_cell_discharge(lambda s: s, J, J, 1.0e-2, n_steps=200, hold_fraction=-1.0)
+
+
+def _two_cell_power_per_node(ramp, j_coupling, omega0, tau, n_steps, hold_fraction):
+    """The two-cell power readout as a loop of one power observable and one
+    vdot per node, on the same trajectory as two_cell_discharge."""
+    parts = two_cell_hamiltonians(j_coupling)
+    stretch = 1.0 + hold_fraction
+
+    def sampler(s):
+        f = ramp(min(s * stretch, 1.0))
+        return (1.0 - f) * parts["initial"] + (1.0 - f) * f * parts["bridge"] + f * parts["final"]
+
+    singlet = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
+    psi0 = np.kron(singlet, np.array([1.0, 0.0], dtype=complex))
+    traj = evolve_unitary(Schedule(tau * stretch, sampler), psi0, n_steps)
+    h0_hub = np.kron(np.kron(SIGMA_0, SIGMA_0), -omega0 * SIGMA_Z)
+    power = np.empty(len(traj.times))
+    for k, psi in enumerate(traj.states):
+        p_op = power_operator(h0_hub, sampler(traj.times[k] / (tau * stretch)))
+        power[k] = float(np.real(np.vdot(psi, p_op @ psi)))
+    return power
+
+
+@pytest.mark.parametrize("ramp", [lambda s: s, lambda s: math.sin(0.5 * math.pi * s) ** 2], ids=["linear", "sin2"])
+def test_two_cell_blocked_power_matches_per_node_loop(ramp):
+    """600 steps give 601 nodes: two full 256-node blocks and a short one,
+    with the hold window inside the last."""
+    rep = two_cell_discharge(ramp, J, J, 20.0 / J, n_steps=600, hold_fraction=0.2)
+    assert len(rep.power) % 256
+    assert np.array_equal(rep.power, _two_cell_power_per_node(ramp, J, J, 20.0 / J, 600, 0.2))

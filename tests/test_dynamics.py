@@ -8,6 +8,7 @@ from adiabatic_lab.dynamics import (
     IntegrationError,
     LindbladGenerator,
     Schedule,
+    difference_points,
     evolve_lindblad,
     evolve_unitary,
     fidelity,
@@ -46,6 +47,38 @@ def test_rk4_raises_on_blowup():
     with pytest.raises(IntegrationError) as err:
         rk4(lambda t: np.array([[0.0 if t < 5.0 else 1e200]]), np.array([1.0]), times, np.matmul)
     assert err.value.step == 6
+
+
+def test_member_axis_rk4_names_the_node_of_the_member_that_fails_first():
+    """Member 1 switches on at t = 3 and overflows on the step leaving node 3;
+    member 0 fails at node 8 on its own.  The lock-step run names node 4."""
+    times = np.linspace(0.0, 10.0, 11)
+    onsets = np.array([7.0, 3.0])
+
+    def sample(t):
+        return np.where(t < onsets, 0.0, 1e200)[..., None, None]
+
+    for onset, step in zip(onsets, (8, 4)):
+        with pytest.raises(IntegrationError) as err:
+            rk4(lambda t: np.array([[0.0 if t < onset else 1e200]]), np.array([1.0]), times, np.matmul)
+        assert err.value.step == step
+    with pytest.raises(IntegrationError) as err:
+        rk4(sample, np.ones((2, 1, 1)), np.stack([times, times], axis=1), np.matmul)
+    assert err.value.step == 4
+
+
+def test_rk4_sampler_error_at_a_later_node_wins_over_an_earlier_blowup():
+    """The finiteness check runs once, after the loop, so a sampler that
+    raises further along the grid is what the caller sees."""
+    times = np.linspace(0.0, 10.0, 11)
+
+    def sample(t):
+        if t > 8.0:
+            raise ValueError(f"no sample at t={t}")
+        return np.array([[0.0 if t < 5.0 else 1e200]])
+
+    with pytest.raises(ValueError, match="no sample at t=8.5"):
+        rk4(sample, np.array([1.0]), times, np.matmul)
 
 
 def _rk4_four_samples(sample, y0, times, act):
@@ -167,28 +200,53 @@ def test_evolve_samples_schedule_2n_plus_1_times(tau, n_steps):
 
 
 def _lindblad_action_per_call(gen, rho):
-    """lindblad_action as it was before J^dag and J^dag J were cached."""
+    """Reference lindblad_action: a loop over the channels that forms
+    J^dag and J^dag J on every call."""
     h = gen.hamiltonian
     out = -1j * (h @ rho - rho @ h)
     for rate, jump in gen.jumps:
         jd = dagger(jump)
         jdj = jd @ jump
-        out += rate * (jump @ rho @ jd - 0.5 * (jdj @ rho + rho @ jdj))
+        scale = rate[..., None, None] if np.ndim(rate) else rate
+        out += scale * (jump @ rho @ jd - 0.5 * (jdj @ rho + rho @ jdj))
     return out
 
 
-@pytest.mark.parametrize("n_jumps", [0, 1, 2, 3])
+@pytest.mark.parametrize("n_jumps", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_lindblad_action_cache_is_bit_identical(n_jumps, dim):
+    """The channel-stacked action equals the per-channel loop for scalar,
+    per-node and member rates (member rates come from ``replace``) and for
+    shared, stacked and mixed jumps: on a stack of M nodes, on the
+    superoperator builder's (N, 1, D, D) operand stack, and on node k,
+    which acts as its own generator does."""
     rng = np.random.default_rng(10 * dim + n_jumps)
-    h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    jumps = tuple(
-        (float(rng.uniform(0.0, 2.0)), rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-        for _ in range(n_jumps)
-    )
-    gen = LindbladGenerator(h + dagger(h), jumps)
-    rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    assert np.array_equal(lindblad_action(gen, rho), _lindblad_action_per_call(gen, rho))
+    m = 5
+
+    def mat(*lead):
+        return rng.normal(size=lead + (dim, dim)) + 1j * rng.normal(size=lead + (dim, dim))
+
+    h = mat(m)
+    h = h + dagger(h)
+    rho = mat(m)
+    for rates in ("scalar", "per-node", "member", "mixed"):
+        for jumps in ("shared", "stacked", "mixed"):
+            ops = [mat() if jumps == "shared" or (jumps == "mixed" and n % 2) else mat(m) for n in range(n_jumps)]
+            gammas = [float(rng.uniform(0.0, 2.0)) if rates == "scalar" or (rates == "mixed" and n % 2)
+                      else rng.uniform(0.0, 2.0, m) for n in range(n_jumps)]
+            if rates == "member":
+                gen = LindbladGenerator(h[0], tuple((0.0, j) for j in ops)).replace(h, tuple(gammas))
+            else:
+                gen = LindbladGenerator(h, tuple(zip(gammas, ops)))
+            assert np.array_equal(lindblad_action(gen, rho), _lindblad_action_per_call(gen, rho))
+            assert np.array_equal(lindblad_action(gen, rho[:, None]), _lindblad_action_per_call(gen, rho[:, None]))
+            for k in (0, m - 1):
+                node = LindbladGenerator(h[k], tuple((g[k] if np.ndim(g) else g, j[k] if j.ndim > 2 else j)
+                                                     for g, j in zip(gammas, ops)))
+                assert np.array_equal(lindblad_action(gen[k], rho[k]), _lindblad_action_per_call(node, rho[k]))
+                assert np.array_equal(lindblad_action(gen[k], rho[k]), lindblad_action(gen, rho)[k])
+    single = LindbladGenerator(h[0], tuple((float(rng.uniform(0.0, 2.0)), mat()) for _ in range(n_jumps)))
+    assert np.array_equal(lindblad_action(single, rho[0]), _lindblad_action_per_call(single, rho[0]))
 
 
 def test_evolve_unitary_norm_and_oracle():
@@ -321,6 +379,12 @@ def test_frame_transform_finite_difference_fallback():
     got = np.asarray(transformed.at(0.5))
     assert np.max(np.abs(got - dagger(got))) < 1e-8 * w
     assert np.max(np.abs(got)) < 1e-4 * w
+
+
+def test_difference_points_are_central_inside_and_one_sided_at_the_ends():
+    assert difference_points(0.5) == (0.5 - 1e-6, 0.5 + 1e-6)
+    assert difference_points(0.0) == (0.0, 1e-6)
+    assert difference_points(1.0) == (1.0 - 1e-6, 1.0)
 
 
 def test_frame_transform_rejects_nonunitary_map():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adiabatic_lab.dynamics import LindbladGenerator, Schedule, evolve_lindblad
 from adiabatic_lab.opalg import (
     CoherenceVector,
     LinearityError,
@@ -138,6 +139,18 @@ def test_unitary_and_hermitian_detectors():
     assert is_unitary(SIGMA_X)
     assert not is_unitary(2.0 * np.eye(2))
     assert not is_unitary(np.eye(2, 3))  # orthonormal rows, not square
+
+
+def test_empty_matrix_gets_a_verdict():
+    """The 0x0 matrix is Hermitian and unitary but, with trace 0, not a
+    state, so an open run from it fails on its named rho0 check."""
+    empty = np.zeros((0, 0))
+    assert is_hermitian(empty)
+    assert is_unitary(empty)
+    assert not is_density_matrix(empty)
+    sched = Schedule(1.0, lambda s: LindbladGenerator(empty))
+    with pytest.raises(ValueError, match="^rho0 is not a density matrix$"):
+        evolve_lindblad(sched, empty, 4)
 
 
 def test_vector_shape_validation():
