@@ -133,6 +133,52 @@ def _check_boundary(value: float, scale: float, label: str) -> None:
         raise ValueError(f"{label} must vanish for this protocol, got {value:.3e}")
 
 
+def stirap_schedule(
+    omega12: Callable[[float], float],
+    omega23: Callable[[float], float],
+    tau: float,
+    noise: dict | None = None,
+    hold_fraction: float = 0.1,
+) -> Schedule:
+    """The ladder's open schedule for :func:`stirap_charge`: the two-tone
+    drive swept over ``tau``, then held at its final value for
+    ``hold_fraction`` of tau, with the jumps of ``noise`` (rates keyed as
+    in :func:`stirap_noise_model`).  The schedule is vectorized: the
+    envelopes are called once per node, and one stacked generator shares
+    one set of channels."""
+    rates = noise or {}
+    jumps = []
+    lower21 = np.zeros((3, 3), dtype=complex)
+    lower21[0, 1] = 1.0
+    lower32 = np.zeros((3, 3), dtype=complex)
+    lower32[1, 2] = 1.0
+    for key, op in (
+        ("gamma21", lower21),
+        ("gamma32", lower32),
+        ("deph2", np.diag([0.0, 1.0, 0.0]).astype(complex)),
+        ("deph3", np.diag([0.0, 0.0, 1.0]).astype(complex)),
+    ):
+        rate = float(rates.get(key, 0.0))
+        if rate < 0:
+            raise ValueError(f"negative rate {key}")
+        if rate > 0:
+            jumps.append((rate, op))
+
+    if hold_fraction < 0:
+        raise ValueError("hold_fraction must be non-negative")
+    stretch = 1.0 + hold_fraction
+    dissipator = LindbladGenerator(np.zeros((3, 3)), tuple(jumps))
+
+    def sampler(s: np.ndarray) -> LindbladGenerator:
+        s_prot = np.minimum(s * stretch, 1.0).tolist()
+        ham = np.zeros((len(s_prot), 3, 3), dtype=complex)
+        ham[:, 0, 1] = ham[:, 1, 0] = [omega12(x) for x in s_prot]
+        ham[:, 1, 2] = ham[:, 2, 1] = [omega23(x) for x in s_prot]
+        return dissipator.replace(ham)
+
+    return Schedule(tau * stretch, sampler, vectorized=True)
+
+
 def stirap_charge(
     omega12: Callable[[float], float],
     omega23: Callable[[float], float],
@@ -173,39 +219,8 @@ def stirap_charge(
     elif protocol is not None:
         raise ValueError(f"unknown protocol {protocol!r}")
 
-    rates = noise or {}
-    jumps = []
-    lower21 = np.zeros((3, 3), dtype=complex)
-    lower21[0, 1] = 1.0
-    lower32 = np.zeros((3, 3), dtype=complex)
-    lower32[1, 2] = 1.0
-    for key, op in (
-        ("gamma21", lower21),
-        ("gamma32", lower32),
-        ("deph2", np.diag([0.0, 1.0, 0.0]).astype(complex)),
-        ("deph3", np.diag([0.0, 0.0, 1.0]).astype(complex)),
-    ):
-        rate = float(rates.get(key, 0.0))
-        if rate < 0:
-            raise ValueError(f"negative rate {key}")
-        if rate > 0:
-            jumps.append((rate, op))
-
-    if hold_fraction < 0:
-        raise ValueError("hold_fraction must be non-negative")
-    stretch = 1.0 + hold_fraction
-    dissipator = LindbladGenerator(np.zeros((3, 3)), tuple(jumps))
-
-    def sampler(s: float) -> LindbladGenerator:
-        s_prot = min(s * stretch, 1.0)
-        w12, w23 = omega12(s_prot), omega23(s_prot)
-        ham = np.array(
-            [[0.0, w12, 0.0], [w12, 0.0, w23], [0.0, w23, 0.0]], dtype=complex
-        )
-        return dissipator.replace(ham)
-
     rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
-    traj = evolve_lindblad(Schedule(tau * stretch, sampler), rho0, n_steps)
+    traj = evolve_lindblad(stirap_schedule(omega12, omega23, tau, noise, hold_fraction), rho0, n_steps)
 
     h0 = np.diag([w1, w2, w3]).astype(complex)
     states = np.asarray(traj.states)
@@ -310,6 +325,30 @@ def two_cell_hamiltonians(j_coupling: float) -> dict:
     }
 
 
+def two_cell_schedule(
+    ramp: Callable[[float], float],
+    j_coupling: float,
+    tau: float,
+    hold_fraction: float = 0.1,
+) -> Schedule:
+    """The bond sweep of :func:`two_cell_discharge`, H(s) = (1 - f) H_initial
+    + (1 - f) f H_bridge + f H_final with f = ramp(s) over ``tau``, then the
+    final bonds held for ``hold_fraction`` of tau.  The schedule is
+    vectorized: ``ramp`` is called once per node, on a Python float."""
+    if abs(ramp(0.0)) > RAMP_TOL or abs(ramp(1.0) - 1.0) > RAMP_TOL:
+        raise ValueError("ramp must satisfy f(0) = 0 and f(1) = 1")
+    if hold_fraction < 0:
+        raise ValueError("hold_fraction must be non-negative")
+    parts = two_cell_hamiltonians(j_coupling)
+    stretch = 1.0 + hold_fraction
+
+    def sampler(s: np.ndarray) -> np.ndarray:
+        f = np.array([ramp(x) for x in np.minimum(s * stretch, 1.0).tolist()])[:, None, None]
+        return (1.0 - f) * parts["initial"] + (1.0 - f) * f * parts["bridge"] + f * parts["final"]
+
+    return Schedule(tau * stretch, sampler, vectorized=True)
+
+
 def two_cell_discharge(
     ramp: Callable[[float], float],
     j_coupling: float,
@@ -334,27 +373,12 @@ def two_cell_discharge(
     mechanism.  ``tail_max_power`` reports the largest |P| seen there and
     ``peak_power`` the run's own maximum for normalizing it.
     """
-    if abs(ramp(0.0)) > RAMP_TOL or abs(ramp(1.0) - 1.0) > RAMP_TOL:
-        raise ValueError("ramp must satisfy f(0) = 0 and f(1) = 1")
-    if hold_fraction < 0:
-        raise ValueError("hold_fraction must be non-negative")
-    parts = two_cell_hamiltonians(j_coupling)
-    stretch = 1.0 + hold_fraction
-
-    def sampler(s: float) -> np.ndarray:
-        f = ramp(min(s * stretch, 1.0))
-        return (
-            (1.0 - f) * parts["initial"]
-            + (1.0 - f) * f * parts["bridge"]
-            + f * parts["final"]
-        )
-
+    sched = two_cell_schedule(ramp, j_coupling, tau, hold_fraction)
     singlet = np.zeros(4, dtype=complex)
     singlet[1] = 1.0 / math.sqrt(2.0)
     singlet[2] = -1.0 / math.sqrt(2.0)
     psi0 = np.kron(singlet, np.array([1.0, 0.0], dtype=complex))
 
-    sched = Schedule(tau * stretch, sampler)
     traj = evolve_unitary(sched, psi0, n_steps)
 
     h0_hub = np.kron(np.kron(SIGMA_0, SIGMA_0), -omega0 * SIGMA_Z)
@@ -363,9 +387,11 @@ def two_cell_discharge(
     charge = _expectation(traj.states, h0_hub) + omega0
     parity = _expectation(traj.states, parity_op)
     power = np.empty(m)
+    # one sampler call per block re-samples the nodes rk4 sampled and dropped:
+    # keeping every sample would cost memory that blocks do not
     for a in range(0, m, _POWER_BLOCK):
         block = slice(a, a + _POWER_BLOCK)
-        p_op = power_operator(h0_hub, sched.sample(traj.times[block] / (tau * stretch)))
+        p_op = power_operator(h0_hub, sched.sample(traj.times[block] / sched.tau))
         power[block] = _expectation(traj.states[block], p_op)
     k_end = int(np.searchsorted(traj.times, tau, side="right"))
     tail = np.abs(power[min(k_end, m - 1):]) if hold_fraction > 0 else np.abs(power[-2:])

@@ -311,13 +311,13 @@ def jordan_block_coefficient_ode(
     shift = np.eye(u, k=1, dtype=complex)
     times = np.linspace(0.0, tau, n_steps + 1)
 
-    def sample(t: float) -> np.ndarray:
+    def node(t: float) -> np.ndarray:
         g = np.asarray(g_fn(t / time_scale(tau)), dtype=complex)
         if g.shape != (u, u):
             raise ValueError(f"block matrix shape {g.shape} does not match p")
         return shift - g
 
-    return times, rk4(sample, p0, times, np.matmul)
+    return times, rk4(lambda ts: [node(t) for t in ts], p0, times, np.matmul)
 
 
 def adiabatic_propagator_inverse_identities(

@@ -296,7 +296,9 @@ def dephasing_heat_scenario(
     results = []
     for r, gamma_fn in enumerate(gamma_fns):
         member = traj.member(r)
-        sched = Schedule(tau, lambda s, f=gamma_fn: dephasing.replace(ham, (f(s),)))
+        sched = Schedule(tau, lambda s, f=gamma_fn: dephasing.replace(
+            np.broadcast_to(ham, s.shape + ham.shape), (np.array([f(x) for x in s.tolist()]),)),
+            vectorized=True)
         ledger = build_ledger(sched, member, basis=basis)
         s_grid = member.times / time_scale(tau)
         gamma_int = cumtrapz(np.array([gamma_fn(s) for s in s_grid]), member.times)

@@ -328,13 +328,13 @@ def gate_target_unitary(axis: Sequence[float], phi: float) -> np.ndarray:
     return p_plus + np.exp(1j * phi) * p_minus
 
 
-def _ancilla_ham(xi: float, omega: float, phi0: float) -> Callable[[float], np.ndarray]:
-    def sampler(s: float) -> np.ndarray:
-        sweep = phi0 * s
-        return -omega * (
-            math.cos(sweep) * SIGMA_Z
-            + math.sin(sweep) * (math.cos(xi) * SIGMA_X + math.sin(xi) * SIGMA_Y)
-        )
+def _ancilla_ham(xi: float, omega: float, phi0: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Bare ancilla sweep; maps s, or an array of s, to one matrix per s."""
+    in_plane = math.cos(xi) * SIGMA_X + math.sin(xi) * SIGMA_Y
+
+    def sampler(s: np.ndarray) -> np.ndarray:
+        sweep = (phi0 * np.asarray(s))[..., None, None]
+        return -omega * (np.cos(sweep) * SIGMA_Z + np.sin(sweep) * in_plane)
 
     return sampler
 
@@ -343,18 +343,19 @@ VARIANTS = ("adiabatic", "standard", "optimal")
 
 
 def variant_sampler(
-    variant: str, base: Callable[[float], np.ndarray], correction: np.ndarray
-) -> Callable[[float], np.ndarray]:
+    variant: str, base: Callable[[np.ndarray], np.ndarray], correction: np.ndarray
+) -> Callable[[np.ndarray], np.ndarray]:
     """Sampler of a driving variant: "adiabatic" is the bare ``base``
     sweep, "standard" adds the fixed ``correction``, "optimal" keeps
-    only the correction."""
+    only the correction.  It takes what ``base`` takes: with an
+    array-native ``base``, an array of s gives one matrix per s."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if variant == "adiabatic":
         return base
     if variant == "standard":
         return lambda s: base(s) + correction
-    return lambda s: correction
+    return lambda s: np.broadcast_to(correction, np.shape(s) + correction.shape)
 
 
 def _ancilla_cd(xi: float, phi0: float, tau: float) -> np.ndarray:
@@ -362,10 +363,12 @@ def _ancilla_cd(xi: float, phi0: float, tau: float) -> np.ndarray:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two matrices: the same products as one broadcast multiply,
-    without np.kron's generic-shape overhead."""
-    (ra, ca), (rb, cb) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
+    """np.kron of two matrices, node by node for stacks (..., R, C): the
+    same products as one broadcast multiply, without np.kron's
+    generic-shape overhead."""
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    *lead, ra, rb, ca, cb = prod.shape
+    return prod.reshape(tuple(lead) + (ra * rb, ca * cb))
 
 
 def controlled_gate_schedule(
@@ -386,20 +389,21 @@ def controlled_gate_schedule(
     plus correction), "optimal" (correction only, exact at any speed and
     time independent).  With ``controlled`` a further qubit gates the
     rotation: the branch Hamiltonian acts only in its excited subspace.
+    The schedule is vectorized: one sampler call gives a whole grid.
     """
     plus = variant_sampler(variant, _ancilla_ham(0.0, omega, phi0), _ancilla_cd(0.0, phi0, tau))
     minus = variant_sampler(variant, _ancilla_ham(phi, omega, phi0), _ancilla_cd(phi, phi0, tau))
     _, _, p_plus, p_minus = _projector_pair(axis)
     off, on = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])  # control-qubit projectors
 
-    def sampler(s: float) -> np.ndarray:
+    def sampler(s: np.ndarray) -> np.ndarray:
         h_plus = plus(s)
         h = _kron(p_plus, h_plus) + _kron(p_minus, minus(s))
         if controlled:
             return _kron(off, _kron(SIGMA_0, h_plus)) + _kron(on, h)
         return h
 
-    return Schedule(tau=tau, sampler=sampler)
+    return Schedule(tau=tau, sampler=sampler, vectorized=True)
 
 
 def gate_run(

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from adiabatic_lab.dynamics import Schedule, evolve_unitary
+from adiabatic_lab.cli import RAMPS
+from adiabatic_lab.dynamics import LindbladGenerator, Schedule, evolve_unitary, lindblad_action
 from adiabatic_lab.opalg import SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z
 from adiabatic_lab.battery import (
     ergotropy,
@@ -13,9 +14,11 @@ from adiabatic_lab.battery import (
     stirap_charge,
     stirap_dark_state_ergotropy,
     stirap_noise_model,
+    stirap_schedule,
     stirap_unstable_ergotropy,
     two_cell_discharge,
     two_cell_hamiltonians,
+    two_cell_schedule,
     unstable_protocol,
 )
 
@@ -230,9 +233,9 @@ def test_two_cell_ramp_and_hold_guards():
         two_cell_discharge(lambda s: s, J, J, 1.0e-2, n_steps=200, hold_fraction=-1.0)
 
 
-def _two_cell_power_per_node(ramp, j_coupling, omega0, tau, n_steps, hold_fraction):
-    """The two-cell power readout as a loop of one power observable and one
-    vdot per node, on the same trajectory as two_cell_discharge."""
+def _two_cell_scalar_sampler(ramp, j_coupling, hold_fraction):
+    """The two-cell sampler as a one-s closure, the form it had before it
+    took arrays of s."""
     parts = two_cell_hamiltonians(j_coupling)
     stretch = 1.0 + hold_fraction
 
@@ -240,6 +243,14 @@ def _two_cell_power_per_node(ramp, j_coupling, omega0, tau, n_steps, hold_fracti
         f = ramp(min(s * stretch, 1.0))
         return (1.0 - f) * parts["initial"] + (1.0 - f) * f * parts["bridge"] + f * parts["final"]
 
+    return sampler
+
+
+def _two_cell_power_per_node(ramp, j_coupling, omega0, tau, n_steps, hold_fraction):
+    """The two-cell power readout as a loop of one power observable and one
+    vdot per node, on the same trajectory as two_cell_discharge."""
+    stretch = 1.0 + hold_fraction
+    sampler = _two_cell_scalar_sampler(ramp, j_coupling, hold_fraction)
     singlet = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
     psi0 = np.kron(singlet, np.array([1.0, 0.0], dtype=complex))
     traj = evolve_unitary(Schedule(tau * stretch, sampler), psi0, n_steps)
@@ -258,3 +269,61 @@ def test_two_cell_blocked_power_matches_per_node_loop(ramp):
     rep = two_cell_discharge(ramp, J, J, 20.0 / J, n_steps=600, hold_fraction=0.2)
     assert len(rep.power) % 256
     assert np.array_equal(rep.power, _two_cell_power_per_node(ramp, J, J, 20.0 / J, 600, 0.2))
+
+
+# Normalized times from s = 0 to s = 1, with the hold window s * stretch > 1
+# (stretch 1.2 here) and the sweep's end 1 / stretch itself.
+GRID = np.concatenate([np.linspace(0.0, 1.0, 2001), [1.0 / 1.2, 0.9, 1.0]])
+
+
+@pytest.mark.parametrize("ramp", ["linear", "sin2", "smooth", "math-sin2"])
+def test_two_cell_array_sampler_matches_scalar_closure(ramp):
+    """One array call gives the stack of the one-s closure's samples.  The
+    ramp stays a scalar callable, called on Python floats, so a ramp
+    written with ``math`` works and keeps its bits."""
+    f = (lambda s: math.sin(0.5 * math.pi * s) ** 2) if ramp == "math-sin2" else RAMPS[ramp]
+    sched = two_cell_schedule(f, J, 20.0 / J, hold_fraction=0.2)
+    scalar = _two_cell_scalar_sampler(f, J, 0.2)
+    assert sched.vectorized
+    want = np.array([scalar(s) for s in GRID.tolist()])
+    assert np.array_equal(sched.sample(GRID), want)
+    assert np.array_equal(sched.at(GRID[-2]), want[-2])
+
+
+def _stirap_scalar_sampler(omega12, omega23, noise, hold_fraction):
+    """The STIRAP sampler as a one-s closure, the form it had before it took
+    arrays of s (its jumps come from the array schedule's own generator)."""
+    stretch = 1.0 + hold_fraction
+    dissipator = stirap_schedule(omega12, omega23, 1.0, noise, hold_fraction).at(0.0)
+
+    def sampler(s):
+        s_prot = min(s * stretch, 1.0)
+        w12, w23 = omega12(s_prot), omega23(s_prot)
+        ham = np.array([[0.0, w12, 0.0], [w12, 0.0, w23], [0.0, w23, 0.0]], dtype=complex)
+        return dissipator.replace(ham)
+
+    return sampler
+
+
+@pytest.mark.parametrize("case", ["stable", "unstable", "noisy"])
+def test_stirap_array_sampler_matches_scalar_closure(case):
+    """One array call gives one stacked generator whose Hamiltonians are the
+    one-s closure's and whose jumps are its shared channels; node k acts as
+    the closure's sample at s_k does."""
+    drives = (unstable_protocol if case == "unstable" else stable_protocol)(OMEGA_R)
+    noise = stirap_noise_model(0.05, OMEGA_R) if case == "noisy" else None
+    sched = stirap_schedule(*drives, 20.0 / OMEGA_R, noise, hold_fraction=0.2)
+    scalar = _stirap_scalar_sampler(*drives, noise, 0.2)
+    want = [scalar(s) for s in GRID.tolist()]
+    gen = sched.sample(GRID)
+    assert isinstance(gen, LindbladGenerator)
+    assert np.array_equal(gen.hamiltonian, np.array([g.hamiltonian for g in want]))
+    assert len(gen.jumps) == (4 if case == "noisy" else 0)
+    for (rate, jump), (rate_k, jump_k) in zip(gen.jumps, want[0].jumps):
+        assert rate == rate_k and np.array_equal(jump, jump_k)
+    assert gen.channels[1].ndim == 3  # one (C, D, D) channel stack for every node
+    rho = np.array([random_density(3) for _ in GRID])
+    acts = np.array([lindblad_action(g, r) for g, r in zip(want, rho)])
+    assert np.array_equal(lindblad_action(gen, rho), acts)
+    for k in (0, len(GRID) - 1):
+        assert np.array_equal(lindblad_action(gen[k], rho[k]), acts[k])

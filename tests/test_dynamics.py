@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adiabatic_lab.dynamics import (
+    BLOCK,
     IntegrationError,
     LindbladGenerator,
     Schedule,
@@ -29,15 +32,25 @@ from adiabatic_lab.thermo import entropy_rate, heat_rate, von_neumann_entropy, w
 RNG = np.random.default_rng(7)
 
 
+def _per_node(f):
+    """rk4's block sampler from a sampler of one time: f at each time of the
+    block, in order."""
+    return lambda ts: [f(t) for t in ts]
+
+
 def test_rk4_against_matrix_exponential():
     """Constant-generator flow has the exact solution expm(A t) y0."""
     a = RNG.normal(size=(3, 3)) + 1j * RNG.normal(size=(3, 3))
     a = a / np.linalg.norm(a)
     y0 = RNG.normal(size=3) + 1j * RNG.normal(size=3)
     times = np.linspace(0.0, 2.0, 401)
-    got = rk4(lambda t: a, y0, times, np.matmul)[-1]
+    got = rk4(lambda ts: np.broadcast_to(a, ts.shape + a.shape), y0, times, np.matmul)[-1]
     want = scipy.linalg.expm(2.0 * a) @ y0
     assert np.max(np.abs(got - want)) < 1e-9
+
+
+def _switch(onset):
+    return _per_node(lambda t: np.array([[0.0 if t < onset else 1e200]]))
 
 
 def test_rk4_raises_on_blowup():
@@ -45,7 +58,7 @@ def test_rk4_raises_on_blowup():
     leaving node 5, so the error names node 6."""
     times = np.linspace(0.0, 10.0, 11)
     with pytest.raises(IntegrationError) as err:
-        rk4(lambda t: np.array([[0.0 if t < 5.0 else 1e200]]), np.array([1.0]), times, np.matmul)
+        rk4(_switch(5.0), np.array([1.0]), times, np.matmul)
     assert err.value.step == 6
 
 
@@ -55,12 +68,12 @@ def test_member_axis_rk4_names_the_node_of_the_member_that_fails_first():
     times = np.linspace(0.0, 10.0, 11)
     onsets = np.array([7.0, 3.0])
 
-    def sample(t):
-        return np.where(t < onsets, 0.0, 1e200)[..., None, None]
+    def sample(ts):
+        return np.where(ts < onsets, 0.0, 1e200)[..., None, None]
 
     for onset, step in zip(onsets, (8, 4)):
         with pytest.raises(IntegrationError) as err:
-            rk4(lambda t: np.array([[0.0 if t < onset else 1e200]]), np.array([1.0]), times, np.matmul)
+            rk4(_switch(onset), np.array([1.0]), times, np.matmul)
         assert err.value.step == step
     with pytest.raises(IntegrationError) as err:
         rk4(sample, np.ones((2, 1, 1)), np.stack([times, times], axis=1), np.matmul)
@@ -69,16 +82,20 @@ def test_member_axis_rk4_names_the_node_of_the_member_that_fails_first():
 
 def test_rk4_sampler_error_at_a_later_node_wins_over_an_earlier_blowup():
     """The finiteness check runs once, after the loop, so a sampler that
-    raises further along the grid is what the caller sees."""
-    times = np.linspace(0.0, 10.0, 11)
+    raises further along the grid is what the caller sees: in the block of
+    the blow-up, or two blocks after it."""
+    for n_steps in (10, 2 * BLOCK + 1):
+        times = np.linspace(0.0, 10.0, n_steps + 1)
+        last = times[n_steps - 1]
+        bad = float(last + 0.5 * (times[n_steps] - last))
 
-    def sample(t):
-        if t > 8.0:
-            raise ValueError(f"no sample at t={t}")
-        return np.array([[0.0 if t < 5.0 else 1e200]])
+        def sample(t):
+            if t > last:
+                raise ValueError(f"no sample at t={float(t)!r}")
+            return np.array([[0.0 if t < 2.0 else 1e200]])
 
-    with pytest.raises(ValueError, match="no sample at t=8.5"):
-        rk4(sample, np.array([1.0]), times, np.matmul)
+        with pytest.raises(ValueError, match=re.escape(f"no sample at t={bad!r}") + "$"):
+            rk4(_per_node(sample), np.array([1.0]), times, np.matmul)
 
 
 def _rk4_four_samples(sample, y0, times, act):
@@ -98,8 +115,41 @@ def _rk4_four_samples(sample, y0, times, act):
 
 
 def _extra_samples(times):
-    """Nodes where the previous step's t + dt is a different float from the grid time."""
-    return sum(times[k - 1] + (times[k] - times[k - 1]) != times[k] for k in range(1, len(times) - 1))
+    """Nodes where the previous step's t + dt is a different float from the
+    grid time (of any member, on a member axis)."""
+    return sum(not np.all(times[k - 1] + (times[k] - times[k - 1]) == times[k]) for k in range(1, len(times) - 1))
+
+
+def _recording(f, blocks):
+    """Block sampler that records each call's times and samples f node by node."""
+    def sample(ts):
+        blocks.append(ts.copy())
+        return [f(t) for t in ts]
+
+    return sample
+
+
+def _assert_blocks(blocks, times, n_steps):
+    """One sampler call per block of BLOCK steps, sampling the textbook's
+    times in step order: each step's midpoint and end, and its start only
+    where it is not the previous step's end float (the first step, and
+    nodes off a linspace grid).  That is 2n + 1 samples on a linspace grid."""
+    per_step, last = [], None
+    for k in range(n_steps):
+        t = times[k]
+        dt = times[k + 1] - t
+        per_step.append(([t] if k == 0 or not np.all(last == t) else []) + [t + 0.5 * dt, t + dt])
+        last = per_step[-1][-1]
+    assert len(blocks) == -(-n_steps // BLOCK)
+    for b, ts in enumerate(blocks):
+        assert np.array_equal(ts, np.array(sum(per_step[b * BLOCK:(b + 1) * BLOCK], [])))
+    assert sum(map(len, per_step)) == 2 * n_steps + 1 + _extra_samples(times)
+
+
+def _drive(rng, dim, t_end, rate):
+    a0, a1, a2 = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(3))
+    freq = rng.uniform(0.1, 10.0) / t_end
+    return lambda t: (rate / dim) * (a0 + np.cos(freq * t) * a1 + (t / t_end) * a2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -115,29 +165,51 @@ def test_rk4_matches_four_sample_rk4_bit_for_bit(dim, seed, t_end, n_steps, unif
     grid; a non-uniform grid, where t + dt can miss the next node, resamples
     there instead of reusing the end sample."""
     rng = np.random.default_rng(seed)
-    a0, a1, a2 = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(3))
-    rate = 3.0 * n_steps / t_end  # keeps dt * ||A|| moderate, so states stay finite
-    freq = rng.uniform(0.1, 10.0) / t_end
-    calls = []
-
-    def sample(t):
-        calls.append(t)
-        return (rate / dim) * (a0 + np.cos(freq * t) * a1 + (t / t_end) * a2)
-
+    f = _drive(rng, dim, t_end, 3.0 * n_steps / t_end)  # dt * ||A|| stays moderate, so states stay finite
     y0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     if uniform:
         times = np.linspace(0.0, t_end, n_steps + 1)
     else:
         times = np.sort(rng.uniform(-t_end, t_end, n_steps + 1) * 10.0 ** rng.uniform(-4, 0, n_steps + 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        want = _rk4_four_samples(sample, y0, times, np.matmul)
+        want = _rk4_four_samples(f, y0, times, np.matmul)
     if not np.all(np.isfinite(want)):
         return
-    calls.clear()
-    assert np.array_equal(rk4(sample, y0, times, np.matmul), want)
-    assert len(calls) == 2 * n_steps + 1 + _extra_samples(times)
+    blocks = []
+    assert np.array_equal(rk4(_recording(f, blocks), y0, times, np.matmul), want)
+    _assert_blocks(blocks, times, n_steps)
     if uniform:
         assert _extra_samples(times) == 0
+
+
+@pytest.mark.parametrize("n_steps", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("members", [None, 3])
+def test_rk4_block_boundaries_match_four_sample_rk4_bit_for_bit(n_steps, members):
+    """Runs that end just before, at and just after a block boundary give the
+    textbook loop's states bit for bit, single-run and on a member axis,
+    with one sampler call per block and 2n + 1 samples in all."""
+    rng = np.random.default_rng(n_steps)
+    dim = 3
+    if members is None:
+        f = _drive(rng, dim, 2.0, 1.0)
+        times = np.linspace(0.0, 2.0, n_steps + 1)
+        y0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        blocks = []
+        got = rk4(_recording(f, blocks), y0, times, np.matmul)
+        assert np.array_equal(got, _rk4_four_samples(f, y0, times, np.matmul))
+        _assert_blocks(blocks, times, n_steps)
+        return
+    taus = rng.uniform(0.5, 2.0, members)
+    drives = [_drive(rng, dim, tau, 1.0) for tau in taus]
+    times = np.linspace(0.0, taus, n_steps + 1)
+    y0 = rng.normal(size=(members, dim)) + 1j * rng.normal(size=(members, dim))
+    blocks = []
+    stacked = _recording(lambda t: np.array([f(x) for f, x in zip(drives, t.tolist())]), blocks)
+    got = rk4(stacked, y0[..., None], times, np.matmul)
+    _assert_blocks(blocks, times, n_steps)
+    for r, f in enumerate(drives):
+        want = _rk4_four_samples(f, y0[r, :, None], times[:, r], np.matmul)
+        assert np.array_equal(got[:, r], want)
 
 
 @settings(max_examples=40, deadline=None)
@@ -161,20 +233,16 @@ def test_member_axis_rk4_matches_separate_runs(members, dim, seed, n_steps):
         return lambda t: rate * (a0 + np.cos(freqs[r] * t) * a1 + (t / taus[r]) * a2)
 
     samplers = [member(r) for r in range(members)]
-    calls = []
-
-    def stacked(t):
-        calls.append(t)
-        return np.array([f(x) for f, x in zip(samplers, t.tolist())])
-
+    blocks = []
+    stacked = _recording(lambda t: np.array([f(x) for f, x in zip(samplers, t.tolist())]), blocks)
     y0 = rng.normal(size=(members, dim, dim)) + 1j * rng.normal(size=(members, dim, dim))
     times = np.linspace(0.0, taus, n_steps + 1)
     got = rk4(stacked, y0, times, np.matmul)
     assert got.shape == (n_steps + 1, members, dim, dim)
-    assert len(calls) == 2 * n_steps + 1
+    _assert_blocks(blocks, times, n_steps)
     for r, f in enumerate(samplers):
         assert np.array_equal(times[:, r], np.linspace(0.0, taus[r], n_steps + 1))
-        assert np.array_equal(got[:, r], rk4(f, y0[r], times[:, r], np.matmul))
+        assert np.array_equal(got[:, r], rk4(_per_node(f), y0[r], times[:, r], np.matmul))
 
 
 def _counting(sampler):
@@ -197,6 +265,34 @@ def test_evolve_samples_schedule_2n_plus_1_times(tau, n_steps):
     open_, open_calls = _counting(lambda s: LindbladGenerator((1.0 + s) * ham, ((0.5 / tau, SIGMA_Z),)))
     evolve_lindblad(Schedule(tau, open_), 0.5 * (np.eye(2, dtype=complex) + SIGMA_Z), n_steps)
     assert len(open_calls) == 5 + 2 * n_steps + 1
+
+
+@pytest.mark.parametrize("n_steps", [BLOCK, 2 * BLOCK + 1])
+def test_evolve_samples_a_vectorized_schedule_once_per_block(n_steps):
+    """A vectorized schedule gets the 5 probe samples one node at a time, then
+    one call per block of steps, 2n + 1 nodes in all; the states equal those
+    of the same schedule sampled node by node, bit for bit."""
+    ham = 2.0 * SIGMA_X
+    closed_calls, open_calls = [], []
+
+    def closed(s):
+        closed_calls.append(len(s))
+        return (1.0 + s)[:, None, None] * SIGMA_X + 0.3 * SIGMA_Z
+
+    def open_(s):
+        open_calls.append(len(s))
+        return LindbladGenerator((1.0 + s)[:, None, None] * ham, ((0.5 * (1.0 + s), SIGMA_Z),))
+
+    psi0, rho0 = np.array([1.0, 0.0]), 0.5 * (np.eye(2, dtype=complex) + SIGMA_Z)
+    for sampler, calls, evolve, y0 in ((closed, closed_calls, evolve_unitary, psi0),
+                                       (open_, open_calls, evolve_lindblad, rho0)):
+        got = evolve(Schedule(1.0, sampler, vectorized=True), y0, n_steps)
+        blocks = -(-n_steps // BLOCK)
+        last = [2 * (n_steps - (blocks - 1) * BLOCK)] if blocks > 1 else []
+        assert calls == [1] * 5 + [2 * BLOCK + 1] + [2 * BLOCK] * (blocks - 2) + last
+        assert sum(calls) == 5 + 2 * n_steps + 1
+        want = evolve(Schedule(1.0, lambda s: sampler(np.array([s]))[0]), y0, n_steps)
+        assert np.array_equal(got.states, want.states)
 
 
 def _lindblad_action_per_call(gen, rho):
@@ -551,7 +647,9 @@ def test_stacked_inputs_match_per_element_loop(seed, dim, lead):
     assert np.array_equal(gen.hamiltonian, np.array([g.hamiltonian for g in nodes]))
     for n in range(2):
         assert np.array_equal(gen.jumps[n][0], [g.jumps[n][0] for g in nodes])
-        assert np.array_equal(gen.jumps[n][1], np.array([g.jumps[n][1] for g in nodes]))
+        # a one-node grid keeps its one jump object as a shared jump
+        per_node = np.broadcast_to(gen.jumps[n][1], (len(grid), dim, dim))
+        assert np.array_equal(per_node, np.array([g.jumps[n][1] for g in nodes]))
 
     rhos, rhos2, hams = (x.reshape(-1, dim, dim) for x in (r1, r2, h))
     mixed = 0.5 * rhos + 0.5 * np.eye(dim) / dim  # full rank, so entropy_rate needs no floor
@@ -588,6 +686,48 @@ def test_stacked_inputs_match_per_element_loop(seed, dim, lead):
             assert np.array_equal(mats, stack.matrix)
             assert np.array_equal(mats, np.array([w.matrix for w in want]))
             assert np.array_equal(mats, np.array([superoperator_at(liou, s, basis) for s in grid]))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8])
+def test_sample_shares_a_jump_that_every_node_returns(dim):
+    """A jump that is the same (D, D) object at every node stays one shared
+    matrix in the stacked generator, and the stacked generator acts as the
+    one with a per-node copy does, bit for bit.  A jump built anew at each
+    node, even one equal at every node, is stacked."""
+    rng = np.random.default_rng(dim)
+    h0, h1, fixed = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(3))
+    h0, h1 = h0 + dagger(h0), h1 + dagger(h1)
+    grid = np.linspace(0.0, 1.0, 1001)
+    sched = Schedule(1.0, lambda s: LindbladGenerator(h0 + s * h1, ((1.0 + s, fixed), (0.5, fixed.T.copy()))))
+    gen = sched.sample(grid)
+    assert gen.jumps[0][1] is fixed
+    assert gen.jumps[1][1].shape == (len(grid), dim, dim)
+    copied = LindbladGenerator(gen.hamiltonian, ((gen.jumps[0][0], np.array([fixed] * len(grid))), gen.jumps[1]))
+    rho = rng.normal(size=(len(grid), dim, dim)) + 1j * rng.normal(size=(len(grid), dim, dim))
+    assert np.array_equal(lindblad_action(gen, rho), lindblad_action(copied, rho))
+    for k in (0, 500, len(grid) - 1):
+        assert np.array_equal(lindblad_action(gen[k], rho[k]), lindblad_action(copied[k], rho[k]))
+
+
+def test_vectorized_schedule_samples_a_grid_in_one_call():
+    """A vectorized sampler gets the whole grid as one array; ``at`` passes a
+    one-node array and takes node 0; ``generators`` gives one stacked
+    generator, also for a closed stack."""
+    calls = []
+
+    def sampler(s):
+        calls.append(s.shape)
+        return (1.0 + s)[:, None, None] * SIGMA_X + 0.3 * SIGMA_Z
+
+    sched = Schedule(2.0, sampler, vectorized=True)
+    grid = np.linspace(0.0, 1.0, 7)
+    stack = sched.sample(grid)
+    assert calls == [(7,)] and stack.dtype == complex
+    assert np.array_equal(stack, np.array([(1.0 + s) * SIGMA_X + 0.3 * SIGMA_Z for s in grid]))
+    assert np.array_equal(sched.at(0.5), stack[3]) and calls[-1] == (1,)
+    gens = sched.generators(grid)
+    assert isinstance(gens, LindbladGenerator) and np.array_equal(gens[2].hamiltonian, stack[2])
+    assert isinstance(Schedule(2.0, lambda s: SIGMA_X).generators(grid), list)
 
 
 def _open_sampler(jump_counts):

@@ -169,6 +169,27 @@ def test_rate_sweep_equals_scalar_calls():
         assert got["trajectory"].diagnostics == want["trajectory"].diagnostics
 
 
+@pytest.mark.parametrize("gamma", [628.0, lambda s: 314.0 * (1.0 + s * s)], ids=["float", "callable"])
+def test_scenario_ledger_samples_once_and_matches_the_scalar_schedule(monkeypatch, gamma):
+    """The scenario's ledger schedule is vectorized: its build_ledger adds no
+    Schedule.at call to the 5 probe samples and 2n + 1 integration samples
+    of the sweep, and the ledger equals the one from the one-s schedule
+    (a stacked sigma_z jump per node) bit for bit."""
+    calls = []
+    real_at = Schedule.at
+    monkeypatch.setattr(Schedule, "at", lambda self, s: calls.append(s) or real_at(self, s))
+    res = dephasing_heat_scenario(OMEGA, BETA, gamma, TAU_DEC, n_steps=300)
+    assert len(calls) == 5 + 2 * 300 + 1
+    monkeypatch.undo()
+    rate = gamma if callable(gamma) else (lambda s: gamma)
+    ham = OMEGA * SIGMA_X
+    scalar = Schedule(TAU_DEC, lambda s: LindbladGenerator(ham, ((rate(s), SIGMA_Z.copy()),)))
+    want = build_ledger(scalar, res["trajectory"])
+    assert scalar.sample(np.linspace(0.0, 1.0, 3)).jumps[0][1].shape == (3, 2, 2)
+    for name, val in vars(res["ledger"]).items():
+        assert np.array_equal(val, getattr(want, name)), name
+
+
 def test_scenario_input_validation():
     with pytest.raises(ValueError, match="positive"):
         dephasing_heat_scenario(-1.0, BETA, 314.0, TAU_DEC, n_steps=200)

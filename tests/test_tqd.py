@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from adiabatic_lab.dynamics import Schedule, evolve_unitary
-from adiabatic_lab.opalg import SIGMA_0
+from adiabatic_lab.opalg import SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z
 from adiabatic_lab.spectral import frame_from_functions
 from adiabatic_lab.tqd import (
     _ancilla_cd,
@@ -297,6 +297,48 @@ def test_controlled_gate_samples_match_np_kron_bit_for_bit(variant, controlled):
             )
         got = sched.at(s)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _gate_scalar_sampler(axis, phi, phi0, omega, tau, variant, controlled):
+    """The steered-gate sampler as a one-s closure of math-module sweeps and
+    np.kron, the form it had before it took arrays of s."""
+    def ancilla(xi):
+        def ham(s):
+            sweep = phi0 * s
+            return -omega * (math.cos(sweep) * SIGMA_Z
+                             + math.sin(sweep) * (math.cos(xi) * SIGMA_X + math.sin(xi) * SIGMA_Y))
+        correction = _ancilla_cd(xi, phi0, tau)
+        if variant == "adiabatic":
+            return ham
+        if variant == "standard":
+            return lambda s: ham(s) + correction
+        return lambda s: correction
+
+    plus, minus = ancilla(0.0), ancilla(phi)
+    _, _, p_plus, p_minus = _projector_pair(axis)
+
+    def sampler(s):
+        h = np.kron(p_plus, plus(s)) + np.kron(p_minus, minus(s))
+        if controlled:
+            return np.kron(np.diag([1.0, 0.0]), np.kron(SIGMA_0, plus(s))) + np.kron(np.diag([0.0, 1.0]), h)
+        return h
+
+    return sampler
+
+
+@pytest.mark.parametrize("controlled", [False, True])
+@pytest.mark.parametrize("variant", ["adiabatic", "standard", "optimal"])
+def test_gate_array_sampler_matches_scalar_closure(variant, controlled):
+    """One array call over s in [0, 1] gives the stack of the one-s
+    closure's samples, and a one-node call its sample."""
+    args = ((0.3, -0.5, 0.8), 0.7, 2.7, 2.0 * math.pi * 35.0, 1.0e-3)
+    sched = controlled_gate_schedule(*args, variant, controlled)
+    scalar = _gate_scalar_sampler(*args, variant, controlled)
+    grid = np.concatenate([np.linspace(0.0, 1.0, 4001), [1.0 / 3.0, 0.999999]])
+    want = np.array([scalar(s) for s in grid.tolist()])
+    assert sched.vectorized
+    assert np.array_equal(sched.sample(grid), want)
+    assert np.array_equal(sched.at(grid[-1]), want[-1])
 
 
 def test_gate_run_refuses_empty_branch():
