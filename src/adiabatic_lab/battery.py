@@ -144,8 +144,8 @@ def stirap_schedule(
     drive swept over ``tau``, then held at its final value for
     ``hold_fraction`` of tau, with the jumps of ``noise`` (rates keyed as
     in :func:`stirap_noise_model`).  The schedule is vectorized: the
-    envelopes are called once per node, and one stacked generator shares
-    one set of channels."""
+    envelopes are called once per node, and each sampler call builds one
+    stacked generator whose nodes share one set of channels."""
     rates = noise or {}
     jumps = []
     lower21 = np.zeros((3, 3), dtype=complex)
@@ -167,14 +167,14 @@ def stirap_schedule(
     if hold_fraction < 0:
         raise ValueError("hold_fraction must be non-negative")
     stretch = 1.0 + hold_fraction
-    dissipator = LindbladGenerator(np.zeros((3, 3)), tuple(jumps))
+    jumps = tuple(jumps)
 
     def sampler(s: np.ndarray) -> LindbladGenerator:
         s_prot = np.minimum(s * stretch, 1.0).tolist()
         ham = np.zeros((len(s_prot), 3, 3), dtype=complex)
         ham[:, 0, 1] = ham[:, 1, 0] = [omega12(x) for x in s_prot]
         ham[:, 1, 2] = ham[:, 2, 1] = [omega23(x) for x in s_prot]
-        return dissipator.replace(ham)
+        return LindbladGenerator(ham, jumps)
 
     return Schedule(tau * stretch, sampler, vectorized=True)
 

@@ -41,8 +41,7 @@ class LindbladGenerator:
     construction for :func:`lindblad_action`: ``scales`` has one rate per
     jump as it scales its channel, and J, J^dag and J^dag J are stacked on
     a channel axis, (..., C, D, D).  A generator is not to be mutated after
-    it is built.  :meth:`replace` makes a generator with new rates or a new
-    Hamiltonian that shares these stacks.
+    it is built.
 
     A generator may also hold a stack of M nodes (or M sweep members): an
     (M, D, D) Hamiltonian and, per jump, (M,) rates with (M, D, D) jumps, or
@@ -76,38 +75,22 @@ class LindbladGenerator:
         jd = dagger(j)
         self.channels = (tuple(_scale(g) for g in rates), j, jd, jd @ j)
 
-    def replace(self, hamiltonian: np.ndarray, rates: tuple | None = None) -> "LindbladGenerator":
-        """This generator with another Hamiltonian and, if given, one new rate
-        (a float or an (M,) array) per jump.  The jump operators and the
-        channel stacks of J, J^dag and J^dag J are shared with this
-        generator, not rebuilt."""
-        new = object.__new__(LindbladGenerator)
-        new.hamiltonian = np.asarray(hamiltonian, dtype=complex)
-        if rates is None:
-            new.jumps, new.channels = self.jumps, self.channels
-        else:
-            rates = [_rate(g) for g in rates]
-            new.jumps = tuple((g, j) for g, (_, j) in zip(rates, self.jumps))
-            new.channels = (tuple(_scale(g) for g in rates),) + self.channels[1:]
-        return new
-
     def __getitem__(self, k: int) -> "LindbladGenerator":
         """Node (or member) k of a stacked generator; parts shared by every
         node stay whole, and the channel stacks are sliced, not rebuilt.
         When only the Hamiltonian is stacked, node k shares every channel
-        stack as :meth:`replace` does, so :func:`rk4` can take its nodes one
-        by one at about the cost of a ``replace``."""
+        stack, so :func:`rk4` takes the nodes of a block one by one without
+        rebuilding any."""
         h = self.hamiltonian
-        scales, *stacks = self.channels
+        scales, j, jd, jdj = self.channels
         new = object.__new__(LindbladGenerator)
         new.hamiltonian = h[k] if h.ndim > 2 else h
-        if stacks[0].ndim < 4 and all(type(g) is float for g in scales):
+        if j.ndim < 4 and all(type(g) is float for g in scales):
             new.jumps, new.channels = self.jumps, self.channels
             return new
-        new.jumps = tuple((_rate(g[k] if isinstance(g, np.ndarray) else g), j[k] if j.ndim > 2 else j)
-                          for g, j in self.jumps)
-        new.channels = (tuple(_scale(g) for g, _ in new.jumps),) + tuple(
-            a[k] if a.ndim > 3 else a for a in stacks)
+        rates = [_rate(g[k]) if isinstance(g, np.ndarray) else g for g, _ in self.jumps]
+        new.jumps = tuple(zip(rates, [op[k] if op.ndim > 2 else op for _, op in self.jumps]))
+        new.channels = (tuple(map(_scale, rates)),) + ((j[k], jd[k], jdj[k]) if j.ndim > 3 else (j, jd, jdj))
         return new
 
 
@@ -156,8 +139,9 @@ class Schedule:
         schedule maps the (R,) array of member times to a sample stacked
         over the R members.
     vectorized : bool, keyword only
-        Declares an array-native sampler: it maps an (M,) array of s to the
-        samples of all M nodes at once, an (M, D, D) complex stack or one
+        Declares an array-native sampler: it maps an (M,) array of s (an
+        (M, R) node-by-member array for a sweep schedule) to the samples of
+        all M nodes at once, an (M, D, D) complex stack or one
         stacked :class:`LindbladGenerator`, each node equal to the sample
         a scalar call would give.  :meth:`sample` then costs one sampler
         call, and :meth:`at` passes a one-node array and takes node 0.
@@ -216,18 +200,12 @@ class Schedule:
             jumps.append((np.array(rates), ops[0] if shared else np.array(ops)))
         return LindbladGenerator(np.array([g.hamiltonian for g in samples]), tuple(jumps))
 
-    def generator_at(self, s: float) -> LindbladGenerator:
-        """Sample at s as a generator; a bare Hamiltonian gets no jumps."""
-        g = self.at(s)
-        return g if isinstance(g, LindbladGenerator) else LindbladGenerator(g)
-
-    def generators(self, grid: np.ndarray):
-        """The generators at every s of ``grid``, indexable by node, as
-        :func:`rk4` takes them: one stacked generator from one sampler call
-        for a vectorized schedule, else a list of :meth:`generator_at`, one
-        :meth:`at` per node in grid order."""
-        if not self.vectorized:
-            return [self.generator_at(s) for s in grid]
+    def generators(self, grid: np.ndarray) -> LindbladGenerator:
+        """The generators at every s of ``grid`` as one stacked
+        :class:`LindbladGenerator`, the one form that :func:`rk4`,
+        ``thermo.build_ledger`` and ``openad.superoperator_at`` take open
+        samples in: :meth:`sample`, with a bare Hamiltonian stack wrapped
+        as a generator without jumps."""
         gen = self.sample(grid)
         return gen if isinstance(gen, LindbladGenerator) else LindbladGenerator(gen)
 
@@ -240,7 +218,7 @@ class Schedule:
         checked member by member, in sweep order.
         """
         grid = np.linspace(0.0, 1.0, 5)
-        samples = [self.generator_at(s) for s in grid]
+        samples = [g if isinstance(g, LindbladGenerator) else LindbladGenerator(g) for g in map(self.at, grid)]
         members = [samples] if self.members is None else [[g[r] for g in samples] for r in range(self.members)]
         for member in members:
             for s, g in zip(grid, member):
@@ -296,7 +274,7 @@ def rk4(sample: Callable[[np.ndarray], object], y0: np.ndarray, times: np.ndarra
 
     ``sample(ts)`` returns the generators A at an array of physical times
     ``ts``, stacked so that ``sample(ts)[i]`` is A(ts[i]): an (m, D, D)
-    array, a stacked :class:`LindbladGenerator` or a list.  ``act(a, y)``
+    array or a stacked :class:`LindbladGenerator`.  ``act(a, y)``
     returns A y.  The steps run in blocks of :data:`BLOCK`, and each block
     takes all its samples from one ``sample`` call: every step's midpoint,
     used for both k2 and k3, and its end point.  The end sample is reused
@@ -372,8 +350,11 @@ def evolve_unitary(h: Schedule, psi0: np.ndarray, n_steps: int) -> Trajectory:
 
     States are not renormalized: the norm drift of the raw integrator
     output is a useful accuracy diagnostic and is reported in
-    ``diagnostics["final_norm_deviation"]``.
+    ``diagnostics["final_norm_deviation"]``.  A sweep schedule is refused
+    with a ValueError: sweeps run through :func:`evolve_lindblad`.
     """
+    if h.members is not None:
+        raise ValueError("evolve_unitary takes a single schedule; sweeps run through evolve_lindblad")
     psi0 = np.asarray(psi0, dtype=complex)
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise ValueError("psi0 is not normalized")
@@ -394,7 +375,9 @@ def evolve_lindblad(l: Schedule, rho0: np.ndarray, n_steps: int) -> Trajectory:
     means the step size is too coarse for the generator's fastest rate).  A
     positivity dip beyond ``TOL_POS`` is only flagged with a step-size hint
     since transient negative eigenvalues at the integrator tolerance level
-    are expected.
+    are expected.  The schedule reaches :func:`rk4` through
+    :meth:`Schedule.generators`, so a jump count that changes along s ends
+    in :meth:`Schedule.sample`'s named ValueError.
 
     A sweep schedule integrates its R members in one lock-step :func:`rk4`
     from the same ``rho0``, each on its own grid, and returns one

@@ -48,16 +48,14 @@ def superoperator_at(l: Schedule, s, basis: OperatorBasis) -> np.ndarray:
 
     ``s`` is one normalized time or an array of them; the result is one
     D^2 x D^2 matrix or a stack of them with the shape of ``s`` in front.
-    The schedule is sampled once through :meth:`Schedule.sample`, and every
-    node's matrix comes from one :func:`lindblad_action` call over the
+    The schedule is sampled once through :meth:`Schedule.generators`, and
+    every node's matrix comes from one :func:`lindblad_action` call over the
     node axis.  The sampler may return a :class:`LindbladGenerator`, a bare
     Hamiltonian (coherent part only), or the D^2 x D^2 matrix itself.
     """
     s = np.asarray(s, dtype=float)
     grid = s.reshape(-1)
-    gen = l.sample(grid)
-    if not isinstance(gen, LindbladGenerator):
-        gen = LindbladGenerator(gen)
+    gen = l.generators(grid)
     dim = basis.dim
     shape = gen.hamiltonian.shape[1:]
     if shape == (dim * dim, dim * dim) and not gen.jumps:
@@ -317,7 +315,7 @@ def jordan_block_coefficient_ode(
             raise ValueError(f"block matrix shape {g.shape} does not match p")
         return shift - g
 
-    return times, rk4(lambda ts: [node(t) for t in ts], p0, times, np.matmul)
+    return times, rk4(lambda ts: np.array([node(t) for t in ts]), p0, times, np.matmul)
 
 
 def adiabatic_propagator_inverse_identities(
@@ -376,7 +374,6 @@ def deutsch_scenario(
     f_param = 1 - (-1) ** (f0 + f1)
     gamma_fn = gamma if callable(gamma) else (lambda s, _g=float(gamma): _g)
     taus = np.asarray(tau, dtype=float)
-    dephasing = LindbladGenerator(SIGMA_0, ((0.0, SIGMA_Z),))
 
     def phi(s):
         return 0.5 * np.pi * f_param * s
@@ -385,12 +382,13 @@ def deutsch_scenario(
         return np.array([gamma_fn(x) for x in s.ravel().tolist()]).reshape(s.shape)
 
     def sampler(s: np.ndarray) -> LindbladGenerator:
-        p = phi(s)[:, None, None]
+        """The generators at an (m, R) node-by-member array of s."""
+        p = phi(s)[..., None, None]
         ham = -0.5 * omega * (np.cos(p) * SIGMA_X - np.sin(p) * SIGMA_Y)
-        return dephasing.replace(ham, (rates(s),))
+        return LindbladGenerator(ham, ((rates(s), SIGMA_Z),))
 
     rho0 = 0.5 * (SIGMA_0 + SIGMA_X)
-    sweep = Schedule(taus.reshape(-1), sampler)
+    sweep = Schedule(taus.reshape(-1), sampler, vectorized=True)
     traj = evolve_lindblad(sweep, rho0, n_steps)
 
     s_grid = traj.times / time_scale(sweep.tau)

@@ -185,9 +185,7 @@ def build_ledger(
     rho = traj.states
     m = len(times)
 
-    gen = l.sample(times / time_scale(l.tau))
-    if not isinstance(gen, LindbladGenerator):
-        gen = LindbladGenerator(gen)
+    gen = l.generators(times / time_scale(l.tau))
     hams = gen.hamiltonian
     if m >= 5:
         h_dots = fourth_order_derivative(hams, times[1] - times[0])
@@ -239,19 +237,21 @@ def unitary_conjugate_channel(l: Schedule, u: np.ndarray) -> Schedule:
     every jump J -> U J U^dag with rates unchanged.
 
     Heat, work, and entropy rates are invariant under this map when the
-    state is conjugated the same way.
+    state is conjugated the same way.  The conjugated schedule is
+    vectorized: it samples ``l`` once per call through
+    :meth:`Schedule.generators` and conjugates the stacks.
     """
     u = np.asarray(u, dtype=complex)
     if not is_unitary(u):
         raise ValueError("conjugation map is not unitary")
     ud = dagger(u)
 
-    def sampler(s: float) -> LindbladGenerator:
-        g = l.generator_at(s)
+    def sampler(s: np.ndarray) -> LindbladGenerator:
+        g = l.generators(s)
         jumps = tuple((rate, u @ jump @ ud) for rate, jump in g.jumps)
         return LindbladGenerator(u @ g.hamiltonian @ ud, jumps)
 
-    return Schedule(tau=l.tau, sampler=sampler)
+    return Schedule(tau=l.tau, sampler=sampler, vectorized=True)
 
 
 def dephasing_heat_scenario(
@@ -286,18 +286,19 @@ def dephasing_heat_scenario(
     ham = omega * SIGMA_X
     g0 = np.tanh(beta * omega)
     rho0 = 0.5 * (SIGMA_0 - g0 * SIGMA_X)
-    dephasing = LindbladGenerator(ham, ((0.0, SIGMA_Z),))
 
     def sampler(s: np.ndarray) -> LindbladGenerator:
-        return dephasing.replace(ham, (np.array([f(x) for f, x in zip(gamma_fns, s.tolist())]),))
+        """The generators at an (m, R) node-by-member array of s."""
+        rates = np.array([[f(x) for f, x in zip(gamma_fns, row)] for row in s.tolist()])
+        return LindbladGenerator(np.broadcast_to(ham, s.shape + ham.shape), ((rates, SIGMA_Z),))
 
-    traj = evolve_lindblad(Schedule(np.full(len(gamma_fns), tau), sampler), rho0, n_steps)
+    traj = evolve_lindblad(Schedule(np.full(len(gamma_fns), tau), sampler, vectorized=True), rho0, n_steps)
 
     results = []
     for r, gamma_fn in enumerate(gamma_fns):
         member = traj.member(r)
-        sched = Schedule(tau, lambda s, f=gamma_fn: dephasing.replace(
-            np.broadcast_to(ham, s.shape + ham.shape), (np.array([f(x) for x in s.tolist()]),)),
+        sched = Schedule(tau, lambda s, f=gamma_fn: LindbladGenerator(
+            np.broadcast_to(ham, s.shape + ham.shape), ((np.array([f(x) for x in s.tolist()]), SIGMA_Z),)),
             vectorized=True)
         ledger = build_ledger(sched, member, basis=basis)
         s_grid = member.times / time_scale(tau)

@@ -294,13 +294,13 @@ def _stirap_scalar_sampler(omega12, omega23, noise, hold_fraction):
     """The STIRAP sampler as a one-s closure, the form it had before it took
     arrays of s (its jumps come from the array schedule's own generator)."""
     stretch = 1.0 + hold_fraction
-    dissipator = stirap_schedule(omega12, omega23, 1.0, noise, hold_fraction).at(0.0)
+    jumps = stirap_schedule(omega12, omega23, 1.0, noise, hold_fraction).at(0.0).jumps
 
     def sampler(s):
         s_prot = min(s * stretch, 1.0)
         w12, w23 = omega12(s_prot), omega23(s_prot)
         ham = np.array([[0.0, w12, 0.0], [w12, 0.0, w23], [0.0, w23, 0.0]], dtype=complex)
-        return dissipator.replace(ham)
+        return LindbladGenerator(ham, jumps)
 
     return sampler
 

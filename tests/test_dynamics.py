@@ -34,8 +34,8 @@ RNG = np.random.default_rng(7)
 
 def _per_node(f):
     """rk4's block sampler from a sampler of one time: f at each time of the
-    block, in order."""
-    return lambda ts: [f(t) for t in ts]
+    block, in order, stacked."""
+    return lambda ts: np.array([f(t) for t in ts])
 
 
 def test_rk4_against_matrix_exponential():
@@ -312,10 +312,12 @@ def _lindblad_action_per_call(gen, rho):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_lindblad_action_cache_is_bit_identical(n_jumps, dim):
     """The channel-stacked action equals the per-channel loop for scalar,
-    per-node and member rates (member rates come from ``replace``) and for
-    shared, stacked and mixed jumps: on a stack of M nodes, on the
-    superoperator builder's (N, 1, D, D) operand stack, and on node k,
-    which acts as its own generator does."""
+    per-node and sampled rates (a sampled generator is the stack that
+    ``Schedule.sample`` builds from M one-node generators, and keeps a jump
+    that is one object at every node shared) and for shared, stacked and
+    mixed jumps: on a stack of M nodes, on the superoperator builder's
+    (N, 1, D, D) operand stack, and on node k, which acts as its own
+    generator does."""
     rng = np.random.default_rng(10 * dim + n_jumps)
     m = 5
 
@@ -325,21 +327,25 @@ def test_lindblad_action_cache_is_bit_identical(n_jumps, dim):
     h = mat(m)
     h = h + dagger(h)
     rho = mat(m)
-    for rates in ("scalar", "per-node", "member", "mixed"):
+    for rates in ("scalar", "per-node", "sampled", "mixed"):
         for jumps in ("shared", "stacked", "mixed"):
             ops = [mat() if jumps == "shared" or (jumps == "mixed" and n % 2) else mat(m) for n in range(n_jumps)]
             gammas = [float(rng.uniform(0.0, 2.0)) if rates == "scalar" or (rates == "mixed" and n % 2)
                       else rng.uniform(0.0, 2.0, m) for n in range(n_jumps)]
-            if rates == "member":
-                gen = LindbladGenerator(h[0], tuple((0.0, j) for j in ops)).replace(h, tuple(gammas))
+
+            def node(k):
+                return LindbladGenerator(h[k], tuple((g[k] if np.ndim(g) else g, j[k] if j.ndim > 2 else j)
+                                                     for g, j in zip(gammas, ops)))
+
+            if rates == "sampled":
+                gen = Schedule(1.0, lambda s: node(int(s))).sample(np.arange(m))
+                assert all(j is op if op.ndim == 2 else j.shape == op.shape for (_, j), op in zip(gen.jumps, ops))
             else:
                 gen = LindbladGenerator(h, tuple(zip(gammas, ops)))
             assert np.array_equal(lindblad_action(gen, rho), _lindblad_action_per_call(gen, rho))
             assert np.array_equal(lindblad_action(gen, rho[:, None]), _lindblad_action_per_call(gen, rho[:, None]))
             for k in (0, m - 1):
-                node = LindbladGenerator(h[k], tuple((g[k] if np.ndim(g) else g, j[k] if j.ndim > 2 else j)
-                                                     for g, j in zip(gammas, ops)))
-                assert np.array_equal(lindblad_action(gen[k], rho[k]), _lindblad_action_per_call(node, rho[k]))
+                assert np.array_equal(lindblad_action(gen[k], rho[k]), _lindblad_action_per_call(node(k), rho[k]))
                 assert np.array_equal(lindblad_action(gen[k], rho[k]), lindblad_action(gen, rho)[k])
     single = LindbladGenerator(h[0], tuple((float(rng.uniform(0.0, 2.0)), mat()) for _ in range(n_jumps)))
     assert np.array_equal(lindblad_action(single, rho[0]), _lindblad_action_per_call(single, rho[0]))
@@ -398,11 +404,12 @@ def test_lindblad_trace_drift_error_on_coarse_grid():
 
 def test_evolve_lindblad_sweep_matches_member_runs():
     """A sweep schedule's members, integrated in lock step, equal their own
-    runs: times, states and diagnostics."""
+    runs: times, states and diagnostics.  The sweep sampler takes the (R,)
+    member times of one node, or with ``vectorized=True`` an (m, R)
+    node-by-member array; both give the same runs."""
     taus = np.array([1.0e-3, 2.5e-3, 4.0e-3])
     rates = np.array([50.0, 300.0, 900.0])
     lower = np.array([[0, 1], [0, 0]], dtype=complex)
-    channels = LindbladGenerator(SIGMA_X, ((0.0, lower), (0.0, SIGMA_Z)))
 
     def alone(r):
         return lambda s: LindbladGenerator(
@@ -411,19 +418,20 @@ def test_evolve_lindblad_sweep_matches_member_runs():
         )
 
     def stacked(s):
-        ham = (2e3 * np.cos(3.0 * s))[:, None, None] * SIGMA_X + (1e3 * s)[:, None, None] * SIGMA_Z
-        return channels.replace(ham, (rates * (1.0 + s), rates))
+        ham = (2e3 * np.cos(3.0 * s))[..., None, None] * SIGMA_X + (1e3 * s)[..., None, None] * SIGMA_Z
+        return LindbladGenerator(ham, ((rates * (1.0 + s), lower), (np.broadcast_to(rates, s.shape), SIGMA_Z)))
 
     rho0 = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
-    sweep = evolve_lindblad(Schedule(taus, stacked), rho0, 200)
-    assert sweep.times.shape == (201, 3) and sweep.states.shape == (201, 3, 2, 2)
-    for r, tau in enumerate(taus):
-        want = evolve_lindblad(Schedule(tau, alone(r)), rho0, 200)
-        got = sweep.member(r)
-        assert np.array_equal(got.times, want.times)
-        assert np.array_equal(got.states, want.states)
-        assert got.diagnostics == want.diagnostics
-        assert all(type(v) is float for v in got.diagnostics.values())
+    wants = [evolve_lindblad(Schedule(tau, alone(r)), rho0, 200) for r, tau in enumerate(taus)]
+    for vectorized in (False, True):
+        sweep = evolve_lindblad(Schedule(taus, stacked, vectorized=vectorized), rho0, 200)
+        assert sweep.times.shape == (201, 3) and sweep.states.shape == (201, 3, 2, 2)
+        for r, want in enumerate(wants):
+            got = sweep.member(r)
+            assert np.array_equal(got.times, want.times)
+            assert np.array_equal(got.states, want.states)
+            assert got.diagnostics == want.diagnostics
+            assert all(type(v) is float for v in got.diagnostics.values())
 
 
 def test_lindblad_action_matches_brute_force():
@@ -712,7 +720,8 @@ def test_sample_shares_a_jump_that_every_node_returns(dim):
 def test_vectorized_schedule_samples_a_grid_in_one_call():
     """A vectorized sampler gets the whole grid as one array; ``at`` passes a
     one-node array and takes node 0; ``generators`` gives one stacked
-    generator, also for a closed stack."""
+    generator, also for a closed stack and for a scalar schedule, whose
+    node k is the sample ``at`` gives at s_k."""
     calls = []
 
     def sampler(s):
@@ -727,7 +736,11 @@ def test_vectorized_schedule_samples_a_grid_in_one_call():
     assert np.array_equal(sched.at(0.5), stack[3]) and calls[-1] == (1,)
     gens = sched.generators(grid)
     assert isinstance(gens, LindbladGenerator) and np.array_equal(gens[2].hamiltonian, stack[2])
-    assert isinstance(Schedule(2.0, lambda s: SIGMA_X).generators(grid), list)
+    scalar = Schedule(2.0, lambda s: (1.0 + s) * SIGMA_X + 0.3 * SIGMA_Z)
+    gens = scalar.generators(grid)
+    assert isinstance(gens, LindbladGenerator) and gens.jumps == ()
+    for k, s in enumerate(grid):
+        assert np.array_equal(gens[k].hamiltonian, scalar.at(s))
 
 
 def _open_sampler(jump_counts):
@@ -744,3 +757,18 @@ def test_sample_names_first_change_of_jump_count_or_kind():
     with pytest.raises(ValueError, match=r"sample kind changes at s=0.75$"):
         mixed.sample(grid)
     assert Schedule(1.0, _open_sampler(lambda s: 1)).sample(np.array([])).shape == (0,)
+
+
+def test_evolve_lindblad_refuses_a_jump_count_that_changes_along_s():
+    """Open samples reach rk4 as one stacked generator per block, so a scalar
+    schedule whose jump count changes along s ends in ``Schedule.sample``'s
+    named error."""
+    sched = Schedule(1.0, _open_sampler(lambda s: 1 if s < 0.5 else 2))
+    with pytest.raises(ValueError, match=r"jump count \(1 -> 2\) changes at s=0.5$"):
+        evolve_lindblad(sched, 0.5 * np.eye(2, dtype=complex), 16)
+
+
+def test_evolve_unitary_refuses_a_sweep_schedule():
+    sweep = Schedule([1.0, 2.0], lambda s: s[:, None, None] * SIGMA_X)
+    with pytest.raises(ValueError, match="sweeps run through evolve_lindblad"):
+        evolve_unitary(sweep, np.array([1.0, 0.0]), 16)

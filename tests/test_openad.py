@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from adiabatic_lab.dynamics import LindbladGenerator, Schedule, lindblad_action
+from adiabatic_lab import openad
+from adiabatic_lab.dynamics import LindbladGenerator, Schedule, evolve_lindblad, lindblad_action
 from adiabatic_lab.opalg import (
     SIGMA_X,
     SIGMA_Y,
@@ -296,6 +297,44 @@ def test_deutsch_duration_sweep_equals_scalar_calls():
         assert np.array_equal(got["trajectory"].states, want["trajectory"].states)
         assert got["trajectory"].diagnostics == want["trajectory"].diagnostics
         assert got["f_param"] == want["f_param"] == 2
+
+
+# (9, 3) node-by-member grid of s; every member's column holds s = 0 and s = 1
+SWEEP_GRID = np.stack([np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 9) ** 2, np.linspace(1.0, 0.0, 9)], axis=1)
+
+
+@pytest.mark.parametrize("gamma", [3.0e3, lambda s: 1.0e4 * (1.0 + s * s)], ids=["float", "callable"])
+@pytest.mark.parametrize("pair", [(0, 1), (1, 1)], ids=["balanced", "constant"])
+def test_deutsch_sweep_sampler_matches_per_node_closure(monkeypatch, gamma, pair):
+    """The sweep sampler takes an (m, R) node-by-member array of s; node k
+    of its generator, and the sample ``Schedule.at`` takes from a (1, R)
+    call, equal the generator that the per-node closure built from the (R,)
+    member times of node k: Hamiltonian, rates and jump bit for bit, and
+    its action on a stack of member states."""
+    omega = 2 * np.pi * 1e4
+    seen = []
+    monkeypatch.setattr(openad, "evolve_lindblad", lambda l, *args: seen.append(l) or evolve_lindblad(l, *args))
+    deutsch_scenario(pair, omega, gamma, [20.0 / omega, 35.0 / omega, 80.0 / omega], n_steps=40)
+    (sweep,) = seen
+    assert sweep.vectorized
+    f_param = 1 - (-1) ** sum(pair)
+    rate = gamma if callable(gamma) else (lambda s: gamma)
+
+    def closure(s):
+        p = (0.5 * np.pi * f_param * s)[:, None, None]
+        ham = -0.5 * omega * (np.cos(p) * SIGMA_X - np.sin(p) * SIGMA_Y)
+        return LindbladGenerator(ham, ((np.array([rate(x) for x in s.tolist()]), SIGMA_Z),))
+
+    gen = sweep.sampler(SWEEP_GRID)
+    rho = np.array([0.5 * (np.eye(2) + v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z)
+                    for v in RNG.uniform(-0.5, 0.5, (3, 3))])
+    for k, s in enumerate(SWEEP_GRID):
+        want = closure(s)
+        for got in (gen[k], sweep.at(s)):
+            assert np.array_equal(got.hamiltonian, want.hamiltonian)
+            assert np.array_equal(got.jumps[0][0], want.jumps[0][0]) and len(got.jumps) == 1
+            assert np.array_equal(got.jumps[0][1], SIGMA_Z)
+            assert np.array_equal(lindblad_action(got, rho), lindblad_action(want, rho))
 
 
 # ---------------------------------------------------------------------------

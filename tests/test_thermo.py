@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from adiabatic_lab import thermo
-from adiabatic_lab.dynamics import LindbladGenerator, Schedule, evolve_lindblad, time_scale
+from adiabatic_lab.dynamics import LindbladGenerator, Schedule, evolve_lindblad, lindblad_action, time_scale
 from adiabatic_lab.opalg import SIGMA_X, SIGMA_Y, SIGMA_Z, Superoperator, dagger, pauli_basis
 from adiabatic_lab.openad import adiabatic_propagate_1d
 from adiabatic_lab.spectral import cumtrapz, fourth_order_derivative
@@ -171,15 +171,18 @@ def test_rate_sweep_equals_scalar_calls():
 
 @pytest.mark.parametrize("gamma", [628.0, lambda s: 314.0 * (1.0 + s * s)], ids=["float", "callable"])
 def test_scenario_ledger_samples_once_and_matches_the_scalar_schedule(monkeypatch, gamma):
-    """The scenario's ledger schedule is vectorized: its build_ledger adds no
-    Schedule.at call to the 5 probe samples and 2n + 1 integration samples
-    of the sweep, and the ledger equals the one from the one-s schedule
-    (a stacked sigma_z jump per node) bit for bit."""
-    calls = []
-    real_at = Schedule.at
+    """The scenario's sweep and ledger schedules are vectorized: the run
+    makes the 5 Schedule.at probe calls, one sweep sample per rk4 block of
+    32 steps and one ledger sample, and the ledger equals the one from the
+    one-s schedule (a stacked sigma_z jump per node) bit for bit."""
+    calls, samples = [], []
+    real_at, real_sample = Schedule.at, Schedule.sample
     monkeypatch.setattr(Schedule, "at", lambda self, s: calls.append(s) or real_at(self, s))
+    monkeypatch.setattr(Schedule, "sample",
+                        lambda self, grid: samples.append(self.members) or real_sample(self, grid))
     res = dephasing_heat_scenario(OMEGA, BETA, gamma, TAU_DEC, n_steps=300)
-    assert len(calls) == 5 + 2 * 300 + 1
+    assert len(calls) == 5
+    assert samples == [1] * -(-300 // 32) + [None]
     monkeypatch.undo()
     rate = gamma if callable(gamma) else (lambda s: gamma)
     ham = OMEGA * SIGMA_X
@@ -188,6 +191,37 @@ def test_scenario_ledger_samples_once_and_matches_the_scalar_schedule(monkeypatc
     assert scalar.sample(np.linspace(0.0, 1.0, 3)).jumps[0][1].shape == (3, 2, 2)
     for name, val in vars(res["ledger"]).items():
         assert np.array_equal(val, getattr(want, name)), name
+
+
+def test_rate_sweep_sampler_matches_per_node_closure(monkeypatch):
+    """The rate sweep's sampler takes an (m, R) node-by-member array of s;
+    node k of its generator, and the sample ``Schedule.at`` takes from a
+    (1, R) call, equal the generator that the per-node closure built from
+    the (R,) member times of node k (with the one unstacked Hamiltonian it
+    shared): Hamiltonian, rates and jump bit for bit, and its action on a
+    stack of member states."""
+    gammas = [lambda s: 314.0 * (1.0 + s), 628.0, lambda s: 1.0e4 * s * s]
+    seen = []
+    monkeypatch.setattr(thermo, "evolve_lindblad", lambda l, *args: seen.append(l) or evolve_lindblad(l, *args))
+    dephasing_heat_scenario(OMEGA, BETA, gammas, TAU_DEC, n_steps=40)
+    (sweep,) = seen
+    assert sweep.vectorized
+    fns = [g if callable(g) else (lambda s, _g=float(g): _g) for g in gammas]
+
+    def closure(s):
+        return LindbladGenerator(OMEGA * SIGMA_X, ((np.array([f(x) for f, x in zip(fns, s.tolist())]), SIGMA_Z),))
+
+    grid = np.stack([np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 9) ** 2, np.linspace(1.0, 0.0, 9)], axis=1)
+    gen = sweep.sampler(grid)
+    rho = np.array([0.5 * (np.eye(2) + v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z)
+                    for v in RNG.uniform(-0.5, 0.5, (3, 3))])
+    for k, s in enumerate(grid):
+        want = closure(s)
+        for got in (gen[k], sweep.at(s)):
+            assert np.array_equal(got.hamiltonian, np.broadcast_to(want.hamiltonian, (3, 2, 2)))
+            assert np.array_equal(got.jumps[0][0], want.jumps[0][0]) and len(got.jumps) == 1
+            assert np.array_equal(got.jumps[0][1], SIGMA_Z)
+            assert np.array_equal(lindblad_action(got, rho), lindblad_action(want, rho))
 
 
 def test_scenario_input_validation():
@@ -199,10 +233,11 @@ def test_scenario_input_validation():
 
 def _ledger_per_node(l, traj):
     """build_ledger as a loop over nodes, one generator sample and one call
-    of each rate per node."""
+    of each rate per node; a bare Hamiltonian sample is a generator without
+    jumps."""
     times = traj.times
     tau = time_scale(l.tau)
-    gens = [l.generator_at(t / tau) for t in times]
+    gens = [g if isinstance(g, LindbladGenerator) else LindbladGenerator(g) for g in (l.at(t / tau) for t in times)]
     hams = np.array([g.hamiltonian for g in gens])
     h_dots = fourth_order_derivative(hams, times[1] - times[0])
     cols = np.array([
@@ -288,6 +323,33 @@ def test_heat_invariant_under_unitary_conjugation():
         led = build_ledger(conj, traj)
         assert abs(led.heat[-1] - base.heat[-1]) < 1e-9 * OMEGA
         assert abs(led.entropy[-1] - base.entropy[-1]) < 1e-9
+
+
+def test_conjugated_schedule_equals_per_node_conjugation():
+    """The conjugated schedule is vectorized: one call samples the source
+    schedule on the whole grid (node by node through its scalar sampler)
+    and conjugates the stacks.  Node k, and the sample ``at`` gives at s_k,
+    equal the conjugation of the source's own sample at s_k bit for bit,
+    and a jump shared by every node stays one shared matrix."""
+    lower = np.array([[0, 1], [0, 0]], dtype=complex)
+    sched = Schedule(1.0, lambda s: LindbladGenerator(OMEGA * (SIGMA_X + s * SIGMA_Z), (
+        (300.0 * (1.0 + s), SIGMA_Z), (50.0, np.cos(s) * lower + s * SIGMA_X))))
+    u = random_unitary()
+    ud = dagger(u)
+    conj = unitary_conjugate_channel(sched, u)
+    grid = np.linspace(0.0, 1.0, 7)
+    gen = conj.sample(grid)
+    assert conj.vectorized and gen.jumps[0][1].shape == (2, 2) and gen.jumps[1][1].shape == (7, 2, 2)
+    rho = np.array([0.5 * (np.eye(2) + v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z)
+                    for v in RNG.uniform(-0.5, 0.5, (7, 3))])
+    for k, s in enumerate(grid):
+        node = sched.at(s)
+        want = LindbladGenerator(u @ node.hamiltonian @ ud, tuple((g, u @ j @ ud) for g, j in node.jumps))
+        for got in (gen[k], conj.at(s)):
+            assert np.array_equal(got.hamiltonian, want.hamiltonian)
+            for (g, j), (g_want, j_want) in zip(got.jumps, want.jumps, strict=True):
+                assert g == g_want and np.array_equal(j, j_want)
+            assert np.array_equal(lindblad_action(got, rho[k]), lindblad_action(want, rho[k]))
 
 
 def test_conjugation_rejects_nonunitary():
