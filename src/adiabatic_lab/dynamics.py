@@ -9,6 +9,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -37,11 +38,13 @@ class IntegrationError(RuntimeError):
 class LindbladGenerator:
     """Open-system generator: Hamiltonian part plus (rate, jump) channels.
 
-    ``channels`` holds (scales, J, J^dag, J^dag J), computed once at
-    construction for :func:`lindblad_action`: ``scales`` has one rate per
-    jump as it scales its channel, and J, J^dag and J^dag J are stacked on
-    a channel axis, (..., C, D, D).  A generator is not to be mutated after
-    it is built.
+    ``channels`` holds (scales, J, J^dag, J^dag J) for
+    :func:`lindblad_action`: ``scales`` has one rate per jump as it scales
+    its channel, and J, J^dag and J^dag J are stacked on a channel axis,
+    (..., C, D, D).  They are built on first use and kept, so a generator
+    that is only read for its parts, as the one-node samples that
+    :meth:`Schedule.sample` restacks are, never builds them.  A generator
+    is not to be mutated after it is built.
 
     A generator may also hold a stack of M nodes (or M sweep members): an
     (M, D, D) Hamiltonian and, per jump, (M,) rates with (M, D, D) jumps, or
@@ -53,19 +56,18 @@ class LindbladGenerator:
 
     hamiltonian: np.ndarray
     jumps: tuple = ()
-    channels: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.hamiltonian = np.asarray(self.hamiltonian, dtype=complex)
-        rates = [_rate(g) for g, _ in self.jumps]
-        ops = [np.asarray(j, dtype=complex) for _, j in self.jumps]
-        self.jumps = tuple(zip(rates, ops))
-        if not ops:  # lindblad_action skips the empty stacks
+        self.jumps = tuple([(_rate(g), np.asarray(j, dtype=complex)) for g, j in self.jumps])
+
+    @functools.cached_property
+    def channels(self) -> tuple:
+        if not self.jumps:  # lindblad_action skips the empty stacks
             empty = np.empty((0,) + self.hamiltonian.shape[-2:], dtype=complex)
-            self.channels = ((), empty, empty, empty)
-            return
-        # np.array and a transpose take 2 us where np.stack takes 5 us, and
-        # many samplers build a generator per sample
+            return ((), empty, empty, empty)
+        rates, ops = zip(*self.jumps)
+        # np.array and a transpose take 2 us where np.stack takes 5 us
         try:
             stack = np.array(ops)
         except ValueError:  # jumps shared by every node beside per-node ones
@@ -73,14 +75,15 @@ class LindbladGenerator:
         n = stack.ndim
         j = stack.transpose(*range(1, n - 2), 0, n - 2, n - 1)
         jd = dagger(j)
-        self.channels = (tuple(_scale(g) for g in rates), j, jd, jd @ j)
+        return (tuple(_scale(g) for g in rates), j, jd, jd @ j)
 
     def __getitem__(self, k: int) -> "LindbladGenerator":
         """Node (or member) k of a stacked generator; parts shared by every
-        node stay whole, and the channel stacks are sliced, not rebuilt.
-        When only the Hamiltonian is stacked, node k shares every channel
-        stack, so :func:`rk4` takes the nodes of a block one by one without
-        rebuilding any."""
+        node stay whole, and the channel stacks are sliced from the stack's
+        own, which are built here if not yet used.  When only the
+        Hamiltonian is stacked, node k shares every channel stack, so
+        :func:`rk4` takes the nodes of a block one by one without rebuilding
+        any."""
         h = self.hamiltonian
         scales, j, jd, jdj = self.channels
         new = object.__new__(LindbladGenerator)
@@ -212,10 +215,10 @@ class Schedule:
     def probe(self) -> None:
         """Spot-check sampler invariants on a coarse grid of 5 points.
 
-        Hamiltonian samples must be Hermitian and rates non-negative; the
-        full grid is not checked here because integrators already touch
-        every point and NaNs surface immediately.  A sweep schedule is
-        checked member by member, in sweep order.
+        Hamiltonian samples must be Hermitian and rates non-negative, which
+        a NaN rate is not; the full grid is not checked here because
+        integrators already touch every point and NaNs surface immediately.
+        A sweep schedule is checked member by member, in sweep order.
         """
         grid = np.linspace(0.0, 1.0, 5)
         samples = [g if isinstance(g, LindbladGenerator) else LindbladGenerator(g) for g in map(self.at, grid)]
@@ -226,8 +229,8 @@ class Schedule:
                 if not is_hermitian(g.hamiltonian, TOL_HERM * scale):
                     raise ValueError(f"non-Hermitian Hamiltonian sample at s={s}")
                 for rate, _ in g.jumps:
-                    if rate < 0:
-                        raise ValueError(f"negative rate {rate} at s={s}")
+                    if not rate >= 0:
+                        raise ValueError(f"negative or NaN rate {rate} at s={s}")
 
 
 @dataclass(eq=False)

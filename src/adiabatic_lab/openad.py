@@ -97,39 +97,48 @@ def track_liouville_spectrum(
 ) -> LiouvilleFrame:
     """Diagonalize the Liouvillian on a grid with continuity tracking.
 
-    Raises if any sampled spectrum is defective; the one-dimensional-block
-    theory implemented here has no Jordan chains to propagate.
+    Eigenvalues are ordered by descending real part at s=0 and followed
+    through the grid by an assignment that weighs eigenvector overlap
+    against eigenvalue distance.  The grid's matrices are decomposed in one
+    batched ``eig``; only the assignment and the phase fix against the
+    previous node's gauge-fixed vectors run node by node.
+
+    Raises if any sampled Liouvillian has a non-finite entry, or if any
+    sampled spectrum is defective; the one-dimensional-block theory
+    implemented here has no Jordan chains to propagate.
     """
     from scipy.optimize import linear_sum_assignment
-    import scipy.linalg
 
     require_stencil_points(n_points)
     grid = np.linspace(0.0, 1.0, n_points)
-    d2 = basis.dim**2
-    eigenvalues = np.empty((n_points, d2), dtype=complex)
-    right = np.empty((n_points, d2, d2), dtype=complex)
+    mats = superoperator_at(l, grid, basis)
+    finite = np.all(np.isfinite(mats), axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"Liouvillian has non-finite entries at s={grid[np.argmin(finite)]:.4f}")
+    vals, vecs = np.linalg.eig(mats)
+    # each node's vectors in the column-major layout of one LAPACK call: the
+    # layout sets the summation order, and so the bits, of the column norms
+    vecs = np.ascontiguousarray(vecs.swapaxes(1, 2)).swapaxes(1, 2)
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    scale = np.maximum(1.0, np.max(np.abs(vals), axis=1))
+    # eigenvalue distance of node k-1 (rows) to node k (columns), both in
+    # eig's order; row order is fixed up at use by node k-1's assignment
+    dist = np.abs(vals[:-1, :, None] - vals[1:, None, :]) / scale[1:, None, None]
 
-    prev_vals = prev_vecs = None
-    for k, mat in enumerate(superoperator_at(l, grid, basis)):
-        vals, vecs = scipy.linalg.eig(mat)
-        vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
-        if prev_vecs is None:
-            order = np.lexsort((vals.imag, -vals.real))
-        else:
-            scale = max(1.0, float(np.max(np.abs(vals))))
-            cost = 1.0 - np.abs(prev_vecs.conj().T @ vecs)
-            cost = cost + np.abs(prev_vals[:, None] - vals[None, :]) / scale
-            row, col = linear_sum_assignment(cost)
-            order = np.empty(d2, dtype=int)
-            order[row] = col
-        vals, vecs = vals[order], vecs[:, order]
-        if k > 0:
-            ov = np.einsum("ia,ia->a", np.conj(prev_vecs), vecs)
-            bad = np.abs(ov) < 1e-12
-            ov[bad] = 1.0
-            vecs = vecs / (ov / np.abs(ov))[None, :]
-        eigenvalues[k], right[k] = vals, vecs
-        prev_vals, prev_vecs = vals, vecs
+    order = np.empty(vals.shape, dtype=int)
+    order[0] = np.lexsort((vals[0].imag, -vals[0].real))
+    right = np.empty(vecs.shape, dtype=complex)
+    right[0] = vecs[0][:, order[0]]
+    for k in range(1, n_points):
+        prev = right[k - 1]
+        cost = 1.0 - np.abs(prev.conj().T @ vecs[k]) + dist[k - 1][order[k - 1]]
+        row, col = linear_sum_assignment(cost)
+        order[k, row] = col
+        v = vecs[k][:, order[k]]
+        ov = np.einsum("ia,ia->a", np.conj(prev), v)
+        ov[np.abs(ov) < 1e-12] = 1.0
+        right[k] = v / (ov / np.abs(ov))[None, :]
+    eigenvalues = np.take_along_axis(vals, order, axis=1)
 
     cond = np.linalg.cond(right)
     bad = np.flatnonzero(cond > NEAR_DEFECTIVE_COND)

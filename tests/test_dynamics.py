@@ -351,6 +351,70 @@ def test_lindblad_action_cache_is_bit_identical(n_jumps, dim):
     assert np.array_equal(lindblad_action(single, rho[0]), _lindblad_action_per_call(single, rho[0]))
 
 
+def _eager(gen):
+    """A copy of ``gen`` whose channel stacks are built up front, as the
+    constructor once built them for every generator."""
+    new = object.__new__(LindbladGenerator)
+    new.hamiltonian, new.jumps = gen.hamiltonian, gen.jumps
+    rates = [g for g, _ in gen.jumps]
+    ops = [j for _, j in gen.jumps]
+    if not ops:
+        empty = np.empty((0,) + gen.hamiltonian.shape[-2:], dtype=complex)
+        new.channels = ((), empty, empty, empty)
+        return new
+    try:
+        stack = np.array(ops)
+    except ValueError:
+        stack = np.array(np.broadcast_arrays(*ops))
+    n = stack.ndim
+    j = stack.transpose(*range(1, n - 2), 0, n - 2, n - 1)
+    jd = dagger(j)
+    new.channels = (tuple(g[..., None, None] if isinstance(g, np.ndarray) else g for g in rates), j, jd, jd @ j)
+    return new
+
+
+@pytest.mark.parametrize("n_jumps", [0, 1, 3])
+def test_channels_are_built_on_first_use(n_jumps):
+    """Channel stacks are built when an action first needs them, and the
+    action is the same bit for bit as with stacks built up front: for a
+    generator from a scalar sampler, for node k of a stacked generator
+    (taken before and after the stack's own are built), and for the stack.
+    The one-node generators that ``Schedule.sample`` restacks never build
+    theirs."""
+    rng = np.random.default_rng(40 + n_jumps)
+    m, dim = 6, 3
+
+    def mat(*lead):
+        return rng.normal(size=lead + (dim, dim)) + 1j * rng.normal(size=lead + (dim, dim))
+
+    h = mat(m)
+    h = h + dagger(h)
+    ops = [mat(m) if n % 2 else mat() for n in range(n_jumps)]
+    rates = [rng.uniform(0.0, 2.0, m) for _ in range(n_jumps)]
+    rho = mat(m)
+    built = []
+
+    def sampler(s):
+        k = int(s)
+        gen = LindbladGenerator(h[k], tuple((g[k], j[k] if j.ndim > 2 else j) for g, j in zip(rates, ops)))
+        built.append(gen)
+        return gen
+
+    stacked = Schedule(1.0, sampler).sample(np.arange(m))
+    assert len(built) == m and not any("channels" in vars(g) for g in built)
+    for k, node in enumerate(built):
+        assert np.array_equal(lindblad_action(node, rho[k]), lindblad_action(_eager(node), rho[k]))
+    oracle = _eager(stacked)
+    for k in (0, m - 1):
+        want = lindblad_action(oracle[k], rho[k])
+        unused = LindbladGenerator(stacked.hamiltonian, stacked.jumps)
+        assert np.array_equal(lindblad_action(unused[k], rho[k]), want)
+        assert np.array_equal(lindblad_action(stacked[k], rho[k]), want)
+    assert np.array_equal(lindblad_action(stacked, rho), lindblad_action(oracle, rho))
+    unused = LindbladGenerator(stacked.hamiltonian, stacked.jumps)
+    assert np.array_equal(lindblad_action(unused, rho[:, None]), lindblad_action(oracle, rho[:, None]))
+
+
 def test_evolve_unitary_norm_and_oracle():
     omega = 2 * np.pi * 1.0e3
     tau = 1.0e-3
@@ -378,7 +442,16 @@ def test_schedule_probe_rejects_non_hermitian():
 def test_schedule_probe_rejects_negative_rate():
     sched = Schedule(1.0, lambda s: LindbladGenerator(SIGMA_Z, ((-0.1, SIGMA_Z),)))
     rho0 = 0.5 * np.eye(2, dtype=complex)
-    with pytest.raises(ValueError, match="negative rate"):
+    with pytest.raises(ValueError, match="negative or NaN rate"):
+        evolve_lindblad(sched, rho0, 16)
+
+
+def test_schedule_probe_rejects_nan_rate():
+    """A NaN rate fails the probe, though NaN < 0 is False; s = 0.5 is a
+    probe point."""
+    sched = Schedule(1.0, lambda s: LindbladGenerator(SIGMA_Z, ((np.nan if s == 0.5 else 0.1, SIGMA_Z),)))
+    rho0 = 0.5 * np.eye(2, dtype=complex)
+    with pytest.raises(ValueError, match=r"negative or NaN rate nan at s=0\.5"):
         evolve_lindblad(sched, rho0, 16)
 
 

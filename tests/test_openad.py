@@ -9,6 +9,7 @@ from adiabatic_lab.opalg import (
     SIGMA_Y,
     SIGMA_Z,
     CoherenceVector,
+    OperatorBasis,
     from_coherence_vector,
     pauli_basis,
     superoperator_matrix,
@@ -25,6 +26,7 @@ from adiabatic_lab.openad import (
     track_liouville_spectrum,
     xi_coefficients,
 )
+from adiabatic_lab.spectral import fourth_order_derivative
 
 BASIS = pauli_basis(1)
 RNG = np.random.default_rng(23)
@@ -110,6 +112,132 @@ def test_tracked_spectrum_names_first_defective_node():
 
     with pytest.raises(ValueError, match=r"defective at s=0\.2500"):
         track_liouville_spectrum(Schedule(1.0, sampler), 5, BASIS)
+
+
+def _track_per_node(l, n_points, basis):
+    """Reference tracker: scipy's eig on one node at a time, each node
+    ordered against the previous node's gauge-fixed vectors and reordered
+    eigenvalues as it is decomposed."""
+    from scipy.optimize import linear_sum_assignment
+
+    grid = np.linspace(0.0, 1.0, n_points)
+    d2 = basis.dim**2
+    eigenvalues = np.empty((n_points, d2), dtype=complex)
+    right = np.empty((n_points, d2, d2), dtype=complex)
+    prev_vals = prev_vecs = None
+    for k, mat in enumerate(superoperator_at(l, grid, basis)):
+        vals, vecs = scipy.linalg.eig(mat)
+        vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
+        if prev_vecs is None:
+            order = np.lexsort((vals.imag, -vals.real))
+        else:
+            scale = max(1.0, float(np.max(np.abs(vals))))
+            cost = 1.0 - np.abs(prev_vecs.conj().T @ vecs)
+            cost = cost + np.abs(prev_vals[:, None] - vals[None, :]) / scale
+            row, col = linear_sum_assignment(cost)
+            order = np.empty(d2, dtype=int)
+            order[row] = col
+        vals, vecs = vals[order], vecs[:, order]
+        if k > 0:
+            ov = np.einsum("ia,ia->a", np.conj(prev_vecs), vecs)
+            bad = np.abs(ov) < 1e-12
+            ov[bad] = 1.0
+            vecs = vecs / (ov / np.abs(ov))[None, :]
+        eigenvalues[k], right[k] = vals, vecs
+        prev_vals, prev_vecs = vals, vecs
+    left = np.linalg.inv(right)
+    connection = np.einsum("kab,kbc->kac", left, fourth_order_derivative(right, grid[1] - grid[0]))
+    return eigenvalues, right, left, connection
+
+
+def _gell_mann_basis():
+    """Qutrit basis: the identity and the eight Gell-Mann matrices scaled
+    to Tr(sigma_n sigma_m^dag) = 3 delta_nm."""
+    elements = [np.eye(3, dtype=complex)]
+    for a in range(3):
+        for b in range(a + 1, 3):
+            sym = np.zeros((3, 3), dtype=complex)
+            sym[a, b] = sym[b, a] = 1.0
+            asym = np.zeros((3, 3), dtype=complex)
+            asym[a, b], asym[b, a] = -1j, 1j
+            elements += [sym, asym]
+    elements.append(np.diag([1.0, -1.0, 0.0]).astype(complex))
+    elements.append(np.diag([1.0, 1.0, -2.0]).astype(complex) / np.sqrt(3.0))
+    elements = [elements[0]] + [np.sqrt(1.5) * e for e in elements[1:]]
+    return OperatorBasis(dim=3, elements=tuple(elements), labels=tuple(f"g{n}" for n in range(9)))
+
+
+def _qutrit_schedule():
+    """A driven qutrit with decay down a ladder and dephasing: three jumps,
+    a per-node rate, a 9x9 Liouvillian."""
+    rng = np.random.default_rng(31)
+    h0, h1 = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2))
+    h0, h1 = h0 + h0.conj().T, h1 + h1.conj().T
+    lower = np.diag([1.0, np.sqrt(2.0)], k=1).astype(complex)
+    deph = np.diag([1.0, 0.0, -1.0]).astype(complex)
+    mix = np.array([[0, 0, 1], [0, 0, 0], [0, 0, 0]], dtype=complex)
+
+    def sampler(s):
+        ham = np.cos(1.3 * s) * h0 + s * h1
+        return LindbladGenerator(ham, ((0.4, lower), (0.2 + 0.3 * s, deph), (0.15, mix)))
+
+    return Schedule(2.0, sampler)
+
+
+def _crossing_schedule():
+    """A raw 4x4 generator V diag(lambda(s)) V^-1 whose eigenvalues are far
+    apart against the eigenvector overlaps, with eig returning them out of
+    the tracked order, so the eigenvalue-distance term must follow the
+    previous node's order."""
+    rng = np.random.default_rng(7)
+    v = np.eye(4) + 0.3 * rng.normal(size=(4, 4))
+    v_inv = np.linalg.inv(v)
+
+    def sampler(s):
+        lam = np.array([-1.0 + 10.0j, -0.5 * s, -1.0 - 10.0j - s, -2.0 + 3.0j * s])
+        return (v * lam) @ v_inv
+
+    return Schedule(1.0, sampler)
+
+
+@pytest.mark.parametrize("case", ["dephasing", "qutrit", "crossing"])
+def test_tracked_spectrum_equals_per_node_oracle(case):
+    """The batched tracker gives the per-node tracker's frame bit for bit:
+    eigenvalues, right and left vectors and connection."""
+    sched, basis, n_points = {
+        "dephasing": (dephasing_schedule(2 * np.pi * 1e3, 150.0, 1e-3), BASIS, 41),
+        "qutrit": (_qutrit_schedule(), _gell_mann_basis(), 61),
+        "crossing": (_crossing_schedule(), BASIS, 41),
+    }[case]
+    frame = track_liouville_spectrum(sched, n_points, basis)
+    want = _track_per_node(sched, n_points, basis)
+    for got, ref in zip((frame.eigenvalues, frame.right, frame.left, frame.connection), want):
+        assert np.array_equal(got, ref)
+    if case == "crossing":
+        # the tracked order differs from eig's own order before the last
+        # node, where it feeds the distance term of the next assignment
+        raw = np.linalg.eig(superoperator_at(sched, frame.grid, basis))[0]
+        assert np.any(frame.eigenvalues[:-1] != raw[:-1])
+
+
+def test_tracked_spectrum_names_first_non_finite_node():
+    def sampler(s):
+        return LindbladGenerator(SIGMA_X, ((np.nan if s >= 0.5 else 0.2, SIGMA_Z),))
+
+    with pytest.raises(ValueError, match=r"non-finite entries at s=0\.5000"):
+        track_liouville_spectrum(Schedule(1.0, sampler), 9, BASIS)
+
+
+def test_tracking_samples_a_scalar_schedule_once_per_node():
+    """Tracking a scalar schedule on n nodes calls its sampler n times."""
+    calls = []
+
+    def sampler(s):
+        calls.append(s)
+        return LindbladGenerator(np.cos(s) * SIGMA_X, ((0.3 + s, SIGMA_Z),))
+
+    track_liouville_spectrum(Schedule(1.0, sampler), 21, BASIS)
+    assert calls == np.linspace(0.0, 1.0, 21).tolist()
 
 
 @pytest.mark.parametrize("n_points", [0, 1, 2, 4])
