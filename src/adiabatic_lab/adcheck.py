@@ -11,6 +11,7 @@ frames related by a time-dependent unitary.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -19,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .dynamics import Schedule, frame_transform, time_scale
-from .opalg import SIGMA_X, SIGMA_Y, SIGMA_Z, dagger
+from .opalg import SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, stack_2x2
 from .spectral import SpectralFrame, fourth_order_derivative, frame_from_functions
 
 _STATS = {"max": np.max, "mean": np.mean}
@@ -29,8 +30,10 @@ def _hdot_samples(h: Schedule, grid: np.ndarray, tau: float) -> np.ndarray:
     return fourth_order_derivative(h.sample(grid), grid[1] - grid[0]) / time_scale(tau)
 
 
-def _offdiag_pairs(n: int):
-    return [(m, k) for m in range(n) for k in range(n) if m != k]
+def _profile(series: np.ndarray, reduce: Callable) -> np.ndarray:
+    """``reduce`` of |series[:, m, n]| over the grid for every pair, (d, d);
+    each pair's profile is reduced as one contiguous row."""
+    return reduce(np.ascontiguousarray(np.moveaxis(np.abs(series), 0, -1)), axis=-1)
 
 
 def _coupling(frame: SpectralFrame, h: Schedule, modulus: bool = False) -> np.ndarray:
@@ -73,19 +76,13 @@ def c_tong(frame: SpectralFrame, h: Schedule, stat: str = "max") -> dict:
     part_a = float(np.max(np.abs(coupling)))
 
     dcoupling = fourth_order_derivative(coupling, grid[1] - grid[0]) / time_scale(tau)
-    part_b = float(
-        max(reduce(np.abs(dcoupling[:, m, n])) for m, n in _offdiag_pairs(dim)) * tau
-    )
+    off = ~np.eye(dim, dtype=bool)
+    part_b = float(np.max(_profile(dcoupling, reduce)[off]) * tau)
 
-    part_c = 0.0
-    for m, n in _offdiag_pairs(dim):
-        amp = reduce(np.abs(coupling[:, m, n]))
-        for l in range(dim):
-            if l == m:
-                continue
-            vel = reduce(np.abs(frame.connection(m, l)))
-            part_c = max(part_c, amp * vel * tau)
-    part_c = float(part_c)
+    # amp[m, n] * vel[m, l] over pairs m != n and levels l != m
+    amp, vel = _profile(coupling, reduce), _profile(frame.connection, reduce)
+    prod = amp[:, :, None] * vel[:, None, :] * tau
+    part_c = float(np.max(prod[off[:, :, None] & off[:, None, :]], initial=0.0))
 
     return {
         "a": part_a,
@@ -111,16 +108,11 @@ def c_wu(frame: SpectralFrame) -> float:
     grid, tau = frame.grid, frame.tau
     ds = grid[1] - grid[0]
     dim = frame.n_levels
-    m_pts = len(grid)
-
-    gamma = np.empty((m_pts, dim, dim), dtype=complex)
-    for n in range(dim):
-        for m in range(dim):
-            gamma[:, n, m] = 1j * frame.connection(n, m)
+    gamma = 1j * frame.connection
 
     worst = 0.0
     scale = np.max(np.abs(gamma))
-    for m, n in _offdiag_pairs(dim):
+    for m, n in itertools.permutations(range(dim), 2):
         g_nm = gamma[:, n, m]
         if np.max(np.abs(g_nm)) < 1e-14 * max(scale, 1e-300):
             warnings.warn(
@@ -225,32 +217,25 @@ def nmr_rotating(
     half, sec = 0.5 * theta, 1.0 / np.cos(theta)
     e_split = 0.5 * omega0 * sec
 
-    def sampler(s: float) -> np.ndarray:
-        t = s * tau
+    def sampler(s: np.ndarray) -> np.ndarray:
+        t = (s * tau)[..., None, None]
         return 0.5 * omega0 * SIGMA_Z + 0.5 * omega1 * (
             np.cos(omega * t) * SIGMA_X + np.sin(omega * t) * SIGMA_Y
         )
 
-    def energy_fn(s: float) -> np.ndarray:
-        return np.array([-e_split, e_split])
+    def energy_fn(s: np.ndarray) -> np.ndarray:
+        return np.broadcast_to([-e_split, e_split], s.shape + (2,))
 
-    def vector_fn(s: float) -> np.ndarray:
+    def vector_fn(s: np.ndarray) -> np.ndarray:
         ph = np.exp(-1j * omega * s * tau)
-        return np.array(
-            [[-ph * np.sin(half), ph * np.cos(half)], [np.cos(half), np.sin(half)]]
-        )
+        return stack_2x2(-ph * np.sin(half), ph * np.cos(half), np.cos(half), np.sin(half))
 
-    def dvector_fn(s: float) -> np.ndarray:
+    def dvector_fn(s: np.ndarray) -> np.ndarray:
         ph = np.exp(-1j * omega * s * tau)
-        return np.array(
-            [
-                [1j * omega * ph * np.sin(half), -1j * omega * ph * np.cos(half)],
-                [0.0, 0.0],
-            ]
-        )
+        return stack_2x2(1j * omega * ph * np.sin(half), -1j * omega * ph * np.cos(half), 0.0, 0.0)
 
     frame = frame_from_functions(tau, n_points, energy_fn, vector_fn, dvector_fn)
-    return ModelKit(Schedule(tau, sampler), frame, *_z_rotation(omega, tau))
+    return ModelKit(Schedule(tau, sampler, vectorized=True), frame, *_z_rotation(omega, tau))
 
 
 def nmr_rotating_frame(
@@ -264,18 +249,17 @@ def nmr_rotating_frame(
         raise ValueError("rotating-frame Hamiltonian vanishes at resonance")
     mix = 0.5 * np.arctan2(omega1, detuning)
     ham = 0.5 * detuning * SIGMA_Z + 0.5 * omega1 * SIGMA_X
-    vecs = np.array(
-        [[-np.sin(mix), np.cos(mix)], [np.cos(mix), np.sin(mix)]], dtype=complex
-    )
+    vecs = stack_2x2(-np.sin(mix), np.cos(mix), np.cos(mix), np.sin(mix))
 
     frame = frame_from_functions(
         tau,
         n_points,
-        lambda s: np.array([-split, split]),
-        lambda s: vecs,
-        lambda s: np.zeros((2, 2), dtype=complex),
+        lambda s: np.broadcast_to([-split, split], s.shape + (2,)),
+        lambda s: np.broadcast_to(vecs, s.shape + (2, 2)),
+        lambda s: np.zeros(s.shape + (2, 2), dtype=complex),
     )
-    return ModelKit(Schedule(tau, lambda s: ham), frame)
+    schedule = Schedule(tau, lambda s: np.broadcast_to(ham, s.shape + (2, 2)), vectorized=True)
+    return ModelKit(schedule, frame)
 
 
 def oscillating(
@@ -291,37 +275,33 @@ def oscillating(
         raise ValueError("omega0 must be nonzero")
     tt = np.tan(theta)
 
-    def sampler(s: float) -> np.ndarray:
-        x = tt * np.sin(omega * s * tau)
-        return 0.5 * omega0 * (SIGMA_Z + x * SIGMA_X)
+    def field(s: np.ndarray) -> np.ndarray:
+        return tt * np.sin(omega * s * tau)
 
-    def energy_fn(s: float) -> np.ndarray:
-        x = tt * np.sin(omega * s * tau)
+    def sampler(s: np.ndarray) -> np.ndarray:
+        return 0.5 * omega0 * (SIGMA_Z + field(s)[..., None, None] * SIGMA_X)
+
+    def energy_fn(s: np.ndarray) -> np.ndarray:
+        x = field(s)
         e = 0.5 * omega0 * np.sqrt(1.0 + x * x)
-        return np.array([-e, e])
+        return np.stack((-e, e), axis=-1)
 
-    def mixing(s: float) -> float:
-        return np.arctan2(tt * np.sin(omega * s * tau), 1.0)
+    def vector_fn(s: np.ndarray) -> np.ndarray:
+        half = 0.5 * np.arctan2(field(s), 1.0)
+        return stack_2x2(-np.sin(half), np.cos(half), np.cos(half), np.sin(half))
 
-    def vector_fn(s: float) -> np.ndarray:
-        half = 0.5 * mixing(s)
-        return np.array(
-            [[-np.sin(half), np.cos(half)], [np.cos(half), np.sin(half)]],
-            dtype=complex,
-        )
-
-    def dvector_fn(s: float) -> np.ndarray:
+    def dvector_fn(s: np.ndarray) -> np.ndarray:
         t = s * tau
         x = tt * np.sin(omega * t)
         dmix_dt = tt * omega * np.cos(omega * t) / (1.0 + x * x)
-        half = 0.5 * mixing(s)
-        return 0.5 * dmix_dt * np.array(
-            [[-np.cos(half), -np.sin(half)], [-np.sin(half), np.cos(half)]],
-            dtype=complex,
-        )
+        half = 0.5 * np.arctan2(field(s), 1.0)
+        rows = stack_2x2(-np.cos(half), -np.sin(half), -np.sin(half), np.cos(half))
+        # a complex product, as in the scalar form: it gives the zero
+        # imaginary parts their signs
+        return (0.5 * dmix_dt)[..., None, None] * rows.astype(complex)
 
     frame = frame_from_functions(tau, n_points, energy_fn, vector_fn, dvector_fn)
-    return ModelKit(Schedule(tau, sampler), frame, *_z_rotation(omega, tau))
+    return ModelKit(Schedule(tau, sampler, vectorized=True), frame, *_z_rotation(omega, tau))
 
 
 def oscillating_noninertial(
@@ -342,23 +322,28 @@ def oscillating_noninertial(
     tt = np.tan(theta)
     detuning = omega0 - omega
 
-    def sampler(s: float) -> np.ndarray:
-        t = s * tau
+    def sampler(s: np.ndarray) -> np.ndarray:
+        t = (s * tau)[..., None, None]
         amp = 0.5 * omega0 * tt * np.sin(omega * t)
         return 0.5 * detuning * SIGMA_Z + amp * (
             np.cos(omega * t) * SIGMA_X - np.sin(omega * t) * SIGMA_Y
         )
 
-    def bloch(s: float) -> np.ndarray:
+    def bloch(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The field vector, (M, 3), and its length, (M,)."""
         t = s * tau
         amp = 0.5 * omega0 * tt * np.sin(omega * t)
-        return np.array(
-            [amp * np.cos(omega * t), -amp * np.sin(omega * t), 0.5 * detuning]
+        h = np.stack(
+            (amp * np.cos(omega * t), -amp * np.sin(omega * t), np.full_like(t, 0.5 * detuning)),
+            axis=-1,
         )
+        # a stacked matmul runs each node's dot product as the BLAS dot of a
+        # one-vector norm; np.linalg.norm along an axis rounds differently
+        return h, np.sqrt((h[..., None, :] @ h[..., :, None])[..., 0, 0])
 
-    def energy_fn(s: float) -> np.ndarray:
-        r = np.linalg.norm(bloch(s))
-        return np.array([-r, r])
+    def energy_fn(s: np.ndarray) -> np.ndarray:
+        r = bloch(s)[1]
+        return np.stack((-r, r), axis=-1)
 
     gap_floor = abs(detuning)
     if gap_floor < 1e-12 * abs(omega0):
@@ -369,24 +354,22 @@ def oscillating_noninertial(
 
     if detuning > 0:
         # north-pole-safe gauge
-        def vector_fn(s: float) -> np.ndarray:
-            h = bloch(s)
-            r = np.linalg.norm(h)
-            c = np.sqrt(0.5 * (1.0 + h[2] / r))
-            w = (h[0] + 1j * h[1]) / (2.0 * r * c)
-            return np.array([[-np.conj(w), c], [c, w]])
+        def vector_fn(s: np.ndarray) -> np.ndarray:
+            h, r = bloch(s)
+            c = np.sqrt(0.5 * (1.0 + h[..., 2] / r))
+            w = (h[..., 0] + 1j * h[..., 1]) / (2.0 * r * c)
+            return stack_2x2(-np.conj(w), c, c, w)
 
     else:
         # south-pole-safe gauge
-        def vector_fn(s: float) -> np.ndarray:
-            h = bloch(s)
-            r = np.linalg.norm(h)
-            sn = np.sqrt(0.5 * (1.0 - h[2] / r))
-            u = (h[0] - 1j * h[1]) / (2.0 * r * sn)
-            return np.array([[-sn, u], [np.conj(u), sn]])
+        def vector_fn(s: np.ndarray) -> np.ndarray:
+            h, r = bloch(s)
+            sn = np.sqrt(0.5 * (1.0 - h[..., 2] / r))
+            u = (h[..., 0] - 1j * h[..., 1]) / (2.0 * r * sn)
+            return stack_2x2(-sn, u, np.conj(u), sn)
 
     frame = frame_from_functions(tau, n_points, energy_fn, vector_fn)
-    return ModelKit(Schedule(tau, sampler), frame)
+    return ModelKit(Schedule(tau, sampler, vectorized=True), frame)
 
 
 # ---------------------------------------------------------------------------

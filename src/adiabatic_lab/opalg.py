@@ -35,6 +35,13 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.conj(a).swapaxes(-1, -2)
 
 
+def stack_2x2(a, b, c, d) -> np.ndarray:
+    """The matrices [[a, b], [c, d]] of broadcastable entries, as a
+    (..., 2, 2) stack over the entries' broadcast shape."""
+    a, b, c, d = np.broadcast_arrays(a, b, c, d)
+    return np.stack((np.stack((a, b), axis=-1), np.stack((c, d), axis=-1)), axis=-2)
+
+
 def is_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> bool:
     """Max-entry Hermiticity test; an empty matrix passes."""
     a = np.asarray(a)

@@ -37,7 +37,13 @@ from .opalg import (
     superoperator_matrix,
     to_coherence_vector,
 )
-from .spectral import NEAR_DEFECTIVE_COND, cumtrapz, fourth_order_derivative, require_stencil_points
+from .spectral import (
+    NEAR_DEFECTIVE_COND,
+    cumtrapz,
+    fourth_order_derivative,
+    require_stencil_points,
+    track_eigenvectors,
+)
 
 IDENTICAL_BLOCK_TOL = 1e-10
 EXPANSION_RESIDUAL_TOL = 1e-8
@@ -98,17 +104,14 @@ def track_liouville_spectrum(
     """Diagonalize the Liouvillian on a grid with continuity tracking.
 
     Eigenvalues are ordered by descending real part at s=0 and followed
-    through the grid by an assignment that weighs eigenvector overlap
-    against eigenvalue distance.  The grid's matrices are decomposed in one
-    batched ``eig``; only the assignment and the phase fix against the
-    previous node's gauge-fixed vectors run node by node.
+    through the grid by :func:`~adiabatic_lab.spectral.track_eigenvectors`,
+    whose assignment weighs eigenvector overlap against eigenvalue
+    distance.  The grid's matrices are decomposed in one batched ``eig``.
 
     Raises if any sampled Liouvillian has a non-finite entry, or if any
     sampled spectrum is defective; the one-dimensional-block theory
     implemented here has no Jordan chains to propagate.
     """
-    from scipy.optimize import linear_sum_assignment
-
     require_stencil_points(n_points)
     grid = np.linspace(0.0, 1.0, n_points)
     mats = superoperator_at(l, grid, basis)
@@ -120,24 +123,7 @@ def track_liouville_spectrum(
     # layout sets the summation order, and so the bits, of the column norms
     vecs = np.ascontiguousarray(vecs.swapaxes(1, 2)).swapaxes(1, 2)
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    scale = np.maximum(1.0, np.max(np.abs(vals), axis=1))
-    # eigenvalue distance of node k-1 (rows) to node k (columns), both in
-    # eig's order; row order is fixed up at use by node k-1's assignment
-    dist = np.abs(vals[:-1, :, None] - vals[1:, None, :]) / scale[1:, None, None]
-
-    order = np.empty(vals.shape, dtype=int)
-    order[0] = np.lexsort((vals[0].imag, -vals[0].real))
-    right = np.empty(vecs.shape, dtype=complex)
-    right[0] = vecs[0][:, order[0]]
-    for k in range(1, n_points):
-        prev = right[k - 1]
-        cost = 1.0 - np.abs(prev.conj().T @ vecs[k]) + dist[k - 1][order[k - 1]]
-        row, col = linear_sum_assignment(cost)
-        order[k, row] = col
-        v = vecs[k][:, order[k]]
-        ov = np.einsum("ia,ia->a", np.conj(prev), v)
-        ov[np.abs(ov) < 1e-12] = 1.0
-        right[k] = v / (ov / np.abs(ov))[None, :]
+    order, right = track_eigenvectors(vals, vecs, np.lexsort((vals[0].imag, -vals[0].real)))
     eigenvalues = np.take_along_axis(vals, order, axis=1)
 
     cond = np.linalg.cond(right)

@@ -104,27 +104,46 @@ class SpectralFrame:
         """Eigenvector time series of level n, shape (M, d)."""
         return self.vectors[:, :, n]
 
-    def connection(self, n: int, m: int) -> np.ndarray:
-        """Series <E_n(s)|dE_m/dt(s)> over the grid."""
-        return np.einsum("ki,ki->k", np.conj(self.vectors[:, :, n]), self.dvectors[:, :, m])
+    @property
+    def connection(self) -> np.ndarray:
+        """Connection matrix <E_n(s)|dE_m/dt(s)> over the grid, (M, d, d)
+        indexed [node, n, m]."""
+        return np.einsum("kin,kim->knm", np.conj(self.vectors), self.dvectors)
 
 
-def _assign_by_overlap(prev_vecs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    overlap = np.abs(dagger(prev_vecs) @ vecs)
-    row, col = linear_sum_assignment(-overlap)
-    order = np.empty(len(col), dtype=int)
-    order[row] = col
-    return order
+def track_eigenvectors(
+    vals: np.ndarray, vecs: np.ndarray, first: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Follow eigenvectors through a grid by continuity and fix their phases.
 
-
-def _smooth_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each level's phase so successive overlaps are real positive."""
-    out = vectors.copy()
-    for k in range(1, out.shape[0]):
-        ov = np.einsum("in,in->n", np.conj(out[k - 1]), out[k])
-        phase = ov / np.abs(ov)
-        out[k] = out[k] / phase[None, :]
-    return out
+    ``vals`` (M, d) and ``vecs`` (M, D, d) hold each node's eigenvalues and
+    eigenvector columns in decomposition order; ``first`` orders node 0.
+    Each later node's columns are assigned to the previous node's by the
+    minimum total cost 1 - |overlap| + eigenvalue distance / node scale,
+    the scale being max(1, largest |eigenvalue| at the node).  Each
+    assigned column is then rotated so that its overlap with the previous
+    gauge-fixed column is real positive; overlaps below 1e-12 leave the
+    phase alone.  Returns ``order`` (M, d), with ``vals[k, order[k]]`` the
+    tracked eigenvalues of node k, and the gauge-fixed columns (M, D, d).
+    """
+    scale = np.maximum(1.0, np.max(np.abs(vals), axis=1))
+    # eigenvalue distance of node k-1 (rows) to node k (columns), both in
+    # decomposition order; row order is fixed up at use by node k-1's order
+    dist = np.abs(vals[:-1, :, None] - vals[1:, None, :]) / scale[1:, None, None]
+    order = np.empty(vals.shape, dtype=int)
+    order[0] = first
+    out = np.empty(vecs.shape, dtype=complex)
+    out[0] = vecs[0][:, first]
+    for k in range(1, len(vals)):
+        prev = out[k - 1]
+        cost = 1.0 - np.abs(prev.conj().T @ vecs[k]) + dist[k - 1][order[k - 1]]
+        row, col = linear_sum_assignment(cost)
+        order[k, row] = col
+        v = vecs[k][:, order[k]]
+        ov = np.einsum("ia,ia->a", np.conj(prev), v)
+        ov[np.abs(ov) < 1e-12] = 1.0
+        out[k] = v / (ov / np.abs(ov))[None, :]
+    return order, out
 
 
 def tracked_eigensystem(
@@ -135,38 +154,41 @@ def tracked_eigensystem(
     """Diagonalize a Hamiltonian schedule on a grid with continuity tracking.
 
     Levels are ordered by ascending energy at s=0 and followed through the
-    grid by maximum-overlap assignment.  A gap below ``GAP_TOL_FACTOR``
+    grid by :func:`track_eigenvectors`.  A gap below ``GAP_TOL_FACTOR``
     times the Hamiltonian scale anywhere on the grid is treated as a level
     crossing and refused, because derivative and connection data are
     meaningless across a crossing; so is an adjacent-node eigenvector
     overlap below 0.999, which means the grid is too coarse to track.
+    Both are raised at the first failing node, the gap first.
     """
     if gauge not in ("smooth", "parallel-transport"):
         raise ValueError(f"unknown gauge {gauge!r}")
+    require_stencil_points(n_points)
     grid = np.linspace(0.0, 1.0, n_points)
     hams = h.sample(grid)
-    energies, vectors = np.linalg.eigh(hams)
+    energies, vecs = np.linalg.eigh(hams)
     scale = np.maximum(1.0, np.max(np.abs(energies), axis=1))
-    gap_closed = np.min(np.diff(energies, axis=1), axis=1) < GAP_TOL_FACTOR * scale
+    closed = np.flatnonzero(np.min(np.diff(energies, axis=1), axis=1) < GAP_TOL_FACTOR * scale)
 
-    for k, s in enumerate(grid):
-        if gap_closed[k]:
-            raise LevelCrossingError(
-                f"spectral gap below tolerance at s={s:.6f} (t={s * h.tau:.3e} s)"
-            )
-        if k:
-            prev = vectors[k - 1]
-            order = _assign_by_overlap(prev, vectors[k])
-            energies[k], vectors[k] = energies[k, order], vectors[k][:, order]
-            adj = np.abs(np.einsum("in,in->n", np.conj(prev), vectors[k]))
-            if np.min(adj) < 0.999:
-                raise LevelCrossingError(
-                    f"continuity tracking failed at s={s:.6f} "
-                    f"(min adjacent overlap {np.min(adj):.4f}); increase n_points"
-                )
-    max_res = float(np.max(np.abs(hams @ vectors - vectors * energies[:, None, :])))
+    order, vectors = track_eigenvectors(energies, vecs, np.arange(energies.shape[1]))
+    energies = np.take_along_axis(energies, order, axis=1)
+    # the assigned eigh columns before the phase fix, which moves their bits
+    vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
+    adj = np.min(np.abs(np.einsum("kin,kin->kn", np.conj(vecs[:-1]), vecs[1:])), axis=1)
+    torn = np.flatnonzero(adj < 0.999)
+    if closed.size and (not torn.size or closed[0] <= torn[0] + 1):
+        s = grid[closed[0]]
+        raise LevelCrossingError(
+            f"spectral gap below tolerance at s={s:.6f} (t={s * h.tau:.3e} s)"
+        )
+    if torn.size:
+        raise LevelCrossingError(
+            f"continuity tracking failed at s={grid[torn[0] + 1]:.6f} "
+            f"(min adjacent overlap {adj[torn[0]]:.4f}); increase n_points"
+        )
+    max_res = float(np.max(np.abs(hams @ vecs - vecs * energies[:, None, :])))
+    del hams, vecs  # not needed below, where the derivative stencils peak the memory
 
-    vectors = _smooth_phases(vectors)
     ds = grid[1] - grid[0]
     tau = time_scale(h.tau)
 
@@ -198,24 +220,32 @@ def tracked_eigensystem(
 def frame_from_functions(
     tau: float,
     n_points: int,
-    energy_fn: Callable[[float], np.ndarray],
-    vector_fn: Callable[[float], np.ndarray],
-    dvector_fn: Callable[[float], np.ndarray] | None = None,
+    energy_fn: Callable[[np.ndarray], np.ndarray],
+    vector_fn: Callable[[np.ndarray], np.ndarray],
+    dvector_fn: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> SpectralFrame:
     """Build a frame from closed-form eigensystem functions of s in [0, 1].
 
-    ``vector_fn`` returns the eigenvector matrix (columns ascending at s=0);
-    ``dvector_fn`` returns its physical-time derivative.  When the
-    derivative is not supplied it is computed by the same finite-difference
-    stencils used for numeric frames.
+    Each function is called once, on the (M,) array of grid points s, and
+    returns every node at once: ``energy_fn`` the (M, d) energies,
+    ``vector_fn`` the (M, D, d) eigenvector matrices (columns ascending at
+    s=0) and ``dvector_fn`` their physical-time derivatives, also
+    (M, D, d).  When the derivative is not supplied it is computed by the
+    same finite-difference stencils used for numeric frames.
     """
+    require_stencil_points(n_points)
     grid = np.linspace(0.0, 1.0, n_points)
-    energies = np.array([np.asarray(energy_fn(s), dtype=float) for s in grid])
-    vectors = np.array([np.asarray(vector_fn(s), dtype=complex) for s in grid])
+    energies = np.ascontiguousarray(energy_fn(grid), dtype=float)
+    vectors = np.ascontiguousarray(vector_fn(grid), dtype=complex)
+    if vectors.ndim != 3 or vectors.shape[0] != n_points or energies.shape != vectors.shape[::2]:
+        raise ValueError(
+            f"frame functions must map the ({n_points},) grid to (M, d) energies and "
+            f"(M, D, d) vectors, not {energies.shape} and {vectors.shape}"
+        )
     ds = grid[1] - grid[0]
     scale_tau = time_scale(tau)
     if dvector_fn is not None:
-        dvectors = np.array([np.asarray(dvector_fn(s), dtype=complex) for s in grid])
+        dvectors = np.ascontiguousarray(dvector_fn(grid), dtype=complex)
     else:
         dvectors = fourth_order_derivative(vectors, ds) / scale_tau
     denergies = fourth_order_derivative(energies, ds) / scale_tau

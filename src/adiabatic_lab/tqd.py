@@ -22,7 +22,7 @@ import numpy as np
 from scipy.integrate import trapezoid
 
 from .dynamics import Schedule, difference_points, evolve_unitary, pure_state_density
-from .opalg import SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger
+from .opalg import SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, stack_2x2
 from .spectral import SpectralFrame, fourth_order_derivative, frame_from_functions
 
 HERMITICITY_TOL = 1e-8
@@ -52,26 +52,19 @@ def adiabatic_phases(frame: SpectralFrame) -> PhaseChoice:
 def optimal_phases(frame: SpectralFrame) -> PhaseChoice:
     """Minimal-field phase rates theta_n = i <E_n|dE_n/dt>; in a
     parallel-transport gauge these vanish identically."""
-    m, d = frame.energies.shape
-    theta = np.empty((m, d))
-    for n in range(d):
-        conn = 1j * frame.connection(n, n)
-        _assert_real(conn, "optimal phase")
-        theta[:, n] = np.real(conn)
-    return PhaseChoice(theta)
+    conn = 1j * np.einsum("knn->kn", frame.connection)
+    worst = np.max(np.abs(np.imag(conn)), axis=0)
+    scale = np.maximum(1.0, np.max(np.abs(conn), axis=0))
+    bad = np.flatnonzero(worst > PHASE_IMAG_TOL * scale)
+    if bad.size:
+        raise AssertionError(f"optimal phase has imaginary residual {worst[bad[0]]:.2e}")
+    return PhaseChoice(np.real(conn))
 
 
 def constant_phases(frame: SpectralFrame, values: Sequence[float]) -> PhaseChoice:
     values = np.asarray(values, dtype=float)
     theta = np.broadcast_to(values, (len(frame.grid), values.shape[0])).copy()
     return PhaseChoice(theta)
-
-
-def _assert_real(series: np.ndarray, label: str) -> None:
-    worst = float(np.max(np.abs(np.imag(series))))
-    scale = max(1.0, float(np.max(np.abs(series))))
-    if worst > PHASE_IMAG_TOL * scale:
-        raise AssertionError(f"{label} has imaginary residual {worst:.2e}")
 
 
 def matrix_series_schedule(grid: np.ndarray, tau: float, mats: np.ndarray) -> Schedule:
@@ -149,10 +142,9 @@ def tqd_time_independence(frame: SpectralFrame, phases: PhaseChoice) -> dict:
     largest connection drift and the largest driving-field drift, both
     relative to their initial scale.
     """
-    d = frame.n_levels
-    conn = np.array([[frame.connection(k, n) for n in range(d)] for k in range(d)])
-    drift = float(np.max(np.abs(conn - conn[:, :, :1])))
-    conn_scale = max(float(np.max(np.abs(conn[:, :, 0]))), 1e-300)
+    conn = frame.connection
+    drift = float(np.max(np.abs(conn - conn[:1])))
+    conn_scale = max(float(np.max(np.abs(conn[0]))), 1e-300)
 
     hams = generalized_tqd(frame, phases).sample(frame.grid)
     h_scale = max(float(np.max(np.abs(hams[0]))), 1e-300)
@@ -172,21 +164,19 @@ def lz_schedules(
     theta_fn: Callable[[float], float],
     tau: float,
     n_points: int = 801,
-    theta_dot_fn: Callable[[float], float] | None = None,
 ) -> dict:
     """Two-level avoided-crossing sweep H0 = delta (sigma_z + tan(theta(s))
     sigma_x) and its driving variants.
 
     Returns schedules {"h0", "standard", "optimal"} plus the closed-form
     frame.  The optimal variant is the bare correction
-    (d theta/ds / (2 tau)) sigma_y, time independent for a linear sweep.
+    (d theta/ds / (2 tau)) sigma_y, time independent for a linear sweep;
+    d theta/ds is a central difference between :func:`difference_points`.
     """
     if delta == 0.0:
         raise ValueError("delta must be nonzero")
 
     def tdot(s: float) -> float:
-        if theta_dot_fn is not None:
-            return theta_dot_fn(s)
         lo, hi = difference_points(s)
         return (theta_fn(hi) - theta_fn(lo)) / (hi - lo)
 
@@ -202,24 +192,24 @@ def lz_schedules(
     def std_sampler(s: float) -> np.ndarray:
         return h0_sampler(s) + cd_sampler(s)
 
-    def energy_fn(s: float) -> np.ndarray:
-        e = abs(delta) / abs(math.cos(theta_fn(s)))
-        return np.array([-e, e])
+    def angles(s: np.ndarray) -> np.ndarray:
+        return np.array([theta_fn(x) for x in s.tolist()])
 
-    def vector_fn(s: float) -> np.ndarray:
-        half = 0.5 * theta_fn(s)
-        return np.array(
-            [[-math.sin(half), math.cos(half)], [math.cos(half), math.sin(half)]],
-            dtype=complex,
-        )
+    def energy_fn(s: np.ndarray) -> np.ndarray:
+        e = abs(delta) / np.abs(np.cos(angles(s)))
+        return np.stack((-e, e), axis=-1)
 
-    def dvector_fn(s: float) -> np.ndarray:
-        half = 0.5 * theta_fn(s)
-        rate = 0.5 * tdot(s) / tau
-        return rate * np.array(
-            [[-math.cos(half), -math.sin(half)], [-math.sin(half), math.cos(half)]],
-            dtype=complex,
-        )
+    def vector_fn(s: np.ndarray) -> np.ndarray:
+        half = 0.5 * angles(s)
+        return stack_2x2(-np.sin(half), np.cos(half), np.cos(half), np.sin(half))
+
+    def dvector_fn(s: np.ndarray) -> np.ndarray:
+        half = 0.5 * angles(s)
+        rate = 0.5 * np.array([tdot(x) for x in s.tolist()]) / tau
+        rows = stack_2x2(-np.cos(half), -np.sin(half), -np.sin(half), np.cos(half))
+        # a complex product, as in the scalar form: it gives the zero
+        # imaginary parts their signs
+        return rate[:, None, None] * rows.astype(complex)
 
     frame = frame_from_functions(tau, n_points, energy_fn, vector_fn, dvector_fn)
     return {

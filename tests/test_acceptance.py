@@ -98,9 +98,7 @@ def _report(num: int, detail: str) -> None:
 
 
 def _lz_frame(tau, n_points=801):
-    return lz_schedules(
-        LZ_DELTA, lambda s: LZ_THETA0 * s, tau, n_points, lambda s: LZ_THETA0
-    )["frame"]
+    return lz_schedules(LZ_DELTA, lambda s: LZ_THETA0 * s, tau, n_points)["frame"]
 
 
 def _nmr_lab_schedule(r):

@@ -16,12 +16,19 @@ from adiabatic_lab.adcheck import (
     theorem2_check,
 )
 from adiabatic_lab.dynamics import Schedule, evolve_unitary, nmr_closed_form_p0
-from adiabatic_lab.spectral import LevelCrossingError
+from adiabatic_lab.opalg import SIGMA_X, SIGMA_Y, SIGMA_Z
+from adiabatic_lab.spectral import LevelCrossingError, frame_from_functions
 
 W0 = 2 * np.pi * 1.0e4
 THETA = 0.03
 TAU = 1.0e-3
 W1 = W0 * np.tan(THETA)
+
+
+def _same_bits(a, b):
+    """np.array_equal, and the same bytes: array_equal takes -0.0 for 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def nmr_kit(r, n_points=2001):
@@ -212,3 +219,163 @@ def test_survival_probability_closed_form_vs_integration():
         got = np.abs(traj.states[:, 0]) ** 2
         want = nmr_closed_form_p0(W0, W1, w, traj.times)
         assert np.max(np.abs(got - want)) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the scalar closures the array-native kits replaced, kept as the
+# bit-for-bit reference: frames node by node as frame_from_functions built
+# them (s an np.float64 grid point), samples as Schedule.at took them (s a
+# Python float)
+
+
+def _per_node(fn, dtype):
+    return lambda s: np.array([np.asarray(fn(x), dtype=dtype) for x in s])
+
+
+def _reference_frame(tau, n_points, energy_fn, vector_fn, dvector_fn=None):
+    return frame_from_functions(
+        tau,
+        n_points,
+        _per_node(energy_fn, float),
+        _per_node(vector_fn, complex),
+        None if dvector_fn is None else _per_node(dvector_fn, complex),
+    )
+
+
+def _reference_nmr_rotating(omega0, omega1, omega, tau, n_points):
+    theta = np.arctan2(omega1, omega0)
+    half, sec = 0.5 * theta, 1.0 / np.cos(theta)
+    e_split = 0.5 * omega0 * sec
+
+    def sampler(s):
+        t = s * tau
+        return 0.5 * omega0 * SIGMA_Z + 0.5 * omega1 * (
+            np.cos(omega * t) * SIGMA_X + np.sin(omega * t) * SIGMA_Y
+        )
+
+    def energy_fn(s):
+        return np.array([-e_split, e_split])
+
+    def vector_fn(s):
+        ph = np.exp(-1j * omega * s * tau)
+        return np.array([[-ph * np.sin(half), ph * np.cos(half)], [np.cos(half), np.sin(half)]])
+
+    def dvector_fn(s):
+        ph = np.exp(-1j * omega * s * tau)
+        return np.array(
+            [[1j * omega * ph * np.sin(half), -1j * omega * ph * np.cos(half)], [0.0, 0.0]]
+        )
+
+    return sampler, _reference_frame(tau, n_points, energy_fn, vector_fn, dvector_fn)
+
+
+def _reference_nmr_rotating_frame(omega0, omega1, omega, tau, n_points):
+    detuning = omega0 - omega
+    split = 0.5 * np.hypot(detuning, omega1)
+    mix = 0.5 * np.arctan2(omega1, detuning)
+    ham = 0.5 * detuning * SIGMA_Z + 0.5 * omega1 * SIGMA_X
+    vecs = np.array([[-np.sin(mix), np.cos(mix)], [np.cos(mix), np.sin(mix)]], dtype=complex)
+    frame = _reference_frame(
+        tau,
+        n_points,
+        lambda s: np.array([-split, split]),
+        lambda s: vecs,
+        lambda s: np.zeros((2, 2), dtype=complex),
+    )
+    return (lambda s: ham), frame
+
+
+def _reference_oscillating(omega0, theta, omega, tau, n_points):
+    tt = np.tan(theta)
+
+    def sampler(s):
+        x = tt * np.sin(omega * s * tau)
+        return 0.5 * omega0 * (SIGMA_Z + x * SIGMA_X)
+
+    def energy_fn(s):
+        x = tt * np.sin(omega * s * tau)
+        e = 0.5 * omega0 * np.sqrt(1.0 + x * x)
+        return np.array([-e, e])
+
+    def mixing(s):
+        return np.arctan2(tt * np.sin(omega * s * tau), 1.0)
+
+    def vector_fn(s):
+        half = 0.5 * mixing(s)
+        return np.array(
+            [[-np.sin(half), np.cos(half)], [np.cos(half), np.sin(half)]], dtype=complex
+        )
+
+    def dvector_fn(s):
+        t = s * tau
+        x = tt * np.sin(omega * t)
+        dmix_dt = tt * omega * np.cos(omega * t) / (1.0 + x * x)
+        half = 0.5 * mixing(s)
+        return 0.5 * dmix_dt * np.array(
+            [[-np.cos(half), -np.sin(half)], [-np.sin(half), np.cos(half)]], dtype=complex
+        )
+
+    return sampler, _reference_frame(tau, n_points, energy_fn, vector_fn, dvector_fn)
+
+
+def _reference_oscillating_noninertial(omega0, theta, omega, tau, n_points):
+    tt = np.tan(theta)
+    detuning = omega0 - omega
+
+    def sampler(s):
+        t = s * tau
+        amp = 0.5 * omega0 * tt * np.sin(omega * t)
+        return 0.5 * detuning * SIGMA_Z + amp * (
+            np.cos(omega * t) * SIGMA_X - np.sin(omega * t) * SIGMA_Y
+        )
+
+    def bloch(s):
+        t = s * tau
+        amp = 0.5 * omega0 * tt * np.sin(omega * t)
+        return np.array([amp * np.cos(omega * t), -amp * np.sin(omega * t), 0.5 * detuning])
+
+    def energy_fn(s):
+        r = np.linalg.norm(bloch(s))
+        return np.array([-r, r])
+
+    if detuning > 0:
+
+        def vector_fn(s):
+            h = bloch(s)
+            r = np.linalg.norm(h)
+            c = np.sqrt(0.5 * (1.0 + h[2] / r))
+            w = (h[0] + 1j * h[1]) / (2.0 * r * c)
+            return np.array([[-np.conj(w), c], [c, w]])
+
+    else:
+
+        def vector_fn(s):
+            h = bloch(s)
+            r = np.linalg.norm(h)
+            sn = np.sqrt(0.5 * (1.0 - h[2] / r))
+            u = (h[0] - 1j * h[1]) / (2.0 * r * sn)
+            return np.array([[-sn, u], [np.conj(u), sn]])
+
+    return sampler, _reference_frame(tau, n_points, energy_fn, vector_fn)
+
+
+@pytest.mark.parametrize("n_points", [101, 301])
+@pytest.mark.parametrize("r", [0.0, 0.25, 2.75])
+@pytest.mark.parametrize(
+    "kit_fn, reference_fn, drive",
+    [
+        (nmr_rotating, _reference_nmr_rotating, W1),
+        (nmr_rotating_frame, _reference_nmr_rotating_frame, W1),
+        (oscillating, _reference_oscillating, THETA),
+        (oscillating_noninertial, _reference_oscillating_noninertial, THETA),
+    ],
+    ids=["nmr", "nmr-rotating-frame", "oscillating", "noninertial"],
+)
+def test_kits_match_their_scalar_closures(kit_fn, reference_fn, drive, r, n_points):
+    kit = kit_fn(W0, drive, r * W0, TAU, n_points=n_points)
+    sampler, frame = reference_fn(W0, drive, r * W0, TAU, n_points)
+    grid = kit.frame.grid
+    want = np.array([np.asarray(sampler(s), dtype=complex) for s in grid.tolist()])
+    assert _same_bits(kit.schedule.sample(grid), want)
+    for name in ("energies", "vectors", "dvectors", "denergies"):
+        assert _same_bits(getattr(kit.frame, name), getattr(frame, name)), name

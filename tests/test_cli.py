@@ -321,3 +321,25 @@ def test_package_modules_use_every_name_they_import():
                     if name not in used:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert sorted(PACKAGE.glob("*.py")) and not unused, unused
+
+
+def test_package_private_names_are_all_referenced():
+    defined, used = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(path.name, node.lineno, n) for n in names if n.startswith("_") and not n.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    orphans = [f"{f}:{line} {n}" for f, line, n in defined if n not in used]
+    assert defined and not orphans, orphans

@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adiabatic_lab.dynamics import Schedule
-from adiabatic_lab.opalg import SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, pauli_basis, superoperator_matrix
+from adiabatic_lab.opalg import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    dagger,
+    pauli_basis,
+    stack_2x2,
+    superoperator_matrix,
+)
 from adiabatic_lab.spectral import (
     LevelCrossingError,
     eigvec_overlap_matrix,
@@ -16,6 +25,12 @@ from adiabatic_lab.spectral import (
 )
 
 RNG = np.random.default_rng(11)
+
+
+def _same_bits(a, b):
+    """np.array_equal, and the same bytes: array_equal takes -0.0 for 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +104,8 @@ def test_parallel_transport_kills_diagonal_connection():
     frame = tracked_eigensystem(
         _lz_schedule(2 * np.pi * 1e3, 1.0, 1e-3), 401, gauge="parallel-transport"
     )
-    for n in range(2):
-        conn = frame.connection(n, n)
-        assert np.max(np.abs(conn[2:-2])) * frame.tau < 1e-6
+    conn = np.einsum("knn->kn", frame.connection)
+    assert np.max(np.abs(conn[2:-2])) * frame.tau < 1e-6
 
 
 def test_level_crossing_refused():
@@ -121,11 +135,11 @@ def test_frame_from_functions_matches_tracked():
 
     def energy_fn(s):
         e = delta / np.cos(theta0 * s)
-        return np.array([-e, e])
+        return np.stack((-e, e), axis=-1)
 
     def vector_fn(s):
         h = 0.5 * theta0 * s
-        return np.array([[-np.sin(h), np.cos(h)], [np.cos(h), np.sin(h)]], dtype=complex)
+        return stack_2x2(-np.sin(h), np.cos(h), np.cos(h), np.sin(h))
 
     closed = frame_from_functions(tau, 201, energy_fn, vector_fn)
     assert np.max(np.abs(closed.energies - tracked.energies)) < 1e-7 * delta
@@ -136,6 +150,94 @@ def test_frame_from_functions_matches_tracked():
 def test_unknown_gauge_rejected():
     with pytest.raises(ValueError, match="gauge"):
         tracked_eigensystem(_lz_schedule(1.0, 0.5, 1.0), 11, gauge="lorenz")
+
+
+@pytest.mark.parametrize("n_points", [0, 1, 4])
+def test_short_grids_are_refused_by_name(n_points):
+    with pytest.raises(ValueError, match="at least 5 samples"):
+        tracked_eigensystem(_lz_schedule(1.0, 0.5, 1.0), n_points)
+    with pytest.raises(ValueError, match="at least 5 samples"):
+        frame_from_functions(1.0, n_points, _constant_energies, _constant_vectors)
+
+
+def test_frame_from_functions_refuses_one_node_closures():
+    with pytest.raises(ValueError, match=r"must map the \(11,\) grid"):
+        frame_from_functions(1.0, 11, lambda s: np.array([-1.0, 1.0]), _constant_vectors)
+
+
+# ---------------------------------------------------------------------------
+# the node-by-node Hermitian tracker that track_eigenvectors replaced, kept
+# as the bit-for-bit reference
+
+
+def _reference_tracked_eigensystem(h, n_points, gauge):
+    grid = np.linspace(0.0, 1.0, n_points)
+    hams = h.sample(grid)
+    energies, vectors = np.linalg.eigh(hams)
+    for k in range(1, n_points):
+        overlap = np.abs(dagger(vectors[k - 1]) @ vectors[k])
+        row, col = scipy.optimize.linear_sum_assignment(-overlap)
+        order = np.empty(len(col), dtype=int)
+        order[row] = col
+        energies[k], vectors[k] = energies[k, order], vectors[k][:, order]
+    max_res = float(np.max(np.abs(hams @ vectors - vectors * energies[:, None, :])))
+    # smooth phases: every successive overlap real positive
+    for k in range(1, n_points):
+        ov = np.einsum("in,in->n", np.conj(vectors[k - 1]), vectors[k])
+        vectors[k] = vectors[k] / (ov / np.abs(ov))[None, :]
+    ds = grid[1] - grid[0]
+    if gauge == "parallel-transport":
+        for _ in range(2):
+            dvec_s = fourth_order_derivative(vectors, ds)
+            conn = np.einsum("kin,kin->kn", np.conj(vectors), dvec_s)
+            theta = np.zeros_like(conn, dtype=float)
+            theta[1:] = np.cumsum(0.5 * ds * np.imag(conn[1:] + conn[:-1]), axis=0)
+            vectors = vectors * np.exp(-1j * theta)[:, None, :]
+    dvectors = fourth_order_derivative(vectors, ds) / h.tau
+    denergies = np.real(fourth_order_derivative(energies, ds) / h.tau)
+    return energies, vectors, dvectors, denergies, max_res
+
+
+def _nmr_lab_schedule(r):
+    w0, tau = 2.0 * np.pi * 1.0e4, 1.0e-3
+    w1, w = w0 * np.tan(0.03), r * w0
+
+    def sampler(s):
+        t = s * tau
+        return 0.5 * w0 * SIGMA_Z + 0.5 * w1 * (np.cos(w * t) * SIGMA_X + np.sin(w * t) * SIGMA_Y)
+
+    return Schedule(tau, sampler)
+
+
+def _random_schedule(dim, seed):
+    rng = np.random.default_rng(seed)
+    a, b = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(2))
+    ha, hb = a + dagger(a), b + dagger(b)
+    spread = 8.0 * np.diag(np.arange(dim, dtype=float))
+    return Schedule(2.0, lambda s: ha + s * hb + spread)
+
+
+@pytest.mark.parametrize("gauge", ["smooth", "parallel-transport"])
+@pytest.mark.parametrize(
+    "sched, n_points",
+    [
+        (_lz_schedule(2 * np.pi * 2e3, np.pi / 3, 1e-3), 201),
+        (_nmr_lab_schedule(1.0), 1001),
+        (_random_schedule(3, 5), 201),
+        (_random_schedule(8, 6), 201),
+    ],
+    ids=["lz", "nmr-lab", "random-3x3", "random-8x8"],
+)
+def test_tracked_eigensystem_matches_node_by_node_reference(sched, n_points, gauge):
+    frame = tracked_eigensystem(sched, n_points, gauge=gauge)
+    energies, vectors, dvectors, denergies, max_res = _reference_tracked_eigensystem(
+        sched, n_points, gauge
+    )
+    assert _same_bits(frame.energies, energies)
+    assert _same_bits(frame.vectors, vectors)
+    assert _same_bits(frame.dvectors, dvectors)
+    assert _same_bits(frame.denergies, denergies)
+    assert _same_bits(frame.max_residual, max_res)
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +301,17 @@ def test_liouville_spectrum_dephasing_generator():
     assert np.max(np.abs(got - want)) < 1e-6 * max(g, w)
 
 
+def _constant_energies(s):
+    return np.broadcast_to([-1.0, 1.0], s.shape + (2,))
+
+
+def _constant_vectors(s):
+    return np.broadcast_to(np.eye(2), s.shape + (2, 2))
+
+
 def test_overlap_matrix_grid_mismatch():
-    f1 = frame_from_functions(1.0, 11, lambda s: np.array([-1.0, 1.0]),
-                              lambda s: np.eye(2, dtype=complex))
-    f2 = frame_from_functions(1.0, 21, lambda s: np.array([-1.0, 1.0]),
-                              lambda s: np.eye(2, dtype=complex))
+    f1 = frame_from_functions(1.0, 11, _constant_energies, _constant_vectors)
+    f2 = frame_from_functions(1.0, 21, _constant_energies, _constant_vectors)
     with pytest.raises(ValueError, match="grids"):
         eigvec_overlap_matrix(f1, f2)
 

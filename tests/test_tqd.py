@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from adiabatic_lab.dynamics import Schedule, evolve_unitary
+from adiabatic_lab.dynamics import Schedule, difference_points, evolve_unitary
 from adiabatic_lab.opalg import SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z
 from adiabatic_lab.spectral import frame_from_functions
 from adiabatic_lab.tqd import (
@@ -37,6 +37,12 @@ from adiabatic_lab.tqd import (
 
 RNG = np.random.default_rng(77)
 
+
+def _same_bits(a, b):
+    """np.array_equal, and the same bytes: array_equal takes -0.0 for 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
 DELTA = 2.0 * math.pi * 2000.0
 THETA0 = math.pi / 3.0
 
@@ -45,12 +51,12 @@ def linear_sweep(s):
     return THETA0 * s
 
 
-def linear_sweep_dot(s):
-    return THETA0
+def bent_sweep(s):
+    return THETA0 * math.sin(0.5 * math.pi * s) ** 2
 
 
 def lz_frame(tau, n_points=801):
-    return lz_schedules(DELTA, linear_sweep, tau, n_points, linear_sweep_dot)["frame"]
+    return lz_schedules(DELTA, linear_sweep, tau, n_points)["frame"]
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +102,7 @@ def test_optimal_phases_vanish_in_parallel_transport_gauge():
 
 def test_counter_diabatic_term_matches_closed_form():
     tau = 1.0e-4
-    sched = lz_schedules(DELTA, linear_sweep, tau, 801, linear_sweep_dot)
+    sched = lz_schedules(DELTA, linear_sweep, tau, 801)
     cd = counter_diabatic_term(sched["frame"])
     for s in (0.0, 0.3, 0.75, 1.0):
         want = np.asarray(sched["optimal"].at(s))
@@ -110,14 +116,20 @@ def test_generalized_tqd_rejects_mismatched_phase_grid():
         generalized_tqd(frame, PhaseChoice(np.zeros((7, 2))))
 
 
-def test_generalized_tqd_rejects_noisy_frame_derivatives():
-    frame = frame_from_functions(
+def _static_frame(n_points, dvector):
+    """Frame with fixed levels -1, 1, basis vectors and the given constant
+    eigenvector derivative."""
+    return frame_from_functions(
         1.0,
-        51,
-        lambda s: np.array([-1.0, 1.0]),
-        lambda s: np.eye(2, dtype=complex),
-        lambda s: np.array([[0.0, 10.0], [0.0, 0.0]], dtype=complex),
+        n_points,
+        lambda s: np.broadcast_to([-1.0, 1.0], s.shape + (2,)),
+        lambda s: np.broadcast_to(SIGMA_0, s.shape + (2, 2)),
+        lambda s: np.broadcast_to(dvector, s.shape + (2, 2)),
     )
+
+
+def test_generalized_tqd_rejects_noisy_frame_derivatives():
+    frame = _static_frame(51, np.array([[0.0, 10.0], [0.0, 0.0]]))
     with pytest.raises(AssertionError, match="asymmetry"):
         generalized_tqd(frame, constant_phases(frame, (0.0, 0.0)))
 
@@ -125,13 +137,7 @@ def test_generalized_tqd_rejects_noisy_frame_derivatives():
 def test_generalized_tqd_asymmetry_names_node_on_its_own_scale():
     # a 1e-4 asymmetry everywhere; only node 20, where the phase rates
     # vanish, has a scale small enough for it to count
-    frame = frame_from_functions(
-        1.0,
-        51,
-        lambda s: np.array([-1.0, 1.0]),
-        lambda s: np.eye(2, dtype=complex),
-        lambda s: np.array([[0.0, 1e-4], [0.0, 0.0]], dtype=complex),
-    )
+    frame = _static_frame(51, np.array([[0.0, 1e-4], [0.0, 0.0]]))
     theta = np.full((51, 2), 1e9)
     theta[20] = 0.0
     with pytest.raises(AssertionError, match="asymmetry 1.00e-04 at node 20;"):
@@ -147,15 +153,54 @@ def test_time_independence_for_linear_sweep():
     assert report["connection_drift"] < 1e-8
     assert report["field_drift"] < 1e-8
 
-    bent = lz_schedules(
-        DELTA,
-        lambda s: THETA0 * math.sin(0.5 * math.pi * s) ** 2,
-        1.0e-4,
-        801,
-        lambda s: THETA0 * 0.5 * math.pi * math.sin(math.pi * s),
-    )["frame"]
+    bent = lz_schedules(DELTA, bent_sweep, 1.0e-4, 801)["frame"]
     report = tqd_time_independence(bent, optimal_phases(bent))
     assert report["field_drift"] > 0.1
+
+
+def _reference_lz_frame(delta, theta_fn, tau, n_points):
+    """The scalar frame closures that lz_schedules replaced, evaluated node
+    by node on np.float64 grid points as frame_from_functions took them."""
+
+    def tdot(s):
+        lo, hi = difference_points(s)
+        return (theta_fn(hi) - theta_fn(lo)) / (hi - lo)
+
+    def energy_fn(s):
+        e = abs(delta) / abs(math.cos(theta_fn(s)))
+        return np.array([-e, e])
+
+    def vector_fn(s):
+        half = 0.5 * theta_fn(s)
+        return np.array(
+            [[-math.sin(half), math.cos(half)], [math.cos(half), math.sin(half)]], dtype=complex
+        )
+
+    def dvector_fn(s):
+        half = 0.5 * theta_fn(s)
+        rate = 0.5 * tdot(s) / tau
+        return rate * np.array(
+            [[-math.cos(half), -math.sin(half)], [-math.sin(half), math.cos(half)]], dtype=complex
+        )
+
+    def per_node(fn, dtype):
+        return lambda s: np.array([np.asarray(fn(x), dtype=dtype) for x in s])
+
+    return frame_from_functions(
+        tau, n_points, per_node(energy_fn, float), per_node(vector_fn, complex),
+        per_node(dvector_fn, complex),
+    )
+
+
+@pytest.mark.parametrize("n_points", [101, 301])
+@pytest.mark.parametrize(
+    "theta_fn", [linear_sweep, bent_sweep, lambda s: THETA0 * (1.0 - s)], ids=["linear", "bent", "falling"]
+)
+def test_lz_frame_matches_its_scalar_closures(theta_fn, n_points):
+    frame = lz_schedules(DELTA, theta_fn, 1.0e-4, n_points)["frame"]
+    want = _reference_lz_frame(DELTA, theta_fn, 1.0e-4, n_points)
+    for name in ("energies", "vectors", "dvectors", "denergies"):
+        assert _same_bits(getattr(frame, name), getattr(want, name)), name
 
 
 def test_matrix_series_schedule_snaps_to_nodes():
