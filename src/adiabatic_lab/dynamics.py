@@ -422,47 +422,55 @@ def evolve_lindblad(l: Schedule, rho0: np.ndarray, n_steps: int) -> Trajectory:
                       diagnostics={"trace_drift": drift, "min_eigenvalue": min_eig})
 
 
-def difference_points(s: float) -> tuple[float, float]:
-    """The two s-points (lo, hi) of a finite difference at s in [0, 1]:
-    s -+ 1e-6, clipped to the interval, so the difference is central inside
-    and one-sided at the ends.  Callers divide by their own (hi - lo)."""
-    return max(0.0, s - 1e-6), min(1.0, s + 1e-6)
+def difference_points(s: float | np.ndarray) -> tuple:
+    """The two s-points (lo, hi) of a finite difference at s in [0, 1], or
+    at every s of an array: s -+ 1e-6, clipped to the interval, so the
+    difference is central inside and one-sided at the ends.  Callers divide
+    by their own (hi - lo)."""
+    return np.maximum(0.0, s - 1e-6), np.minimum(1.0, s + 1e-6)
 
 
-def frame_transform(h: Schedule, o: Callable[[float], np.ndarray],
-                    o_dot: Callable[[float], np.ndarray] | None = None) -> Schedule:
+def frame_transform(h: Schedule, o: Callable[[np.ndarray], np.ndarray],
+                    o_dot: Callable[[np.ndarray], np.ndarray] | None = None) -> Schedule:
     """Move a Hamiltonian schedule into the frame defined by O(t).
 
-    Returns the schedule of H_O = O H O^dag + i (dO/dt) O^dag.  The second
-    term must be Hermitian when O is unitary; it is symmetrized when the
-    asymmetry is at rounding level and rejected otherwise.  ``o_dot`` is
-    the physical-time derivative; when omitted it is estimated by central
-    differences in s between :func:`difference_points`.
+    Returns the vectorized schedule of H_O = O H O^dag + i (dO/dt) O^dag.
+    ``o`` maps an (M,) array of s to the (M, D, D) stack of frame
+    unitaries, and ``o_dot`` to the stack of their physical-time
+    derivatives; when ``o_dot`` is omitted the derivative is estimated by
+    central differences in s between :func:`difference_points`.  Every
+    sampled node must be unitary, and the second term Hermitian: it is
+    symmetrized when the asymmetry is at rounding level and rejected
+    otherwise.  Both checks run over the sampled stack and name the first
+    failing s.
     """
     tau = h.tau
 
-    def o_dot_fd(s: float) -> np.ndarray:
+    def o_dot_fd(s: np.ndarray) -> np.ndarray:
         lo, hi = difference_points(s)
-        return (np.asarray(o(hi)) - np.asarray(o(lo))) / ((hi - lo) * tau)
+        return (np.asarray(o(hi)) - np.asarray(o(lo))) / ((hi - lo) * tau)[:, None, None]
 
     d_o = o_dot if o_dot is not None else o_dot_fd
 
-    def sampler(s: float) -> np.ndarray:
+    def sampler(s: np.ndarray) -> np.ndarray:
         u = np.asarray(o(s), dtype=complex)
-        if not is_unitary(u):
-            raise ValueError(f"frame map is not unitary at s={s}")
-        ham = np.asarray(h.at(s), dtype=complex)
+        unitary = is_unitary(u)
+        if not np.all(unitary):
+            raise ValueError(f"frame map is not unitary at s={float(s[np.argmin(unitary)])}")
+        ham = h.sample(s)
         pot = 1j * (np.asarray(d_o(s), dtype=complex) @ dagger(u))
-        scale = max(1.0, float(np.max(np.abs(pot))), float(np.max(np.abs(ham))))
-        asym = np.max(np.abs(pot - dagger(pot)))
-        if asym > 1e-6 * scale:
+        scale = np.maximum(1.0, np.maximum(np.max(np.abs(pot), axis=(1, 2)), np.max(np.abs(ham), axis=(1, 2))))
+        asym = np.max(np.abs(pot - dagger(pot)), axis=(1, 2))
+        bad = np.flatnonzero(asym > 1e-6 * scale)
+        if bad.size:
+            k = bad[0]
             raise ValueError(
-                f"i*dO/dt*O^dag deviates from Hermitian by {asym:.2e} at s={s}; "
+                f"i*dO/dt*O^dag deviates from Hermitian by {asym[k]:.2e} at s={float(s[k])}; "
                 "check the supplied o_dot"
             )
         return u @ ham @ dagger(u) + 0.5 * (pot + dagger(pot))
 
-    return Schedule(tau=tau, sampler=sampler)
+    return Schedule(tau=tau, sampler=sampler, vectorized=True)
 
 
 def nmr_closed_form_p0(omega0: float, omega1: float, omega: float, t) -> np.ndarray:

@@ -48,14 +48,17 @@ def is_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> bool:
     return bool(np.max(np.abs(a - dagger(a)), initial=0.0) < tol)
 
 
-def is_unitary(u: np.ndarray) -> bool:
+def is_unitary(u: np.ndarray):
     """Max-entry unitarity test against u u^dag = 1; a non-square matrix is
     never unitary, even when its rows are orthonormal, and the 0x0 matrix
-    is."""
+    is.  A bool for one matrix, one verdict per matrix for a stack
+    (..., D, D)."""
     u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    return bool(np.max(np.abs(u @ dagger(u) - np.eye(u.shape[0])), initial=0.0) < 1e-10)
+    if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
+        ok = np.zeros(u.shape[:-2], dtype=bool)
+    else:
+        ok = np.max(np.abs(u @ dagger(u) - np.eye(u.shape[-1])), axis=(-2, -1), initial=0.0) < 1e-10
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def is_density_matrix(rho: np.ndarray) -> bool:
@@ -154,14 +157,16 @@ def pauli_basis(n_qubits: int, max_qubits: int = 4) -> OperatorBasis:
 
 @dataclass(eq=False)
 class CoherenceVector:
-    """Component vector of an operator in an :class:`OperatorBasis`."""
+    """Component vector of an operator in an :class:`OperatorBasis`, or a
+    stack (..., D^2) of them, one per node; :meth:`Superoperator.apply` and
+    :func:`hs_inner` take one vector."""
 
     components: np.ndarray
     basis: OperatorBasis
 
     def __post_init__(self) -> None:
         self.components = np.asarray(self.components, dtype=complex)
-        if self.components.shape != (self.basis.dim**2,):
+        if self.components.shape[-1:] != (self.basis.dim**2,):
             raise ValueError(
                 f"expected {self.basis.dim ** 2} components, "
                 f"got shape {self.components.shape}"
@@ -169,18 +174,26 @@ class CoherenceVector:
 
 
 def to_coherence_vector(rho: np.ndarray, basis: OperatorBasis) -> CoherenceVector:
-    """Expand an operator over the basis, components c_n = Tr(rho sigma_n^dag)."""
+    """Expand an operator over the basis, components c_n = Tr(rho sigma_n^dag).
+
+    A stack of operators (..., D, D) gives a stack of component vectors
+    (..., D^2).  Each component is one batched 1 x D^2 by D^2 x 1 product,
+    the same BLAS dot that ``np.vdot`` runs, as in
+    :func:`superoperator_matrix`.
+    """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (basis.dim, basis.dim):
+    if rho.shape[-2:] != (basis.dim, basis.dim):
         raise ValueError(f"operator shape {rho.shape} does not match dim {basis.dim}")
-    comps = np.array([np.vdot(sig, rho) for sig in basis.elements])
+    d2 = basis.dim**2
+    sig = np.conj(np.array(basis.elements).reshape(d2, 1, d2))
+    comps = (sig @ rho.reshape(rho.shape[:-2] + (1, d2, 1)))[..., 0, 0]
     return CoherenceVector(components=comps, basis=basis)
 
 
 def from_coherence_vector(
     v: CoherenceVector, normalize_trace: bool = True
 ) -> np.ndarray:
-    """Reconstruct the operator (1/D) sum_n c_n sigma_n.
+    """Reconstruct the operator (1/D) sum_n c_n sigma_n, or a stack of them.
 
     With ``normalize_trace`` the identity coefficient is pinned to 1, the
     value any density matrix must carry in this convention.  Pass ``False``
@@ -189,7 +202,7 @@ def from_coherence_vector(
     """
     comps = v.components.copy()
     if normalize_trace:
-        comps[0] = 1.0
+        comps[..., 0] = 1.0
     return combine_components(comps, v.basis)
 
 
@@ -219,6 +232,8 @@ class Superoperator:
     def apply(self, v: CoherenceVector) -> CoherenceVector:
         if not self.basis.same_as(v.basis):
             raise ValueError("basis mismatch between superoperator and vector")
+        if v.components.ndim != 1:
+            raise ValueError("apply takes one coherence vector, not a stack")
         return CoherenceVector(self.matrix @ v.components, self.basis)
 
 
@@ -295,4 +310,6 @@ def hs_inner(a: CoherenceVector, b: CoherenceVector) -> complex:
     """
     if not a.basis.same_as(b.basis):
         raise ValueError("coherence vectors use different bases")
+    if a.components.ndim != 1 or b.components.ndim != 1:
+        raise ValueError("hs_inner takes one coherence vector each, not stacks")
     return complex(np.vdot(a.components, b.components) / a.basis.dim)

@@ -203,13 +203,8 @@ def xi_coefficients(
         conn, (0, 2, 1)
     )
 
-    excluded = np.zeros((b, b), dtype=bool)
-    np.fill_diagonal(excluded, True)
     scale = max(float(np.max(np.abs(frame.eigenvalues))), 1e-300)
-    for a in range(b):
-        for bb in range(b):
-            if a != bb and np.max(np.abs(gcal[:, a, bb])) < IDENTICAL_BLOCK_TOL * scale:
-                excluded[a, bb] = True
+    excluded = np.eye(b, dtype=bool) | (np.max(np.abs(gcal), axis=0) < IDENTICAL_BLOCK_TOL * scale)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         growth = np.exp(tau * int_g)
@@ -435,14 +430,8 @@ def asymptotic_adiabaticity_certificate(
     if not trace_ok:
         reasons.append(f"identity row of the generator is nonzero at s={grid[np.argmax(leak)]:.3f}")
 
-    min_sep = np.inf
-    b = frame.n_blocks
-    for a in range(b):
-        for c in range(a + 1, b):
-            min_sep = min(
-                min_sep,
-                float(np.min(np.abs(frame.eigenvalues[:, a] - frame.eigenvalues[:, c]))),
-            )
+    a, c = np.triu_indices(frame.n_blocks, 1)
+    min_sep = float(np.min(np.abs(frame.eigenvalues[:, a] - frame.eigenvalues[:, c]), initial=np.inf))
     distinct_ok = min_sep > IDENTICAL_BLOCK_TOL * scale
     if not distinct_ok:
         reasons.append("eigenvalue curves collide along the schedule")

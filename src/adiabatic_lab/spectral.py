@@ -220,32 +220,32 @@ def tracked_eigensystem(
 def frame_from_functions(
     tau: float,
     n_points: int,
-    energy_fn: Callable[[np.ndarray], np.ndarray],
-    vector_fn: Callable[[np.ndarray], np.ndarray],
-    dvector_fn: Callable[[np.ndarray], np.ndarray] | None = None,
+    eigensystem: Callable[[np.ndarray], tuple],
 ) -> SpectralFrame:
-    """Build a frame from closed-form eigensystem functions of s in [0, 1].
+    """Build a frame from a closed-form eigensystem of s in [0, 1].
 
-    Each function is called once, on the (M,) array of grid points s, and
-    returns every node at once: ``energy_fn`` the (M, d) energies,
-    ``vector_fn`` the (M, D, d) eigenvector matrices (columns ascending at
-    s=0) and ``dvector_fn`` their physical-time derivatives, also
-    (M, D, d).  When the derivative is not supplied it is computed by the
-    same finite-difference stencils used for numeric frames.
+    ``eigensystem`` is called once, on the (M,) array of grid points s,
+    and returns every node at once as ``(energies, vectors, dvectors)``:
+    the (M, d) energies, the (M, D, d) eigenvector matrices (columns
+    ascending at s=0) and their physical-time derivatives, also (M, D, d),
+    or None.  One call lets a model compute what the three share once.
+    When the derivative is None it is computed by the same
+    finite-difference stencils used for numeric frames.
     """
     require_stencil_points(n_points)
     grid = np.linspace(0.0, 1.0, n_points)
-    energies = np.ascontiguousarray(energy_fn(grid), dtype=float)
-    vectors = np.ascontiguousarray(vector_fn(grid), dtype=complex)
+    energies, vectors, dvectors = eigensystem(grid)
+    energies = np.ascontiguousarray(energies, dtype=float)
+    vectors = np.ascontiguousarray(vectors, dtype=complex)
     if vectors.ndim != 3 or vectors.shape[0] != n_points or energies.shape != vectors.shape[::2]:
         raise ValueError(
-            f"frame functions must map the ({n_points},) grid to (M, d) energies and "
+            f"the eigensystem must map the ({n_points},) grid to (M, d) energies and "
             f"(M, D, d) vectors, not {energies.shape} and {vectors.shape}"
         )
     ds = grid[1] - grid[0]
     scale_tau = time_scale(tau)
-    if dvector_fn is not None:
-        dvectors = np.ascontiguousarray(dvector_fn(grid), dtype=complex)
+    if dvectors is not None:
+        dvectors = np.ascontiguousarray(dvectors, dtype=complex)
     else:
         dvectors = fourth_order_derivative(vectors, ds) / scale_tau
     denergies = fourth_order_derivative(energies, ds) / scale_tau
@@ -380,12 +380,13 @@ def liouville_spectrum(l: Superoperator | np.ndarray) -> LiouvilleSpectrum:
 def eigvec_overlap_matrix(
     frame_a: SpectralFrame,
     frame_b: SpectralFrame,
-    o: Callable[[float], np.ndarray] | None = None,
+    o: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
     """Time series of |<E^b_m(s)| O(s) |E^a_n(s)>| over the common grid.
 
-    Rows index ``frame_b`` levels, columns index ``frame_a`` levels.  With
-    ``o`` omitted the identity map is used.
+    Rows index ``frame_b`` levels, columns index ``frame_a`` levels.  ``o``
+    maps the (M,) grid to the (M, D, D) stack of O(s); with ``o`` omitted
+    the identity map is used.
     """
     if frame_a.grid.shape != frame_b.grid.shape or np.max(
         np.abs(frame_a.grid - frame_b.grid)
@@ -394,5 +395,5 @@ def eigvec_overlap_matrix(
     if o is None:
         mid = np.eye(frame_a.n_levels)
     else:
-        mid = Schedule(frame_a.tau, o).sample(frame_a.grid)
+        mid = np.asarray(o(frame_a.grid), dtype=complex)
     return np.abs(dagger(frame_b.vectors) @ mid @ frame_a.vectors)

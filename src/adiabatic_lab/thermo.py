@@ -42,23 +42,17 @@ DUAL_ROUTE_TOL = 1e-10
 ENTROPY_EIG_FLOOR = 1e-14
 
 
-def _dual_route_check(direct: float, paired: float, label: str) -> None:
-    scale = max(1.0, abs(direct))
-    if abs(direct - paired) > DUAL_ROUTE_TOL * scale:
+def _dual_route_check(direct, paired, label: str) -> None:
+    """Require the two routes to agree on every node; a disagreement names
+    the first failing node of a stack."""
+    direct = np.asarray(direct)
+    bad = np.ravel(np.abs(direct - paired) > DUAL_ROUTE_TOL * np.maximum(1.0, np.abs(direct)))
+    if bad.any():
+        k = int(np.argmax(bad))
+        where = f" at node {k}" if direct.ndim else ""
         raise AssertionError(
-            f"{label}: operator-trace route {direct!r} and coherence-vector "
-            f"route {paired!r} disagree beyond {DUAL_ROUTE_TOL}"
-        )
-
-
-def _require_one_node(label: str, gen: LindbladGenerator | None, *ops) -> None:
-    stacked = [np.ndim(op) > 2 for op in ops]
-    if gen is not None:
-        stacked.append(gen.hamiltonian.ndim > 2)
-        stacked += [np.ndim(g) > 0 or np.ndim(j) > 2 for g, j in gen.jumps]
-    if any(stacked):
-        raise ValueError(
-            f"{label}: the dual route takes one node; pass the nodes of a stack one at a time"
+            f"{label}: operator-trace route {float(np.ravel(direct)[k])!r} and coherence-vector "
+            f"route {float(np.ravel(paired)[k])!r} disagree beyond {DUAL_ROUTE_TOL}{where}"
         )
 
 
@@ -78,19 +72,18 @@ def heat_rate(
 
     Takes one node or a stack of M nodes (a stacked generator with (M, D, D)
     states and Hamiltonians) and gives a float or an (M,) array.  When
-    ``basis`` is supplied the same number is recomputed as the bilinear
-    pairing (1/D) h . (L rho) of component vectors and the two routes are
-    required to agree within 1e-10 relative; this dual route takes one node,
-    and a stacked generator or operator is refused with a ValueError.
+    ``basis`` is supplied the same number is recomputed on every node as the
+    bilinear pairing (1/D) h . (L rho) of component vectors, from one
+    stacked superoperator build, and the two routes are required to agree
+    within 1e-10 relative; an AssertionError names the first node where
+    they do not.
     """
-    if basis is not None:
-        _require_one_node("heat rate", gen, rho, h)
     direct = _real_trace(lindblad_action(gen, rho) @ h)
     if basis is not None:
-        lmat = superoperator_matrix(lambda op: lindblad_action(gen, op), basis).matrix
-        h_vec = to_coherence_vector(np.asarray(h, dtype=complex), basis).components
-        rho_vec = to_coherence_vector(np.asarray(rho, dtype=complex), basis).components
-        paired = float(np.real(h_vec @ (lmat @ rho_vec) / basis.dim))
+        lmat = superoperator_matrix(lambda ops: lindblad_action(gen, ops[:, None]), basis).matrix
+        h_vec = to_coherence_vector(h, basis).components
+        l_rho = (lmat @ to_coherence_vector(rho, basis).components[..., None])[..., 0]
+        paired = np.real(np.sum(h_vec * l_rho, axis=-1)) / basis.dim
         _dual_route_check(direct, paired, "heat rate")
     return direct
 
@@ -101,15 +94,13 @@ def work_rate(
     basis: OperatorBasis | None = None,
 ):
     """Instantaneous work rate Tr(rho dH/dt), for one node or a stack, with
-    the optional paired coherence-vector evaluation as in :func:`heat_rate`."""
-    if basis is not None:
-        _require_one_node("work rate", None, h_dot, rho)
+    the optional paired coherence-vector evaluation on every node as in
+    :func:`heat_rate`."""
     direct = _real_trace(np.asarray(rho) @ np.asarray(h_dot))
     if basis is not None:
-        hd_vec = to_coherence_vector(np.asarray(h_dot, dtype=complex), basis).components
-        rho_vec = to_coherence_vector(np.asarray(rho, dtype=complex), basis).components
-        paired = float(np.real(hd_vec @ rho_vec / basis.dim))
-        _dual_route_check(direct, paired, "work rate")
+        hd_vec = to_coherence_vector(h_dot, basis).components
+        rho_vec = to_coherence_vector(rho, basis).components
+        _dual_route_check(direct, np.real(np.sum(hd_vec * rho_vec, axis=-1)) / basis.dim, "work rate")
     return direct
 
 
@@ -177,9 +168,7 @@ def build_ledger(
 
     The schedule is sampled once on the trajectory's grid and every rate is
     one stacked evaluation.  With a ``basis``, the dual-route agreement
-    check of :func:`heat_rate` and :func:`work_rate` runs first, on every
-    (M - 1) // 8-th of the M nodes (the superoperator build is the
-    expensive part, so not on all of them).
+    check of :func:`heat_rate` and :func:`work_rate` runs on every node.
     """
     times = traj.times
     rho = traj.states
@@ -192,12 +181,8 @@ def build_ledger(
     else:
         h_dots = np.gradient(hams, times, axis=0)
 
-    if basis is not None:
-        for k in range(0, m, max(1, (m - 1) // 8)):
-            heat_rate(gen[k], rho[k], hams[k], basis)
-            work_rate(h_dots[k], rho[k], basis)
-    q_rate = heat_rate(gen, rho, hams)
-    w_rate = work_rate(h_dots, rho)
+    q_rate = heat_rate(gen, rho, hams, basis)
+    w_rate = work_rate(h_dots, rho, basis)
     u = _real_trace(rho @ hams)
     s = von_neumann_entropy(rho)
     s_rate = entropy_rate(gen, rho)

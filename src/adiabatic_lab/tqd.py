@@ -73,20 +73,20 @@ def matrix_series_schedule(grid: np.ndarray, tau: float, mats: np.ndarray) -> Sc
     Samples exactly at grid nodes when s lands on one (within 1e-6 of a
     node index) and interpolates linearly otherwise.  Fixed-step
     integrators whose nodes and midpoints coincide with the grid therefore
-    see the series without interpolation error.
+    see the series without interpolation error.  The schedule is
+    vectorized.
     """
     m = len(grid)
 
-    def sampler(s: float) -> np.ndarray:
+    def sampler(s: np.ndarray) -> np.ndarray:
         x = s * (m - 1)
-        k = int(round(x))
-        if abs(x - k) < 1e-6:
-            return mats[min(max(k, 0), m - 1)]
-        lo = min(max(int(math.floor(x)), 0), m - 2)
-        w = x - lo
-        return (1.0 - w) * mats[lo] + w * mats[lo + 1]
+        k = np.rint(x)
+        lo = np.clip(np.floor(x), 0, m - 2).astype(int)
+        w = (x - lo)[:, None, None]
+        snap = (np.abs(x - k) < 1e-6)[:, None, None]
+        return np.where(snap, mats[np.clip(k, 0, m - 1).astype(int)], (1.0 - w) * mats[lo] + w * mats[lo + 1])
 
-    return Schedule(tau=tau, sampler=sampler)
+    return Schedule(tau=tau, sampler=sampler, vectorized=True)
 
 
 def generalized_tqd(frame: SpectralFrame, phases: PhaseChoice) -> Schedule:
@@ -168,55 +168,56 @@ def lz_schedules(
     """Two-level avoided-crossing sweep H0 = delta (sigma_z + tan(theta(s))
     sigma_x) and its driving variants.
 
-    Returns schedules {"h0", "standard", "optimal"} plus the closed-form
-    frame.  The optimal variant is the bare correction
+    Returns vectorized schedules {"h0", "standard", "optimal"} plus the
+    closed-form frame.  The optimal variant is the bare correction
     (d theta/ds / (2 tau)) sigma_y, time independent for a linear sweep;
     d theta/ds is a central difference between :func:`difference_points`.
+    ``theta_fn`` takes one Python float; the frame calls it three times per
+    node, at the node and at its two difference points.
     """
     if delta == 0.0:
         raise ValueError("delta must be nonzero")
 
-    def tdot(s: float) -> float:
-        lo, hi = difference_points(s)
-        return (theta_fn(hi) - theta_fn(lo)) / (hi - lo)
-
-    def h0_sampler(s: float) -> np.ndarray:
-        th = theta_fn(s)
-        if abs(math.cos(th)) < 1e-9:
-            raise ValueError(f"sweep angle reaches pi/2 at s={s:.4f}; field diverges")
-        return delta * (SIGMA_Z + math.tan(th) * SIGMA_X)
-
-    def cd_sampler(s: float) -> np.ndarray:
-        return (tdot(s) / (2.0 * tau)) * SIGMA_Y
-
-    def std_sampler(s: float) -> np.ndarray:
-        return h0_sampler(s) + cd_sampler(s)
-
     def angles(s: np.ndarray) -> np.ndarray:
         return np.array([theta_fn(x) for x in s.tolist()])
 
-    def energy_fn(s: np.ndarray) -> np.ndarray:
-        e = abs(delta) / np.abs(np.cos(angles(s)))
-        return np.stack((-e, e), axis=-1)
+    def tdot(s: np.ndarray) -> np.ndarray:
+        lo, hi = difference_points(s)
+        return (angles(hi) - angles(lo)) / (hi - lo)
 
-    def vector_fn(s: np.ndarray) -> np.ndarray:
-        half = 0.5 * angles(s)
-        return stack_2x2(-np.sin(half), np.cos(half), np.cos(half), np.sin(half))
+    def h0_sampler(s: np.ndarray) -> np.ndarray:
+        tans = []
+        for x, th in zip(s.tolist(), angles(s).tolist()):
+            if abs(math.cos(th)) < 1e-9:
+                raise ValueError(f"sweep angle reaches pi/2 at s={x:.4f}; field diverges")
+            tans.append(math.tan(th))  # np.tan rounds differently on some angles
+        return delta * (SIGMA_Z + np.array(tans)[:, None, None] * SIGMA_X)
 
-    def dvector_fn(s: np.ndarray) -> np.ndarray:
-        half = 0.5 * angles(s)
-        rate = 0.5 * np.array([tdot(x) for x in s.tolist()]) / tau
+    def cd_sampler(s: np.ndarray) -> np.ndarray:
+        return (tdot(s) / (2.0 * tau))[:, None, None] * SIGMA_Y
+
+    def std_sampler(s: np.ndarray) -> np.ndarray:
+        return h0_sampler(s) + cd_sampler(s)
+
+    def eigensystem(s: np.ndarray) -> tuple:
+        th = angles(s)
+        e = abs(delta) / np.abs(np.cos(th))
+        half = 0.5 * th
+        rate = 0.5 * tdot(s) / tau
         rows = stack_2x2(-np.cos(half), -np.sin(half), -np.sin(half), np.cos(half))
-        # a complex product, as in the scalar form: it gives the zero
-        # imaginary parts their signs
-        return rate[:, None, None] * rows.astype(complex)
+        return (
+            np.stack((-e, e), axis=-1),
+            stack_2x2(-np.sin(half), np.cos(half), np.cos(half), np.sin(half)),
+            # a complex product, as in the scalar form: it gives the zero
+            # imaginary parts their signs
+            rate[:, None, None] * rows.astype(complex),
+        )
 
-    frame = frame_from_functions(tau, n_points, energy_fn, vector_fn, dvector_fn)
     return {
-        "h0": Schedule(tau, h0_sampler),
-        "standard": Schedule(tau, std_sampler),
-        "optimal": Schedule(tau, cd_sampler),
-        "frame": frame,
+        "h0": Schedule(tau, h0_sampler, vectorized=True),
+        "standard": Schedule(tau, std_sampler, vectorized=True),
+        "optimal": Schedule(tau, cd_sampler, vectorized=True),
+        "frame": frame_from_functions(tau, n_points, eigensystem),
     }
 
 
@@ -452,10 +453,11 @@ def phase_gate_schedule(nu_hz: float, tau: float, variant: str) -> Schedule:
     one_z = np.kron(SIGMA_0, SIGMA_Z)
     correction = (0.5 * math.pi / tau) * np.kron(SIGMA_Z, SIGMA_Y)
 
-    def base(s: float) -> np.ndarray:
-        return -w * (math.cos(math.pi * s) * one_z + math.sin(math.pi * s) * zz_x)
+    def base(s: np.ndarray) -> np.ndarray:
+        angle = (math.pi * s)[:, None, None]
+        return -w * (np.cos(angle) * one_z + np.sin(angle) * zz_x)
 
-    return Schedule(tau=tau, sampler=variant_sampler(variant, base, correction))
+    return Schedule(tau=tau, sampler=variant_sampler(variant, base, correction), vectorized=True)
 
 
 @dataclass(eq=False)

@@ -189,7 +189,7 @@ def test_criterion_03_frame_equivalence_theorem_validators():
     ):
         for r, expect in ((0.1, True), (1.0, False)):
             kit = builder(r)
-            res = checker(kit, n_points=801)
+            res = checker(kit)
             assert res["satisfied"] is expect
             if expect:
                 assert res["max_deviation"] < 0.02

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from adiabatic_lab.adcheck import (
+    ModelKit,
     c_ar,
     c_tong,
     c_trad,
@@ -147,16 +149,16 @@ def test_min_gap_closed_form(r):
 
 
 def test_theorem1_oscillating_verdicts():
-    ok = theorem1_check(oscillating(W0, THETA, 0.1 * W0, TAU, n_points=801), n_points=801)
+    ok = theorem1_check(oscillating(W0, THETA, 0.1 * W0, TAU, n_points=801))
     assert ok["satisfied"] and ok["max_deviation"] < 0.02
-    bad = theorem1_check(oscillating(W0, THETA, W0, TAU, n_points=801), n_points=801)
+    bad = theorem1_check(oscillating(W0, THETA, W0, TAU, n_points=801))
     assert not bad["satisfied"] and bad["max_deviation"] > 0.1
 
 
 def test_theorem2_nmr_verdicts():
-    ok = theorem2_check(nmr_kit(0.1, n_points=801), n_points=801)
+    ok = theorem2_check(nmr_kit(0.1, n_points=801))
     assert ok["satisfied"] and ok["max_deviation"] < 0.02
-    bad = theorem2_check(nmr_kit(1.0, n_points=801), n_points=801)
+    bad = theorem2_check(nmr_kit(1.0, n_points=801))
     assert not bad["satisfied"] and bad["max_deviation"] > 0.1
 
 
@@ -164,7 +166,7 @@ def test_theorem2_verdict_matches_integration():
     """The propagator-based drift equals the integrated population drift."""
     for r in (0.1, 1.0):
         kit = nmr_kit(r, n_points=801)
-        res = theorem2_check(kit, n_points=801)
+        res = theorem2_check(kit)
         traj = evolve_unitary(kit.schedule, kit.frame.vectors[0][:, 0], 4000)
         p_trans = np.abs(
             np.array(
@@ -180,15 +182,15 @@ def test_theorem2_verdict_matches_integration():
 def test_theorem2_rejects_drifting_transformed_hamiltonian():
     kit = oscillating(W0, THETA, 0.5 * W0, TAU, n_points=801)
     with pytest.raises(ValueError, match="not constant"):
-        theorem2_check(kit, n_points=801)
+        theorem2_check(kit)
 
 
 def test_theorem_checks_need_frame_map():
     kit = nmr_rotating_frame(W0, W1, 0.5 * W0, TAU, n_points=801)
     with pytest.raises(ValueError, match="frame map"):
-        theorem1_check(kit, n_points=801)
+        theorem1_check(kit)
     with pytest.raises(ValueError, match="frame map"):
-        theorem2_check(kit, n_points=801)
+        theorem2_check(kit)
 
 
 def test_rotating_frame_companion_is_static_and_resonance_guarded():
@@ -233,13 +235,11 @@ def _per_node(fn, dtype):
 
 
 def _reference_frame(tau, n_points, energy_fn, vector_fn, dvector_fn=None):
-    return frame_from_functions(
-        tau,
-        n_points,
-        _per_node(energy_fn, float),
-        _per_node(vector_fn, complex),
-        None if dvector_fn is None else _per_node(dvector_fn, complex),
-    )
+    return frame_from_functions(tau, n_points, lambda s: (
+        _per_node(energy_fn, float)(s),
+        _per_node(vector_fn, complex)(s),
+        None if dvector_fn is None else _per_node(dvector_fn, complex)(s),
+    ))
 
 
 def _reference_nmr_rotating(omega0, omega1, omega, tau, n_points):
@@ -379,3 +379,37 @@ def test_kits_match_their_scalar_closures(kit_fn, reference_fn, drive, r, n_poin
     assert _same_bits(kit.schedule.sample(grid), want)
     for name in ("energies", "vectors", "dvectors", "denergies"):
         assert _same_bits(getattr(kit.frame, name), getattr(frame, name)), name
+
+
+def _expm_z_rotation(omega, tau):
+    """The per-node scipy expm z rotation that the closed-form kit maps
+    replaced, stacked over an array of s."""
+
+    def frame_map(s):
+        return np.array([scipy.linalg.expm(0.5j * omega * x * tau * SIGMA_Z) for x in s.tolist()])
+
+    def frame_map_dot(s):
+        return np.array([(0.5j * omega * SIGMA_Z) @ scipy.linalg.expm(0.5j * omega * x * tau * SIGMA_Z)
+                         for x in s.tolist()])
+
+    return frame_map, frame_map_dot
+
+
+@pytest.mark.parametrize("r", [0.0, 0.1, 0.25, 1.0, 2.75])
+def test_closed_form_frame_map_matches_expm(r):
+    """The closed-form z rotation equals per-node expm under np.array_equal
+    (the bytes differ only in the signs of zeros), and the theorem checks
+    give the same bits with either map."""
+    for kit, check in (
+        (oscillating(W0, THETA, r * W0, TAU, n_points=401), theorem1_check),
+        (nmr_kit(r, n_points=401), theorem1_check),
+        (nmr_kit(r, n_points=401), theorem2_check),
+    ):
+        expm_kit = ModelKit(kit.schedule, kit.frame, *_expm_z_rotation(r * W0, TAU))
+        grid = kit.frame.grid
+        assert np.array_equal(kit.frame_map(grid), expm_kit.frame_map(grid))
+        assert np.array_equal(kit.frame_map_dot(grid), expm_kit.frame_map_dot(grid))
+        got, want = check(kit), check(expm_kit)
+        assert set(got) == set(want)
+        for key in want:
+            assert _same_bits(got[key], want[key]), key

@@ -343,3 +343,17 @@ def test_package_private_names_are_all_referenced():
                 used.add(node.attr)
     orphans = [f"{f}:{line} {n}" for f, line, n in defined if n not in used]
     assert defined and not orphans, orphans
+
+
+def test_every_schedule_built_in_the_package_is_vectorized():
+    built, scalar = 0, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = getattr(node, "func", None)
+            if not isinstance(node, ast.Call) or getattr(func, "id", getattr(func, "attr", None)) != "Schedule":
+                continue
+            built += 1
+            flag = {kw.arg: kw.value for kw in node.keywords}.get("vectorized")
+            if not (isinstance(flag, ast.Constant) and flag.value is True):
+                scalar.append(f"{path.name}:{node.lineno}")
+    assert built and not scalar, scalar

@@ -25,7 +25,16 @@ from adiabatic_lab.dynamics import (
     rk4,
 )
 from adiabatic_lab.battery import ergotropy
-from adiabatic_lab.opalg import SIGMA_X, SIGMA_Y, SIGMA_Z, Superoperator, dagger, pauli_basis, superoperator_matrix
+from adiabatic_lab.opalg import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    Superoperator,
+    dagger,
+    pauli_basis,
+    stack_2x2,
+    superoperator_matrix,
+)
 from adiabatic_lab.openad import superoperator_at
 from adiabatic_lab.thermo import entropy_rate, heat_rate, von_neumann_entropy, work_rate
 
@@ -518,6 +527,17 @@ def test_lindblad_action_matches_brute_force():
     assert np.max(np.abs(lindblad_action(gen, rho) - want)) < 1e-14
 
 
+def _z_map(w, tau):
+    """The z rotation O(s) = exp(i w t sigma_z / 2) at t = s tau on an array
+    of s, and its physical-time derivative."""
+
+    def o(s):
+        a = 0.5j * w * s * tau
+        return stack_2x2(np.exp(a), 0.0, 0.0, np.exp(-a))
+
+    return o, lambda s: (0.5j * w * SIGMA_Z) @ o(s)
+
+
 def test_frame_transform_rotating_drive_becomes_static():
     """The z-rotating transverse drive is static in the co-rotating frame."""
     w0, w1, w = 2 * np.pi * 1e4, 2 * np.pi * 4e3, 2 * np.pi * 7e3
@@ -529,16 +549,13 @@ def test_frame_transform_rotating_drive_becomes_static():
             np.cos(w * t) * SIGMA_X + np.sin(w * t) * SIGMA_Y
         )
 
-    def o(s):
-        return scipy.linalg.expm(0.5j * w * s * tau * SIGMA_Z)
-
-    def o_dot(s):
-        return (0.5j * w * SIGMA_Z) @ o(s)
-
-    transformed = frame_transform(Schedule(tau, sampler), o, o_dot)
+    transformed = frame_transform(Schedule(tau, sampler), *_z_map(w, tau))
     want = 0.5 * (w0 - w) * SIGMA_Z + 0.5 * w1 * SIGMA_X
     for s in (0.0, 0.31, 0.77, 1.0):
         assert np.max(np.abs(np.asarray(transformed.at(s)) - want)) < 1e-6 * w0
+    assert transformed.vectorized
+    got = transformed.sample(np.array([0.0, 0.31, 0.77, 1.0]))
+    assert np.max(np.abs(got - want)) < 1e-6 * w0
 
 
 def test_frame_transform_finite_difference_fallback():
@@ -546,10 +563,7 @@ def test_frame_transform_finite_difference_fallback():
     tau = 1e-3
     sched = Schedule(tau, lambda s: 0.5 * w * SIGMA_Z)
 
-    def o(s):
-        return scipy.linalg.expm(0.5j * w * s * tau * SIGMA_Z)
-
-    transformed = frame_transform(sched, o)
+    transformed = frame_transform(sched, _z_map(w, tau)[0])
     # i O' O^dag = -0.5 w sigma_z, cancelling half the bare splitting... the
     # result must at least be Hermitian and equal the analytic value inside
     # the grid to finite-difference accuracy
@@ -562,16 +576,80 @@ def test_difference_points_are_central_inside_and_one_sided_at_the_ends():
     assert difference_points(0.5) == (0.5 - 1e-6, 0.5 + 1e-6)
     assert difference_points(0.0) == (0.0, 1e-6)
     assert difference_points(1.0) == (1.0 - 1e-6, 1.0)
+    lo, hi = difference_points(np.array([0.0, 0.5, 1.0]))
+    assert np.array_equal(lo, [0.0, 0.5 - 1e-6, 1.0 - 1e-6])
+    assert np.array_equal(hi, [1e-6, 0.5 + 1e-6, 1.0])
 
 
 def test_frame_transform_rejects_nonunitary_map():
     sched = Schedule(1.0, lambda s: SIGMA_Z)
-    bad = frame_transform(sched, lambda s: (1.0 + s) * np.eye(2))
+    bad = frame_transform(sched, lambda s: (1.0 + s)[:, None, None] * np.eye(2))
     with pytest.raises(ValueError, match="unitary"):
         bad.at(0.5)
-    wide = frame_transform(sched, lambda s: np.eye(2, 3))
+    # the check runs over the stack and names the first failing s
+    with pytest.raises(ValueError, match="^frame map is not unitary at s=0.25$"):
+        bad.sample(np.array([0.0, 0.25, 0.5]))
+    wide = frame_transform(sched, lambda s: np.broadcast_to(np.eye(2, 3), s.shape + (2, 3)))
     with pytest.raises(ValueError, match="frame map is not unitary at s=0.5"):
         wide.at(0.5)
+
+
+def test_frame_transform_names_first_non_hermitian_node():
+    sched = Schedule(1.0, lambda s: SIGMA_Z)
+    frame = frame_transform(
+        sched,
+        lambda s: np.broadcast_to(np.eye(2), s.shape + (2, 2)),
+        lambda s: (s > 0.5)[:, None, None] * SIGMA_X,
+    )
+    with pytest.raises(ValueError, match=r"^i\*dO/dt\*O\^dag deviates from Hermitian by 2.00e\+00 at s=0.75; "):
+        frame.sample(np.linspace(0.0, 1.0, 5))
+
+
+def _reference_frame_transform(h, o, o_dot=None):
+    """The per-node sampler that the stacked frame_transform replaced: one
+    scalar call of o, o_dot and h.at per s."""
+
+    def o_dot_fd(s):
+        lo, hi = max(0.0, s - 1e-6), min(1.0, s + 1e-6)
+        return (np.asarray(o(hi)) - np.asarray(o(lo))) / ((hi - lo) * h.tau)
+
+    d_o = o_dot if o_dot is not None else o_dot_fd
+
+    def sampler(s):
+        u = np.asarray(o(s), dtype=complex)
+        ham = np.asarray(h.at(s), dtype=complex)
+        pot = 1j * (np.asarray(d_o(s), dtype=complex) @ dagger(u))
+        return u @ ham @ dagger(u) + 0.5 * (pot + dagger(pot))
+
+    return sampler
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("with_derivative", [True, False], ids=["o_dot", "fallback"])
+def test_frame_transform_matches_per_node_reference(dim, with_derivative):
+    rng = np.random.default_rng(dim)
+    a, b, c = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(3))
+    gen, h0, h1 = a + dagger(a), b + dagger(b), c + dagger(c)
+    tau = 2.5e-3
+    w, v = np.linalg.eigh(gen)
+
+    def o_node(s):
+        return (v * np.exp(1j * 30.0 * s * tau * w)) @ dagger(v)
+
+    def o_dot_node(s):
+        return (1j * 30.0 * gen) @ o_node(s)
+
+    def stacked(f):
+        return lambda s: np.array([f(x) for x in s.tolist()])
+
+    h = Schedule(tau, lambda s: h0 + np.cos(4.0 * s) * h1)
+    got = frame_transform(h, stacked(o_node), stacked(o_dot_node) if with_derivative else None)
+    ref = _reference_frame_transform(h, o_node, o_dot_node if with_derivative else None)
+    grid = np.concatenate([np.linspace(0.0, 1.0, 101), rng.uniform(0.0, 1.0, 20)])
+    want = np.array([ref(s) for s in grid.tolist()])
+    stack = got.sample(grid)
+    assert np.array_equal(stack, want) and stack.tobytes() == want.tobytes()
+    assert np.asarray(got.at(0.37)).tobytes() == ref(0.37).tobytes()
 
 
 def test_nmr_closed_form_limits():

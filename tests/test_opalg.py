@@ -139,6 +139,10 @@ def test_unitary_and_hermitian_detectors():
     assert is_unitary(SIGMA_X)
     assert not is_unitary(2.0 * np.eye(2))
     assert not is_unitary(np.eye(2, 3))  # orthonormal rows, not square
+    # one verdict per matrix of a stack
+    verdicts = is_unitary(np.array([SIGMA_X, 2.0 * np.eye(2), SIGMA_Y]))
+    assert verdicts.dtype == bool and verdicts.tolist() == [True, False, True]
+    assert is_unitary(np.zeros((4, 2, 3))).tolist() == [False] * 4
 
 
 def test_empty_matrix_gets_a_verdict():
@@ -159,6 +163,31 @@ def test_vector_shape_validation():
         CoherenceVector(np.zeros(3), basis)
     with pytest.raises(ValueError):
         to_coherence_vector(np.eye(3), basis)
+    with pytest.raises(ValueError):
+        to_coherence_vector(np.zeros((5, 2, 3)), basis)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+def test_stacked_coherence_vectors_match_np_vdot(n_qubits):
+    """A stack expands node by node, each component the bits of np.vdot."""
+    basis = pauli_basis(n_qubits)
+    dim = basis.dim
+    ops = RNG.normal(size=(3, 7, dim, dim)) + 1j * RNG.normal(size=(3, 7, dim, dim))
+    got = to_coherence_vector(ops, basis).components
+    want = np.array([[[np.vdot(sig, op) for sig in basis.elements] for op in row] for row in ops])
+    assert got.shape == (3, 7, dim**2) and got.tobytes() == want.tobytes()
+    assert to_coherence_vector(ops[1, 2], basis).components.tobytes() == want[1, 2].tobytes()
+    for normalize in (True, False):
+        back = from_coherence_vector(to_coherence_vector(ops, basis), normalize_trace=normalize)
+        each = [from_coherence_vector(to_coherence_vector(op, basis), normalize_trace=normalize) for op in ops[2]]
+        assert np.array_equal(back[2], each)
+    # one-vector operations refuse a stack instead of flattening it
+    stack, one = to_coherence_vector(ops[0], basis), to_coherence_vector(ops[0, 0], basis)
+    with pytest.raises(ValueError, match="not stacks"):
+        hs_inner(stack, one)
+    sup = superoperator_matrix(lambda x: x, basis)
+    with pytest.raises(ValueError, match="not a stack"):
+        sup.apply(stack)
 
 
 def test_basis_mismatch_rejected():

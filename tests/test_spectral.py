@@ -133,18 +133,18 @@ def test_frame_from_functions_matches_tracked():
     delta, theta0, tau = 2 * np.pi * 2e3, np.pi / 4, 1e-3
     tracked = tracked_eigensystem(_lz_schedule(delta, theta0, tau), 201)
 
-    def energy_fn(s):
+    def eigensystem(s):
         e = delta / np.cos(theta0 * s)
-        return np.stack((-e, e), axis=-1)
-
-    def vector_fn(s):
         h = 0.5 * theta0 * s
-        return stack_2x2(-np.sin(h), np.cos(h), np.cos(h), np.sin(h))
+        return np.stack((-e, e), axis=-1), stack_2x2(-np.sin(h), np.cos(h), np.cos(h), np.sin(h)), None
 
-    closed = frame_from_functions(tau, 201, energy_fn, vector_fn)
+    closed = frame_from_functions(tau, 201, eigensystem)
     assert np.max(np.abs(closed.energies - tracked.energies)) < 1e-7 * delta
     ov = eigvec_overlap_matrix(closed, tracked)
     assert np.max(np.abs(ov - np.eye(2)[None])) < 1e-6
+    # a frame map O(s) is called once on the grid and maps it to a stack
+    flip = eigvec_overlap_matrix(closed, tracked, lambda s: np.broadcast_to(SIGMA_X, s.shape + (2, 2)))
+    assert np.array_equal(flip, np.abs(dagger(tracked.vectors) @ SIGMA_X @ closed.vectors))
 
 
 def test_unknown_gauge_rejected():
@@ -157,12 +157,12 @@ def test_short_grids_are_refused_by_name(n_points):
     with pytest.raises(ValueError, match="at least 5 samples"):
         tracked_eigensystem(_lz_schedule(1.0, 0.5, 1.0), n_points)
     with pytest.raises(ValueError, match="at least 5 samples"):
-        frame_from_functions(1.0, n_points, _constant_energies, _constant_vectors)
+        frame_from_functions(1.0, n_points, _constant_eigensystem)
 
 
 def test_frame_from_functions_refuses_one_node_closures():
     with pytest.raises(ValueError, match=r"must map the \(11,\) grid"):
-        frame_from_functions(1.0, 11, lambda s: np.array([-1.0, 1.0]), _constant_vectors)
+        frame_from_functions(1.0, 11, lambda s: (np.array([-1.0, 1.0]), _constant_eigensystem(s)[1], None))
 
 
 # ---------------------------------------------------------------------------
@@ -301,17 +301,13 @@ def test_liouville_spectrum_dephasing_generator():
     assert np.max(np.abs(got - want)) < 1e-6 * max(g, w)
 
 
-def _constant_energies(s):
-    return np.broadcast_to([-1.0, 1.0], s.shape + (2,))
-
-
-def _constant_vectors(s):
-    return np.broadcast_to(np.eye(2), s.shape + (2, 2))
+def _constant_eigensystem(s):
+    return np.broadcast_to([-1.0, 1.0], s.shape + (2,)), np.broadcast_to(np.eye(2), s.shape + (2, 2)), None
 
 
 def test_overlap_matrix_grid_mismatch():
-    f1 = frame_from_functions(1.0, 11, _constant_energies, _constant_vectors)
-    f2 = frame_from_functions(1.0, 21, _constant_energies, _constant_vectors)
+    f1 = frame_from_functions(1.0, 11, _constant_eigensystem)
+    f2 = frame_from_functions(1.0, 21, _constant_eigensystem)
     with pytest.raises(ValueError, match="grids"):
         eigvec_overlap_matrix(f1, f2)
 

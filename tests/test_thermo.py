@@ -4,7 +4,7 @@ import scipy.linalg
 
 from adiabatic_lab import thermo
 from adiabatic_lab.dynamics import LindbladGenerator, Schedule, evolve_lindblad, lindblad_action, time_scale
-from adiabatic_lab.opalg import SIGMA_X, SIGMA_Y, SIGMA_Z, Superoperator, dagger, pauli_basis
+from adiabatic_lab.opalg import SIGMA_X, SIGMA_Y, SIGMA_Z, OperatorBasis, Superoperator, dagger, pauli_basis
 from adiabatic_lab.openad import adiabatic_propagate_1d
 from adiabatic_lab.spectral import cumtrapz, fourth_order_derivative
 from adiabatic_lab.thermo import (
@@ -50,22 +50,56 @@ def test_heat_and_work_rate_dual_routes():
     assert w == pytest.approx(work_rate(0.9 * SIGMA_Y, rho), rel=1e-12)
 
 
-@pytest.mark.parametrize("m", [3, 5])  # 5 = D^2 + 1 would broadcast against the probe stack
-def test_dual_route_refuses_stacks_before_building_a_matrix(monkeypatch, m):
-    def no_matrix(generator, basis):
-        raise AssertionError("superoperator built for a stack")
+# Element 0 the identity, traceless, Tr(a b^dag) = 2 delta, but not
+# Hermitian: the bilinear pairing of its components is not Tr(a b), so the
+# two routes disagree wherever an operator has an imaginary off-diagonal
+# part, as they would after a convention drift.
+_RAISE = np.sqrt(2.0) * np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+LADDER = OperatorBasis(2, (np.eye(2, dtype=complex), SIGMA_Z, _RAISE, dagger(_RAISE)), ("I", "Z", "S+", "S-"))
 
-    monkeypatch.setattr(thermo, "superoperator_matrix", no_matrix)
+
+def _stack(m):
     grid = np.linspace(0.0, 1.0, m)
-    gen = Schedule(1.0, lambda s: LindbladGenerator(SIGMA_X, ((1.0 + s, SIGMA_Z),))).sample(grid)
-    rho = 0.5 * (np.eye(2, dtype=complex) + 0.3 * SIGMA_X)
-    rhos, hams = np.array([rho] * m), np.array([SIGMA_X] * m)
-    for args in ((gen, rhos, hams), (gen, rho, SIGMA_X), (gen[0], rhos, SIGMA_X), (gen[0], rho, hams)):
-        with pytest.raises(ValueError, match="heat rate: the dual route takes one node"):
-            heat_rate(*args, BASIS)
-    for args in ((hams, rhos), (SIGMA_X, rhos), (hams, rho)):
-        with pytest.raises(ValueError, match="work rate: the dual route takes one node"):
-            work_rate(*args, BASIS)
+    gen = Schedule(1.0, lambda s: LindbladGenerator(0.7 * SIGMA_Z + s * SIGMA_X, ((1.0 + s, SIGMA_Z),))).sample(grid)
+    rho = 0.5 * (np.eye(2, dtype=complex) + 0.3 * SIGMA_Y + 0.2 * SIGMA_Z)
+    return gen, np.array([rho] * m), np.array([SIGMA_Z] * m)
+
+
+@pytest.mark.parametrize("m", [3, 5, 7])  # 5 = D^2 + 1, the superoperator probe's stack size
+def test_stacked_dual_route_agrees_with_the_per_node_route(m):
+    gen, rhos, hams = _stack(m)
+    hams[1] = SIGMA_Y
+    h_dots = np.array([(0.1 * k) * SIGMA_X + SIGMA_Y for k in range(m)])
+    q, w = heat_rate(gen, rhos, hams, BASIS), work_rate(h_dots, rhos, BASIS)
+    assert np.array_equal(q, heat_rate(gen, rhos, hams))
+    assert np.array_equal(w, work_rate(h_dots, rhos))
+    for k in range(m):
+        assert heat_rate(gen[k], rhos[k], hams[k], BASIS) == q[k]
+        assert work_rate(h_dots[k], rhos[k], BASIS) == w[k]
+    # one node of the generator against a stack of states and operators
+    assert np.array_equal(heat_rate(gen[0], rhos, SIGMA_X, BASIS), heat_rate(gen[0], rhos, SIGMA_X))
+    # the ladder basis passes the per-node route exactly where it passes the
+    # stacked one: on nodes whose operators are real
+    for k in range(m):
+        if k == 1:
+            with pytest.raises(AssertionError, match=r"^heat rate: operator-trace route .* 1e-10$"):
+                heat_rate(gen[k], rhos[k], hams[k], LADDER)
+        else:
+            heat_rate(gen[k], rhos[k], hams[k], LADDER)
+    with pytest.raises(AssertionError, match=r"^heat rate: operator-trace route .* at node 1$"):
+        heat_rate(gen, rhos, hams, LADDER)
+
+
+@pytest.mark.parametrize("k", [0, 2, 6])
+def test_stacked_dual_route_names_the_first_failing_node(k):
+    gen, rhos, hams = _stack(7)
+    hams[k:] = SIGMA_Y
+    with pytest.raises(AssertionError, match=rf"^heat rate: operator-trace route .* at node {k}$"):
+        heat_rate(gen, rhos, hams, LADDER)
+    h_dots = np.zeros((7, 2, 2), dtype=complex)
+    h_dots[k:] = 0.9 * SIGMA_Y
+    with pytest.raises(AssertionError, match=rf"^work rate: operator-trace route 0.27 and .* at node {k}$"):
+        work_rate(h_dots, rhos, LADDER)
 
 
 def test_constant_hamiltonian_has_zero_work():

@@ -119,13 +119,11 @@ def test_generalized_tqd_rejects_mismatched_phase_grid():
 def _static_frame(n_points, dvector):
     """Frame with fixed levels -1, 1, basis vectors and the given constant
     eigenvector derivative."""
-    return frame_from_functions(
-        1.0,
-        n_points,
-        lambda s: np.broadcast_to([-1.0, 1.0], s.shape + (2,)),
-        lambda s: np.broadcast_to(SIGMA_0, s.shape + (2, 2)),
-        lambda s: np.broadcast_to(dvector, s.shape + (2, 2)),
-    )
+    return frame_from_functions(1.0, n_points, lambda s: (
+        np.broadcast_to([-1.0, 1.0], s.shape + (2,)),
+        np.broadcast_to(SIGMA_0, s.shape + (2, 2)),
+        np.broadcast_to(dvector, s.shape + (2, 2)),
+    ))
 
 
 def test_generalized_tqd_rejects_noisy_frame_derivatives():
@@ -186,10 +184,9 @@ def _reference_lz_frame(delta, theta_fn, tau, n_points):
     def per_node(fn, dtype):
         return lambda s: np.array([np.asarray(fn(x), dtype=dtype) for x in s])
 
-    return frame_from_functions(
-        tau, n_points, per_node(energy_fn, float), per_node(vector_fn, complex),
-        per_node(dvector_fn, complex),
-    )
+    return frame_from_functions(tau, n_points, lambda s: (
+        per_node(energy_fn, float)(s), per_node(vector_fn, complex)(s), per_node(dvector_fn, complex)(s),
+    ))
 
 
 @pytest.mark.parametrize("n_points", [101, 301])
@@ -201,6 +198,104 @@ def test_lz_frame_matches_its_scalar_closures(theta_fn, n_points):
     want = _reference_lz_frame(DELTA, theta_fn, 1.0e-4, n_points)
     for name in ("energies", "vectors", "dvectors", "denergies"):
         assert _same_bits(getattr(frame, name), getattr(want, name)), name
+
+
+def test_lz_frame_calls_theta_once_per_node_and_twice_for_its_derivative():
+    calls = []
+    lz_schedules(DELTA, lambda s: calls.append(s) or linear_sweep(s), 1.0e-4, 801)
+    assert len(calls) == 3 * 801
+    assert all(type(s) is float for s in calls)
+
+
+def _reference_lz_samplers(delta, theta_fn, tau):
+    """The scalar samplers that lz_schedules replaced, as Schedule.at took
+    them (s a Python float)."""
+
+    def tdot(s):
+        lo, hi = difference_points(s)
+        return (theta_fn(hi) - theta_fn(lo)) / (hi - lo)
+
+    def h0(s):
+        th = theta_fn(s)
+        if abs(math.cos(th)) < 1e-9:
+            raise ValueError(f"sweep angle reaches pi/2 at s={s:.4f}; field diverges")
+        return delta * (SIGMA_Z + math.tan(th) * SIGMA_X)
+
+    def cd(s):
+        return (tdot(s) / (2.0 * tau)) * SIGMA_Y
+
+    return {"h0": h0, "standard": lambda s: h0(s) + cd(s), "optimal": cd}
+
+
+def _oracle_grid(n_nodes):
+    """Nodes and midpoints of an n-node grid, off-grid points and both ends."""
+    nodes = np.linspace(0.0, 1.0, n_nodes)
+    mids = 0.5 * (nodes[1:] + nodes[:-1])
+    return np.concatenate([nodes, mids, np.random.default_rng(5).uniform(0.0, 1.0, 50), [0.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "theta_fn", [linear_sweep, bent_sweep, lambda s: THETA0 * (1.0 - s)], ids=["linear", "bent", "falling"]
+)
+def test_lz_samplers_match_their_scalar_closures(theta_fn):
+    scheds = lz_schedules(DELTA, theta_fn, 1.0e-4, 101)
+    ref = _reference_lz_samplers(DELTA, theta_fn, 1.0e-4)
+    grid = _oracle_grid(801)
+    for name, sampler in ref.items():
+        assert scheds[name].vectorized
+        want = np.array([sampler(s) for s in grid.tolist()])
+        assert _same_bits(scheds[name].sample(grid), want), name
+        assert _same_bits(scheds[name].at(0.3), sampler(0.3)), name
+    with pytest.raises(ValueError, match=r"^sweep angle reaches pi/2 at s=0\.5000; field diverges$"):
+        lz_schedules(DELTA, lambda s: math.pi * s, 1.0e-4, 11)["h0"].sample(np.linspace(0.0, 1.0, 5))
+
+
+@pytest.mark.parametrize("variant", ["adiabatic", "standard", "optimal"])
+def test_phase_gate_sampler_matches_its_scalar_closure(variant):
+    nu, tau = 35.0, 1.0e-2
+    w = 2.0 * math.pi * nu
+    one_z, zz_x = np.kron(SIGMA_0, SIGMA_Z), np.kron(SIGMA_Z, SIGMA_X)
+    correction = (0.5 * math.pi / tau) * np.kron(SIGMA_Z, SIGMA_Y)
+
+    def base(s):
+        return -w * (math.cos(math.pi * s) * one_z + math.sin(math.pi * s) * zz_x)
+
+    ref = {"adiabatic": base, "standard": lambda s: base(s) + correction, "optimal": lambda s: correction}[variant]
+    sched = phase_gate_schedule(nu, tau, variant)
+    assert sched.vectorized
+    grid = _oracle_grid(4001)
+    assert _same_bits(sched.sample(grid), np.array([ref(s) for s in grid.tolist()]))
+
+
+def _reference_matrix_series(grid, mats):
+    """The scalar matrix-series sampler that the vectorized one replaced."""
+    m = len(grid)
+
+    def sampler(s):
+        x = s * (m - 1)
+        k = int(round(x))
+        if abs(x - k) < 1e-6:
+            return mats[min(max(k, 0), m - 1)]
+        lo = min(max(int(math.floor(x)), 0), m - 2)
+        w = x - lo
+        return (1.0 - w) * mats[lo] + w * mats[lo + 1]
+
+    return sampler
+
+
+@pytest.mark.parametrize("m", [5, 8, 101])
+def test_matrix_series_schedule_matches_its_scalar_closure(m):
+    rng = np.random.default_rng(m)
+    grid = np.linspace(0.0, 1.0, m)
+    mats = rng.normal(size=(m, 2, 2)) + 1j * rng.normal(size=(m, 2, 2))
+    sched = matrix_series_schedule(grid, 1.0, mats)
+    ref = _reference_matrix_series(grid, mats)
+    # nodes, midpoints, points within 1e-6 of a node index (both sides),
+    # off-grid points and the ends
+    near = grid[1:-1] + np.array([[-0.4e-6], [0.4e-6]]) / (m - 1)
+    points = np.concatenate([_oracle_grid(m), near.ravel()])
+    assert sched.vectorized
+    assert _same_bits(sched.sample(points), np.array([ref(s) for s in points.tolist()]))
 
 
 def test_matrix_series_schedule_snaps_to_nodes():
