@@ -15,9 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
-from scipy.integrate import cumulative_trapezoid
-from scipy.optimize import linear_sum_assignment
 
 from .dynamics import Schedule, time_scale
 from .opalg import Superoperator, dagger
@@ -26,6 +23,12 @@ GAP_TOL_FACTOR = 1e-8
 CLUSTER_TOL_FACTOR = 1e-7
 RANK_SVD_TOL = 1e-8
 NEAR_DEFECTIVE_COND = 1e10
+# A tracking node whose every row minimum of the assignment cost beats the
+# row's runner-up by more than this is decided without the assignment
+# solver.  The cost the solver sees and the batched cost differ by rounding
+# (about 1e-15 per entry, times at most d entries per assignment); 1e-9 is
+# far above that and far below any real overlap or eigenvalue separation.
+ASSIGNMENT_MARGIN = 1e-9
 
 
 def fourth_order_derivative(samples: np.ndarray, dx: float) -> np.ndarray:
@@ -58,8 +61,18 @@ def require_stencil_points(m: int) -> None:
 
 
 def cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cumulative trapezoid integral along axis 0, starting from zero."""
-    return cumulative_trapezoid(y, x, axis=0, initial=0.0)
+    """Cumulative trapezoid integral along axis 0, starting from zero.
+
+    ``x`` is one (n+1,) grid for every column of ``y``, or an (n+1, R)
+    array of grids, one per member column.  The arithmetic is that of
+    scipy's ``cumulative_trapezoid(y, x, axis=0, initial=0)``, bit for bit.
+    """
+    y, x = np.asarray(y), np.asarray(x)
+    d = np.diff(x, axis=0)
+    if x.ndim == 1:
+        d = d.reshape((-1,) + (1,) * (y.ndim - 1))
+    res = np.cumsum(d * (y[1:] + y[:-1]) / 2.0, axis=0)
+    return np.concatenate([np.zeros((1,) + res.shape[1:], dtype=res.dtype), res])
 
 
 class LevelCrossingError(RuntimeError):
@@ -130,15 +143,41 @@ def track_eigenvectors(
     # eigenvalue distance of node k-1 (rows) to node k (columns), both in
     # decomposition order; row order is fixed up at use by node k-1's order
     dist = np.abs(vals[:-1, :, None] - vals[1:, None, :]) / scale[1:, None, None]
+    # The same cost for every adjacent pair at once, from the unphased
+    # columns.  The cost the loop would build from node k-1's gauge-fixed
+    # columns differs from row order[k-1][i] of this one only by the
+    # rounding of the unit phase division, about 1e-15 an entry.  Where
+    # every row minimum beats its row's runner-up by more than
+    # ASSIGNMENT_MARGIN and the minima form a permutation, that
+    # permutation is therefore the unique optimal assignment of both costs
+    # (any other assignment leaves some row's minimum and pays the margin),
+    # which is what linear_sum_assignment would return.  Such a node is
+    # clear; only the others go to the solver.  A non-finite cost is never
+    # clear, so the solver raises on it.
+    cost = 1.0 - np.abs(np.conj(vecs[:-1]).swapaxes(1, 2) @ vecs[1:]) + dist
+    best = np.argmin(cost, axis=2)
+    d = vals.shape[1]
+    runner_up = np.partition(cost, 1, axis=2)[..., 1] if d > 1 else np.inf
+    clear = (
+        np.all(runner_up - np.min(cost, axis=2) > ASSIGNMENT_MARGIN, axis=1)
+        & np.all(np.sort(best, axis=1) == np.arange(d), axis=1)
+        & np.all(np.isfinite(cost), axis=(1, 2))
+    )
     order = np.empty(vals.shape, dtype=int)
     order[0] = first
     out = np.empty(vecs.shape, dtype=complex)
     out[0] = vecs[0][:, first]
-    for k in range(1, len(vals)):
+    for k, is_clear in enumerate(clear.tolist(), start=1):
         prev = out[k - 1]
-        cost = 1.0 - np.abs(prev.conj().T @ vecs[k]) + dist[k - 1][order[k - 1]]
-        row, col = linear_sum_assignment(cost)
-        order[k, row] = col
+        if is_clear:
+            order[k] = best[k - 1][order[k - 1]]
+        else:
+            from scipy.optimize import linear_sum_assignment
+
+            row, col = linear_sum_assignment(
+                1.0 - np.abs(prev.conj().T @ vecs[k]) + dist[k - 1][order[k - 1]]
+            )
+            order[k, row] = col
         v = vecs[k][:, order[k]]
         ov = np.einsum("ia,ia->a", np.conj(prev), v)
         ov[np.abs(ov) < 1e-12] = 1.0
@@ -326,6 +365,8 @@ def liouville_spectrum(l: Superoperator | np.ndarray) -> LiouvilleSpectrum:
     n = mat.shape[0]
     scale = max(1.0, float(np.linalg.norm(mat, 2)))
     tol_cluster = CLUSTER_TOL_FACTOR * scale
+
+    import scipy.linalg
 
     vals, vecs = scipy.linalg.eig(mat)
     order = np.lexsort((np.abs(vals), vals.imag, -vals.real))

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .dynamics import Schedule, difference_points, evolve_unitary, pure_state_density
 from .opalg import SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, stack_2x2
@@ -131,7 +130,7 @@ def energy_cost_sigma(h: Schedule) -> float:
     grid = np.linspace(0.0, 1.0, 801)
     hams = h.sample(grid)
     vals = np.sqrt(np.maximum(np.real(np.trace(hams @ hams, axis1=1, axis2=2)), 0.0))
-    return float(trapezoid(vals, grid))
+    return float(np.trapezoid(vals, grid))
 
 
 def tqd_time_independence(frame: SpectralFrame, phases: PhaseChoice) -> dict:
@@ -241,8 +240,8 @@ def lz_intensities(
         raise ValueError("sweep angle reaches pi/2; intensity integral diverges")
     tan2 = np.tan(theta) ** 2
     dtheta = fourth_order_derivative(theta, grid[1] - grid[0])
-    int_tan2 = float(trapezoid(tan2, grid))
-    int_dth2 = float(trapezoid(dtheta**2, grid))
+    int_tan2 = float(np.trapezoid(tan2, grid))
+    int_dth2 = float(np.trapezoid(dtheta**2, grid))
     if int_tan2 <= 0.0:
         raise ValueError("bare sweep intensity vanishes; nothing to normalize by")
     i_opt = int_dth2 / (4.0 * tau**2 * delta**2 * int_tan2)

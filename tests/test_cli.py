@@ -1,5 +1,7 @@
 import ast
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -307,6 +309,24 @@ def test_check_config_flags_mutual_exclusion():
         },
     )
     assert any("balanced" in p and "constant" in p for p in problems)
+
+
+def test_package_and_tqd_scenarios_load_no_scipy():
+    """scipy is imported only where it is used: liouville_spectrum and
+    contested eigenframe assignments.  No module import and no tqd
+    scenario at its defaults reaches either."""
+    code = (
+        "import contextlib, importlib, io, sys\n"
+        f"sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+        + "".join(f"importlib.import_module('adiabatic_lab.{p.stem}')\n" for p in sorted(PACKAGE.glob("*.py")))
+        + "from adiabatic_lab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['nmr-tqd']), main(['lz-tqd'])]\n"
+        "print(codes, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[0,", "0]", "[]"], proc.stdout
 
 
 def test_package_modules_use_every_name_they_import():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 import scipy.optimize
 from hypothesis import given, settings
@@ -17,10 +18,12 @@ from adiabatic_lab.opalg import (
 )
 from adiabatic_lab.spectral import (
     LevelCrossingError,
+    cumtrapz,
     eigvec_overlap_matrix,
     fourth_order_derivative,
     frame_from_functions,
     liouville_spectrum,
+    track_eigenvectors,
     tracked_eigensystem,
 )
 
@@ -58,6 +61,23 @@ def test_fourth_order_derivative_order_of_accuracy():
 def test_fourth_order_derivative_needs_five_samples():
     with pytest.raises(ValueError):
         fourth_order_derivative(np.zeros(4), 0.1)
+
+
+@pytest.mark.parametrize(
+    "y, x",
+    [
+        (np.sin(7.0 * np.linspace(0.0, 1.3, 41) ** 2), np.linspace(0.0, 1.3, 41)),
+        # one time grid per member column, as lock-step sweeps integrate
+        (RNG.normal(size=(33, 4)), np.cumsum(RNG.uniform(0.1, 1.0, size=(33, 4)), axis=0)),
+        # a complex (M, d, d) stack on one grid
+        (RNG.normal(size=(25, 3, 3)) + 1j * RNG.normal(size=(25, 3, 3)), np.linspace(0.0, 2.0, 25)),
+    ],
+    ids=["1d", "member-grids", "complex-stack"],
+)
+def test_trapezoid_rules_keep_scipys_bits(y, x):
+    want = scipy.integrate.cumulative_trapezoid(y, x, axis=0, initial=0)
+    assert _same_bits(cumtrapz(y, x), want)
+    assert _same_bits(np.trapezoid(y, x, axis=0), scipy.integrate.trapezoid(y, x, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +258,142 @@ def test_tracked_eigensystem_matches_node_by_node_reference(sched, n_points, gau
     assert _same_bits(frame.dvectors, dvectors)
     assert _same_bits(frame.denergies, denergies)
     assert _same_bits(frame.max_residual, max_res)
+
+
+# ---------------------------------------------------------------------------
+# the assignment step of track_eigenvectors, against the per-node solver
+
+
+_SOLVER = scipy.optimize.linear_sum_assignment
+
+
+def _reference_track_eigenvectors(vals, vecs, first, costs):
+    """The per-node tracker: every node's assignment solved on the cost
+    from the previous node's gauge-fixed columns.  Appends each node's cost
+    to ``costs``."""
+    scale = np.maximum(1.0, np.max(np.abs(vals), axis=1))
+    dist = np.abs(vals[:-1, :, None] - vals[1:, None, :]) / scale[1:, None, None]
+    order = np.empty(vals.shape, dtype=int)
+    order[0] = first
+    out = np.empty(vecs.shape, dtype=complex)
+    out[0] = vecs[0][:, first]
+    for k in range(1, len(vals)):
+        prev = out[k - 1]
+        cost = 1.0 - np.abs(prev.conj().T @ vecs[k]) + dist[k - 1][order[k - 1]]
+        costs.append(cost)
+        row, col = _SOLVER(cost)
+        order[k, row] = col
+        v = vecs[k][:, order[k]]
+        ov = np.einsum("ia,ia->a", np.conj(prev), v)
+        ov[np.abs(ov) < 1e-12] = 1.0
+        out[k] = v / (ov / np.abs(ov))[None, :]
+    return order, out
+
+
+@pytest.fixture
+def solver_costs(monkeypatch):
+    """The cost matrices that track_eigenvectors hands the solver."""
+    seen = []
+
+    def counting(cost):
+        seen.append(np.array(cost))
+        return _SOLVER(cost)
+
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counting)
+    return seen
+
+
+def _hermitian_grid(sched, n_points):
+    energies, vecs = np.linalg.eigh(sched.sample(np.linspace(0.0, 1.0, n_points)))
+    return energies, vecs, np.arange(energies.shape[1])
+
+
+def _qutrit_liouvillian_grid(n_points):
+    """A driven qutrit with ladder decay and dephasing as 9x9 Liouvillian
+    matrices in the column-stacking representation, decomposed as the
+    Liouvillian tracker does.  On 201 nodes two real eigenvalues meet and
+    leave as a complex pair between nodes 81 and 82, and meet again and
+    part as real ones between nodes 158 and 159: the assignment is
+    contested at nodes 82 and 159."""
+    rng = np.random.default_rng(31)
+    h0, h1 = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2))
+    h0, h1 = h0 + dagger(h0), h1 + dagger(h1)
+    eye = np.eye(3)
+    jumps = (np.diag([1.0, np.sqrt(2.0)], k=1), np.diag([1.0, 0.0, -1.0]))
+    mats = []
+    for s in np.linspace(0.0, 1.0, n_points):
+        h = np.cos(1.3 * s) * h0 + s * h1
+        gen = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+        for rate, j in zip((0.4, 0.2 + 0.3 * s), jumps):
+            jj = dagger(j) @ j
+            gen = gen + rate * (np.kron(j.conj(), j) - 0.5 * np.kron(eye, jj) - 0.5 * np.kron(jj.T, eye))
+        mats.append(gen)
+    vals, vecs = np.linalg.eig(np.array(mats))
+    vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    return vals, vecs, np.lexsort((vals[0].imag, -vals[0].real))
+
+
+def _contested_grid():
+    """Seven hand-built 3-level nodes, each in its own column order and with
+    random column phases.  Nodes 1 and 2 swap columns in two ways that do
+    not commute; node 3 ties overlaps and distances exactly, node 4 nearly
+    (1e-12), and at node 5 two rows share one clear minimum, so the solver
+    must run at nodes 3, 4 and 5 and only there."""
+    rng = np.random.default_rng(4)
+    e = np.eye(3, dtype=complex)
+    f0, f1 = np.sqrt(0.5) * (e[:, 0] + e[:, 1]), np.sqrt(0.5) * (e[:, 0] - e[:, 1])
+    c, s = np.cos(np.deg2rad(40.0)), np.sin(np.deg2rad(40.0))
+    nodes = [
+        ((e[:, 0], e[:, 1], e[:, 2]), (0.0, 1.0, 2.0)),
+        ((e[:, 1], e[:, 0], e[:, 2]), (1.01, 0.01, 2.01)),
+        ((e[:, 1], e[:, 2], e[:, 0]), (1.02, 2.02, 0.02)),
+        ((f1, e[:, 2], f0), (0.52, 2.03, 0.52)),
+        ((e[:, 2], f0, f1), (-0.48 + 1e-12, 0.52, 0.52)),
+        ((c * f0 + s * f1, -s * f0 + c * f1, e[:, 2]), (0.62, 1.52, -0.48)),
+        ((e[:, 2], -s * f0 + c * f1, c * f0 + s * f1), (-0.47, 1.53, 0.63)),
+    ]
+    vecs = np.array([np.stack(cols, axis=1) for cols, _ in nodes])
+    vecs = vecs * np.exp(1j * rng.uniform(-np.pi, np.pi, size=(len(nodes), 1, 3)))
+    return np.array([v for _, v in nodes]), vecs, np.arange(3)
+
+
+def _one_level_grid():
+    rng = np.random.default_rng(9)
+    vecs = rng.normal(size=(50, 4, 1)) + 1j * rng.normal(size=(50, 4, 1))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    return rng.normal(size=(50, 1)), vecs, np.zeros(1, dtype=int)
+
+
+@pytest.mark.parametrize(
+    "grid, solved_at",
+    [
+        (lambda: _hermitian_grid(_lz_schedule(2 * np.pi * 2e3, np.pi / 3, 1e-3), 201), []),
+        (lambda: _hermitian_grid(_nmr_lab_schedule(1.0), 1001), []),
+        (lambda: _hermitian_grid(_random_schedule(3, 5), 201), []),
+        (lambda: _hermitian_grid(_random_schedule(8, 6), 201), []),
+        (lambda: _qutrit_liouvillian_grid(201), [82, 159]),
+        (_one_level_grid, []),
+        (_contested_grid, [3, 4, 5]),
+    ],
+    ids=["lz", "nmr-lab", "random-3x3", "random-8x8", "qutrit-9x9", "one-level", "contested"],
+)
+def test_track_eigenvectors_solves_only_contested_nodes(grid, solved_at, solver_costs):
+    vals, vecs, first = grid()
+    order, out = track_eigenvectors(vals, vecs, first)
+    costs = []
+    want_order, want_out = _reference_track_eigenvectors(vals, vecs, first, costs)
+    assert _same_bits(order, want_order)
+    assert _same_bits(out, want_out)
+    assert len(solver_costs) == len(solved_at)
+    for cost, k in zip(solver_costs, solved_at):
+        assert _same_bits(cost, costs[k - 1])
+
+
+def test_track_eigenvectors_raises_on_a_nan_cost():
+    vals, vecs, first = _hermitian_grid(_random_schedule(3, 5), 11)
+    vals[6, 1] = np.nan
+    with pytest.raises(ValueError, match="invalid numeric entries"):
+        track_eigenvectors(vals, vecs, first)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 
 from adiabatic_lab.dynamics import Schedule, difference_points, evolve_unitary
 from adiabatic_lab.opalg import SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z
-from adiabatic_lab.spectral import frame_from_functions
+from adiabatic_lab.spectral import fourth_order_derivative, frame_from_functions
 from adiabatic_lab.tqd import (
     _ancilla_cd,
     _ancilla_ham,
@@ -346,6 +347,21 @@ def test_lz_intensities_match_quadrature_closed_forms():
     # at the break-even duration the correction costs as much as the sweep
     at_b = lz_intensities(linear_sweep, DELTA, res["tau_b"], n_quad=2001)
     assert at_b["i_opt"] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_field_integrals_keep_scipys_trapezoid_bits():
+    h = counter_diabatic_term(lz_frame(1.0e-4))
+    grid = np.linspace(0.0, 1.0, 801)
+    hams = h.sample(grid)
+    sizes = np.sqrt(np.maximum(np.real(np.trace(hams @ hams, axis1=1, axis2=2)), 0.0))
+    assert energy_cost_sigma(h).hex() == float(scipy.integrate.trapezoid(sizes, grid)).hex()
+
+    res = lz_intensities(linear_sweep, DELTA, 1.0, n_quad=2001)
+    grid = np.linspace(0.0, 1.0, 2001)
+    theta = np.array([linear_sweep(s) for s in grid])
+    dtheta = fourth_order_derivative(theta, grid[1] - grid[0])
+    assert res["int_tan2"].hex() == float(scipy.integrate.trapezoid(np.tan(theta) ** 2, grid)).hex()
+    assert res["int_dtheta2"].hex() == float(scipy.integrate.trapezoid(dtheta**2, grid)).hex()
 
 
 def test_lz_intensity_scaling_and_guards():
