@@ -22,17 +22,14 @@ from .dynamics import Schedule, frame_transform, time_scale
 from .opalg import SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, stack_2x2
 from .spectral import SpectralFrame, fourth_order_derivative, frame_from_functions
 
-_STATS = {"max": np.max, "mean": np.mean}
-
-
 def _hdot_samples(h: Schedule, grid: np.ndarray, tau: float) -> np.ndarray:
     return fourth_order_derivative(h.sample(grid), grid[1] - grid[0]) / time_scale(tau)
 
 
-def _profile(series: np.ndarray, reduce: Callable) -> np.ndarray:
-    """``reduce`` of |series[:, m, n]| over the grid for every pair, (d, d);
+def _profile(series: np.ndarray) -> np.ndarray:
+    """Maximum of |series[:, m, n]| over the grid for every pair, (d, d);
     each pair's profile is reduced as one contiguous row."""
-    return reduce(np.ascontiguousarray(np.moveaxis(np.abs(series), 0, -1)), axis=-1)
+    return np.max(np.ascontiguousarray(np.moveaxis(np.abs(series), 0, -1)), axis=-1)
 
 
 def _coupling(frame: SpectralFrame, h: Schedule, modulus: bool = False) -> np.ndarray:
@@ -59,16 +56,14 @@ def c_trad(frame: SpectralFrame, h: Schedule) -> float:
     return float(np.max(_coupling(frame, h, modulus=True)))
 
 
-def c_tong(frame: SpectralFrame, h: Schedule, stat: str = "max") -> dict:
+def c_tong(frame: SpectralFrame, h: Schedule) -> dict:
     """Three-part refinement of the gap condition.
 
     Returns the parts (a), (b), (c) and their maximum.  Part (a) is the
     traditional condition.  Part (b) bounds the drift of the gap-weighted
     coupling, part (c) its mixing with the eigenstate velocities; both are
-    scaled by the duration tau.  ``stat`` selects how the time profile is
-    collapsed before the pair maximum: "max" (default) or "mean".
+    scaled by the duration tau and take each pair's maximum over time.
     """
-    reduce = _STATS[stat.lower()]
     grid, tau = frame.grid, frame.tau
     dim = frame.n_levels
     coupling = _coupling(frame, h)
@@ -76,10 +71,10 @@ def c_tong(frame: SpectralFrame, h: Schedule, stat: str = "max") -> dict:
 
     dcoupling = fourth_order_derivative(coupling, grid[1] - grid[0]) / time_scale(tau)
     off = ~np.eye(dim, dtype=bool)
-    part_b = float(np.max(_profile(dcoupling, reduce)[off]) * tau)
+    part_b = float(np.max(_profile(dcoupling)[off]) * tau)
 
     # amp[m, n] * vel[m, l] over pairs m != n and levels l != m
-    amp, vel = _profile(coupling, reduce), _profile(frame.connection, reduce)
+    amp, vel = _profile(coupling), _profile(frame.connection)
     prod = amp[:, :, None] * vel[:, None, :] * tau
     part_c = float(np.max(prod[off[:, :, None] & off[:, None, :]], initial=0.0))
 
@@ -132,16 +127,12 @@ def c_wu(frame: SpectralFrame) -> float:
     return worst
 
 
-def c_ar(
-    frame: SpectralFrame,
-    h: Schedule,
-    gap_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> float:
+def c_ar(frame: SpectralFrame, h: Schedule) -> float:
     """Norm-based rigorous bound, Frobenius norms throughout.
 
     max over time of max(|dH/dt|^3 / gap^4, |dH/dt| |d2H/dt2| / gap^3)
-    times tau^2.  The gap defaults to the lowest spectral gap E_1 - E_0;
-    ``gap_fn`` may map the (M, d) energy array to a custom (M,) profile.
+    times tau^2, with the lowest spectral gap E_1 - E_0; a gap that is
+    not strictly positive on some node is refused.
     """
     grid, tau = frame.grid, frame.tau
     ds = grid[1] - grid[0]
@@ -149,10 +140,7 @@ def c_ar(
     hddot = fourth_order_derivative(hdot, ds) / time_scale(tau)
     norm1 = np.linalg.norm(hdot, axis=(1, 2))
     norm2 = np.linalg.norm(hddot, axis=(1, 2))
-    if gap_fn is None:
-        gap = frame.energies[:, 1] - frame.energies[:, 0]
-    else:
-        gap = np.asarray(gap_fn(frame.energies))
+    gap = frame.energies[:, 1] - frame.energies[:, 0]
     if np.any(gap <= 0):
         raise ValueError("gap profile must be strictly positive")
     bound = np.maximum(norm1**3 / gap**4, norm1 * norm2 / gap**3)
@@ -372,14 +360,15 @@ def oscillating_noninertial(
 # frame-equivalence checks
 
 
-def theorem1_check(kit: ModelKit, level: int = 0) -> dict:
+def theorem1_check(kit: ModelKit) -> dict:
     """Constancy of the cross-frame eigenstate overlaps.
 
     For a model with frame map O(s), adiabatic behaviour agrees between
     the two descriptions exactly when every |<E^O_m(s)| O(s) |E_n(s)>| is
     constant in time.  Returns the largest drift of those moduli from
-    their initial values for the chosen starting level, and whether it
-    stays below 0.02.  The check runs on the grid of the kit's frame.
+    their initial values for the ground level n = 0 of the kit's frame,
+    and whether it stays below 0.02.  The check runs on the grid of the
+    kit's frame.
     """
     if kit.frame_map is None:
         raise ValueError("model has no frame map")
@@ -392,7 +381,7 @@ def theorem1_check(kit: ModelKit, level: int = 0) -> dict:
     # overlap row is genuinely basis-arbitrary) do not abort the check.
     _, vecs_o = np.linalg.eigh(h_o.sample(grid))
     o = np.asarray(kit.frame_map(grid), dtype=complex)
-    overlaps = np.abs(dagger(vecs_o) @ o @ lab.vectors[:, :, level, None])[:, :, 0]
+    overlaps = np.abs(dagger(vecs_o) @ o @ lab.vectors[:, :, 0, None])[:, :, 0]
     drift = np.abs(overlaps - overlaps[0])
     max_dev = float(np.max(drift))
     return {
@@ -403,24 +392,26 @@ def theorem1_check(kit: ModelKit, level: int = 0) -> dict:
     }
 
 
-def theorem2_check(kit: ModelKit, level: int = 0) -> dict:
+def theorem2_check(kit: ModelKit) -> dict:
     """Eigenstate populations under the exact propagator of a model whose
     companion-frame Hamiltonian is constant.
 
     With H_O constant the exact propagator is
     U(t, 0) = O(t)^dag exp(-i H_O t) O(0), and adiabaticity in the
     original description is equivalent to constancy of
-    |<E_k(t)| U(t,0) |E_n(0)>|.  The constancy of H_O itself is verified
-    first; a drifting transformed Hamiltonian is a usage error.  The check
-    runs on the grid of the kit's frame.
+    |<E_k(t)| U(t,0) |E_n(0)>|, checked from the ground level n = 0 of the
+    kit's frame.  The constancy of H_O itself is verified first, on 17
+    probe points from s = 0; a drifting transformed Hamiltonian is a usage
+    error.  The check runs on the grid of the kit's frame.
     """
     if kit.frame_map is None:
         raise ValueError("model has no frame map")
     h_o = frame_transform(kit.schedule, kit.frame_map, kit.frame_map_dot)
-    h_o0 = np.asarray(h_o.at(0.0), dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(h_o0)))
     probe = np.linspace(0.0, 1.0, 17)
-    dev = np.max(np.abs(h_o.sample(probe) - h_o0), axis=(1, 2))
+    probe_h = np.asarray(h_o.sample(probe), dtype=complex)
+    h_o0 = probe_h[0]
+    scale = max(1.0, float(np.linalg.norm(h_o0)))
+    dev = np.max(np.abs(probe_h - h_o0), axis=(1, 2))
     bad = np.flatnonzero(dev > 1e-9 * scale)
     if bad.size:
         raise ValueError(
@@ -432,7 +423,7 @@ def theorem2_check(kit: ModelKit, level: int = 0) -> dict:
     grid = lab.grid
     o_t = np.asarray(kit.frame_map(grid), dtype=complex)
 
-    psi0 = lab.vectors[0][:, level]
+    psi0 = lab.vectors[0][:, 0]
     ref = np.abs(lab.vectors[0].conj().T @ psi0)
     t = grid * lab.tau
     phase_diag = np.zeros((len(grid),) + evecs.shape, dtype=complex)

@@ -29,25 +29,12 @@ RAMP_TOL = 1e-12
 # with its temporaries it raised the peak RSS by 53 MB; 256-node blocks keep
 # the peak at the per-node loop's.
 _POWER_BLOCK = 256
+# The two-cell sweep holds its final bonds for this fraction of tau.
+TWO_CELL_HOLD = 0.1
 
 
 # ---------------------------------------------------------------------------
 # ergotropy
-
-
-def passive_state(rho: np.ndarray, h0: np.ndarray) -> np.ndarray:
-    """The zero-ergotropy partner of ``rho``: its populations sorted
-    descending onto the ascending eigenlevels of ``h0``."""
-    rho = np.asarray(rho, dtype=complex)
-    h0 = np.asarray(h0, dtype=complex)
-    if not is_hermitian(rho):
-        raise ValueError("state must be Hermitian")
-    if not is_hermitian(h0):
-        raise ValueError("reference Hamiltonian must be Hermitian")
-    pops = np.linalg.eigvalsh(rho)[::-1]
-    levels, vecs = np.linalg.eigh(h0)
-    del levels
-    return (vecs * pops[None, :]) @ dagger(vecs)
 
 
 def ergotropy(rho: np.ndarray, h0: np.ndarray):
@@ -245,16 +232,6 @@ def stirap_charge(
     )
 
 
-def stirap_dark_state_ergotropy(w12: float, w23: float, spectrum: Sequence[float]) -> float:
-    """Closed-form ergotropy of the instantaneous dark state
-    (w23, 0, -w12)/D against the ladder spectrum."""
-    w1, _, w3 = (float(w) for w in spectrum)
-    d2 = w12**2 + w23**2
-    if d2 == 0.0:
-        raise ValueError("both drives vanish; dark state undefined")
-    return (w3 * w12**2 + w1 * w23**2) / d2 - w1
-
-
 def stirap_unstable_ergotropy(
     omega12: Callable[[float], float],
     omega23: Callable[[float], float],
@@ -329,18 +306,15 @@ def two_cell_schedule(
     ramp: Callable[[float], float],
     j_coupling: float,
     tau: float,
-    hold_fraction: float = 0.1,
 ) -> Schedule:
     """The bond sweep of :func:`two_cell_discharge`, H(s) = (1 - f) H_initial
     + (1 - f) f H_bridge + f H_final with f = ramp(s) over ``tau``, then the
-    final bonds held for ``hold_fraction`` of tau.  The schedule is
+    final bonds held for ``TWO_CELL_HOLD`` of tau.  The schedule is
     vectorized: ``ramp`` is called once per node, on a Python float."""
     if abs(ramp(0.0)) > RAMP_TOL or abs(ramp(1.0) - 1.0) > RAMP_TOL:
         raise ValueError("ramp must satisfy f(0) = 0 and f(1) = 1")
-    if hold_fraction < 0:
-        raise ValueError("hold_fraction must be non-negative")
     parts = two_cell_hamiltonians(j_coupling)
-    stretch = 1.0 + hold_fraction
+    stretch = 1.0 + TWO_CELL_HOLD
 
     def sampler(s: np.ndarray) -> np.ndarray:
         f = np.array([ramp(x) for x in np.minimum(s * stretch, 1.0).tolist()])[:, None, None]
@@ -355,7 +329,6 @@ def two_cell_discharge(
     omega0: float,
     tau: float,
     n_steps: int = 4000,
-    hold_fraction: float = 0.1,
 ) -> DischargeReport:
     """Sweep the two-cell battery's bonds onto the hub qubit.
 
@@ -367,13 +340,13 @@ def two_cell_discharge(
     to 2 omega0.  The three-fold z parity is conserved exactly and is
     reported as a discretization diagnostic.
 
-    The final bond layout is held for an extra ``hold_fraction`` of tau;
+    The final bond layout is held for an extra ``TWO_CELL_HOLD`` of tau;
     because it commutes with the hub energy, the power in that window is
     identically zero for any state, which is the no-backflow stability
     mechanism.  ``tail_max_power`` reports the largest |P| seen there and
     ``peak_power`` the run's own maximum for normalizing it.
     """
-    sched = two_cell_schedule(ramp, j_coupling, tau, hold_fraction)
+    sched = two_cell_schedule(ramp, j_coupling, tau)
     singlet = np.zeros(4, dtype=complex)
     singlet[1] = 1.0 / math.sqrt(2.0)
     singlet[2] = -1.0 / math.sqrt(2.0)
@@ -394,7 +367,7 @@ def two_cell_discharge(
         p_op = power_operator(h0_hub, sched.sample(traj.times[block] / sched.tau))
         power[block] = _expectation(traj.states[block], p_op)
     k_end = int(np.searchsorted(traj.times, tau, side="right"))
-    tail = np.abs(power[min(k_end, m - 1):]) if hold_fraction > 0 else np.abs(power[-2:])
+    tail = np.abs(power[min(k_end, m - 1):])
     return DischargeReport(
         times=traj.times,
         charge=charge,

@@ -2,9 +2,8 @@
 
 Internal unit system: hbar = 1, Hamiltonian entries in rad/s, time in
 seconds.  Integration is classical fixed-step RK4 on a uniform grid; the
-step count is a caller decision (see :func:`recommended_steps`), adaptive
-stepping is deliberately excluded so rerunning a scenario is reproducible
-bit for bit.
+step count is a caller decision, and adaptive stepping is deliberately
+excluded so rerunning a scenario is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -266,11 +265,6 @@ def time_scale(tau):
     return tau if tau else 1.0
 
 
-def recommended_steps(omega_max: float, tau: float) -> int:
-    """Smallest step count keeping omega_max * dt below 0.05 (at least 8)."""
-    return max(8, int(np.ceil(abs(omega_max) * abs(tau) / 0.05)))
-
-
 def rk4(sample: Callable[[np.ndarray], object], y0: np.ndarray, times: np.ndarray,
         act: Callable[[object, np.ndarray], np.ndarray]) -> np.ndarray:
     """Fixed-step RK4 for a linear flow y' = A(t) y; returns the state at every node.
@@ -493,19 +487,6 @@ def nmr_closed_form_p0(omega0: float, omega1: float, omega: float, t) -> np.ndar
     return 1.0 - (tan_theta**2 / denom) * np.sin(0.5 * rabi * t) ** 2
 
 
-def nmr_extremal_times(omega0: float, omega1: float, omega: float,
-                       n: int = 1) -> tuple[float, float]:
-    """Times of maximal and minimal p0 for the rotating-field model.
-
-    Returns (tau_max, tau_min) = (2 n pi / Omega, (2n+1) pi / Omega) for the
-    n-th oscillation of the effective Rabi frequency Omega.
-    """
-    r = omega / omega0
-    tan_theta = omega1 / omega0
-    rabi = abs(omega0) * np.sqrt((1.0 - r) ** 2 + tan_theta**2)
-    return 2.0 * n * np.pi / rabi, (2.0 * n + 1.0) * np.pi / rabi
-
-
 def _sqrtm_psd(rho: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(rho)
     vals = np.clip(vals, 0.0, None)
@@ -529,17 +510,6 @@ def fidelity(rho1: np.ndarray, rho2: np.ndarray):
     vals = np.clip(np.linalg.eigvalsh(0.5 * (inner + dagger(inner))), 0.0, None)
     out = np.sum(np.sqrt(vals), axis=-1)
     return float(out) if out.ndim == 0 else out
-
-
-def relative_purity(rho_gs: np.ndarray, rho: np.ndarray) -> float:
-    """Overlap |Tr(rho_gs rho)| normalized by the purities of both states."""
-    rho_gs = _as_density(rho_gs)
-    rho = _as_density(rho)
-    p1 = np.real(np.trace(rho_gs @ rho_gs))
-    p2 = np.real(np.trace(rho @ rho))
-    if p1 <= 0 or p2 <= 0:
-        raise ValueError("zero-purity input")
-    return float(abs(np.trace(rho_gs @ rho)) / np.sqrt(p1 * p2))
 
 
 def pure_state_density(psi: np.ndarray) -> np.ndarray:

@@ -21,6 +21,8 @@ TOL_HERM = 1e-10
 TOL_TR = 1e-10
 TOL_POS = 1e-9
 TOL_ORTH = 1e-12
+# dense-basis guard: the largest Pauli basis that pauli_basis builds
+MAX_QUBITS = 4
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -95,9 +97,8 @@ class OperatorBasis:
 
     Notes
     -----
-    Elements obey Tr(sigma_n sigma_m^dag) = D delta_nm; the cheap structural
-    checks run at construction, the full pairwise orthogonality check is in
-    :meth:`validate_orthogonality` because it is quadratic in basis size.
+    Elements obey Tr(sigma_n sigma_m^dag) = D delta_nm; construction checks
+    the size, the identity element and tracelessness.
     """
 
     dim: int
@@ -116,34 +117,20 @@ class OperatorBasis:
             if abs(np.trace(self.elements[n])) > TOL_ORTH:
                 raise ValueError(f"element {n} ({self.labels[n]}) is not traceless")
 
-    def validate_orthogonality(self) -> None:
-        """Exhaustive pairwise check of Tr(sigma_n sigma_m^dag) = D delta_nm."""
-        for n, a in enumerate(self.elements):
-            for m, b in enumerate(self.elements):
-                got = np.vdot(b, a)  # Tr(b^dag a) = Tr(a b^dag)
-                want = self.dim if n == m else 0.0
-                if abs(got - want) > TOL_ORTH:
-                    raise ValueError(
-                        f"orthogonality failure at ({n},{m}): {got} != {want}"
-                    )
-
-    def same_as(self, other: "OperatorBasis") -> bool:
-        return self is other or (self.dim == other.dim and self.labels == other.labels)
 
 
-def pauli_basis(n_qubits: int, max_qubits: int = 4) -> OperatorBasis:
+def pauli_basis(n_qubits: int) -> OperatorBasis:
     """Tensor-product Pauli-string basis for ``n_qubits`` qubits.
 
     Strings are ordered lexicographically in (I, X, Y, Z) per site, so the
     all-identity string comes first.  Dimension guard rejects more than
-    ``max_qubits`` qubits; raise the cap explicitly if you really want a
-    bigger dense basis.
+    ``MAX_QUBITS`` qubits.
     """
     if n_qubits < 1:
         raise ValueError("n_qubits must be >= 1")
-    if n_qubits > max_qubits:
+    if n_qubits > MAX_QUBITS:
         raise ValueError(
-            f"n_qubits={n_qubits} exceeds the dense-basis guard max_qubits={max_qubits}"
+            f"n_qubits={n_qubits} exceeds the dense-basis guard MAX_QUBITS={MAX_QUBITS}"
         )
     labels = ["".join(t) for t in itertools.product("IXYZ", repeat=n_qubits)]
     elements = []
@@ -158,8 +145,7 @@ def pauli_basis(n_qubits: int, max_qubits: int = 4) -> OperatorBasis:
 @dataclass(eq=False)
 class CoherenceVector:
     """Component vector of an operator in an :class:`OperatorBasis`, or a
-    stack (..., D^2) of them, one per node; :meth:`Superoperator.apply` and
-    :func:`hs_inner` take one vector."""
+    stack (..., D^2) of them, one per node."""
 
     components: np.ndarray
     basis: OperatorBasis
@@ -190,19 +176,15 @@ def to_coherence_vector(rho: np.ndarray, basis: OperatorBasis) -> CoherenceVecto
     return CoherenceVector(components=comps, basis=basis)
 
 
-def from_coherence_vector(
-    v: CoherenceVector, normalize_trace: bool = True
-) -> np.ndarray:
-    """Reconstruct the operator (1/D) sum_n c_n sigma_n, or a stack of them.
+def from_coherence_vector(v: CoherenceVector) -> np.ndarray:
+    """Reconstruct the state (1/D) sum_n c_n sigma_n, or a stack of them.
 
-    With ``normalize_trace`` the identity coefficient is pinned to 1, the
-    value any density matrix must carry in this convention.  Pass ``False``
-    to rebuild general (traceless or non-state) operators such as generator
-    outputs.
+    The identity coefficient is pinned to 1, the value any density matrix
+    must carry in this convention; :func:`combine_components` rebuilds
+    general (traceless or non-state) operators such as generator outputs.
     """
     comps = v.components.copy()
-    if normalize_trace:
-        comps[..., 0] = 1.0
+    comps[..., 0] = 1.0
     return combine_components(comps, v.basis)
 
 
@@ -221,20 +203,12 @@ class Superoperator:
     """Matrix representation of a linear operator map in a fixed basis.
 
     ``matrix`` may be a stack (..., D^2, D^2) of such maps, one per node;
-    ``trace_preserving`` is then an array of per-node flags and
-    :meth:`apply` is not defined for it.
+    ``trace_preserving`` is then an array of per-node flags.
     """
 
     matrix: np.ndarray
     basis: OperatorBasis
     trace_preserving: bool | np.ndarray
-
-    def apply(self, v: CoherenceVector) -> CoherenceVector:
-        if not self.basis.same_as(v.basis):
-            raise ValueError("basis mismatch between superoperator and vector")
-        if v.components.ndim != 1:
-            raise ValueError("apply takes one coherence vector, not a stack")
-        return CoherenceVector(self.matrix @ v.components, self.basis)
 
 
 class LinearityError(ValueError):
@@ -300,16 +274,3 @@ def superoperator_matrix(
     tp = np.max(np.abs(mat[..., 0, :]), axis=-1) < 1e-12 * scale
     return Superoperator(matrix=mat, basis=basis, trace_preserving=tp if lead else bool(tp))
 
-
-def hs_inner(a: CoherenceVector, b: CoherenceVector) -> complex:
-    """Hilbert-Schmidt inner product Tr(xi_a^dag xi_b) from components.
-
-    Componentwise this is (1/D) sum_n conj(a_n) b_n; for a state paired
-    with itself it returns the purity (1 for pure states, 1/D for the
-    maximally mixed state).
-    """
-    if not a.basis.same_as(b.basis):
-        raise ValueError("coherence vectors use different bases")
-    if a.components.ndim != 1 or b.components.ndim != 1:
-        raise ValueError("hs_inner takes one coherence vector each, not stacks")
-    return complex(np.vdot(a.components, b.components) / a.basis.dim)

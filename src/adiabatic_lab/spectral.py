@@ -1,15 +1,14 @@
 """Tracked instantaneous eigensystems and Liouvillian spectral analysis.
 
 Eigenvectors along a schedule are matched between neighbouring grid points
-by overlap assignment, then gauge fixed.  The smooth gauge makes every
-successive overlap real positive; the parallel-transport gauge additionally
-integrates out the residual diagonal connection so that <E_n|dE_n/dt>
-vanishes to finite-difference accuracy.  Derivatives are fourth-order
-finite differences, one-sided at the grid ends.
+by overlap assignment, then gauge fixed: the smooth gauge makes every
+successive overlap real positive.  Derivatives are fourth-order finite
+differences, one-sided at the grid ends.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -17,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import Schedule, time_scale
-from .opalg import Superoperator, dagger
+from .opalg import Superoperator
 
 GAP_TOL_FACTOR = 1e-8
 CLUSTER_TOL_FACTOR = 1e-7
@@ -117,10 +116,10 @@ class SpectralFrame:
         """Eigenvector time series of level n, shape (M, d)."""
         return self.vectors[:, :, n]
 
-    @property
+    @functools.cached_property
     def connection(self) -> np.ndarray:
         """Connection matrix <E_n(s)|dE_m/dt(s)> over the grid, (M, d, d)
-        indexed [node, n, m]."""
+        indexed [node, n, m]; formed on first access and kept."""
         return np.einsum("kin,kim->knm", np.conj(self.vectors), self.dvectors)
 
 
@@ -188,7 +187,6 @@ def track_eigenvectors(
 def tracked_eigensystem(
     h: Schedule,
     n_points: int,
-    gauge: str = "smooth",
 ) -> SpectralFrame:
     """Diagonalize a Hamiltonian schedule on a grid with continuity tracking.
 
@@ -200,8 +198,6 @@ def tracked_eigensystem(
     overlap below 0.999, which means the grid is too coarse to track.
     Both are raised at the first failing node, the gap first.
     """
-    if gauge not in ("smooth", "parallel-transport"):
-        raise ValueError(f"unknown gauge {gauge!r}")
     require_stencil_points(n_points)
     grid = np.linspace(0.0, 1.0, n_points)
     hams = h.sample(grid)
@@ -230,18 +226,6 @@ def tracked_eigensystem(
 
     ds = grid[1] - grid[0]
     tau = time_scale(h.tau)
-
-    if gauge == "parallel-transport":
-        # remove the accumulated diagonal connection; two sweeps push the
-        # residual below the finite-difference noise floor
-        for _ in range(2):
-            dvec_s = fourth_order_derivative(vectors, ds)
-            conn = np.einsum("kin,kin->kn", np.conj(vectors), dvec_s)
-            theta = np.zeros_like(conn, dtype=float)
-            theta[1:] = np.cumsum(
-                0.5 * ds * np.imag(conn[1:] + conn[:-1]), axis=0
-            )
-            vectors = vectors * np.exp(-1j * theta)[:, None, :]
 
     dvectors = fourth_order_derivative(vectors, ds) / tau
     denergies = fourth_order_derivative(energies, ds) / tau
@@ -417,24 +401,3 @@ def liouville_spectrum(l: Superoperator | np.ndarray) -> LiouvilleSpectrum:
         near_defective=near_defective,
     )
 
-
-def eigvec_overlap_matrix(
-    frame_a: SpectralFrame,
-    frame_b: SpectralFrame,
-    o: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> np.ndarray:
-    """Time series of |<E^b_m(s)| O(s) |E^a_n(s)>| over the common grid.
-
-    Rows index ``frame_b`` levels, columns index ``frame_a`` levels.  ``o``
-    maps the (M,) grid to the (M, D, D) stack of O(s); with ``o`` omitted
-    the identity map is used.
-    """
-    if frame_a.grid.shape != frame_b.grid.shape or np.max(
-        np.abs(frame_a.grid - frame_b.grid)
-    ) > 1e-12:
-        raise ValueError("frames are on different grids")
-    if o is None:
-        mid = np.eye(frame_a.n_levels)
-    else:
-        mid = np.asarray(o(frame_a.grid), dtype=complex)
-    return np.abs(dagger(frame_b.vectors) @ mid @ frame_a.vectors)

@@ -203,20 +203,6 @@ def build_ledger(
     )
 
 
-def adiabatic_heat_1d(solution, h_components: np.ndarray) -> np.ndarray:
-    """Heat current of a block-adiabatic open solution.
-
-    (1/D) sum_a r_a(t) lambda_a(t) (h . D_a(t)) with the bilinear pairing;
-    ``h_components`` is either one component vector or one per grid node.
-    """
-    frame = solution.frame
-    h_comp = np.asarray(h_components, dtype=complex)
-    dim = int(round(np.sqrt(frame.right.shape[1])))
-    pairing = (h_comp[..., None, :] @ frame.right)[:, 0, :]  # h . D_a for every block
-    flux = np.sum(solution.coefficients * frame.eigenvalues * pairing, axis=1)
-    return np.real(flux) / dim
-
-
 def unitary_conjugate_channel(l: Schedule, u: np.ndarray) -> Schedule:
     """Conjugate a Lindblad schedule by a fixed unitary: H -> U H U^dag and
     every jump J -> U J U^dag with rates unchanged.

@@ -118,12 +118,6 @@ def standard_tqd(frame: SpectralFrame) -> Schedule:
     return generalized_tqd(frame, adiabatic_phases(frame))
 
 
-def counter_diabatic_term(frame: SpectralFrame) -> Schedule:
-    """The bare gauge-invariant correction (optimal phases): this is the
-    whole driving field of the minimal-cost protocol."""
-    return generalized_tqd(frame, optimal_phases(frame))
-
-
 def energy_cost_sigma(h: Schedule) -> float:
     """Mean Hilbert-Schmidt field size (1/tau) int sqrt(Tr H^2) dt, by the
     trapezoid rule on 801 points."""
@@ -489,10 +483,6 @@ class PulseSequence:
     @property
     def energy_units(self) -> int:
         return self.n_rotations
-
-    @property
-    def total_delay(self) -> float:
-        return float(sum(it[1] for it in self.items if it[0] == "FREE"))
 
 
 def _rot(spin: int, theta: float, phi: float) -> tuple:

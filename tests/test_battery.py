@@ -5,14 +5,13 @@ import pytest
 
 from adiabatic_lab.cli import RAMPS
 from adiabatic_lab.dynamics import LindbladGenerator, Schedule, evolve_unitary, lindblad_action
-from adiabatic_lab.opalg import SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z
+from adiabatic_lab.opalg import SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger
 from adiabatic_lab.battery import (
+    TWO_CELL_HOLD,
     ergotropy,
-    passive_state,
     power_operator,
     stable_protocol,
     stirap_charge,
-    stirap_dark_state_ergotropy,
     stirap_noise_model,
     stirap_schedule,
     stirap_unstable_ergotropy,
@@ -35,6 +34,28 @@ def random_density(dim):
     a = RNG.normal(size=(dim, dim)) + 1j * RNG.normal(size=(dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho)
+
+
+# ---------------------------------------------------------------------------
+# reference oracles
+
+
+def passive_state(rho, h0):
+    """The zero-ergotropy partner of ``rho``: its populations sorted
+    descending onto the ascending eigenlevels of ``h0``."""
+    pops = np.linalg.eigvalsh(rho)[::-1]
+    _, vecs = np.linalg.eigh(h0)
+    return (vecs * pops[None, :]) @ dagger(vecs)
+
+
+def stirap_dark_state_ergotropy(w12, w23, spectrum):
+    """Closed-form ergotropy of the instantaneous dark state
+    (w23, 0, -w12)/D against the ladder spectrum."""
+    w1, _, w3 = (float(w) for w in spectrum)
+    d2 = w12**2 + w23**2
+    if d2 == 0.0:
+        raise ValueError("both drives vanish; dark state undefined")
+    return (w3 * w12**2 + w1 * w23**2) / d2 - w1
 
 
 # ---------------------------------------------------------------------------
@@ -221,23 +242,22 @@ def test_two_cell_slow_ramp_is_nearly_complete():
 
 
 def test_two_cell_hold_window_power_is_exactly_zero():
-    rep = two_cell_discharge(lambda s: s, J, J, 20.0 / J, n_steps=2000, hold_fraction=0.2)
+    rep = two_cell_discharge(lambda s: s, J, J, 20.0 / J, n_steps=2000)
     assert rep.tail_max_power == 0.0
     assert rep.peak_power > 0.0
 
 
 def test_two_cell_ramp_and_hold_guards():
+    """The hold is the fixed TWO_CELL_HOLD, so only the ramp is guarded."""
     with pytest.raises(ValueError, match=r"f\(0\) = 0 and f\(1\) = 1"):
         two_cell_discharge(lambda s: 0.5 + 0.5 * s, J, J, 1.0e-2, n_steps=200)
-    with pytest.raises(ValueError, match="hold_fraction"):
-        two_cell_discharge(lambda s: s, J, J, 1.0e-2, n_steps=200, hold_fraction=-1.0)
 
 
-def _two_cell_scalar_sampler(ramp, j_coupling, hold_fraction):
+def _two_cell_scalar_sampler(ramp, j_coupling):
     """The two-cell sampler as a one-s closure, the form it had before it
     took arrays of s."""
     parts = two_cell_hamiltonians(j_coupling)
-    stretch = 1.0 + hold_fraction
+    stretch = 1.0 + TWO_CELL_HOLD
 
     def sampler(s):
         f = ramp(min(s * stretch, 1.0))
@@ -246,11 +266,11 @@ def _two_cell_scalar_sampler(ramp, j_coupling, hold_fraction):
     return sampler
 
 
-def _two_cell_power_per_node(ramp, j_coupling, omega0, tau, n_steps, hold_fraction):
+def _two_cell_power_per_node(ramp, j_coupling, omega0, tau, n_steps):
     """The two-cell power readout as a loop of one power observable and one
     vdot per node, on the same trajectory as two_cell_discharge."""
-    stretch = 1.0 + hold_fraction
-    sampler = _two_cell_scalar_sampler(ramp, j_coupling, hold_fraction)
+    stretch = 1.0 + TWO_CELL_HOLD
+    sampler = _two_cell_scalar_sampler(ramp, j_coupling)
     singlet = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
     psi0 = np.kron(singlet, np.array([1.0, 0.0], dtype=complex))
     traj = evolve_unitary(Schedule(tau * stretch, sampler), psi0, n_steps)
@@ -266,14 +286,15 @@ def _two_cell_power_per_node(ramp, j_coupling, omega0, tau, n_steps, hold_fracti
 def test_two_cell_blocked_power_matches_per_node_loop(ramp):
     """600 steps give 601 nodes: two full 256-node blocks and a short one,
     with the hold window inside the last."""
-    rep = two_cell_discharge(ramp, J, J, 20.0 / J, n_steps=600, hold_fraction=0.2)
+    rep = two_cell_discharge(ramp, J, J, 20.0 / J, n_steps=600)
     assert len(rep.power) % 256
-    assert np.array_equal(rep.power, _two_cell_power_per_node(ramp, J, J, 20.0 / J, 600, 0.2))
+    assert np.array_equal(rep.power, _two_cell_power_per_node(ramp, J, J, 20.0 / J, 600))
 
 
 # Normalized times from s = 0 to s = 1, with the hold window s * stretch > 1
-# (stretch 1.2 here) and the sweep's end 1 / stretch itself.
-GRID = np.concatenate([np.linspace(0.0, 1.0, 2001), [1.0 / 1.2, 0.9, 1.0]])
+# and the sweep's end 1 / stretch itself, for the two-cell stretch 1.1 and
+# the STIRAP stretch 1.2 used here.
+GRID = np.concatenate([np.linspace(0.0, 1.0, 2001), [1.0 / (1.0 + TWO_CELL_HOLD), 1.0 / 1.2, 0.9, 1.0]])
 
 
 @pytest.mark.parametrize("ramp", ["linear", "sin2", "smooth", "math-sin2"])
@@ -282,8 +303,8 @@ def test_two_cell_array_sampler_matches_scalar_closure(ramp):
     ramp stays a scalar callable, called on Python floats, so a ramp
     written with ``math`` works and keeps its bits."""
     f = (lambda s: math.sin(0.5 * math.pi * s) ** 2) if ramp == "math-sin2" else RAMPS[ramp]
-    sched = two_cell_schedule(f, J, 20.0 / J, hold_fraction=0.2)
-    scalar = _two_cell_scalar_sampler(f, J, 0.2)
+    sched = two_cell_schedule(f, J, 20.0 / J)
+    scalar = _two_cell_scalar_sampler(f, J)
     assert sched.vectorized
     want = np.array([scalar(s) for s in GRID.tolist()])
     assert np.array_equal(sched.sample(GRID), want)

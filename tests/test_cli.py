@@ -1,5 +1,7 @@
 import ast
+import importlib
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -363,6 +365,125 @@ def test_package_private_names_are_all_referenced():
                 used.add(node.attr)
     orphans = [f"{f}:{line} {n}" for f, line, n in defined if n not in used]
     assert defined and not orphans, orphans
+
+
+REPO = PACKAGE.parent.parent
+# Paper results that no root reaches yet and that stay until their owner
+# binds them to a criterion or removes them; an exempt function's options
+# are exempt with it.
+HELD = {
+    "openad.jordan_block_coefficient_ode": "the Jordan-block coefficient flow of the open-system theory",
+    "openad.adiabatic_propagator_inverse_identities": "the forward/inverse propagator identities, with l_matrix",
+    "openad.xi_coefficients(rho0=)": "the initial-state class result of the validity coefficients",
+}
+
+
+def _roots(repo: Path) -> tuple:
+    """Every public name and option serves a claim reached from one of these:
+    the CLI scenarios, the acceptance criteria and the benchmark workloads."""
+    return (repo / "src" / "adiabatic_lab" / "cli.py", repo / "tests" / "test_acceptance.py",
+            repo / "bench" / "workloads.py")
+
+
+def _referenced(nodes) -> set:
+    names = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+    return names
+
+
+def _package_functions(package: Path):
+    """(module, qualified name, def node, is method) of every function and
+    method defined at the top of a package module or of its classes."""
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                yield path.stem, node.name, node, False
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        yield path.stem, f"{node.name}.{item.name}", item, True
+
+
+def unreached_public_names(repo: Path) -> list:
+    """Public functions, classes and methods of the package that no root
+    reaches, following referenced names through the package's definitions."""
+    package = repo / "src" / "adiabatic_lab"
+    bodies, seeds = {}, {name.split(".")[1].split("(")[0] for name in HELD}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                rest = [n for n in node.body if not isinstance(n, ast.FunctionDef)]
+                bodies.setdefault(node.name, []).append((f"{path.stem}.{node.name}", rest + node.bases + node.decorator_list))
+            elif not isinstance(node, ast.FunctionDef):
+                seeds |= _referenced([node])  # runs on import
+    for module, qualname, node, _ in _package_functions(package):
+        bodies.setdefault(node.name, []).append((f"{module}.{qualname}", [node]))
+    for root in _roots(repo):
+        seeds |= _referenced([ast.parse(root.read_text())])
+    reached, todo = set(), list(seeds)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            for _, nodes in bodies.get(name, []):
+                todo += _referenced(nodes) - reached
+    return sorted(label for name, defs in bodies.items() for label, _ in defs
+                  if name not in reached and not name.startswith("_") and label not in HELD)
+
+
+def unset_public_options(repo: Path) -> list:
+    """Defaulted parameters of public package functions and methods that no
+    call in the package or in the roots sets, by keyword or by position."""
+    package = repo / "src" / "adiabatic_lab"
+    calls = {}
+    for path in sorted(package.glob("*.py")) + list(_roots(repo)[1:]):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for module, qualname, fn, method in _package_functions(package):
+        if any(part.startswith("_") for part in qualname.split(".")) or f"{module}.{fn.name}" in HELD:
+            continue
+        positional = fn.args.posonlyargs + fn.args.args
+        options = [(a.arg, i) for i, a in enumerate(positional) if i >= len(positional) - len(fn.args.defaults)]
+        options += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+        for arg, index in options:
+            def sets(call):
+                if any(kw.arg in (arg, None) for kw in call.keywords):
+                    return True
+                if index is None:
+                    return False
+                shift = 1 if method and isinstance(call.func, ast.Attribute) else 0
+                return len(call.args) > index - shift or any(isinstance(a, ast.Starred) for a in call.args)
+
+            label = f"{module}.{fn.name}({arg}=)"
+            if label not in HELD and not any(sets(call) for call in calls.get(fn.name, [])):
+                unset.append(label)
+    return unset
+
+
+def test_every_public_name_is_reached_from_a_root():
+    unreached = unreached_public_names(REPO)
+    assert not unreached, unreached
+
+
+def test_every_public_option_is_set_by_some_caller():
+    unset = unset_public_options(REPO)
+    assert not unset, unset
+
+
+def test_readme_module_names_resolve():
+    """Every backticked `module.name` of README.md names a package attribute."""
+    modules = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+    refs = re.findall(r"`(" + "|".join(modules) + r")\.(\w+)", (REPO / "README.md").read_text())
+    missing = [f"{m}.{n}" for m, n in refs if not hasattr(importlib.import_module(f"adiabatic_lab.{m}"), n)]
+    assert refs and not missing, missing
 
 
 def test_every_schedule_built_in_the_package_is_vectorized():

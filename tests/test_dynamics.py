@@ -18,10 +18,6 @@ from adiabatic_lab.dynamics import (
     frame_transform,
     lindblad_action,
     nmr_closed_form_p0,
-    nmr_extremal_times,
-    pure_state_density,
-    recommended_steps,
-    relative_purity,
     rk4,
 )
 from adiabatic_lab.battery import ergotropy
@@ -429,7 +425,7 @@ def test_evolve_unitary_norm_and_oracle():
     tau = 1.0e-3
     sched = Schedule(tau, lambda s: 0.5 * omega * SIGMA_Z)
     psi0 = np.array([1.0, 1.0]) / np.sqrt(2)
-    traj = evolve_unitary(sched, psi0, recommended_steps(omega, tau))
+    traj = evolve_unitary(sched, psi0, 126)  # omega * dt just below 0.05
     want = scipy.linalg.expm(-0.5j * omega * tau * SIGMA_Z) @ psi0
     phase = np.vdot(want, traj.final)
     assert abs(abs(phase) - 1.0) < 1e-8
@@ -656,8 +652,9 @@ def test_nmr_closed_form_limits():
     w0, w1 = 2 * np.pi * 1e4, 2 * np.pi * 5e3
     # at t = 0 survival is 1
     assert nmr_closed_form_p0(w0, w1, 0.3 * w0, 0.0) == pytest.approx(1.0)
-    # on resonance the dip reaches 1 - 1 = 0 at the rabi half period
-    t_max, t_min = nmr_extremal_times(w0, w1, w0)
+    # on resonance the Rabi frequency is w1 and the dip reaches 1 - 1 = 0
+    # at its half period
+    t_max, t_min = 2 * np.pi / w1, np.pi / w1
     assert nmr_closed_form_p0(w0, w1, w0, t_min) == pytest.approx(0.0, abs=1e-12)
     assert nmr_closed_form_p0(w0, w1, w0, t_max) == pytest.approx(1.0, abs=1e-12)
 
@@ -692,13 +689,6 @@ def test_fidelity_known_values():
 def test_fidelity_rejects_indefinite_input():
     with pytest.raises(ValueError):
         fidelity(np.diag([1.5, -0.5]), 0.5 * np.eye(2))
-
-
-def test_relative_purity_normalization():
-    up = pure_state_density(np.array([1.0, 0.0]))
-    down = pure_state_density(np.array([0.0, 1.0]))
-    assert relative_purity(up, up) == pytest.approx(1.0)
-    assert relative_purity(up, down) == pytest.approx(0.0, abs=1e-15)
 
 
 @settings(max_examples=20, deadline=None)

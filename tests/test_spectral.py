@@ -19,7 +19,6 @@ from adiabatic_lab.opalg import (
 from adiabatic_lab.spectral import (
     LevelCrossingError,
     cumtrapz,
-    eigvec_overlap_matrix,
     fourth_order_derivative,
     frame_from_functions,
     liouville_spectrum,
@@ -120,12 +119,12 @@ def test_smooth_gauge_has_real_positive_adjacent_overlaps():
         assert np.all(ov.real > 0)
 
 
-def test_parallel_transport_kills_diagonal_connection():
-    frame = tracked_eigensystem(
-        _lz_schedule(2 * np.pi * 1e3, 1.0, 1e-3), 401, gauge="parallel-transport"
-    )
-    conn = np.einsum("knn->kn", frame.connection)
-    assert np.max(np.abs(conn[2:-2])) * frame.tau < 1e-6
+def test_connection_is_formed_once_with_the_einsum_bytes():
+    frame = tracked_eigensystem(_lz_schedule(2 * np.pi * 1e3, 1.0, 1e-3), 101)
+    first = frame.connection
+    assert frame.connection is first
+    want = np.einsum("kin,kim->knm", np.conj(frame.vectors), frame.dvectors)
+    assert _same_bits(first, want)
 
 
 def test_level_crossing_refused():
@@ -160,16 +159,8 @@ def test_frame_from_functions_matches_tracked():
 
     closed = frame_from_functions(tau, 201, eigensystem)
     assert np.max(np.abs(closed.energies - tracked.energies)) < 1e-7 * delta
-    ov = eigvec_overlap_matrix(closed, tracked)
+    ov = np.abs(dagger(tracked.vectors) @ closed.vectors)
     assert np.max(np.abs(ov - np.eye(2)[None])) < 1e-6
-    # a frame map O(s) is called once on the grid and maps it to a stack
-    flip = eigvec_overlap_matrix(closed, tracked, lambda s: np.broadcast_to(SIGMA_X, s.shape + (2, 2)))
-    assert np.array_equal(flip, np.abs(dagger(tracked.vectors) @ SIGMA_X @ closed.vectors))
-
-
-def test_unknown_gauge_rejected():
-    with pytest.raises(ValueError, match="gauge"):
-        tracked_eigensystem(_lz_schedule(1.0, 0.5, 1.0), 11, gauge="lorenz")
 
 
 @pytest.mark.parametrize("n_points", [0, 1, 4])
@@ -190,7 +181,7 @@ def test_frame_from_functions_refuses_one_node_closures():
 # as the bit-for-bit reference
 
 
-def _reference_tracked_eigensystem(h, n_points, gauge):
+def _reference_tracked_eigensystem(h, n_points):
     grid = np.linspace(0.0, 1.0, n_points)
     hams = h.sample(grid)
     energies, vectors = np.linalg.eigh(hams)
@@ -206,13 +197,6 @@ def _reference_tracked_eigensystem(h, n_points, gauge):
         ov = np.einsum("in,in->n", np.conj(vectors[k - 1]), vectors[k])
         vectors[k] = vectors[k] / (ov / np.abs(ov))[None, :]
     ds = grid[1] - grid[0]
-    if gauge == "parallel-transport":
-        for _ in range(2):
-            dvec_s = fourth_order_derivative(vectors, ds)
-            conn = np.einsum("kin,kin->kn", np.conj(vectors), dvec_s)
-            theta = np.zeros_like(conn, dtype=float)
-            theta[1:] = np.cumsum(0.5 * ds * np.imag(conn[1:] + conn[:-1]), axis=0)
-            vectors = vectors * np.exp(-1j * theta)[:, None, :]
     dvectors = fourth_order_derivative(vectors, ds) / h.tau
     denergies = np.real(fourth_order_derivative(energies, ds) / h.tau)
     return energies, vectors, dvectors, denergies, max_res
@@ -237,7 +221,6 @@ def _random_schedule(dim, seed):
     return Schedule(2.0, lambda s: ha + s * hb + spread)
 
 
-@pytest.mark.parametrize("gauge", ["smooth", "parallel-transport"])
 @pytest.mark.parametrize(
     "sched, n_points",
     [
@@ -246,13 +229,11 @@ def _random_schedule(dim, seed):
         (_random_schedule(3, 5), 201),
         (_random_schedule(8, 6), 201),
     ],
-    ids=["lz", "nmr-lab", "random-3x3", "random-8x8"],
+    ids=["lz-smooth", "nmr-lab-smooth", "random-3x3-smooth", "random-8x8-smooth"],
 )
-def test_tracked_eigensystem_matches_node_by_node_reference(sched, n_points, gauge):
-    frame = tracked_eigensystem(sched, n_points, gauge=gauge)
-    energies, vectors, dvectors, denergies, max_res = _reference_tracked_eigensystem(
-        sched, n_points, gauge
-    )
+def test_tracked_eigensystem_matches_node_by_node_reference(sched, n_points):
+    frame = tracked_eigensystem(sched, n_points)
+    energies, vectors, dvectors, denergies, max_res = _reference_tracked_eigensystem(sched, n_points)
     assert _same_bits(frame.energies, energies)
     assert _same_bits(frame.vectors, vectors)
     assert _same_bits(frame.dvectors, dvectors)
@@ -459,13 +440,6 @@ def test_liouville_spectrum_dephasing_generator():
 
 def _constant_eigensystem(s):
     return np.broadcast_to([-1.0, 1.0], s.shape + (2,)), np.broadcast_to(np.eye(2), s.shape + (2, 2)), None
-
-
-def test_overlap_matrix_grid_mismatch():
-    f1 = frame_from_functions(1.0, 11, _constant_eigensystem)
-    f2 = frame_from_functions(1.0, 21, _constant_eigensystem)
-    with pytest.raises(ValueError, match="grids"):
-        eigvec_overlap_matrix(f1, f2)
 
 
 @settings(max_examples=15, deadline=None)

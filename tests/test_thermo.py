@@ -5,11 +5,9 @@ import scipy.linalg
 from adiabatic_lab import thermo
 from adiabatic_lab.dynamics import LindbladGenerator, Schedule, evolve_lindblad, lindblad_action, time_scale
 from adiabatic_lab.opalg import SIGMA_X, SIGMA_Y, SIGMA_Z, OperatorBasis, Superoperator, dagger, pauli_basis
-from adiabatic_lab.openad import adiabatic_propagate_1d
 from adiabatic_lab.spectral import cumtrapz, fourth_order_derivative
 from adiabatic_lab.thermo import (
     HBAR_EVS,
-    adiabatic_heat_1d,
     build_ledger,
     dephasing_heat_scenario,
     entropy_rate,
@@ -390,24 +388,6 @@ def test_conjugation_rejects_nonunitary():
     sched = Schedule(1.0, lambda s: LindbladGenerator(SIGMA_X, ()))
     with pytest.raises(ValueError, match="unitary"):
         unitary_conjugate_channel(sched, 2.0 * np.eye(2))
-
-
-def test_adiabatic_heat_matches_direct_rate_for_constant_generator():
-    gamma0, tau = 500.0, 1.5e-3
-    ham = OMEGA * SIGMA_X
-    sched = Schedule(tau, lambda s: LindbladGenerator(ham, ((gamma0, SIGMA_Z),)))
-    g0 = np.tanh(BETA * OMEGA)
-    rho0 = 0.5 * (np.eye(2, dtype=complex) - g0 * SIGMA_X)
-    sol = adiabatic_propagate_1d(sched, rho0, tau, BASIS, n_points=101)
-
-    from adiabatic_lab.opalg import to_coherence_vector
-
-    h_comp = to_coherence_vector(ham, BASIS).components
-    series = adiabatic_heat_1d(sol, h_comp)
-    gen = LindbladGenerator(ham, ((gamma0, SIGMA_Z),))
-    for k in (0, 50, 100):
-        want = heat_rate(gen, sol.states[k], ham)
-        assert series[k] == pytest.approx(want, rel=1e-9)
 
 
 def test_ev_conversion_roundtrip_and_scale():
