@@ -118,7 +118,6 @@ class OperatorBasis:
                 raise ValueError(f"element {n} ({self.labels[n]}) is not traceless")
 
 
-
 def pauli_basis(n_qubits: int) -> OperatorBasis:
     """Tensor-product Pauli-string basis for ``n_qubits`` qubits.
 
