@@ -18,12 +18,12 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import Schedule, frame_transform, time_scale
+from .dynamics import Schedule, frame_transform
 from .opalg import SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, stack_2x2
 from .spectral import SpectralFrame, fourth_order_derivative, frame_from_functions
 
 def _hdot_samples(h: Schedule, grid: np.ndarray, tau: float) -> np.ndarray:
-    return fourth_order_derivative(h.sample(grid), grid[1] - grid[0]) / time_scale(tau)
+    return fourth_order_derivative(h.sample(grid), grid[1] - grid[0]) / tau
 
 
 def _profile(series: np.ndarray) -> np.ndarray:
@@ -69,7 +69,7 @@ def c_tong(frame: SpectralFrame, h: Schedule) -> dict:
     coupling = _coupling(frame, h)
     part_a = float(np.max(np.abs(coupling)))
 
-    dcoupling = fourth_order_derivative(coupling, grid[1] - grid[0]) / time_scale(tau)
+    dcoupling = fourth_order_derivative(coupling, grid[1] - grid[0]) / tau
     off = ~np.eye(dim, dtype=bool)
     part_b = float(np.max(_profile(dcoupling)[off]) * tau)
 
@@ -115,7 +115,7 @@ def c_wu(frame: SpectralFrame) -> float:
             )
             continue
         phase = np.unwrap(np.angle(g_nm))
-        dphase = fourth_order_derivative(phase, ds) / time_scale(tau)
+        dphase = fourth_order_derivative(phase, ds) / tau
         detune = np.real(gamma[:, m, m] - gamma[:, n, n]) + dphase
         gap = frame.energies[:, n] - frame.energies[:, m]
         denom = np.sqrt(gap**2 + detune**2)
@@ -137,7 +137,7 @@ def c_ar(frame: SpectralFrame, h: Schedule) -> float:
     grid, tau = frame.grid, frame.tau
     ds = grid[1] - grid[0]
     hdot = _hdot_samples(h, grid, tau)
-    hddot = fourth_order_derivative(hdot, ds) / time_scale(tau)
+    hddot = fourth_order_derivative(hdot, ds) / tau
     norm1 = np.linalg.norm(hdot, axis=(1, 2))
     norm2 = np.linalg.norm(hddot, axis=(1, 2))
     gap = frame.energies[:, 1] - frame.energies[:, 0]
@@ -169,7 +169,7 @@ class ModelKit:
     companion frame, when one exists, and ``frame_map_dot`` its
     physical-time derivative.  Both map an (M,) array of s to an
     (M, D, D) stack, as :func:`~adiabatic_lab.dynamics.frame_transform`
-    takes them.
+    takes them; the theorem checks refuse a kit without both.
     """
 
     schedule: Schedule
@@ -370,8 +370,8 @@ def theorem1_check(kit: ModelKit) -> dict:
     and whether it stays below 0.02.  The check runs on the grid of the
     kit's frame.
     """
-    if kit.frame_map is None:
-        raise ValueError("model has no frame map")
+    if kit.frame_map is None or kit.frame_map_dot is None:
+        raise ValueError("model has no frame map with its derivative")
     h_o = frame_transform(kit.schedule, kit.frame_map, kit.frame_map_dot)
     lab = kit.frame
     grid = lab.grid
@@ -404,8 +404,8 @@ def theorem2_check(kit: ModelKit) -> dict:
     probe points from s = 0; a drifting transformed Hamiltonian is a usage
     error.  The check runs on the grid of the kit's frame.
     """
-    if kit.frame_map is None:
-        raise ValueError("model has no frame map")
+    if kit.frame_map is None or kit.frame_map_dot is None:
+        raise ValueError("model has no frame map with its derivative")
     h_o = frame_transform(kit.schedule, kit.frame_map, kit.frame_map_dot)
     probe = np.linspace(0.0, 1.0, 17)
     probe_h = np.asarray(h_o.sample(probe), dtype=complex)

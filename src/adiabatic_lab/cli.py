@@ -565,6 +565,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _fail([f"{exc}; increase --n-steps"])
     except ValueError as exc:
         return _fail([exc])
+    except ArithmeticError as exc:  # a float that underflowed to 0 or overflowed past range
+        return _fail([f"{type(exc).__name__}: {exc}"])
     if isinstance(result, str):
         _emit(result, args.out)
     else:

@@ -134,7 +134,9 @@ class Schedule:
     tau : float or sequence of floats
         Total duration in seconds; physical time is t = s * tau.  A
         sequence of R durations makes a sweep schedule: its R members are
-        sampled together, one s per member.
+        sampled together, one s per member.  A duration that is not
+        positive (zero, negative or NaN) is refused with a ValueError, so
+        every caller may divide by it.
     sampler : callable
         Maps s to a Hamiltonian matrix (closed case) or to a
         :class:`LindbladGenerator` (open case).  The sampler of a sweep
@@ -161,6 +163,9 @@ class Schedule:
             if self.tau.ndim != 1 or not self.tau.size:
                 raise ValueError("a sweep schedule needs a non-empty 1-d sequence of durations")
             self.members = self.tau.size
+        for tau in np.atleast_1d(self.tau).tolist():
+            if not tau > 0:
+                raise ValueError(f"a schedule's duration must be positive, not {tau}")
 
     def at(self, s: float):
         """The sample at s; a sweep schedule takes one s per member, or one s for all."""
@@ -257,14 +262,6 @@ class Trajectory:
         )
 
 
-def time_scale(tau):
-    """Divisor from physical to normalized time: tau, or 1 for a zero
-    duration; member by member for an array of durations."""
-    if np.ndim(tau):
-        return np.where(np.asarray(tau) == 0, 1.0, tau)
-    return tau if tau else 1.0
-
-
 def rk4(sample: Callable[[np.ndarray], object], y0: np.ndarray, times: np.ndarray,
         act: Callable[[object, np.ndarray], np.ndarray]) -> np.ndarray:
     """Fixed-step RK4 for a linear flow y' = A(t) y; returns the state at every node.
@@ -272,24 +269,23 @@ def rk4(sample: Callable[[np.ndarray], object], y0: np.ndarray, times: np.ndarra
     ``sample(ts)`` returns the generators A at an array of physical times
     ``ts``, stacked so that ``sample(ts)[i]`` is A(ts[i]): an (m, D, D)
     array or a stacked :class:`LindbladGenerator`.  ``act(a, y)``
-    returns A y.  The steps run in blocks of :data:`BLOCK`, and each block
-    takes all its samples from one ``sample`` call: every step's midpoint,
-    used for both k2 and k3, and its end point.  The end sample is reused
-    as the next step's k1 when that step starts at an equal float time, as
-    it always does on a ``linspace`` grid from 0; only the first step, and
-    a step whose start misses the previous end, samples its start too.  n
-    steps then take 2n + 1 samples instead of the textbook 4n, at the
-    textbook's times and with its arithmetic, so the states are the same
-    bit for bit.  ``sample`` must be a pure function of t.  A block holds
-    at most 3 * BLOCK samples, so the samples never cost more memory than
-    one block's worth, however long the run.
+    returns A y.  k1 and k4 take the samples at the grid nodes, and k2 and
+    k3 share the one at the step's midpoint, so n steps take 2n + 1
+    samples instead of the textbook 4n, with its arithmetic.  On a
+    ``linspace`` grid the textbook's end time t + dt is the next node's
+    float, because t_{k+1} - t_k is exact there (Sterbenz), so the states
+    are the textbook loop's bit for bit.  The steps run in blocks of
+    :data:`BLOCK`, and each block takes its samples from one ``sample``
+    call in step order, [node 0,] midpoint, node, midpoint, node, ...: at
+    most 2 * BLOCK + 1 samples, so the samples never cost more memory than
+    one block's worth, however long the run.  ``sample`` must be a pure
+    function of t.
 
     ``times`` may also be (n+1, R), one grid per member of a sweep that
     advances in lock step: ``y0`` then has a leading (R,) member axis,
     ``sample`` gets an (m, R) array of member times and returns samples
-    stacked over both axes, each member's step broadcasts over its own
-    state, and an end sample is reused only when every member's time
-    agrees.  Each member's states are the ones its own run would give, bit
+    stacked over both axes, and each member's step broadcasts over its own
+    state.  Each member's states are the ones its own run would give, bit
     for bit.
 
     Overflow and invalid-value warnings are silenced inside the loop: the
@@ -303,30 +299,22 @@ def rk4(sample: Callable[[np.ndarray], object], y0: np.ndarray, times: np.ndarra
     n = len(times) - 1
     out = np.empty((n + 1,) + y.shape, dtype=complex)
     out[0] = y
-    start = times[:-1]
-    dt = times[1:] - start
-    stop = start + dt
-    fresh = np.ones(n, dtype=bool)  # steps that sample their own start
-    fresh[1:] = ~np.all(start[1:] == stop[:-1], axis=tuple(range(1, times.ndim)))
-    # every sample time in call order: [start], midpoint, end per step
-    ends = np.cumsum(2 + fresh)
-    ts = np.empty((ends[-1] if n else 0,) + times.shape[1:])
-    ts[ends - 1] = stop
-    ts[ends - 2] = start + 0.5 * dt
-    ts[ends[fresh] - 3] = start[fresh]
+    dt = times[1:] - times[:-1]
+    # every sample time in call order: node 0, then each step's midpoint and end node
+    ts = np.empty((2 * n + 1,) + times.shape[1:])
+    ts[0::2] = times
+    ts[1::2] = times[:-1] + 0.5 * dt
     if times.ndim > 1:  # a member's step sizes broadcast over its own state
         dt = dt.reshape(dt.shape + (1,) * (y.ndim - 1))
-    fresh = fresh.tolist()
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(0, n, BLOCK):
             b = min(a + BLOCK, n)
-            nodes = sample(ts[ends[a] - 2 - fresh[a]:ends[b - 1]])
-            j = 0
-            steps = zip(dt[a:b], 0.5 * dt[a:b], dt[a:b] / 6.0, fresh[a:b])
-            for k, (h, h_half, h_sixth, new) in enumerate(steps, a + 1):
-                if new:
-                    a_end = nodes[j]
-                    j += 1
+            j = int(a == 0)  # where the block's first midpoint sits
+            nodes = sample(ts[2 * a + 1 - j:2 * b + 1])
+            if j:
+                a_end = nodes[0]
+            steps = zip(dt[a:b], 0.5 * dt[a:b], dt[a:b] / 6.0)
+            for k, (h, h_half, h_sixth) in enumerate(steps, a + 1):
                 k1 = act(a_end, y)
                 a_mid = nodes[j]
                 k2 = act(a_mid, y + h_half * k1)
@@ -357,9 +345,8 @@ def evolve_unitary(h: Schedule, psi0: np.ndarray, n_steps: int) -> Trajectory:
         raise ValueError("psi0 is not normalized")
     h.probe()
     times = np.linspace(0.0, h.tau, n_steps + 1)
-    tau = time_scale(h.tau)
 
-    states = rk4(lambda t: h.sample(t / tau), psi0, times, lambda a, psi: -1j * (a @ psi))
+    states = rk4(lambda t: h.sample(t / h.tau), psi0, times, lambda a, psi: -1j * (a @ psi))
     drift = abs(np.linalg.norm(states[-1]) - 1.0)
     return Trajectory(times=times, states=states,
                       diagnostics={"final_norm_deviation": drift})
@@ -388,10 +375,9 @@ def evolve_lindblad(l: Schedule, rho0: np.ndarray, n_steps: int) -> Trajectory:
         raise ValueError("rho0 is not a density matrix")
     l.probe()
     times = np.linspace(0.0, l.tau, n_steps + 1)
-    tau = time_scale(l.tau)
     y0 = rho0 if l.members is None else np.stack([rho0] * l.members)
 
-    states = rk4(lambda t: l.generators(t / tau), y0, times, lindblad_action)
+    states = rk4(lambda t: l.generators(t / l.tau), y0, times, lindblad_action)
     per_member = states.reshape((len(times), -1) + rho0.shape)
     deviation = np.abs(np.trace(per_member, axis1=-2, axis2=-1) - 1.0)
     drift = np.max(deviation, axis=0)
@@ -425,26 +411,17 @@ def difference_points(s: float | np.ndarray) -> tuple:
 
 
 def frame_transform(h: Schedule, o: Callable[[np.ndarray], np.ndarray],
-                    o_dot: Callable[[np.ndarray], np.ndarray] | None = None) -> Schedule:
+                    o_dot: Callable[[np.ndarray], np.ndarray]) -> Schedule:
     """Move a Hamiltonian schedule into the frame defined by O(t).
 
     Returns the vectorized schedule of H_O = O H O^dag + i (dO/dt) O^dag.
     ``o`` maps an (M,) array of s to the (M, D, D) stack of frame
     unitaries, and ``o_dot`` to the stack of their physical-time
-    derivatives; when ``o_dot`` is omitted the derivative is estimated by
-    central differences in s between :func:`difference_points`.  Every
-    sampled node must be unitary, and the second term Hermitian: it is
-    symmetrized when the asymmetry is at rounding level and rejected
-    otherwise.  Both checks run over the sampled stack and name the first
-    failing s.
+    derivatives.  Every sampled node must be unitary, and the second term
+    Hermitian: it is symmetrized when the asymmetry is at rounding level
+    and rejected otherwise.  Both checks run over the sampled stack and
+    name the first failing s.
     """
-    tau = h.tau
-
-    def o_dot_fd(s: np.ndarray) -> np.ndarray:
-        lo, hi = difference_points(s)
-        return (np.asarray(o(hi)) - np.asarray(o(lo))) / ((hi - lo) * tau)[:, None, None]
-
-    d_o = o_dot if o_dot is not None else o_dot_fd
 
     def sampler(s: np.ndarray) -> np.ndarray:
         u = np.asarray(o(s), dtype=complex)
@@ -452,7 +429,7 @@ def frame_transform(h: Schedule, o: Callable[[np.ndarray], np.ndarray],
         if not np.all(unitary):
             raise ValueError(f"frame map is not unitary at s={float(s[np.argmin(unitary)])}")
         ham = h.sample(s)
-        pot = 1j * (np.asarray(d_o(s), dtype=complex) @ dagger(u))
+        pot = 1j * (np.asarray(o_dot(s), dtype=complex) @ dagger(u))
         scale = np.maximum(1.0, np.maximum(np.max(np.abs(pot), axis=(1, 2)), np.max(np.abs(ham), axis=(1, 2))))
         asym = np.max(np.abs(pot - dagger(pot)), axis=(1, 2))
         bad = np.flatnonzero(asym > 1e-6 * scale)
@@ -464,7 +441,7 @@ def frame_transform(h: Schedule, o: Callable[[np.ndarray], np.ndarray],
             )
         return u @ ham @ dagger(u) + 0.5 * (pot + dagger(pot))
 
-    return Schedule(tau=tau, sampler=sampler, vectorized=True)
+    return Schedule(tau=h.tau, sampler=sampler, vectorized=True)
 
 
 def nmr_closed_form_p0(omega0: float, omega1: float, omega: float, t) -> np.ndarray:
@@ -494,14 +471,12 @@ def _sqrtm_psd(rho: np.ndarray) -> np.ndarray:
 
 
 def fidelity(rho1: np.ndarray, rho2: np.ndarray):
-    """Uhlmann fidelity Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)).
+    """Uhlmann fidelity Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)) of two density
+    matrices.
 
-    Accepts pure-state vectors as well; they are promoted to projectors.
     Stacks of density matrices (..., D, D) broadcast against each other
     and give an array of fidelities; two single states give a float.
     """
-    rho1 = _as_density(rho1)
-    rho2 = _as_density(rho2)
     for rho in (rho1, rho2):
         if np.linalg.eigvalsh(0.5 * (rho + dagger(rho))).min() < -TOL_POS:
             raise ValueError("input is not positive semidefinite within tolerance")
@@ -516,10 +491,3 @@ def pure_state_density(psi: np.ndarray) -> np.ndarray:
     """Projector |psi><psi| of a normalized amplitude vector."""
     psi = np.asarray(psi, dtype=complex)
     return np.outer(psi, np.conj(psi))
-
-
-def _as_density(state: np.ndarray) -> np.ndarray:
-    state = np.asarray(state, dtype=complex)
-    if state.ndim == 1:
-        return pure_state_density(state / np.linalg.norm(state))
-    return state

@@ -24,7 +24,6 @@ from .dynamics import (
     fidelity,
     lindblad_action,
     rk4,
-    time_scale,
 )
 from .opalg import (
     SIGMA_0,
@@ -300,7 +299,7 @@ def jordan_block_coefficient_ode(
     times = np.linspace(0.0, tau, n_steps + 1)
 
     def node(t: float) -> np.ndarray:
-        g = np.asarray(g_fn(t / time_scale(tau)), dtype=complex)
+        g = np.asarray(g_fn(t / tau), dtype=complex)
         if g.shape != (u, u):
             raise ValueError(f"block matrix shape {g.shape} does not match p")
         return shift - g
@@ -340,7 +339,7 @@ def adiabatic_propagator_inverse_identities(
 def deutsch_scenario(
     f_values: tuple,
     omega: float,
-    gamma: float | Callable[[float], float],
+    gamma: float,
     tau: float | Sequence[float],
     n_steps: int = 4000,
 ) -> dict | list[dict]:
@@ -349,11 +348,12 @@ def deutsch_scenario(
     The register starts in the +x pure state and follows a Hamiltonian
     that rotates with phase phi(t) = pi F t / (2 tau), where
     F = 1 - (-1)^(f(0) + f(1)) separates balanced (F = 2) from constant
-    (F = 0) function pairs.  Dephasing acts along z at rate gamma(t).
+    (F = 0) function pairs.  Dephasing acts along z at the constant rate
+    gamma.
 
     Returns the integrated trajectory and two fidelity series: against
     the open-system adiabatic reference (coherence damped by
-    exp(-2 int gamma)) and against the decoherence-free rotating pure
+    exp(-2 gamma t)) and against the decoherence-free rotating pure
     state.  A sequence of durations ``tau`` integrates every duration as
     one member of a single lock-step sweep and returns a list with one
     such dict per duration, each equal to the dict of its own scalar call.
@@ -362,27 +362,23 @@ def deutsch_scenario(
     if f0 not in (0, 1) or f1 not in (0, 1):
         raise ValueError("function values must be 0 or 1")
     f_param = 1 - (-1) ** (f0 + f1)
-    gamma_fn = gamma if callable(gamma) else (lambda s, _g=float(gamma): _g)
     taus = np.asarray(tau, dtype=float)
 
     def phi(s):
         return 0.5 * np.pi * f_param * s
 
-    def rates(s: np.ndarray) -> np.ndarray:
-        return np.array([gamma_fn(x) for x in s.ravel().tolist()]).reshape(s.shape)
-
     def sampler(s: np.ndarray) -> LindbladGenerator:
         """The generators at an (m, R) node-by-member array of s."""
         p = phi(s)[..., None, None]
         ham = -0.5 * omega * (np.cos(p) * SIGMA_X - np.sin(p) * SIGMA_Y)
-        return LindbladGenerator(ham, ((rates(s), SIGMA_Z),))
+        return LindbladGenerator(ham, ((gamma, SIGMA_Z),))
 
     rho0 = 0.5 * (SIGMA_0 + SIGMA_X)
     sweep = Schedule(taus.reshape(-1), sampler, vectorized=True)
     traj = evolve_lindblad(sweep, rho0, n_steps)
 
-    s_grid = traj.times / time_scale(sweep.tau)
-    gamma_int = cumtrapz(rates(s_grid), traj.times)
+    s_grid = traj.times / sweep.tau
+    gamma_int = cumtrapz(np.full(s_grid.shape, float(gamma)), traj.times)
 
     p = phi(s_grid)[..., None, None]
     coherence = np.cos(p) * SIGMA_X - np.sin(p) * SIGMA_Y

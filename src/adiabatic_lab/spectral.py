@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import Schedule, time_scale
+from .dynamics import Schedule
 from .opalg import Superoperator
 
 GAP_TOL_FACTOR = 1e-8
@@ -111,10 +111,6 @@ class SpectralFrame:
     @property
     def n_levels(self) -> int:
         return self.energies.shape[1]
-
-    def level(self, n: int) -> np.ndarray:
-        """Eigenvector time series of level n, shape (M, d)."""
-        return self.vectors[:, :, n]
 
     @functools.cached_property
     def connection(self) -> np.ndarray:
@@ -225,10 +221,8 @@ def tracked_eigensystem(
     del hams, vecs  # not needed below, where the derivative stencils peak the memory
 
     ds = grid[1] - grid[0]
-    tau = time_scale(h.tau)
-
-    dvectors = fourth_order_derivative(vectors, ds) / tau
-    denergies = fourth_order_derivative(energies, ds) / tau
+    dvectors = fourth_order_derivative(vectors, ds) / h.tau
+    denergies = fourth_order_derivative(energies, ds) / h.tau
     return SpectralFrame(
         grid=grid,
         tau=h.tau,
@@ -253,8 +247,11 @@ def frame_from_functions(
     ascending at s=0) and their physical-time derivatives, also (M, D, d),
     or None.  One call lets a model compute what the three share once.
     When the derivative is None it is computed by the same
-    finite-difference stencils used for numeric frames.
+    finite-difference stencils used for numeric frames.  The duration
+    ``tau`` must be positive, as a :class:`Schedule`'s must.
     """
+    if not tau > 0:
+        raise ValueError(f"a frame's duration must be positive, not {tau}")
     require_stencil_points(n_points)
     grid = np.linspace(0.0, 1.0, n_points)
     energies, vectors, dvectors = eigensystem(grid)
@@ -266,12 +263,11 @@ def frame_from_functions(
             f"(M, D, d) vectors, not {energies.shape} and {vectors.shape}"
         )
     ds = grid[1] - grid[0]
-    scale_tau = time_scale(tau)
     if dvectors is not None:
         dvectors = np.ascontiguousarray(dvectors, dtype=complex)
     else:
-        dvectors = fourth_order_derivative(vectors, ds) / scale_tau
-    denergies = fourth_order_derivative(energies, ds) / scale_tau
+        dvectors = fourth_order_derivative(vectors, ds) / tau
+    denergies = fourth_order_derivative(energies, ds) / tau
     return SpectralFrame(
         grid=grid,
         tau=tau,

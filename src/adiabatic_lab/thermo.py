@@ -23,7 +23,6 @@ from .dynamics import (
     Trajectory,
     evolve_lindblad,
     lindblad_action,
-    time_scale,
 )
 from .opalg import (
     SIGMA_0,
@@ -174,7 +173,7 @@ def build_ledger(
     rho = traj.states
     m = len(times)
 
-    gen = l.generators(times / time_scale(l.tau))
+    gen = l.generators(times / l.tau)
     hams = gen.hamiltonian
     if m >= 5:
         h_dots = fourth_order_derivative(hams, times[1] - times[0])
@@ -272,7 +271,7 @@ def dephasing_heat_scenario(
             np.broadcast_to(ham, s.shape + ham.shape), ((np.array([f(x) for x in s.tolist()]), SIGMA_Z),)),
             vectorized=True)
         ledger = build_ledger(sched, member, basis=basis)
-        s_grid = member.times / time_scale(tau)
+        s_grid = member.times / tau
         gamma_int = cumtrapz(np.array([gamma_fn(s) for s in s_grid]), member.times)
         g = np.exp(-2.0 * gamma_int) * g0
         beta_eff = np.arctanh(np.clip(g, -1 + 1e-15, 1 - 1e-15)) / omega

@@ -184,11 +184,15 @@ def test_theorem2_rejects_drifting_transformed_hamiltonian():
 
 
 def test_theorem_checks_need_frame_map():
-    kit = nmr_rotating_frame(W0, W1, 0.5 * W0, TAU, n_points=801)
-    with pytest.raises(ValueError, match="frame map"):
-        theorem1_check(kit)
-    with pytest.raises(ValueError, match="frame map"):
-        theorem2_check(kit)
+    """A kit without a frame map, or with a map but not its derivative, is
+    refused by both checks."""
+    no_map = nmr_rotating_frame(W0, W1, 0.5 * W0, TAU, n_points=801)
+    no_dot = dataclasses.replace(nmr_kit(0.5, n_points=401), frame_map_dot=None)
+    for kit in (no_map, no_dot):
+        with pytest.raises(ValueError, match="^model has no frame map with its derivative$"):
+            theorem1_check(kit)
+        with pytest.raises(ValueError, match="^model has no frame map with its derivative$"):
+            theorem2_check(kit)
 
 
 def test_rotating_frame_companion_is_static_and_resonance_guarded():

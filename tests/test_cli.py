@@ -1,11 +1,14 @@
 import ast
+import builtins
 import importlib
+import inspect
 import math
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from adiabatic_lab.cli import SCENARIOS, _merge_config, check_config, main
@@ -68,6 +71,33 @@ def test_hopeless_config_exits_two_with_error_line(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert any(line.startswith("error: ") for line in captured.err.splitlines())
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        pytest.param(
+            ["lz-tqd", "--delta-hz", "1e-300", "--n-quad", "100"], "ZeroDivisionError: ",
+            id="lz-tqd-underflow",
+            # the per-tau intensities divide in numpy float64, which warns before tau_b raises
+            marks=pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning"),
+        ),
+        pytest.param(["nmr-tqd", "--omega0-hz", "1e300"], "OverflowError: ", id="nmr-tqd-overflow"),
+        pytest.param(["adcheck", "--tau-s", "1e300", "--r-sweep", "0.5:0.5:1", "--n-points", "100"],
+                     "OverflowError: ", id="adcheck-overflow"),
+        pytest.param(["battery-stirap", "--omega0tau", "1e-300", "--rabi-hz", "1e300", "--n-steps", "100"],
+                     "a schedule's duration must be positive, not 0.0", id="battery-stirap-zero-duration"),
+    ],
+)
+def test_config_that_passes_its_checks_but_not_float_range_exits_two(argv, named, capsys):
+    """Configs inside every declared bound whose arithmetic underflows to
+    zero or overflows end in one named error line, not a traceback or a
+    NaN table."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: {named}")
     assert captured.out == ""
 
 
@@ -386,13 +416,15 @@ def _roots(repo: Path) -> tuple:
 
 
 def _referenced(nodes) -> set:
+    """Names the nodes read: ``name`` for a bare name and ``.name`` for an
+    attribute access."""
     names = set()
     for node in nodes:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
                 names.add(sub.id)
             elif isinstance(sub, ast.Attribute):
-                names.add(sub.attr)
+                names.add("." + sub.attr)
     return names
 
 
@@ -411,7 +443,11 @@ def _package_functions(package: Path):
 
 def unreached_public_names(repo: Path) -> list:
     """Public functions, classes and methods of the package that no root
-    reaches, following referenced names through the package's definitions."""
+    reaches, following referenced names through the package's definitions.
+    A top-level function or class is reached by its bare name or by an
+    attribute access (``module.name``); a method only by an attribute
+    access, so a local variable that shares a method's name reaches
+    nothing."""
     package = repo / "src" / "adiabatic_lab"
     bodies, seeds = {}, {name.split(".")[1].split("(")[0] for name in HELD}
     for path in sorted(package.glob("*.py")):
@@ -421,8 +457,8 @@ def unreached_public_names(repo: Path) -> list:
                 bodies.setdefault(node.name, []).append((f"{path.stem}.{node.name}", rest + node.bases + node.decorator_list))
             elif not isinstance(node, ast.FunctionDef):
                 seeds |= _referenced([node])  # runs on import
-    for module, qualname, node, _ in _package_functions(package):
-        bodies.setdefault(node.name, []).append((f"{module}.{qualname}", [node]))
+    for module, qualname, node, method in _package_functions(package):
+        bodies.setdefault("." * method + node.name, []).append((f"{module}.{qualname}", [node]))
     for root in _roots(repo):
         seeds |= _referenced([ast.parse(root.read_text())])
     reached, todo = set(), list(seeds)
@@ -432,8 +468,10 @@ def unreached_public_names(repo: Path) -> list:
             reached.add(name)
             for _, nodes in bodies.get(name, []):
                 todo += _referenced(nodes) - reached
+            if name.startswith("."):
+                todo.append(name[1:])
     return sorted(label for name, defs in bodies.items() for label, _ in defs
-                  if name not in reached and not name.startswith("_") and label not in HELD)
+                  if name not in reached and not name.lstrip(".").startswith("_") and label not in HELD)
 
 
 def unset_public_options(repo: Path) -> list:
@@ -478,12 +516,43 @@ def test_every_public_option_is_set_by_some_caller():
     assert not unset, unset
 
 
+# Bare backticked README words that are none of the package's names: notation,
+# LAPACK and resource names, a theorem-check result key and the validate command.
+README_WORDS = {"J", "expm", "filterwarnings", "geev", "ru_maxrss", "satisfied", "validate"}
+
+
+def _package_names(modules) -> set:
+    """The package's modules and module attributes, and the methods, fields
+    and parameters of its public functions and classes."""
+    names = set(modules)
+    for module in modules:
+        mod = importlib.import_module(f"adiabatic_lab.{module}")
+        for name, value in vars(mod).items():
+            names.add(name)
+            if name.startswith("_") or getattr(value, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isclass(value):
+                names |= set(vars(value)) | set(getattr(value, "__dataclass_fields__", ()))
+                members = [m for m in vars(value).values() if inspect.isfunction(m)]
+            else:
+                members = [value] if inspect.isfunction(value) else []
+            for fn in members:
+                names |= set(inspect.signature(fn).parameters)
+    return names
+
+
 def test_readme_module_names_resolve():
-    """Every backticked `module.name` of README.md names a package attribute."""
+    """Every backticked `module.name` of README.md names a package attribute,
+    and every bare backticked name is a package name (see _package_names), a
+    builtin, a numpy name, a scenario or config key, or in README_WORDS."""
+    text = (REPO / "README.md").read_text()
     modules = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
-    refs = re.findall(r"`(" + "|".join(modules) + r")\.(\w+)", (REPO / "README.md").read_text())
+    refs = re.findall(r"`(" + "|".join(modules) + r")\.(\w+)", text)
     missing = [f"{m}.{n}" for m, n in refs if not hasattr(importlib.import_module(f"adiabatic_lab.{m}"), n)]
-    assert refs and not missing, missing
+    config = set(SCENARIOS) | {p.key for params in SCENARIOS.values() for p in params}
+    known = _package_names(modules) | set(dir(builtins)) | set(dir(np)) | set(dir(np.linalg)) | config
+    stale = sorted(set(re.findall(r"`([A-Za-z_]\w*)`", text)) - known - README_WORDS)
+    assert refs and not missing and not stale, (missing, stale)
 
 
 def test_every_schedule_built_in_the_package_is_vectorized():

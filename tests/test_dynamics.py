@@ -18,6 +18,7 @@ from adiabatic_lab.dynamics import (
     frame_transform,
     lindblad_action,
     nmr_closed_form_p0,
+    pure_state_density,
     rk4,
 )
 from adiabatic_lab.battery import ergotropy
@@ -104,7 +105,8 @@ def test_rk4_sampler_error_at_a_later_node_wins_over_an_earlier_blowup():
 
 
 def _rk4_four_samples(sample, y0, times, act):
-    """Textbook RK4 that samples the generator four times per step."""
+    """Textbook RK4 that samples the generator four times per step: at the
+    step's start node, twice at its midpoint, and at its end node."""
     y = np.asarray(y0, dtype=complex)
     out = [y]
     for k in range(len(times) - 1):
@@ -113,16 +115,10 @@ def _rk4_four_samples(sample, y0, times, act):
         k1 = act(sample(t), y)
         k2 = act(sample(t + 0.5 * dt), y + 0.5 * dt * k1)
         k3 = act(sample(t + 0.5 * dt), y + 0.5 * dt * k2)
-        k4 = act(sample(t + dt), y + dt * k3)
+        k4 = act(sample(times[k + 1]), y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         out.append(y)
     return np.array(out)
-
-
-def _extra_samples(times):
-    """Nodes where the previous step's t + dt is a different float from the
-    grid time (of any member, on a member axis)."""
-    return sum(not np.all(times[k - 1] + (times[k] - times[k - 1]) == times[k]) for k in range(1, len(times) - 1))
 
 
 def _recording(f, blocks):
@@ -136,19 +132,16 @@ def _recording(f, blocks):
 
 def _assert_blocks(blocks, times, n_steps):
     """One sampler call per block of BLOCK steps, sampling the textbook's
-    times in step order: each step's midpoint and end, and its start only
-    where it is not the previous step's end float (the first step, and
-    nodes off a linspace grid).  That is 2n + 1 samples on a linspace grid."""
-    per_step, last = [], None
+    times in step order: node 0 in the first block, then each step's
+    midpoint and end node, 2n + 1 samples on any grid."""
+    per_step = []
     for k in range(n_steps):
         t = times[k]
-        dt = times[k + 1] - t
-        per_step.append(([t] if k == 0 or not np.all(last == t) else []) + [t + 0.5 * dt, t + dt])
-        last = per_step[-1][-1]
+        per_step.append(([t] if k == 0 else []) + [t + 0.5 * (times[k + 1] - t), times[k + 1]])
     assert len(blocks) == -(-n_steps // BLOCK)
     for b, ts in enumerate(blocks):
         assert np.array_equal(ts, np.array(sum(per_step[b * BLOCK:(b + 1) * BLOCK], [])))
-    assert sum(map(len, per_step)) == 2 * n_steps + 1 + _extra_samples(times)
+    assert sum(map(len, blocks)) == 2 * n_steps + 1
 
 
 def _drive(rng, dim, t_end, rate):
@@ -166,9 +159,9 @@ def _drive(rng, dim, t_end, rate):
     uniform=st.booleans(),
 )
 def test_rk4_matches_four_sample_rk4_bit_for_bit(dim, seed, t_end, n_steps, uniform):
-    """Same states as the textbook loop, from 2n + 1 samples on a linspace
-    grid; a non-uniform grid, where t + dt can miss the next node, resamples
-    there instead of reusing the end sample."""
+    """Same states as the textbook loop, from 2n + 1 samples, on a linspace
+    grid and on a non-uniform one.  On a linspace grid every t + dt is the
+    next node's float, so the loop that samples t + dt for k4 agrees too."""
     rng = np.random.default_rng(seed)
     f = _drive(rng, dim, t_end, 3.0 * n_steps / t_end)  # dt * ||A|| stays moderate, so states stay finite
     y0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -184,7 +177,7 @@ def test_rk4_matches_four_sample_rk4_bit_for_bit(dim, seed, t_end, n_steps, unif
     assert np.array_equal(rk4(_recording(f, blocks), y0, times, np.matmul), want)
     _assert_blocks(blocks, times, n_steps)
     if uniform:
-        assert _extra_samples(times) == 0
+        assert np.array_equal(times[:-1] + (times[1:] - times[:-1]), times[1:])
 
 
 @pytest.mark.parametrize("n_steps", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
@@ -554,20 +547,6 @@ def test_frame_transform_rotating_drive_becomes_static():
     assert np.max(np.abs(got - want)) < 1e-6 * w0
 
 
-def test_frame_transform_finite_difference_fallback():
-    w = 2 * np.pi * 3e3
-    tau = 1e-3
-    sched = Schedule(tau, lambda s: 0.5 * w * SIGMA_Z)
-
-    transformed = frame_transform(sched, _z_map(w, tau)[0])
-    # i O' O^dag = -0.5 w sigma_z, cancelling half the bare splitting... the
-    # result must at least be Hermitian and equal the analytic value inside
-    # the grid to finite-difference accuracy
-    got = np.asarray(transformed.at(0.5))
-    assert np.max(np.abs(got - dagger(got))) < 1e-8 * w
-    assert np.max(np.abs(got)) < 1e-4 * w
-
-
 def test_difference_points_are_central_inside_and_one_sided_at_the_ends():
     assert difference_points(0.5) == (0.5 - 1e-6, 0.5 + 1e-6)
     assert difference_points(0.0) == (0.0, 1e-6)
@@ -579,13 +558,14 @@ def test_difference_points_are_central_inside_and_one_sided_at_the_ends():
 
 def test_frame_transform_rejects_nonunitary_map():
     sched = Schedule(1.0, lambda s: SIGMA_Z)
-    bad = frame_transform(sched, lambda s: (1.0 + s)[:, None, None] * np.eye(2))
+    still = lambda s: np.zeros(s.shape + (2, 2))  # noqa: E731
+    bad = frame_transform(sched, lambda s: (1.0 + s)[:, None, None] * np.eye(2), still)
     with pytest.raises(ValueError, match="unitary"):
         bad.at(0.5)
     # the check runs over the stack and names the first failing s
     with pytest.raises(ValueError, match="^frame map is not unitary at s=0.25$"):
         bad.sample(np.array([0.0, 0.25, 0.5]))
-    wide = frame_transform(sched, lambda s: np.broadcast_to(np.eye(2, 3), s.shape + (2, 3)))
+    wide = frame_transform(sched, lambda s: np.broadcast_to(np.eye(2, 3), s.shape + (2, 3)), still)
     with pytest.raises(ValueError, match="frame map is not unitary at s=0.5"):
         wide.at(0.5)
 
@@ -601,28 +581,21 @@ def test_frame_transform_names_first_non_hermitian_node():
         frame.sample(np.linspace(0.0, 1.0, 5))
 
 
-def _reference_frame_transform(h, o, o_dot=None):
+def _reference_frame_transform(h, o, o_dot):
     """The per-node sampler that the stacked frame_transform replaced: one
     scalar call of o, o_dot and h.at per s."""
-
-    def o_dot_fd(s):
-        lo, hi = max(0.0, s - 1e-6), min(1.0, s + 1e-6)
-        return (np.asarray(o(hi)) - np.asarray(o(lo))) / ((hi - lo) * h.tau)
-
-    d_o = o_dot if o_dot is not None else o_dot_fd
 
     def sampler(s):
         u = np.asarray(o(s), dtype=complex)
         ham = np.asarray(h.at(s), dtype=complex)
-        pot = 1j * (np.asarray(d_o(s), dtype=complex) @ dagger(u))
+        pot = 1j * (np.asarray(o_dot(s), dtype=complex) @ dagger(u))
         return u @ ham @ dagger(u) + 0.5 * (pot + dagger(pot))
 
     return sampler
 
 
-@pytest.mark.parametrize("dim", [2, 3, 4])
-@pytest.mark.parametrize("with_derivative", [True, False], ids=["o_dot", "fallback"])
-def test_frame_transform_matches_per_node_reference(dim, with_derivative):
+@pytest.mark.parametrize("dim", [2, 3, 4], ids="o_dot-{}".format)
+def test_frame_transform_matches_per_node_reference(dim):
     rng = np.random.default_rng(dim)
     a, b, c = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(3))
     gen, h0, h1 = a + dagger(a), b + dagger(b), c + dagger(c)
@@ -639,8 +612,8 @@ def test_frame_transform_matches_per_node_reference(dim, with_derivative):
         return lambda s: np.array([f(x) for x in s.tolist()])
 
     h = Schedule(tau, lambda s: h0 + np.cos(4.0 * s) * h1)
-    got = frame_transform(h, stacked(o_node), stacked(o_dot_node) if with_derivative else None)
-    ref = _reference_frame_transform(h, o_node, o_dot_node if with_derivative else None)
+    got = frame_transform(h, stacked(o_node), stacked(o_dot_node))
+    ref = _reference_frame_transform(h, o_node, o_dot_node)
     grid = np.concatenate([np.linspace(0.0, 1.0, 101), rng.uniform(0.0, 1.0, 20)])
     want = np.array([ref(s) for s in grid.tolist()])
     stack = got.sample(grid)
@@ -677,8 +650,8 @@ def test_nmr_closed_form_against_integration():
 
 
 def test_fidelity_known_values():
-    plus = np.array([1.0, 1.0]) / np.sqrt(2)
-    up = np.array([1.0, 0.0])
+    plus = pure_state_density(np.array([1.0, 1.0]) / np.sqrt(2))
+    up = pure_state_density(np.array([1.0, 0.0]))
     assert fidelity(up, up) == pytest.approx(1.0)
     assert fidelity(up, plus) == pytest.approx(1.0 / np.sqrt(2))
     mixed = 0.5 * np.eye(2)

@@ -99,7 +99,7 @@ def test_tracked_eigensystem_matches_closed_form():
     assert np.max(np.abs(frame.energies[:, 1] - want)) < 1e-8 * delta
     assert np.max(np.abs(frame.energies[:, 0] + want)) < 1e-8 * delta
     # ground state is (-sin(th/2), cos(th/2)) up to the smooth-gauge phase
-    g = frame.level(0)
+    g = frame.vectors[:, :, 0]
     overlap = np.abs(-np.sin(0.5 * th) * g[:, 0].conj() + np.cos(0.5 * th) * g[:, 1].conj())
     assert np.max(np.abs(overlap - 1.0)) < 1e-10
 
@@ -169,6 +169,18 @@ def test_short_grids_are_refused_by_name(n_points):
         tracked_eigensystem(_lz_schedule(1.0, 0.5, 1.0), n_points)
     with pytest.raises(ValueError, match="at least 5 samples"):
         frame_from_functions(1.0, n_points, _constant_eigensystem)
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0e-3, np.nan])
+def test_durations_that_are_not_positive_are_refused(tau):
+    """Schedules, sweep members and closed-form frames all refuse a
+    duration that is not positive, so every caller may divide by it."""
+    with pytest.raises(ValueError, match="^a schedule's duration must be positive, not "):
+        Schedule(tau, lambda s: SIGMA_Z)
+    with pytest.raises(ValueError, match="^a schedule's duration must be positive, not "):
+        Schedule([1.0, tau], lambda s: SIGMA_Z)
+    with pytest.raises(ValueError, match="^a frame's duration must be positive, not "):
+        frame_from_functions(tau, 11, _constant_eigensystem)
 
 
 def test_frame_from_functions_refuses_one_node_closures():

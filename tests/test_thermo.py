@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from adiabatic_lab import thermo
-from adiabatic_lab.dynamics import LindbladGenerator, Schedule, evolve_lindblad, lindblad_action, time_scale
+from adiabatic_lab.dynamics import LindbladGenerator, Schedule, evolve_lindblad, lindblad_action
 from adiabatic_lab.opalg import SIGMA_X, SIGMA_Y, SIGMA_Z, OperatorBasis, Superoperator, dagger, pauli_basis
 from adiabatic_lab.spectral import cumtrapz, fourth_order_derivative
 from adiabatic_lab.thermo import (
@@ -268,8 +268,7 @@ def _ledger_per_node(l, traj):
     of each rate per node; a bare Hamiltonian sample is a generator without
     jumps."""
     times = traj.times
-    tau = time_scale(l.tau)
-    gens = [g if isinstance(g, LindbladGenerator) else LindbladGenerator(g) for g in (l.at(t / tau) for t in times)]
+    gens = [g if isinstance(g, LindbladGenerator) else LindbladGenerator(g) for g in (l.at(t / l.tau) for t in times)]
     hams = np.array([g.hamiltonian for g in gens])
     h_dots = fourth_order_derivative(hams, times[1] - times[0])
     cols = np.array([
