@@ -33,38 +33,43 @@ class IntegrationError(RuntimeError):
         self.step = step
 
 
-@dataclass(eq=False)
 class LindbladGenerator:
     """Open-system generator: Hamiltonian part plus (rate, jump) channels.
 
-    ``channels`` holds (scales, J, J^dag, J^dag J) for
-    :func:`lindblad_action`: ``scales`` has one rate per jump as it scales
-    its channel, and J, J^dag and J^dag J are stacked on a channel axis,
-    (..., C, D, D).  They are built on first use and kept, so a generator
-    that is only read for its parts, as the one-node samples that
+    ``channels`` holds (rates, J, J^dag, J^dag J) for
+    :func:`lindblad_action`: ``rates`` is one float array of the channel
+    rates, shaped (..., C, 1, 1) so that ``rates[..., c, :, :]`` scales
+    channel c, and J, J^dag and J^dag J are stacked on the same channel
+    axis, (..., C, D, D).  They are built on first use and kept, so a
+    generator that is only read for its parts, as the one-node samples that
     :meth:`Schedule.sample` restacks are, never builds them.  A generator
     is not to be mutated after it is built.
 
     A generator may also hold a stack of M nodes (or M sweep members): an
     (M, D, D) Hamiltonian and, per jump, (M,) rates with (M, D, D) jumps, or
-    one (D, D) jump shared by every node.  Its channel rates are shaped
-    (M, 1, 1) here and its channel stacks are (M, C, D, D) when any jump is
-    per node, so :func:`lindblad_action` acts node by node on an (M, D, D)
-    stack of states.
+    one (D, D) jump shared by every node.  Its channel rates are then
+    (M, C, 1, 1) when any rate is per node, and its channel stacks
+    (M, C, D, D) when any jump is per node, so :func:`lindblad_action` acts
+    node by node on an (M, D, D) stack of states.
     """
 
-    hamiltonian: np.ndarray
-    jumps: tuple = ()
+    def __init__(self, hamiltonian: np.ndarray, jumps: tuple = ()):
+        self.hamiltonian = np.asarray(hamiltonian, dtype=complex)
+        self.jumps = tuple([(_rate(g), np.asarray(j, dtype=complex)) for g, j in jumps])
 
-    def __post_init__(self) -> None:
-        self.hamiltonian = np.asarray(self.hamiltonian, dtype=complex)
-        self.jumps = tuple([(_rate(g), np.asarray(j, dtype=complex)) for g, j in self.jumps])
+    @functools.cached_property
+    def jumps(self) -> tuple:
+        """A node view's (rate, J) pairs, taken from its stack's on first read;
+        the constructor sets every other generator's."""
+        stack, k = self._node
+        return tuple([(_rate(g[k]) if isinstance(g, np.ndarray) else g, op[k] if op.ndim > 2 else op)
+                      for g, op in stack.jumps])
 
     @functools.cached_property
     def channels(self) -> tuple:
         if not self.jumps:  # lindblad_action skips the empty stacks
             empty = np.empty((0,) + self.hamiltonian.shape[-2:], dtype=complex)
-            return ((), empty, empty, empty)
+            return (np.empty((0, 1, 1)), empty, empty, empty)
         rates, ops = zip(*self.jumps)
         # np.array and a transpose take 2 us where np.stack takes 5 us
         try:
@@ -74,25 +79,23 @@ class LindbladGenerator:
         n = stack.ndim
         j = stack.transpose(*range(1, n - 2), 0, n - 2, n - 1)
         jd = dagger(j)
-        return (tuple(_scale(g) for g in rates), j, jd, jd @ j)
+        rates = np.stack(np.broadcast_arrays(*rates), axis=-1)[..., None, None]
+        return (rates, j, jd, jd @ j)
 
     def __getitem__(self, k: int) -> "LindbladGenerator":
-        """Node (or member) k of a stacked generator; parts shared by every
-        node stay whole, and the channel stacks are sliced from the stack's
-        own, which are built here if not yet used.  When only the
-        Hamiltonian is stacked, node k shares every channel stack, so
-        :func:`rk4` takes the nodes of a block one by one without rebuilding
-        any."""
+        """Node (or member) k of a stacked generator: a few slices.  Parts
+        shared by every node stay whole, the channel stacks are sliced from
+        the stack's own, which are built here if not yet used, and ``jumps``
+        is taken from the stack's only when read, so :func:`rk4` takes the
+        nodes of a block one by one without rebuilding anything."""
         h = self.hamiltonian
-        scales, j, jd, jdj = self.channels
         new = object.__new__(LindbladGenerator)
         new.hamiltonian = h[k] if h.ndim > 2 else h
-        if j.ndim < 4 and all(type(g) is float for g in scales):
-            new.jumps, new.channels = self.jumps, self.channels
-            return new
-        rates = [_rate(g[k]) if isinstance(g, np.ndarray) else g for g, _ in self.jumps]
-        new.jumps = tuple(zip(rates, [op[k] if op.ndim > 2 else op for _, op in self.jumps]))
-        new.channels = (tuple(map(_scale, rates)),) + ((j[k], jd[k], jdj[k]) if j.ndim > 3 else (j, jd, jdj))
+        channels = self.channels
+        if channels[0].ndim > 3 or channels[1].ndim > 3:  # some rate or jump is per node
+            channels = tuple([x[k] if x.ndim > 3 else x for x in channels])
+        new.channels = channels
+        new._node = (self, k)
         return new
 
 
@@ -103,25 +106,21 @@ def _rate(g):
     return float(g)
 
 
-def _scale(g):
-    """A stored rate as it scales its channel: a float, or an (M, 1, 1) view."""
-    return g[..., None, None] if isinstance(g, np.ndarray) else g
-
-
 def lindblad_action(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
     """Right-hand side -i[H, rho] + sum_n g_n (J rho J^dag - {J^dag J, rho}/2).
 
-    The channel terms come from one set of matmuls over the channel axis,
-    and are added into the result one at a time, in channel order.
+    The channel terms come from one set of matmuls over the channel axis
+    and one multiply by the rates, and are added into the result one at a
+    time, in channel order.
     """
     h = gen.hamiltonian
     out = -1j * (h @ rho - rho @ h)
-    scales, j, jd, jdj = gen.channels
-    if scales:  # without jumps, skip four empty matmuls (about 10 us a call)
+    rates, j, jd, jdj = gen.channels
+    if rates.size:  # without jumps, skip four empty matmuls (about 10 us a call)
         r = rho[..., None, :, :]
-        terms = j @ r @ jd - 0.5 * (jdj @ r + r @ jdj)
-        for c, rate in enumerate(scales):
-            out += rate * terms[..., c, :, :]
+        terms = rates * (j @ r @ jd - 0.5 * (jdj @ r + r @ jdj))
+        for c in range(rates.shape[-3]):
+            out += terms[..., c, :, :]
     return out
 
 
@@ -263,13 +262,15 @@ class Trajectory:
 
 
 def rk4(sample: Callable[[np.ndarray], object], y0: np.ndarray, times: np.ndarray,
-        act: Callable[[object, np.ndarray], np.ndarray]) -> np.ndarray:
-    """Fixed-step RK4 for a linear flow y' = A(t) y; returns the state at every node.
+        act: Callable[[object, np.ndarray], np.ndarray], unit: complex = 1.0) -> np.ndarray:
+    """Fixed-step RK4 for a linear flow y' = unit * A(t) y; returns the state at every node.
 
     ``sample(ts)`` returns the generators A at an array of physical times
     ``ts``, stacked so that ``sample(ts)[i]`` is A(ts[i]): an (m, D, D)
     array or a stacked :class:`LindbladGenerator`.  ``act(a, y)``
-    returns A y.  k1 and k4 take the samples at the grid nodes, and k2 and
+    returns A y as a new array.  ``unit`` is a constant factor of the flow
+    (-1j for the Schrodinger equation), folded into the step sizes once
+    per run.  k1 and k4 take the samples at the grid nodes, and k2 and
     k3 share the one at the step's midpoint, so n steps take 2n + 1
     samples instead of the textbook 4n, with its arithmetic.  On a
     ``linspace`` grid the textbook's end time t + dt is the next node's
@@ -280,6 +281,13 @@ def rk4(sample: Callable[[np.ndarray], object], y0: np.ndarray, times: np.ndarra
     most 2 * BLOCK + 1 samples, so the samples never cost more memory than
     one block's worth, however long the run.  ``sample`` must be a pure
     function of t.
+
+    The stage inputs y + (h/2) k, the k-combination and the new state are
+    formed with ``out=``, in one scratch buffer and in the state's own row
+    of the result, in the textbook's operation order, so they allocate
+    nothing per step and change no bit.  The states equal those of the loop
+    that multiplies every ``act`` result by ``unit``, bit for bit (see the
+    comment on the step sizes).
 
     ``times`` may also be (n+1, R), one grid per member of a sweep that
     advances in lock step: ``y0`` then has a leading (R,) member axis,
@@ -304,8 +312,20 @@ def rk4(sample: Callable[[np.ndarray], object], y0: np.ndarray, times: np.ndarra
     ts = np.empty((2 * n + 1,) + times.shape[1:])
     ts[0::2] = times
     ts[1::2] = times[:-1] + 0.5 * dt
+    # The step sizes h, h/2 and h/6 carry ``unit``.  For unit = -1j this is
+    # exact: multiplying by -i swaps the real and imaginary parts and flips
+    # one sign, without rounding, so it commutes with the real scalings and
+    # the additions of the stage formulas, component by component.  Where a
+    # product is nonzero, (-i h) w and h (-i w) round to the same bits, with
+    # or without FMA, because one of the two partial products of each
+    # component is an exact zero; only the sign of an exact zero could
+    # differ.  Scaling the samples instead, (-i A) y, would change the
+    # rounding of the matrix product.
     if times.ndim > 1:  # a member's step sizes broadcast over its own state
         dt = dt.reshape(dt.shape + (1,) * (y.ndim - 1))
+    steps = [unit * dt, unit * (0.5 * dt), unit * (dt / 6.0)]
+    buf = np.empty_like(y)
+    add, mul = np.add, np.multiply
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(0, n, BLOCK):
             b = min(a + BLOCK, n)
@@ -313,17 +333,17 @@ def rk4(sample: Callable[[np.ndarray], object], y0: np.ndarray, times: np.ndarra
             nodes = sample(ts[2 * a + 1 - j:2 * b + 1])
             if j:
                 a_end = nodes[0]
-            steps = zip(dt[a:b], 0.5 * dt[a:b], dt[a:b] / 6.0)
-            for k, (h, h_half, h_sixth) in enumerate(steps, a + 1):
+            for k, h, h_half, h_sixth in zip(range(a + 1, b + 1), *(x[a:b] for x in steps)):
                 k1 = act(a_end, y)
                 a_mid = nodes[j]
-                k2 = act(a_mid, y + h_half * k1)
-                k3 = act(a_mid, y + h_half * k2)
+                k2 = act(a_mid, add(y, mul(h_half, k1, out=buf), out=buf))
+                k3 = act(a_mid, add(y, mul(h_half, k2, out=buf), out=buf))
                 a_end = nodes[j + 1]
                 j += 2
-                k4 = act(a_end, y + h * k3)
-                y = y + h_sixth * (k1 + 2.0 * (k2 + k3) + k4)
-                out[k] = y
+                k4 = act(a_end, add(y, mul(h, k3, out=buf), out=buf))
+                # y + h/6 (k1 + 2 (k2 + k3) + k4), in that order, straight into row k
+                add(k1, mul(2.0, add(k2, k3, out=buf), out=buf), out=buf)
+                y = add(y, mul(h_sixth, add(buf, k4, out=buf), out=buf), out=out[k])
     finite = np.all(np.isfinite(out[1:]), axis=tuple(range(1, out.ndim)))
     if not finite.all():
         raise IntegrationError(int(np.argmin(finite)) + 1, "non-finite state entries")
@@ -333,8 +353,12 @@ def rk4(sample: Callable[[np.ndarray], object], y0: np.ndarray, times: np.ndarra
 def evolve_unitary(h: Schedule, psi0: np.ndarray, n_steps: int) -> Trajectory:
     """Integrate the Schrödinger equation for a Hamiltonian schedule.
 
-    States are not renormalized: the norm drift of the raw integrator
-    output is a useful accuracy diagnostic and is reported in
+    The flow psi' = -i H psi runs through :func:`rk4` with ``act`` =
+    ``np.matmul`` and ``unit`` = -1j, so the -i sits in the step sizes and
+    each stage costs one matrix-vector product; the states are those of
+    the loop that multiplies every H psi by -1j, bit for bit.  States are
+    not renormalized: the norm drift of the raw integrator output is a
+    useful accuracy diagnostic and is reported in
     ``diagnostics["final_norm_deviation"]``.  A sweep schedule is refused
     with a ValueError: sweeps run through :func:`evolve_lindblad`.
     """
@@ -346,7 +370,7 @@ def evolve_unitary(h: Schedule, psi0: np.ndarray, n_steps: int) -> Trajectory:
     h.probe()
     times = np.linspace(0.0, h.tau, n_steps + 1)
 
-    states = rk4(lambda t: h.sample(t / h.tau), psi0, times, lambda a, psi: -1j * (a @ psi))
+    states = rk4(lambda t: h.sample(t / h.tau), psi0, times, np.matmul, -1j)
     drift = abs(np.linalg.norm(states[-1]) - 1.0)
     return Trajectory(times=times, states=states,
                       diagnostics={"final_norm_deviation": drift})

@@ -238,7 +238,15 @@ def lz_intensities(
     int_dth2 = float(np.trapezoid(dtheta**2, grid))
     if int_tan2 <= 0.0:
         raise ValueError("bare sweep intensity vanishes; nothing to normalize by")
-    i_opt = int_dth2 / (4.0 * tau**2 * delta**2 * int_tan2)
+    # divided in Python floats and refused by name when the denominator
+    # underflows or the quotient overflows: a numpy float64 tau (the CLI's
+    # geomspace) would warn and give an inf row
+    denom = float(4.0 * tau**2 * delta**2 * int_tan2)
+    if denom == 0.0:
+        raise ZeroDivisionError(f"4 tau^2 delta^2 int tan^2 underflows to 0 at tau={float(tau)!r}")
+    i_opt = int_dth2 / denom
+    if math.isinf(i_opt):
+        raise OverflowError(f"correction intensity overflows at tau={float(tau)!r}")
     return {
         "i0": 1.0,
         "i_opt": i_opt,

@@ -77,12 +77,10 @@ def test_hopeless_config_exits_two_with_error_line(argv, capsys):
 @pytest.mark.parametrize(
     "argv, named",
     [
-        pytest.param(
-            ["lz-tqd", "--delta-hz", "1e-300", "--n-quad", "100"], "ZeroDivisionError: ",
-            id="lz-tqd-underflow",
-            # the per-tau intensities divide in numpy float64, which warns before tau_b raises
-            marks=pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning"),
-        ),
+        pytest.param(["lz-tqd", "--delta-hz", "1e-300", "--n-quad", "100"], "ZeroDivisionError: ",
+                     id="lz-tqd-underflow"),
+        pytest.param(["lz-tqd", "--delta-hz", "1e-152", "--n-quad", "100"], "OverflowError: ",
+                     id="lz-tqd-overflow"),
         pytest.param(["nmr-tqd", "--omega0-hz", "1e300"], "OverflowError: ", id="nmr-tqd-overflow"),
         pytest.param(["adcheck", "--tau-s", "1e300", "--r-sweep", "0.5:0.5:1", "--n-points", "100"],
                      "OverflowError: ", id="adcheck-overflow"),

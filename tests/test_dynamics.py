@@ -21,7 +21,8 @@ from adiabatic_lab.dynamics import (
     pure_state_density,
     rk4,
 )
-from adiabatic_lab.battery import ergotropy
+from adiabatic_lab.battery import ergotropy, two_cell_schedule
+from adiabatic_lab.cli import RAMPS
 from adiabatic_lab.opalg import (
     SIGMA_X,
     SIGMA_Y,
@@ -34,6 +35,7 @@ from adiabatic_lab.opalg import (
 )
 from adiabatic_lab.openad import superoperator_at
 from adiabatic_lab.thermo import entropy_rate, heat_rate, von_neumann_entropy, work_rate
+from adiabatic_lab.tqd import controlled_gate_schedule
 
 RNG = np.random.default_rng(7)
 
@@ -358,7 +360,7 @@ def _eager(gen):
     ops = [j for _, j in gen.jumps]
     if not ops:
         empty = np.empty((0,) + gen.hamiltonian.shape[-2:], dtype=complex)
-        new.channels = ((), empty, empty, empty)
+        new.channels = (np.empty((0, 1, 1)), empty, empty, empty)
         return new
     try:
         stack = np.array(ops)
@@ -367,7 +369,7 @@ def _eager(gen):
     n = stack.ndim
     j = stack.transpose(*range(1, n - 2), 0, n - 2, n - 1)
     jd = dagger(j)
-    new.channels = (tuple(g[..., None, None] if isinstance(g, np.ndarray) else g for g in rates), j, jd, jd @ j)
+    new.channels = (np.stack(np.broadcast_arrays(*rates), axis=-1)[..., None, None], j, jd, jd @ j)
     return new
 
 
@@ -423,6 +425,107 @@ def test_evolve_unitary_norm_and_oracle():
     phase = np.vdot(want, traj.final)
     assert abs(abs(phase) - 1.0) < 1e-8
     assert traj.diagnostics["final_norm_deviation"] < 1e-8
+
+
+def _rk4_allocating(sample, y0, times, act):
+    """Reference rk4 loop: the same blocks of samples, a fresh array for
+    every stage and state, and unit factors left to ``act``."""
+    y = np.asarray(y0, dtype=complex)
+    n = len(times) - 1
+    out = np.empty((n + 1,) + y.shape, dtype=complex)
+    out[0] = y
+    dt = times[1:] - times[:-1]
+    ts = np.empty(2 * n + 1)
+    ts[0::2] = times
+    ts[1::2] = times[:-1] + 0.5 * dt
+    for a in range(0, n, BLOCK):
+        b = min(a + BLOCK, n)
+        j = int(a == 0)
+        nodes = sample(ts[2 * a + 1 - j:2 * b + 1])
+        if j:
+            a_end = nodes[0]
+        for k, (h, h_half, h_sixth) in enumerate(zip(dt[a:b], 0.5 * dt[a:b], dt[a:b] / 6.0), a + 1):
+            k1 = act(a_end, y)
+            a_mid = nodes[j]
+            k2 = act(a_mid, y + h_half * k1)
+            k3 = act(a_mid, y + h_half * k2)
+            a_end = nodes[j + 1]
+            j += 2
+            k4 = act(a_end, y + h * k3)
+            y = y + h_sixth * (k1 + 2.0 * (k2 + k3) + k4)
+            out[k] = y
+    return out
+
+
+def _nmr_lab_schedule(w0, w1, r, tau):
+    """The benchmark's scalar lab-frame NMR drive."""
+    w = r * w0
+
+    def sampler(s):
+        t = s * tau
+        return 0.5 * w0 * SIGMA_Z + 0.5 * w1 * (np.cos(w * t) * SIGMA_X + np.sin(w * t) * SIGMA_Y)
+
+    return Schedule(tau, sampler)
+
+
+def _random_drive(dim):
+    """A scalar schedule of random Hermitian matrices, and a random unit state."""
+    rng = np.random.default_rng(dim)
+    parts = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
+    h0, h1, h2 = parts + dagger(parts)
+    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return Schedule(2.0, lambda s: h0 + np.cos(3.0 * s) * h1 + s * h2), psi0 / np.linalg.norm(psi0)
+
+
+def _closed_case(case):
+    kind, _, arg = case.partition("-")
+    if kind == "cells":  # battery-cells at its defaults: hub excited, intra-cell singlet
+        j_rad = 2.0 * np.pi * 100.0
+        psi0 = np.kron(np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0), np.array([1.0, 0.0]))
+        return two_cell_schedule(RAMPS[arg], j_rad, 80.0 / j_rad), psi0
+    if kind == "nmr":
+        w0 = 2.0 * np.pi * 1.0e3
+        return _nmr_lab_schedule(w0, 0.3 * w0, 0.8, 2.0e-3), np.array([1.0, 0.0])
+    if kind == "gate":  # the gate scenario's defaults at tau = 1e-3, with the register in |+>
+        controlled = arg == "controlled"
+        sched = controlled_gate_schedule((0.0, 0.0, 1.0), np.pi, np.pi, 2.0 * np.pi * 35.0, 1.0e-3,
+                                         variant="optimal" if controlled else arg, controlled=controlled)
+        plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
+        register = np.kron(plus, plus) if controlled else plus
+        return sched, np.kron(register, np.array([1.0, 0.0]))
+    return _random_drive(int(arg))
+
+
+def _folded_and_oracle(case, n_steps):
+    """evolve_unitary's states, and the reference loop's with -1j in ``act``."""
+    sched, psi0 = _closed_case(case)
+    times = np.linspace(0.0, sched.tau, n_steps + 1)
+    want = _rk4_allocating(lambda t: sched.sample(t / sched.tau), psi0, times, lambda a, psi: -1j * (a @ psi))
+    return evolve_unitary(sched, psi0, n_steps).states, want
+
+
+@pytest.mark.parametrize("n_steps", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("case", ["cells-linear", "cells-sin2", "cells-smooth", "nmr", "gate-optimal",
+                                  "gate-standard", "gate-controlled", "random-2", "random-3", "random-8"])
+def test_evolve_unitary_folds_minus_i_into_the_step_sizes_bit_for_bit(case, n_steps):
+    """evolve_unitary integrates y' = -i H y with -1j folded into rk4's step
+    sizes and every stage formed in reused buffers; its states are those of
+    the loop that multiplies each H y by -1j and allocates every stage,
+    byte for byte, so the signs of exact zeros agree too (np.array_equal
+    would take -0.0 for 0.0)."""
+    got, want = _folded_and_oracle(case, n_steps)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_two_cell_fold_keeps_the_signed_zeros_of_the_parity_subspace():
+    """The two-cell sweep conserves z parity, so half of every state's
+    amplitudes stay exact zeros, some of them negative; the folded run keeps
+    each one, sign included, over the benchmark's 12000 steps."""
+    for ramp in RAMPS:
+        got, want = _folded_and_oracle(f"cells-{ramp}", 12000)
+        parts = want.view(float)
+        assert np.any((parts == 0.0) & np.signbit(parts))
+        assert got.tobytes() == want.tobytes()
 
 
 def test_evolve_unitary_rejects_unnormalized():
