@@ -397,14 +397,11 @@ def _run_gate(cfg: dict):
     plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
     register = np.kron(plus, plus) if controlled else plus
 
-    def point(tau: float):
-        sched = _tqd.controlled_gate_schedule(
-            axis, phi, phi0, omega, tau, variant=cfg["variant"], controlled=controlled
-        )
-        res = _tqd.gate_run(sched, register, axis, phi, cfg["n_steps"], controlled=controlled)
-        return (tau, res["success_prob"], res["fidelity"])
-
-    rows = [point(tau) for tau in cfg["tau_list"]]
+    sweep = _tqd.controlled_gate_schedule(
+        axis, phi, phi0, omega, cfg["tau_list"], variant=cfg["variant"], controlled=controlled
+    )
+    results = _tqd.gate_run(sweep, register, axis, phi, cfg["n_steps"], controlled=controlled)
+    rows = [(tau, res["success_prob"], res["fidelity"]) for tau, res in zip(cfg["tau_list"], results)]
     return [], ["tau_s", "success_prob", "fidelity"], rows
 
 

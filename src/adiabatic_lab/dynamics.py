@@ -215,13 +215,15 @@ class Schedule:
         gen = self.sample(grid)
         return gen if isinstance(gen, LindbladGenerator) else LindbladGenerator(gen)
 
-    def probe(self) -> None:
+    def probe(self) -> list:
         """Spot-check sampler invariants on a coarse grid of 5 points.
 
         Hamiltonian samples must be Hermitian and rates non-negative, which
         a NaN rate is not; the full grid is not checked here because
         integrators already touch every point and NaNs surface immediately.
         A sweep schedule is checked member by member, in sweep order.
+        Returns the 5 samples, each as a :class:`LindbladGenerator`, so a
+        caller can read their jumps without sampling again.
         """
         grid = np.linspace(0.0, 1.0, 5)
         samples = [g if isinstance(g, LindbladGenerator) else LindbladGenerator(g) for g in map(self.at, grid)]
@@ -234,6 +236,7 @@ class Schedule:
                 for rate, _ in g.jumps:
                     if not rate >= 0:
                         raise ValueError(f"negative or NaN rate {rate} at s={s}")
+        return samples
 
 
 @dataclass(eq=False)
@@ -268,9 +271,12 @@ def rk4(sample: Callable[[np.ndarray], object], y0: np.ndarray, times: np.ndarra
     ``sample(ts)`` returns the generators A at an array of physical times
     ``ts``, stacked so that ``sample(ts)[i]`` is A(ts[i]): an (m, D, D)
     array or a stacked :class:`LindbladGenerator`.  ``act(a, y)``
-    returns A y as a new array.  ``unit`` is a constant factor of the flow
-    (-1j for the Schrodinger equation), folded into the step sizes once
-    per run.  k1 and k4 take the samples at the grid nodes, and k2 and
+    returns A y as a new array.  ``unit`` is a constant factor of the flow,
+    folded into the step sizes once per run: -1j for the Schrodinger
+    equation (``act`` a matrix-vector product, batched over a sweep's
+    members) and for a Lindblad generator without jumps (``act`` the
+    commutator [H, rho]); the Lindblad flow with jumps and the
+    Jordan-block coefficient flow keep the default 1.  k1 and k4 take the samples at the grid nodes, and k2 and
     k3 share the one at the step's midpoint, so n steps take 2n + 1
     samples instead of the textbook 4n, with its arithmetic.  On a
     ``linspace`` grid the textbook's end time t + dt is the next node's
@@ -353,27 +359,35 @@ def rk4(sample: Callable[[np.ndarray], object], y0: np.ndarray, times: np.ndarra
 def evolve_unitary(h: Schedule, psi0: np.ndarray, n_steps: int) -> Trajectory:
     """Integrate the Schrödinger equation for a Hamiltonian schedule.
 
-    The flow psi' = -i H psi runs through :func:`rk4` with ``act`` =
-    ``np.matmul`` and ``unit`` = -1j, so the -i sits in the step sizes and
-    each stage costs one matrix-vector product; the states are those of
-    the loop that multiplies every H psi by -1j, bit for bit.  States are
-    not renormalized: the norm drift of the raw integrator output is a
+    The flow psi' = -i H psi runs through :func:`rk4` with ``unit`` = -1j,
+    so the -i sits in the step sizes and each stage costs one
+    matrix-vector product (``act`` = ``np.matmul``); the states are those
+    of the loop that multiplies every H psi by -1j, bit for bit.  States
+    are not renormalized: the norm drift of the raw integrator output is a
     useful accuracy diagnostic and is reported in
-    ``diagnostics["final_norm_deviation"]``.  A sweep schedule is refused
-    with a ValueError: sweeps run through :func:`evolve_lindblad`.
+    ``diagnostics["final_norm_deviation"]``.
+
+    A sweep schedule integrates its R members in one lock-step :func:`rk4`
+    from the same ``psi0``, each on its own grid, as :func:`evolve_lindblad`
+    does: the trajectory has (n+1, R) times, (n+1, R, D) states and an (R,)
+    norm deviation, and :meth:`Trajectory.member` gives each member's own
+    run bit for bit.  Each stage is then one matrix-vector product per
+    member, batched over the member axis.
     """
-    if h.members is not None:
-        raise ValueError("evolve_unitary takes a single schedule; sweeps run through evolve_lindblad")
     psi0 = np.asarray(psi0, dtype=complex)
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise ValueError("psi0 is not normalized")
     h.probe()
     times = np.linspace(0.0, h.tau, n_steps + 1)
+    if h.members is None:
+        y0, act = psi0, np.matmul
+    else:  # (R, D, D) samples on (R, D) states, one matrix-vector product per member
+        y0, act = np.stack([psi0] * h.members), lambda a, psi: (a @ psi[..., None])[..., 0]
 
-    states = rk4(lambda t: h.sample(t / h.tau), psi0, times, np.matmul, -1j)
-    drift = abs(np.linalg.norm(states[-1]) - 1.0)
+    states = rk4(lambda t: h.sample(t / h.tau), y0, times, act, -1j)
+    drift = np.array([abs(np.linalg.norm(psi) - 1.0) for psi in states[-1].reshape(-1, psi0.size)])
     return Trajectory(times=times, states=states,
-                      diagnostics={"final_norm_deviation": drift})
+                      diagnostics={"final_norm_deviation": float(drift[0]) if h.members is None else drift})
 
 
 def evolve_lindblad(l: Schedule, rho0: np.ndarray, n_steps: int) -> Trajectory:
@@ -383,9 +397,19 @@ def evolve_lindblad(l: Schedule, rho0: np.ndarray, n_steps: int) -> Trajectory:
     means the step size is too coarse for the generator's fastest rate).  A
     positivity dip beyond ``TOL_POS`` is only flagged with a step-size hint
     since transient negative eigenvalues at the integrator tolerance level
-    are expected.  The schedule reaches :func:`rk4` through
-    :meth:`Schedule.generators`, so a jump count that changes along s ends
-    in :meth:`Schedule.sample`'s named ValueError.
+    are expected.
+
+    The probe's 5 samples pick the route.  When none of them carries a jump,
+    :func:`rk4` steps the Hamiltonian stack alone, with ``act`` = [H, rho]
+    and ``unit`` = -1j, so the -i sits in the step sizes as in
+    :func:`evolve_unitary`; the states are those of :func:`lindblad_action`
+    on the same samples, bit for bit, by the argument :func:`rk4` documents.
+    Otherwise every stage runs through :func:`lindblad_action`.  Either
+    route takes its samples through :meth:`Schedule.generators`, and each
+    block's jump count must be that of the sample at s = 0: a count that
+    changes along s, inside a block (:meth:`Schedule.sample`) or from one
+    block to the next, ends in a ValueError that names the count and the
+    s where the change shows, and a jump in a later block is never dropped.
 
     A sweep schedule integrates its R members in one lock-step :func:`rk4`
     from the same ``rho0``, each on its own grid, and returns one
@@ -397,11 +421,23 @@ def evolve_lindblad(l: Schedule, rho0: np.ndarray, n_steps: int) -> Trajectory:
     rho0 = np.asarray(rho0, dtype=complex)
     if not is_density_matrix(rho0):
         raise ValueError("rho0 is not a density matrix")
-    l.probe()
+    probed = l.probe()
+    count = len(probed[0].jumps)
+    jumpless = not any(g.jumps for g in probed)
     times = np.linspace(0.0, l.tau, n_steps + 1)
     y0 = rho0 if l.members is None else np.stack([rho0] * l.members)
 
-    states = rk4(lambda t: l.generators(t / l.tau), y0, times, lindblad_action)
+    def sample(t: np.ndarray):
+        s = t / l.tau
+        gen = l.generators(s)
+        if len(gen.jumps) != count:
+            raise ValueError(f"jump count ({count} -> {len(gen.jumps)}) changes at s={s[0]}")
+        return gen.hamiltonian if jumpless else gen
+
+    if jumpless:
+        states = rk4(sample, y0, times, lambda h, rho: h @ rho - rho @ h, -1j)
+    else:
+        states = rk4(sample, y0, times, lindblad_action)
     per_member = states.reshape((len(times), -1) + rho0.shape)
     deviation = np.abs(np.trace(per_member, axis1=-2, axis2=-1) - 1.0)
     drift = np.max(deviation, axis=0)

@@ -239,9 +239,14 @@ def lz_intensities(
     if int_tan2 <= 0.0:
         raise ValueError("bare sweep intensity vanishes; nothing to normalize by")
     # divided in Python floats and refused by name when the denominator
-    # underflows or the quotient overflows: a numpy float64 tau (the CLI's
-    # geomspace) would warn and give an inf row
-    denom = float(4.0 * tau**2 * delta**2 * int_tan2)
+    # overflows or underflows or the quotient overflows: a numpy float64 tau
+    # (the CLI's geomspace) would warn and give an i_opt = 0 or inf row.  The
+    # product keeps numpy's tau**2, whose bits the lz_tqd golden holds, with
+    # its overflow warning silenced and the overflow named just below.
+    with np.errstate(over="ignore"):
+        denom = float(4.0 * tau**2 * delta**2 * int_tan2)
+    if math.isinf(denom):
+        raise OverflowError(f"4 tau^2 delta^2 int tan^2 overflows at tau={float(tau)!r}")
     if denom == 0.0:
         raise ZeroDivisionError(f"4 tau^2 delta^2 int tan^2 underflows to 0 at tau={float(tau)!r}")
     i_opt = int_dth2 / denom
@@ -382,7 +387,19 @@ def controlled_gate_schedule(
     time independent).  With ``controlled`` a further qubit gates the
     rotation: the branch Hamiltonian acts only in its excited subspace.
     The schedule is vectorized: one sampler call gives a whole grid.
+
+    A sequence of durations ``tau`` gives a sweep schedule with one member
+    per duration.  The correction term depends on the duration, so the
+    sweep's sampler stacks, over the member axis, each member's sample from
+    that duration's own schedule.
     """
+    if np.ndim(tau):
+        members = [controlled_gate_schedule(axis, phi, phi0, omega, t, variant, controlled) for t in tau]
+
+        def sweep(s: np.ndarray) -> np.ndarray:
+            return np.stack([m.sampler(s[:, r]) for r, m in enumerate(members)], axis=1)
+
+        return Schedule(tau=tau, sampler=sweep, vectorized=True)
     plus = variant_sampler(variant, _ancilla_ham(0.0, omega, phi0), _ancilla_cd(0.0, phi0, tau))
     minus = variant_sampler(variant, _ancilla_ham(phi, omega, phi0), _ancilla_cd(phi, phi0, tau))
     _, _, p_plus, p_minus = _projector_pair(axis)
@@ -405,37 +422,43 @@ def gate_run(
     phi: float,
     n_steps: int,
     controlled: bool = False,
-) -> dict:
+) -> dict | list[dict]:
     """Run a steered-gate schedule and post-select the flagged branch.
 
     The ancilla starts in its ground state |0>; at the end the component
     with the ancilla flipped carries the rotated register.  Success below
     1e-12 (no sweep, phi0 = 0) is refused since the post-selected state
-    is then undefined.
+    is then undefined.  A sweep schedule (a sequence of durations in
+    :func:`controlled_gate_schedule`) runs all its members in one
+    lock-step :func:`evolve_unitary` and returns a list with one dict per
+    member, in sweep order, each equal to the dict of its own run.
     """
     register_state = np.asarray(register_state, dtype=complex)
     register_state = register_state / np.linalg.norm(register_state)
     psi0 = np.kron(register_state, np.array([1.0, 0.0], dtype=complex))
     traj = evolve_unitary(schedule, psi0, n_steps)
-    final = traj.final.reshape(-1, 2)
-    branch = final[:, 1]
-    success = float(np.real(np.vdot(branch, branch)))
-    if success < 1e-12:
-        raise ValueError("post-selected branch has no weight")
-    out = branch / math.sqrt(success)
-
+    runs = [traj] if schedule.members is None else [traj.member(r) for r in range(schedule.members)]
     u_rot = gate_target_unitary(axis, phi)
     if controlled:
         u_rot = np.kron(np.diag([1.0, 0.0]), SIGMA_0) + np.kron(np.diag([0.0, 1.0]), u_rot)
     expected = u_rot @ register_state
-    fid = float(abs(np.vdot(expected, out)) ** 2)
-    return {
-        "success_prob": success,
-        "output": out,
-        "target": expected,
-        "fidelity": fid,
-        "trajectory": traj,
-    }
+
+    results = []
+    for run in runs:
+        branch = run.final.reshape(-1, 2)[:, 1]
+        success = float(np.real(np.vdot(branch, branch)))
+        if success < 1e-12:
+            raise ValueError("post-selected branch has no weight")
+        out = branch / math.sqrt(success)
+        fid = float(abs(np.vdot(expected, out)) ** 2)
+        results.append({
+            "success_prob": success,
+            "output": out,
+            "target": expected,
+            "fidelity": fid,
+            "trajectory": run,
+        })
+    return results[0] if schedule.members is None else results
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,8 @@ def test_hopeless_config_exits_two_with_error_line(argv, capsys):
                      id="lz-tqd-underflow"),
         pytest.param(["lz-tqd", "--delta-hz", "1e-152", "--n-quad", "100"], "OverflowError: ",
                      id="lz-tqd-overflow"),
+        pytest.param(["lz-tqd", "--tau-max-s", "1e200", "--n-quad", "100"], "OverflowError: ",
+                     id="lz-tqd-tau-overflow"),
         pytest.param(["nmr-tqd", "--omega0-hz", "1e300"], "OverflowError: ", id="nmr-tqd-overflow"),
         pytest.param(["adcheck", "--tau-s", "1e300", "--r-sweep", "0.5:0.5:1", "--n-points", "100"],
                      "OverflowError: ", id="adcheck-overflow"),
@@ -114,6 +116,11 @@ def test_sweep_rows_equal_one_member_runs(capsys):
     heat = ["heat", "--n-steps", "200", "--gamma0-list"]
     rows = _data_rows(heat + ["314,628,1257"], capsys)
     assert rows == [_data_rows(heat + [g], capsys)[0] for g in ("314", "628", "1257")]
+
+    gate = ["gate", "--variant", "standard", "--n-steps", "200", "--tau-list"]
+    for controlled in ([], ["--controlled"]):
+        rows = _data_rows(gate + ["1e-4,1e-3,1e-2"] + controlled, capsys)
+        assert rows == [_data_rows(gate + [t] + controlled, capsys)[0] for t in ("1e-4", "1e-3", "1e-2")]
 
     rows = _data_rows(["deutsch", "--balanced", "--tau-ladder", "4", "--n-steps", "200"], capsys)
     omega = 2.0 * math.pi * 1.0e4

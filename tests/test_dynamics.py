@@ -21,7 +21,8 @@ from adiabatic_lab.dynamics import (
     pure_state_density,
     rk4,
 )
-from adiabatic_lab.battery import ergotropy, two_cell_schedule
+from adiabatic_lab import dynamics
+from adiabatic_lab.battery import ergotropy, stable_protocol, stirap_schedule, two_cell_schedule, unstable_protocol
 from adiabatic_lab.cli import RAMPS
 from adiabatic_lab.opalg import (
     SIGMA_X,
@@ -985,7 +986,136 @@ def test_evolve_lindblad_refuses_a_jump_count_that_changes_along_s():
         evolve_lindblad(sched, 0.5 * np.eye(2, dtype=complex), 16)
 
 
-def test_evolve_unitary_refuses_a_sweep_schedule():
+def test_evolve_lindblad_refuses_a_jump_count_change_on_a_block_boundary():
+    """At 64 steps the count changes between rk4's two sampling blocks, where
+    no single ``Schedule.sample`` call sees it; the second block's first s
+    is named, one count up and one from no jumps."""
+    rho0 = 0.5 * np.eye(2, dtype=complex)
+    for before, after in ((1, 2), (0, 1)):
+        sched = Schedule(1.0, _open_sampler(lambda s: before if s <= 0.5 else after))
+        message = rf"jump count \({before} -> {after}\) changes at s=0.5078125$"
+        with pytest.raises(ValueError, match=message):
+            evolve_lindblad(sched, rho0, 2 * BLOCK)
+
+
+def test_jumpless_route_never_drops_jumps_of_a_later_block():
+    """Jumps that none of the 5 probe samples carries put the run on the
+    jumpless route; the block that first carries them is still refused."""
+    def sampler(s):
+        jumps = ((0.1, SIGMA_Z),) if np.any((s > 0.5) & (s < 0.7)) else ()
+        return LindbladGenerator(s[:, None, None] * SIGMA_X, jumps)
+
+    sched = Schedule(1.0, sampler, vectorized=True)
+    assert not any(g.jumps for g in sched.probe())
+    with pytest.raises(ValueError, match=r"jump count \(0 -> 1\) changes at s=0.5078125$"):
+        evolve_lindblad(sched, 0.5 * np.eye(2, dtype=complex), 2 * BLOCK)
+
+
+def _stirap(protocol):
+    """battery-stirap's noise-free schedule at its CLI defaults."""
+    om = 2.0 * np.pi * 1000.0
+    envelopes = stable_protocol(om) if protocol == "stable" else unstable_protocol(om)
+    return stirap_schedule(*envelopes, 20.0 / om, None, 0.1), np.diag([1.0, 0.0, 0.0]).astype(complex)
+
+
+@pytest.mark.parametrize("n_steps", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 5000])
+@pytest.mark.parametrize("protocol", ["stable", "unstable"])
+@pytest.mark.filterwarnings("ignore:positivity dip:RuntimeWarning")  # the coarsest grids dip
+def test_jumpless_route_equals_lindblad_action_byte_for_byte(protocol, n_steps):
+    """A schedule without jumps steps [H, rho] with -1j folded into rk4's step
+    sizes; its states are those of rk4 with lindblad_action on the same
+    samples, byte for byte, signed zeros included."""
+    sched, rho0 = _stirap(protocol)
+    times = np.linspace(0.0, sched.tau, n_steps + 1)
+    want = rk4(lambda t: sched.generators(t / sched.tau), rho0, times, lindblad_action)
+    assert evolve_lindblad(sched, rho0, n_steps).states.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_jumps", [0, 1])
+def test_jumpless_route_skips_lindblad_action(n_jumps, monkeypatch):
+    """Without jumps, no stage calls lindblad_action; with them, all 4n do,
+    through the module's name looked up at call time.  Either route samples
+    the schedule 5 + 2n + 1 times."""
+    actions = []
+
+    def counted(gen, rho):
+        actions.append(1)
+        return lindblad_action(gen, rho)
+
+    monkeypatch.setattr(dynamics, "lindblad_action", counted)
+    sampler, samples = _counting(_open_sampler(lambda s: n_jumps))
+    n_steps = 2 * BLOCK + 3
+    evolve_lindblad(Schedule(1.0, sampler), 0.5 * (np.eye(2, dtype=complex) + SIGMA_Z), n_steps)
+    assert len(actions) == 4 * n_steps * n_jumps
+    assert len(samples) == 5 + 2 * n_steps + 1
+
+
+def _random_sweep(dim, members=5):
+    """Random Hermitian drives, one vectorized schedule per member, and their
+    sweep, whose sampler stacks the members' own samples."""
+    rng = np.random.default_rng(dim)
+    taus = rng.uniform(0.5, 2.0, members)
+    parts = rng.normal(size=(members, 3, dim, dim)) + 1j * rng.normal(size=(members, 3, dim, dim))
+    parts = parts + dagger(parts)
+
+    def member(r):
+        h0, h1, h2 = parts[r]
+        return Schedule(taus[r], lambda s: h0 + np.cos(3.0 * s)[:, None, None] * h1 + s[:, None, None] * h2,
+                        vectorized=True)
+
+    alone = [member(r) for r in range(members)]
+    sweep = Schedule(taus, lambda s: np.stack([m.sampler(s[:, r]) for r, m in enumerate(alone)], axis=1),
+                     vectorized=True)
+    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return sweep, alone, psi0 / np.linalg.norm(psi0)
+
+
+def _gate_sweep(variant, controlled):
+    """The gate scenario's sweep over its default durations, and each
+    duration's own schedule; the register is |+> (|+>|+> when controlled)."""
+    taus = (1.0e-4, 1.0e-3, 1.0e-2)
+    args = ((0.0, 0.0, 1.0), np.pi, np.pi, 2.0 * np.pi * 35.0)
+    sweep = controlled_gate_schedule(*args, taus, variant, controlled)
+    alone = [controlled_gate_schedule(*args, tau, variant, controlled) for tau in taus]
+    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    register = np.kron(plus, plus) if controlled else plus
+    return sweep, alone, np.kron(register, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("n_steps", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("case", [f"gate-{v}-{c}" for v in ("adiabatic", "standard", "optimal")
+                                  for c in ("plain", "controlled")] + ["random-2", "random-3", "random-8"])
+def test_evolve_unitary_sweep_members_equal_single_runs_byte_for_byte(case, n_steps):
+    """A closed sweep advances its members in lock step with one batched
+    matrix-vector product per stage; each member's times, states and norm
+    deviation are those of its own run, byte for byte."""
+    kind, _, arg = case.partition("-")
+    if kind == "gate":
+        variant, _, controlled = arg.partition("-")
+        sweep, alone, psi0 = _gate_sweep(variant, controlled == "controlled")
+    else:
+        sweep, alone, psi0 = _random_sweep(int(arg))
+    got = evolve_unitary(sweep, psi0, n_steps)
+    for r, sched in enumerate(alone):
+        want = evolve_unitary(sched, psi0, n_steps)
+        member = got.member(r)
+        assert member.times.tobytes() == want.times.tobytes()
+        assert member.states.tobytes() == want.states.tobytes()
+        assert member.diagnostics == want.diagnostics
+
+
+def test_evolve_unitary_takes_a_sweep_schedule():
+    """A closed sweep's trajectory has the member axis of an open one: (n+1, R)
+    times, (n+1, R, D) states and an (R,) norm deviation; member(r) is a
+    single run's trajectory, with float diagnostics."""
     sweep = Schedule([1.0, 2.0], lambda s: s[:, None, None] * SIGMA_X)
-    with pytest.raises(ValueError, match="sweeps run through evolve_lindblad"):
-        evolve_unitary(sweep, np.array([1.0, 0.0]), 16)
+    traj = evolve_unitary(sweep, np.array([1.0, 0.0]), 16)
+    assert traj.times.shape == (17, 2) and traj.states.shape == (17, 2, 2)
+    assert traj.diagnostics["final_norm_deviation"].shape == (2,)
+    for r, tau in enumerate((1.0, 2.0)):
+        member = traj.member(r)
+        want = evolve_unitary(Schedule(tau, lambda s: s * SIGMA_X), np.array([1.0, 0.0]), 16)
+        assert member.times.shape == (17,) and member.states.shape == (17, 2)
+        assert member.states.tobytes() == want.states.tobytes()
+        assert member.diagnostics == want.diagnostics
+        assert type(member.diagnostics["final_norm_deviation"]) is float

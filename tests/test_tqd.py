@@ -497,6 +497,26 @@ def test_gate_array_sampler_matches_scalar_closure(variant, controlled):
     assert np.array_equal(sched.at(grid[-1]), want[-1])
 
 
+@pytest.mark.parametrize("controlled", [False, True])
+def test_gate_run_on_a_sweep_equals_one_run_per_duration(controlled):
+    """A sequence of durations gives one sweep schedule; gate_run runs it in
+    one lock-step integration and returns each member's own dict."""
+    axis, taus = (0.0, 0.0, 1.0), (1.0e-4, 1.0e-3, 1.0e-2)
+    args = (axis, math.pi, math.pi, 2.0 * math.pi * 35.0)
+    plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    register = np.kron(plus, plus) if controlled else plus
+    sweep = controlled_gate_schedule(*args, taus, "standard", controlled)
+    assert sweep.members == 3
+    got = gate_run(sweep, register, axis, math.pi, n_steps=300, controlled=controlled)
+    assert len(got) == 3
+    for res, tau in zip(got, taus):
+        want = gate_run(controlled_gate_schedule(*args, tau, "standard", controlled), register, axis,
+                        math.pi, n_steps=300, controlled=controlled)
+        assert res["success_prob"] == want["success_prob"] and res["fidelity"] == want["fidelity"]
+        assert res["output"].tobytes() == want["output"].tobytes()
+        assert res["trajectory"].states.tobytes() == want["trajectory"].states.tobytes()
+
+
 def test_gate_run_refuses_empty_branch():
     axis = (0.0, 0.0, 1.0)
     sched = controlled_gate_schedule(axis, math.pi, 0.0, 2.0 * math.pi * 35.0, 1.0e-3, "optimal")
