@@ -56,10 +56,10 @@ def c_trad(frame: SpectralFrame, h: Schedule) -> float:
     return float(np.max(_coupling(frame, h, modulus=True)))
 
 
-def c_tong(frame: SpectralFrame, h: Schedule) -> dict:
+def c_tong(frame: SpectralFrame, h: Schedule) -> float:
     """Three-part refinement of the gap condition.
 
-    Returns the parts (a), (b), (c) and their maximum.  Part (a) is the
+    Returns the largest of the parts (a), (b) and (c).  Part (a) is the
     traditional condition.  Part (b) bounds the drift of the gap-weighted
     coupling, part (c) its mixing with the eigenstate velocities; both are
     scaled by the duration tau and take each pair's maximum over time.
@@ -78,12 +78,7 @@ def c_tong(frame: SpectralFrame, h: Schedule) -> dict:
     prod = amp[:, :, None] * vel[:, None, :] * tau
     part_c = float(np.max(prod[off[:, :, None] & off[:, None, :]], initial=0.0))
 
-    return {
-        "a": part_a,
-        "b": part_b,
-        "c": part_c,
-        "max": max(part_a, part_b, part_c),
-    }
+    return max(part_a, part_b, part_c)
 
 
 def c_wu(frame: SpectralFrame) -> float:
@@ -387,8 +382,6 @@ def theorem1_check(kit: ModelKit) -> dict:
     return {
         "satisfied": max_dev < 0.02,
         "max_deviation": max_dev,
-        "overlaps": overlaps,
-        "grid": grid,
     }
 
 
@@ -432,7 +425,7 @@ def theorem2_check(kit: ModelKit) -> dict:
     amps = np.abs(dagger(lab.vectors) @ (u @ psi0)[:, :, None])[:, :, 0]
     drift = np.abs(amps - ref)
     max_dev = float(np.max(drift))
-    return {"satisfied": max_dev < 0.02, "max_deviation": max_dev, "grid": grid}
+    return {"satisfied": max_dev < 0.02, "max_deviation": max_dev}
 
 
 def min_gap_noninertial(omega0: float, r: float) -> float:

@@ -108,11 +108,9 @@ class ChargeReport:
     power: np.ndarray
     populations: np.ndarray
     final_ergotropy: float
-    mean_power: float
     p_max_norm: float
     peak_power: float
     tail_max_power: float
-    protocol: str | None
 
 
 def _check_boundary(value: float, scale: float, label: str) -> None:
@@ -224,11 +222,9 @@ def stirap_charge(
         power=power,
         populations=pops,
         final_ergotropy=float(erg[min(k_end, len(erg) - 1)]),
-        mean_power=float(erg[min(k_end, len(erg) - 1)] / tau),
         p_max_norm=0.5 * math.pi / (w3 - w1),
         peak_power=float(np.max(np.abs(power))),
         tail_max_power=float(np.max(tail)),
-        protocol=protocol,
     )
 
 

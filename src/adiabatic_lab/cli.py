@@ -292,6 +292,10 @@ def _configure(name: str, cli_values: dict, file_values: dict) -> tuple[dict, li
 
 
 def _run_adcheck(cfg: dict):
+    """One row per drive ratio r.  A point the study refuses with a
+    ValueError (the closed gap at r = 1, say) becomes a row of NaNs and the
+    sweep goes on; an ArithmeticError means a hopeless configuration and
+    ends the run through :func:`main`, with one ``error:`` line."""
     w0 = 2.0 * math.pi * cfg["omega0_hz"]
     w1 = 2.0 * math.pi * cfg["omega1_hz"]
     tau, n_points = cfg["tau_s"], cfg["n_points"]
@@ -315,7 +319,7 @@ def _run_adcheck(cfg: dict):
             return (
                 r,
                 _adcheck.c_trad(frame, sched),
-                _adcheck.c_tong(frame, sched)["max"],
+                _adcheck.c_tong(frame, sched),
                 _adcheck.c_wu(frame),
                 _adcheck.c_ar(frame, sched),
             )

@@ -248,7 +248,6 @@ class AdiabaticOpenSolution:
 
     grid: np.ndarray
     tau: float
-    coefficients: np.ndarray  # (M, B)
     states: np.ndarray  # (M, D, D)
     frame: LiouvilleFrame
     expansion_residual: float
@@ -273,7 +272,6 @@ def adiabatic_propagate_1d(
     return AdiabaticOpenSolution(
         grid=frame.grid,
         tau=tau,
-        coefficients=coeffs,
         states=states,
         frame=frame,
         expansion_residual=residual,
@@ -354,9 +352,10 @@ def deutsch_scenario(
     Returns the integrated trajectory and two fidelity series: against
     the open-system adiabatic reference (coherence damped by
     exp(-2 gamma t)) and against the decoherence-free rotating pure
-    state.  A sequence of durations ``tau`` integrates every duration as
-    one member of a single lock-step sweep and returns a list with one
-    such dict per duration, each equal to the dict of its own scalar call.
+    state, both from one :func:`fidelity` call over the two targets.  A
+    sequence of durations ``tau`` integrates every duration as one member
+    of a single lock-step sweep and returns a list with one such dict per
+    duration, each equal to the dict of its own scalar call.
     """
     f0, f1 = (int(v) for v in f_values)
     if f0 not in (0, 1) or f1 not in (0, 1):
@@ -383,18 +382,15 @@ def deutsch_scenario(
     p = phi(s_grid)[..., None, None]
     coherence = np.cos(p) * SIGMA_X - np.sin(p) * SIGMA_Y
     damping = np.exp(-2.0 * gamma_int)[..., None, None]
-    f_os = fidelity(traj.states, 0.5 * (SIGMA_0 + damping * coherence))
-    f_cs = fidelity(traj.states, 0.5 * (SIGMA_0 + coherence))
+    f_os, f_cs = fidelity(traj.states, 0.5 * (SIGMA_0 + np.stack([damping * coherence, coherence])))
 
     results = []
     for r in range(sweep.members):
         member = traj.member(r)
         results.append({
             "trajectory": member,
-            "times": member.times,
             "f_os": f_os[:, r],
             "f_cs": f_cs[:, r],
-            "f_param": f_param,
         })
     return results if taus.ndim else results[0]
 

@@ -94,8 +94,6 @@ class SpectralFrame:
         Eigenvectors as columns: ``vectors[k][:, n]`` is level n at node k.
     dvectors : ndarray, shape (M, d, d)
         Physical-time derivatives of the eigenvector columns.
-    denergies : ndarray, shape (M, d)
-        Physical-time derivatives of the eigenvalues.
     max_residual : float
         Largest eigenvalue-equation residual encountered, for diagnostics.
     """
@@ -105,7 +103,6 @@ class SpectralFrame:
     energies: np.ndarray
     vectors: np.ndarray
     dvectors: np.ndarray
-    denergies: np.ndarray
     max_residual: float = 0.0
 
     @property
@@ -222,14 +219,12 @@ def tracked_eigensystem(
 
     ds = grid[1] - grid[0]
     dvectors = fourth_order_derivative(vectors, ds) / h.tau
-    denergies = fourth_order_derivative(energies, ds) / h.tau
     return SpectralFrame(
         grid=grid,
         tau=h.tau,
         energies=energies,
         vectors=vectors,
         dvectors=dvectors,
-        denergies=np.real(denergies),
         max_residual=max_res,
     )
 
@@ -267,14 +262,12 @@ def frame_from_functions(
         dvectors = np.ascontiguousarray(dvectors, dtype=complex)
     else:
         dvectors = fourth_order_derivative(vectors, ds) / tau
-    denergies = fourth_order_derivative(energies, ds) / tau
     return SpectralFrame(
         grid=grid,
         tau=tau,
         energies=energies,
         vectors=vectors,
         dvectors=dvectors,
-        denergies=np.real(denergies),
     )
 
 

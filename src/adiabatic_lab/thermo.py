@@ -129,15 +129,6 @@ def entropy_rate(gen: LindbladGenerator, rho: np.ndarray):
     return -_real_trace(lindblad_action(gen, rho) @ log_rho)
 
 
-def von_neumann_entropy(rho: np.ndarray):
-    """-Tr(rho log rho) with eigenvalues floored at 1e-14; a float for one
-    matrix, an array for a stack (..., D, D)."""
-    vals = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
-    vals = np.clip(vals, ENTROPY_EIG_FLOOR, None)
-    out = -np.sum(vals * np.log(vals), axis=-1)
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass(eq=False)
 class ThermoLedger:
     """Time-resolved energy bookkeeping along an open trajectory.
@@ -148,12 +139,8 @@ class ThermoLedger:
     """
 
     times: np.ndarray
-    internal_energy: np.ndarray
     heat: np.ndarray
-    work: np.ndarray
     heat_rate: np.ndarray
-    work_rate: np.ndarray
-    entropy: np.ndarray
     entropy_rate: np.ndarray
     first_law_residual: float
 
@@ -163,7 +150,8 @@ def build_ledger(
     traj: Trajectory,
     basis: OperatorBasis | None = None,
 ) -> ThermoLedger:
-    """Assemble the heat/work/entropy ledger of an integrated trajectory.
+    """Assemble the heat and entropy-production ledger of an integrated
+    trajectory, with the first-law residual of its heat and work.
 
     The schedule is sampled once on the trajectory's grid and every rate is
     one stacked evaluation.  With a ``basis``, the dual-route agreement
@@ -183,7 +171,6 @@ def build_ledger(
     q_rate = heat_rate(gen, rho, hams, basis)
     w_rate = work_rate(h_dots, rho, basis)
     u = _real_trace(rho @ hams)
-    s = von_neumann_entropy(rho)
     s_rate = entropy_rate(gen, rho)
 
     heat = cumtrapz(q_rate, times)
@@ -191,12 +178,8 @@ def build_ledger(
     residual = float(np.max(np.abs(u - u[0] - heat - work)))
     return ThermoLedger(
         times=times,
-        internal_energy=u,
         heat=heat,
-        work=work,
         heat_rate=q_rate,
-        work_rate=w_rate,
-        entropy=s,
         entropy_rate=s_rate,
         first_law_residual=residual,
     )
@@ -241,10 +224,10 @@ def dephasing_heat_scenario(
     exp(-2 int gamma) tanh(beta omega), so every ledger entry has a
     closed form; the integrated ledger is returned next to those forms.
 
-    Returns a dict with the ledger, the total heat, the effective inverse
-    temperature series beta_eff(t) = arctanh(g)/omega, and the closed-form
-    references ``q_closed`` and ``q_asymptote`` (the gamma -> infinity
-    plateau omega tanh(beta omega)).  A sequence of rates ``gamma`` (each
+    Returns a dict with the ledger, the trajectory, the total heat and the
+    closed-form references ``q_closed`` = omega g(0) (1 - exp(-2 int gamma))
+    and ``q_asymptote`` (the gamma -> infinity plateau omega tanh(beta
+    omega)).  A sequence of rates ``gamma`` (each
     a callable or a float) integrates every rate as one member of a single
     lock-step sweep and returns a list with one such dict per rate, each
     equal to the dict of its own scalar call.
@@ -273,8 +256,6 @@ def dephasing_heat_scenario(
         ledger = build_ledger(sched, member, basis=basis)
         s_grid = member.times / tau
         gamma_int = cumtrapz(np.array([gamma_fn(s) for s in s_grid]), member.times)
-        g = np.exp(-2.0 * gamma_int) * g0
-        beta_eff = np.arctanh(np.clip(g, -1 + 1e-15, 1 - 1e-15)) / omega
         q_closed = omega * g0 * (1.0 - np.exp(-2.0 * gamma_int[-1]))
         results.append({
             "ledger": ledger,
@@ -282,8 +263,6 @@ def dephasing_heat_scenario(
             "q_total": float(ledger.heat[-1]),
             "q_closed": float(q_closed),
             "q_asymptote": float(omega * g0),
-            "beta_eff": beta_eff,
-            "coherence": g,
         })
     return results[0] if one else results
 

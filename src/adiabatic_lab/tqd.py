@@ -152,21 +152,19 @@ def tqd_time_independence(frame: SpectralFrame, phases: PhaseChoice) -> dict:
 # avoided-crossing sweep scenario
 
 
-def lz_schedules(
+def lz_frame(
     delta: float,
     theta_fn: Callable[[float], float],
     tau: float,
     n_points: int = 801,
-) -> dict:
-    """Two-level avoided-crossing sweep H0 = delta (sigma_z + tan(theta(s))
-    sigma_x) and its driving variants.
+) -> SpectralFrame:
+    """Closed-form frame of the two-level avoided-crossing sweep
+    H0 = delta (sigma_z + tan(theta(s)) sigma_x).
 
-    Returns vectorized schedules {"h0", "standard", "optimal"} plus the
-    closed-form frame.  The optimal variant is the bare correction
-    (d theta/ds / (2 tau)) sigma_y, time independent for a linear sweep;
-    d theta/ds is a central difference between :func:`difference_points`.
-    ``theta_fn`` takes one Python float; the frame calls it three times per
-    node, at the node and at its two difference points.
+    The eigenvector derivatives take d theta/ds as a central difference
+    between :func:`difference_points`.  ``theta_fn`` takes one Python
+    float; the frame calls it three times per node, at the node and at its
+    two difference points.
     """
     if delta == 0.0:
         raise ValueError("delta must be nonzero")
@@ -174,29 +172,12 @@ def lz_schedules(
     def angles(s: np.ndarray) -> np.ndarray:
         return np.array([theta_fn(x) for x in s.tolist()])
 
-    def tdot(s: np.ndarray) -> np.ndarray:
-        lo, hi = difference_points(s)
-        return (angles(hi) - angles(lo)) / (hi - lo)
-
-    def h0_sampler(s: np.ndarray) -> np.ndarray:
-        tans = []
-        for x, th in zip(s.tolist(), angles(s).tolist()):
-            if abs(math.cos(th)) < 1e-9:
-                raise ValueError(f"sweep angle reaches pi/2 at s={x:.4f}; field diverges")
-            tans.append(math.tan(th))  # np.tan rounds differently on some angles
-        return delta * (SIGMA_Z + np.array(tans)[:, None, None] * SIGMA_X)
-
-    def cd_sampler(s: np.ndarray) -> np.ndarray:
-        return (tdot(s) / (2.0 * tau))[:, None, None] * SIGMA_Y
-
-    def std_sampler(s: np.ndarray) -> np.ndarray:
-        return h0_sampler(s) + cd_sampler(s)
-
     def eigensystem(s: np.ndarray) -> tuple:
         th = angles(s)
         e = abs(delta) / np.abs(np.cos(th))
         half = 0.5 * th
-        rate = 0.5 * tdot(s) / tau
+        lo, hi = difference_points(s)
+        rate = 0.5 * ((angles(hi) - angles(lo)) / (hi - lo)) / tau
         rows = stack_2x2(-np.cos(half), -np.sin(half), -np.sin(half), np.cos(half))
         return (
             np.stack((-e, e), axis=-1),
@@ -206,12 +187,7 @@ def lz_schedules(
             rate[:, None, None] * rows.astype(complex),
         )
 
-    return {
-        "h0": Schedule(tau, h0_sampler, vectorized=True),
-        "standard": Schedule(tau, std_sampler, vectorized=True),
-        "optimal": Schedule(tau, cd_sampler, vectorized=True),
-        "frame": frame_from_functions(tau, n_points, eigensystem),
-    }
+    return frame_from_functions(tau, n_points, eigensystem)
 
 
 def lz_intensities(
@@ -253,12 +229,9 @@ def lz_intensities(
     if math.isinf(i_opt):
         raise OverflowError(f"correction intensity overflows at tau={float(tau)!r}")
     return {
-        "i0": 1.0,
         "i_opt": i_opt,
         "i_std": 1.0 + i_opt,
         "tau_b": math.sqrt(int_dth2 / int_tan2) / (2.0 * abs(delta)),
-        "int_tan2": int_tan2,
-        "int_dtheta2": int_dth2,
     }
 
 
@@ -454,7 +427,6 @@ def gate_run(
         results.append({
             "success_prob": success,
             "output": out,
-            "target": expected,
             "fidelity": fid,
             "trajectory": run,
         })

@@ -67,7 +67,7 @@ from adiabatic_lab.tqd import (
     gate_run,
     generalized_tqd,
     lz_intensities,
-    lz_schedules,
+    lz_frame,
     nmr_field_ratio,
     nmr_tqd_field_norms,
     optimal_phases,
@@ -98,7 +98,7 @@ def _report(num: int, detail: str) -> None:
 
 
 def _lz_frame(tau, n_points=801):
-    return lz_schedules(LZ_DELTA, lambda s: LZ_THETA0 * s, tau, n_points)["frame"]
+    return lz_frame(LZ_DELTA, lambda s: LZ_THETA0 * s, tau, n_points)
 
 
 def _nmr_lab_schedule(r):
@@ -155,7 +155,7 @@ def test_criterion_02_adiabaticity_coefficient_closed_forms_and_curves():
         try:
             kit = oscillating_noninertial(W0, THETA, r * W0, TAU, n_points=301)
             curves["trad"].append(c_trad(kit.frame, kit.schedule))
-            curves["tong"].append(c_tong(kit.frame, kit.schedule)["max"])
+            curves["tong"].append(c_tong(kit.frame, kit.schedule))
             curves["wu"].append(c_wu(kit.frame))
             curves["ar"].append(c_ar(kit.frame, kit.schedule))
         except ValueError:

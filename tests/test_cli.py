@@ -405,11 +405,21 @@ def test_package_private_names_are_all_referenced():
 REPO = PACKAGE.parent.parent
 # Paper results that no root reaches yet and that stay until their owner
 # binds them to a criterion or removes them; an exempt function's options
-# are exempt with it.
+# and outputs are exempt with it.
 HELD = {
     "openad.jordan_block_coefficient_ode": "the Jordan-block coefficient flow of the open-system theory",
     "openad.adiabatic_propagator_inverse_identities": "the forward/inverse propagator identities, with l_matrix",
     "openad.xi_coefficients(rho0=)": "the initial-state class result of the validity coefficients",
+    "spectral.LiouvilleSpectrum.block_sizes": "the Jordan block sizes of a defective Liouvillian",
+    "spectral.LiouvilleSpectrum.near_defective": "the flag of a spectrum too ill-conditioned to trust",
+}
+# Run diagnostics that no root reads yet: they explain how a run went rather
+# than state a result, and stay for a run report to carry.
+SIDECAR = {
+    'dynamics.evolve_unitary["final_norm_deviation"]': "the norm drift of the raw integrator output",
+    'dynamics.evolve_lindblad["min_eigenvalue"]': "the deepest positivity dip of the states",
+    'openad.asymptotic_adiabaticity_certificate["reasons"]': "why a certificate was refused",
+    'tqd.tqd_time_independence["connection_drift"]': "the premise of the constant-driving criterion",
 }
 
 
@@ -420,16 +430,69 @@ def _roots(repo: Path) -> tuple:
             repo / "bench" / "workloads.py")
 
 
+def _label(node) -> str:
+    """The name an expression ends in: ``d``, ``x.d``, ``x["d"]`` and ``d(...)``
+    all end in ``d``."""
+    if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+        return str(node.slice.value)
+    if isinstance(node, ast.Call):
+        node = node.func
+    return str(getattr(node, "id", getattr(node, "attr", None)))
+
+
+def _strings(node) -> set:
+    return {f'["{c.value}"]' for c in ast.walk(node) if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+
+
+def _key(node):
+    """The key of a subscript read or of a ``.get`` call, or None."""
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+        return node.slice
+    if isinstance(node, ast.Call) and node.args and getattr(node.func, "attr", None) == "get":
+        return node.args[0]
+    return None
+
+
+def _taken_whole(node):
+    """The dict that a call or a loop takes whole, or None."""
+    if isinstance(node, ast.Call):
+        if getattr(node.func, "attr", None) in ("values", "items", "keys") and not node.args:
+            return node.func.value
+        if getattr(node.func, "id", None) in ("list", "tuple", "set", "sorted", "dict") and len(node.args) == 1:
+            return node.args[0]
+    if isinstance(node, (ast.For, ast.comprehension)) and not isinstance(node.iter, (ast.Tuple, ast.List)):
+        return node.iter
+    return None
+
+
 def _referenced(nodes) -> set:
-    """Names the nodes read: ``name`` for a bare name and ``.name`` for an
-    attribute access."""
-    names = set()
+    """Names the nodes read: ``name`` for a bare name, ``.name`` for an
+    attribute access, ``["key"]`` for a string key read by subscript or by
+    ``.get``, and ``*name`` for a dict taken whole (``list(d)``,
+    ``d.values()``, ``d.items()``, ``d.keys()``, a loop over d) whose
+    expression ends in ``name`` (see _label).  A loop over a literal tuple
+    whose variable keys such a read reads every string of the tuple.  A
+    dict comprehension over ``d.items()`` copies d's keys rather than
+    reading them."""
+    names, copies = set(), set()
     for node in nodes:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
                 names.add(sub.id)
             elif isinstance(sub, ast.Attribute):
                 names.add("." + sub.attr)
+            if isinstance(_key(sub), ast.Constant):
+                names |= _strings(_key(sub))
+            if isinstance(sub, ast.DictComp):
+                copies |= {id(loop.iter) for loop in sub.generators}
+            for loop in [sub] if isinstance(sub, ast.For) else getattr(sub, "generators", []):
+                drawn = {n.id for n in ast.walk(loop.target) if isinstance(n, ast.Name)}
+                if isinstance(loop.iter, (ast.Tuple, ast.List)) and any(
+                        getattr(_key(n), "id", None) in drawn for n in ast.walk(sub)):
+                    names |= _strings(loop.iter)
+            whole = _taken_whole(sub)
+            if whole is not None and id(sub) not in copies:
+                names.add("*" + _label(whole))
     return names
 
 
@@ -446,24 +509,61 @@ def _package_functions(package: Path):
                         yield path.stem, f"{node.name}.{item.name}", item, True
 
 
-def unreached_public_names(repo: Path) -> list:
-    """Public functions, classes and methods of the package that no root
-    reaches, following referenced names through the package's definitions.
-    A top-level function or class is reached by its bare name or by an
-    attribute access (``module.name``); a method only by an attribute
-    access, so a local variable that shares a method's name reaches
-    nothing."""
-    package = repo / "src" / "adiabatic_lab"
-    bodies, seeds = {}, {name.split(".")[1].split("(")[0] for name in HELD}
+def _outputs(package: Path):
+    """(label, names that read it) for every output of the package: each
+    dataclass field, read by ``.field``, and each string key of a dict
+    display in a package function, read by ``["key"]`` or by taking the dict
+    whole under a name it is bound to.  That name is the variable it is
+    assigned to, the key or keyword it is passed under, or else the function
+    itself, which returns it directly or through a list.  A display that is
+    subscripted in place is a lookup table, not an output."""
     for path in sorted(package.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.ClassDef):
-                rest = [n for n in node.body if not isinstance(n, ast.FunctionDef)]
+            if isinstance(node, ast.ClassDef) and any(_label(d) == "dataclass" for d in node.decorator_list):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        yield f"{path.stem}.{node.name}.{item.target.id}", {"." + item.target.id}
+    for module, qualname, fn, _ in _package_functions(package):
+        parents = {id(child): node for node in ast.walk(fn) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(fn):
+            parent = parents.get(id(node))
+            if not isinstance(node, ast.Dict) or isinstance(parent, (ast.Attribute, ast.Subscript)):
+                continue
+            if isinstance(parent, ast.Assign):
+                bound = {t.id for t in parent.targets if isinstance(t, ast.Name)}
+            elif isinstance(parent, ast.keyword):
+                bound = {parent.arg}
+            elif isinstance(parent, ast.Dict):
+                bound = {k.value for k, v in zip(parent.keys, parent.values) if v is node}
+            else:
+                bound = {fn.name}
+            for key in node.keys:
+                if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                    yield f'{module}.{qualname}["{key.value}"]', {f'["{key.value}"]'} | {"*" + b for b in bound}
+
+
+def unreached_public_names(repo: Path, held=HELD) -> list:
+    """Public functions, classes, methods, dataclass fields and returned dict
+    keys of the package that no root reaches, following referenced names
+    through the package's definitions.  A top-level function or class is
+    reached by its bare name or by an attribute access (``module.name``); a
+    method or a field only by an attribute access, so a local variable that
+    shares its name reaches nothing; a dict key as :func:`_outputs` says.
+    A ``held`` function seeds the walk as a root would, and no ``held``
+    name, nor an output of a held function, is reported."""
+    package = repo / "src" / "adiabatic_lab"
+    bodies, seeds = {}, set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):  # its dunder methods run when it is used
+                rest = [n for n in node.body if not isinstance(n, ast.FunctionDef) or n.name.startswith("__")]
                 bodies.setdefault(node.name, []).append((f"{path.stem}.{node.name}", rest + node.bases + node.decorator_list))
             elif not isinstance(node, ast.FunctionDef):
                 seeds |= _referenced([node])  # runs on import
     for module, qualname, node, method in _package_functions(package):
         bodies.setdefault("." * method + node.name, []).append((f"{module}.{qualname}", [node]))
+    held_defs = {name.split("(")[0] for name in held}
+    seeds |= {name for name, defs in bodies.items() for label, _ in defs if label in held_defs}
     for root in _roots(repo):
         seeds |= _referenced([ast.parse(root.read_text())])
     reached, todo = set(), list(seeds)
@@ -475,13 +575,17 @@ def unreached_public_names(repo: Path) -> list:
                 todo += _referenced(nodes) - reached
             if name.startswith("."):
                 todo.append(name[1:])
-    return sorted(label for name, defs in bodies.items() for label, _ in defs
-                  if name not in reached and not name.lstrip(".").startswith("_") and label not in HELD)
+    unreached = [label for name, defs in bodies.items() for label, _ in defs
+                 if name not in reached and not name.lstrip(".").startswith("_")]
+    unreached += [label for label, readers in _outputs(package)
+                  if not readers & reached and not re.search(r'[.\["]_', label) and label.split("[")[0] not in held]
+    return sorted(label for label in unreached if label not in held)
 
 
-def unset_public_options(repo: Path) -> list:
+def unset_public_options(repo: Path, held=HELD) -> list:
     """Defaulted parameters of public package functions and methods that no
-    call in the package or in the roots sets, by keyword or by position."""
+    call in the package or in the roots sets, by keyword or by position.
+    No ``held`` option, nor an option of a held function, is reported."""
     package = repo / "src" / "adiabatic_lab"
     calls = {}
     for path in sorted(package.glob("*.py")) + list(_roots(repo)[1:]):
@@ -491,7 +595,7 @@ def unset_public_options(repo: Path) -> list:
                 calls.setdefault(name, []).append(node)
     unset = []
     for module, qualname, fn, method in _package_functions(package):
-        if any(part.startswith("_") for part in qualname.split(".")) or f"{module}.{fn.name}" in HELD:
+        if any(part.startswith("_") for part in qualname.split(".")) or f"{module}.{fn.name}" in held:
             continue
         positional = fn.args.posonlyargs + fn.args.args
         options = [(a.arg, i) for i, a in enumerate(positional) if i >= len(positional) - len(fn.args.defaults)]
@@ -506,14 +610,58 @@ def unset_public_options(repo: Path) -> list:
                 return len(call.args) > index - shift or any(isinstance(a, ast.Starred) for a in call.args)
 
             label = f"{module}.{fn.name}({arg}=)"
-            if label not in HELD and not any(sets(call) for call in calls.get(fn.name, [])):
+            if label not in held and not any(sets(call) for call in calls.get(fn.name, [])):
                 unset.append(label)
     return unset
 
 
 def test_every_public_name_is_reached_from_a_root():
-    unreached = unreached_public_names(REPO)
+    unreached = [name for name in unreached_public_names(REPO) if name not in SIDECAR]
     assert not unreached, unreached
+
+
+def test_output_guard_read_rules(tmp_path):
+    """On a small package: a field is read by attribute, a key by subscript,
+    by ``.get``, by a loop over a literal tuple whose variable keys a read,
+    or by taking its dict whole; a loop whose variable keys nothing reads
+    nothing, and a dict comprehension over ``d.items()`` only copies d."""
+    package = tmp_path / "src" / "adiabatic_lab"
+    package.mkdir(parents=True)
+    (package / "m.py").write_text(
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass\n"
+        "class Report:\n"
+        "    read: float\n"
+        "    unread: float\n"
+        "    notes: dict\n\n"
+        "    def copy(self):\n"
+        "        return Report(self.read, 0.0, notes={k: v for k, v in self.notes.items()})\n\n\n"
+        "def report():\n"
+        "    return Report(1.0, 2.0, notes={'note': 1})\n\n\n"
+        "def run():\n"
+        "    checks = {'whole': True}\n"
+        "    return {'sub': 1, 'got': 2, 'looped': 3, 'checks': checks, 'unread_key': 4}\n"
+    )
+    (package / "cli.py").write_text(
+        "from . import m\n\n\n"
+        "def main():\n"
+        "    rep, out = m.report().copy(), m.run()\n"
+        "    for name in ('unread_key',):\n"
+        "        print(name)\n"
+        "    return rep.read, rep.notes, out['sub'], out.get('got'), [out[k] for k in ('looped',)], list(out['checks'])\n"
+    )
+    for root in ("tests/test_acceptance.py", "bench/workloads.py"):
+        (tmp_path / root).parent.mkdir()
+        (tmp_path / root).write_text("from adiabatic_lab.cli import main\nmain()\n")
+    assert unreached_public_names(tmp_path, held={}) == ['m.Report.unread', 'm.report["note"]', 'm.run["unread_key"]']
+
+
+def test_held_and_sidecar_entries_exist_and_are_unreached():
+    """An entry that no longer names anything, or that a root now reaches,
+    is stale: it has to leave its list."""
+    flagged = set(unreached_public_names(REPO, held={})) | set(unset_public_options(REPO, held={}))
+    stale = sorted((set(HELD) | set(SIDECAR)) - flagged)
+    assert not stale, stale
 
 
 def test_every_public_option_is_set_by_some_caller():

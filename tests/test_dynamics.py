@@ -35,7 +35,7 @@ from adiabatic_lab.opalg import (
     superoperator_matrix,
 )
 from adiabatic_lab.openad import superoperator_at
-from adiabatic_lab.thermo import entropy_rate, heat_rate, von_neumann_entropy, work_rate
+from adiabatic_lab.thermo import entropy_rate, heat_rate, work_rate
 from adiabatic_lab.tqd import controlled_gate_schedule
 
 RNG = np.random.default_rng(7)
@@ -880,17 +880,15 @@ def test_stacked_inputs_match_per_element_loop(seed, dim, lead):
     rhos, rhos2, hams = (x.reshape(-1, dim, dim) for x in (r1, r2, h))
     mixed = 0.5 * rhos + 0.5 * np.eye(dim) / dim  # full rank, so entropy_rate needs no floor
     per_node = [
-        (lindblad_action(g, rho), heat_rate(g, rho, ham), work_rate(ham, rho2),
-         entropy_rate(g, mix), von_neumann_entropy(rho))
+        (lindblad_action(g, rho), heat_rate(g, rho, ham), work_rate(ham, rho2), entropy_rate(g, mix))
         for g, rho, rho2, ham, mix in zip(nodes, rhos, rhos2, hams, mixed)
     ]
-    actions, heats, works, ents, entropies = (list(col) for col in zip(*per_node))
-    assert all(type(v) is float for v in heats + works + ents + entropies)
+    actions, heats, works, ents = (list(col) for col in zip(*per_node))
+    assert all(type(v) is float for v in heats + works + ents)
     assert np.array_equal(lindblad_action(gen, rhos), np.array(actions))
     assert np.array_equal(heat_rate(gen, rhos, hams), heats)
     assert np.array_equal(work_rate(h, r2), np.reshape(works, lead))
     assert np.array_equal(entropy_rate(gen, mixed), ents)
-    assert np.array_equal(von_neumann_entropy(r1), np.reshape(entropies, lead))
 
     for basis in (pauli_basis(1), pauli_basis(2)):
         d = basis.dim

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from adiabatic_lab import openad
+from adiabatic_lab import dynamics, openad
 from adiabatic_lab.dynamics import LindbladGenerator, Schedule, evolve_lindblad, lindblad_action
 from adiabatic_lab.opalg import (
     SIGMA_X,
@@ -26,7 +26,7 @@ from adiabatic_lab.openad import (
     track_liouville_spectrum,
     xi_coefficients,
 )
-from adiabatic_lab.spectral import fourth_order_derivative
+from adiabatic_lab.spectral import cumtrapz, fourth_order_derivative
 
 BASIS = pauli_basis(1)
 RNG = np.random.default_rng(23)
@@ -286,14 +286,19 @@ def test_propagated_states_equal_per_node_reconstruction():
     sched = Schedule(2.0, lambda s: LindbladGenerator(np.cos(s) * h0 + s * h1, ((0.5 + s, jump),)))
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho0 = a @ a.conj().T
-    sol = adiabatic_propagate_1d(sched, rho0 / np.trace(rho0), 2.0, basis, n_points=41)
+    rho0 = rho0 / np.trace(rho0)
+    sol = adiabatic_propagate_1d(sched, rho0, 2.0, basis, n_points=41)
+    # the block coefficients r_a(s) = r_a(0) exp(int_0^s (tau lambda_a - c_a) ds')
+    r0, _ = expand_in_blocks(rho0, sol.frame, basis)
+    diag_conn = np.einsum("kaa->ka", sol.frame.connection)
+    coefficients = r0[None, :] * np.exp(cumtrapz(sol.tau * sol.frame.eigenvalues - diag_conn, sol.grid))
     want = np.zeros_like(sol.states)
-    for k, (right, c) in enumerate(zip(sol.frame.right, sol.coefficients)):
+    for k, (right, c) in enumerate(zip(sol.frame.right, coefficients)):
         # reference: one node at a time, c_n sigma_n added in basis order
         for comp, sig in zip(right @ c, basis.elements):
             want[k] += comp * sig
     assert np.array_equal(sol.states, want / 4)
-    last = CoherenceVector(sol.frame.right[-1] @ sol.coefficients[-1], basis)
+    last = CoherenceVector(sol.frame.right[-1] @ coefficients[-1], basis)
     assert np.array_equal(sol.states[-1], combine_components(last.components, last.basis))
 
 
@@ -383,10 +388,17 @@ def test_xi_long_time_growth_and_steady_start_suppression():
 # function-parity interrogation
 
 
-def test_deutsch_f_parameter_and_validation():
+def test_deutsch_f_parameter_and_validation(monkeypatch):
+    """F = 1 - (-1)^(f(0) + f(1)) is 0 for a constant pair and 2 for a
+    balanced one, and the drive turns by phi(1) = pi F / 2 over the run."""
     omega, tau = 2 * np.pi * 1e4, 1e-4
+    seen = []
+    monkeypatch.setattr(openad, "evolve_lindblad", lambda l, *args: seen.append(l) or evolve_lindblad(l, *args))
     for pair, want in (((0, 0), 0), ((1, 1), 0), ((0, 1), 2), ((1, 0), 2)):
-        assert deutsch_scenario(pair, omega, 0.0, tau, n_steps=120)["f_param"] == want
+        deutsch_scenario(pair, omega, 0.0, tau, n_steps=120)
+        p = np.array([[0.5 * np.pi * want]])[..., None, None]
+        assert np.array_equal(seen[-1].sampler(np.ones((1, 1))).hamiltonian,
+                              -0.5 * omega * (np.cos(p) * SIGMA_X - np.sin(p) * SIGMA_Y))
     with pytest.raises(ValueError, match="0 or 1"):
         deutsch_scenario((0, 2), omega, 0.0, tau, n_steps=120)
 
@@ -423,6 +435,25 @@ def test_deutsch_dephasing_matches_integrated_decay():
     assert np.max(np.abs(res["f_os"] - 1.0)) < 1e-9
 
 
+def test_deutsch_fidelities_take_one_square_root_of_the_states(monkeypatch):
+    """One fidelity call over the two targets, stacked on a leading axis,
+    gives both series, bit for bit the two calls it replaced, and takes the
+    square root of the state stack once per run."""
+    omega = 2 * np.pi * 1e4
+    roots, args = [], []
+    sqrtm, fidelity = dynamics._sqrtm_psd, openad.fidelity
+    monkeypatch.setattr(dynamics, "_sqrtm_psd", lambda rho: roots.append(rho.shape) or sqrtm(rho))
+    monkeypatch.setattr(openad, "fidelity", lambda rho1, rho2: args.append((rho1, rho2)) or fidelity(rho1, rho2))
+    sweep = deutsch_scenario((0, 1), omega, 0.1 * omega, [20.0 / omega, 35.0 / omega], n_steps=100)
+    assert roots == [(101, 2, 2, 2)]
+    ((states, targets),) = args
+    assert targets.shape == (2, 101, 2, 2, 2)
+    for key, target in zip(("f_os", "f_cs"), targets):
+        alone = fidelity(states, target)
+        for r, res in enumerate(sweep):
+            assert np.array_equal(res[key], alone[:, r]) and res[key].tobytes() == alone[:, r].tobytes()
+
+
 def test_deutsch_duration_sweep_equals_scalar_calls():
     """A sequence of durations gives one dict per duration, equal to the
     dict of that duration's own call."""
@@ -433,11 +464,11 @@ def test_deutsch_duration_sweep_equals_scalar_calls():
     assert len(sweep) == len(taus)
     for got, tau in zip(sweep, taus):
         want = deutsch_scenario((0, 1), omega, gamma, tau, n_steps=150)
-        for key in ("times", "f_os", "f_cs"):
+        for key in ("f_os", "f_cs"):
             assert np.array_equal(got[key], want[key])
+        assert np.array_equal(got["trajectory"].times, want["trajectory"].times)
         assert np.array_equal(got["trajectory"].states, want["trajectory"].states)
         assert got["trajectory"].diagnostics == want["trajectory"].diagnostics
-        assert got["f_param"] == want["f_param"] == 2
 
 
 # (9, 3) node-by-member grid of s; every member's column holds s = 0 and s = 1

@@ -22,7 +22,7 @@ from adiabatic_lab.tqd import (
     gate_target_unitary,
     generalized_tqd,
     lz_intensities,
-    lz_schedules,
+    lz_frame,
     matrix_series_schedule,
     nmr_field_ratio,
     nmr_tqd_field_norms,
@@ -55,8 +55,8 @@ def bent_sweep(s):
     return THETA0 * math.sin(0.5 * math.pi * s) ** 2
 
 
-def lz_frame(tau, n_points=801):
-    return lz_schedules(DELTA, linear_sweep, tau, n_points)["frame"]
+def linear_lz_frame(tau, n_points=801):
+    return lz_frame(DELTA, linear_sweep, tau, n_points)
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +65,7 @@ def lz_frame(tau, n_points=801):
 
 @pytest.mark.parametrize("tau", [1.0e-5, 1.0e-4])
 def test_random_phase_driving_preserves_populations(tau):
-    frame = lz_frame(tau)
+    frame = linear_lz_frame(tau)
     psi0 = frame.vectors[0][:, 0].copy()
     for _ in range(3):
         phases = constant_phases(frame, RNG.uniform(-3.0e4, 3.0e4, size=2))
@@ -79,7 +79,7 @@ def test_random_phase_driving_preserves_populations(tau):
 
 def test_standard_tqd_reproduces_adiabatic_relative_phase():
     tau = 1.0e-4
-    frame = lz_frame(tau)
+    frame = linear_lz_frame(tau)
     v0 = frame.vectors[0]
     psi0 = (v0[:, 0] + v0[:, 1]) / math.sqrt(2.0)
     psi = evolve_unitary(standard_tqd(frame), psi0, 400).final
@@ -93,25 +93,32 @@ def test_standard_tqd_reproduces_adiabatic_relative_phase():
 
 
 def test_optimal_phases_vanish_in_parallel_transport_gauge():
-    frame = lz_frame(1.0e-4)
+    frame = linear_lz_frame(1.0e-4)
     theta = optimal_phases(frame).theta
     assert np.max(np.abs(theta)) < 1e-6 * np.max(np.abs(frame.energies))
     adiab = adiabatic_phases(frame).theta
     assert np.max(np.abs(adiab + frame.energies)) < 1e-6 * np.max(np.abs(frame.energies))
 
 
+def _closed_form_cd(theta_fn, tau, s):
+    """The bare correction (d theta/ds / (2 tau)) sigma_y of the avoided-crossing
+    sweep at s, d theta/ds a central difference between difference_points."""
+    lo, hi = difference_points(s)
+    return ((theta_fn(hi) - theta_fn(lo)) / (hi - lo) / (2.0 * tau)) * SIGMA_Y
+
+
 def test_counter_diabatic_term_matches_closed_form():
     tau = 1.0e-4
-    sched = lz_schedules(DELTA, linear_sweep, tau, 801)
-    cd = generalized_tqd(sched["frame"], optimal_phases(sched["frame"]))
+    frame = linear_lz_frame(tau)
+    cd = generalized_tqd(frame, optimal_phases(frame))
     for s in (0.0, 0.3, 0.75, 1.0):
-        want = np.asarray(sched["optimal"].at(s))
+        want = _closed_form_cd(linear_sweep, tau, s)
         got = np.asarray(cd.at(s))
         assert np.max(np.abs(got - want)) < 1e-8 * np.max(np.abs(want))
 
 
 def test_generalized_tqd_rejects_mismatched_phase_grid():
-    frame = lz_frame(1.0e-4, n_points=101)
+    frame = linear_lz_frame(1.0e-4, n_points=101)
     with pytest.raises(ValueError, match="does not match the frame grid"):
         generalized_tqd(frame, PhaseChoice(np.zeros((7, 2))))
 
@@ -143,7 +150,7 @@ def test_generalized_tqd_asymmetry_names_node_on_its_own_scale():
 
 
 def test_time_independence_for_linear_sweep():
-    frame = lz_frame(1.0e-4)
+    frame = linear_lz_frame(1.0e-4)
     report = tqd_report = None
     from adiabatic_lab.tqd import tqd_time_independence
 
@@ -151,13 +158,13 @@ def test_time_independence_for_linear_sweep():
     assert report["connection_drift"] < 1e-8
     assert report["field_drift"] < 1e-8
 
-    bent = lz_schedules(DELTA, bent_sweep, 1.0e-4, 801)["frame"]
+    bent = lz_frame(DELTA, bent_sweep, 1.0e-4, 801)
     report = tqd_time_independence(bent, optimal_phases(bent))
     assert report["field_drift"] > 0.1
 
 
 def _reference_lz_frame(delta, theta_fn, tau, n_points):
-    """The scalar frame closures that lz_schedules replaced, evaluated node
+    """The scalar frame closures that lz_frame replaced, evaluated node
     by node on np.float64 grid points as frame_from_functions took them."""
 
     def tdot(s):
@@ -194,37 +201,17 @@ def _reference_lz_frame(delta, theta_fn, tau, n_points):
     "theta_fn", [linear_sweep, bent_sweep, lambda s: THETA0 * (1.0 - s)], ids=["linear", "bent", "falling"]
 )
 def test_lz_frame_matches_its_scalar_closures(theta_fn, n_points):
-    frame = lz_schedules(DELTA, theta_fn, 1.0e-4, n_points)["frame"]
+    frame = lz_frame(DELTA, theta_fn, 1.0e-4, n_points)
     want = _reference_lz_frame(DELTA, theta_fn, 1.0e-4, n_points)
-    for name in ("energies", "vectors", "dvectors", "denergies"):
+    for name in ("energies", "vectors", "dvectors"):
         assert _same_bits(getattr(frame, name), getattr(want, name)), name
 
 
 def test_lz_frame_calls_theta_once_per_node_and_twice_for_its_derivative():
     calls = []
-    lz_schedules(DELTA, lambda s: calls.append(s) or linear_sweep(s), 1.0e-4, 801)
+    lz_frame(DELTA, lambda s: calls.append(s) or linear_sweep(s), 1.0e-4, 801)
     assert len(calls) == 3 * 801
     assert all(type(s) is float for s in calls)
-
-
-def _reference_lz_samplers(delta, theta_fn, tau):
-    """The scalar samplers that lz_schedules replaced, as Schedule.at took
-    them (s a Python float)."""
-
-    def tdot(s):
-        lo, hi = difference_points(s)
-        return (theta_fn(hi) - theta_fn(lo)) / (hi - lo)
-
-    def h0(s):
-        th = theta_fn(s)
-        if abs(math.cos(th)) < 1e-9:
-            raise ValueError(f"sweep angle reaches pi/2 at s={s:.4f}; field diverges")
-        return delta * (SIGMA_Z + math.tan(th) * SIGMA_X)
-
-    def cd(s):
-        return (tdot(s) / (2.0 * tau)) * SIGMA_Y
-
-    return {"h0": h0, "standard": lambda s: h0(s) + cd(s), "optimal": cd}
 
 
 def _oracle_grid(n_nodes):
@@ -232,22 +219,6 @@ def _oracle_grid(n_nodes):
     nodes = np.linspace(0.0, 1.0, n_nodes)
     mids = 0.5 * (nodes[1:] + nodes[:-1])
     return np.concatenate([nodes, mids, np.random.default_rng(5).uniform(0.0, 1.0, 50), [0.0, 1.0]])
-
-
-@pytest.mark.parametrize(
-    "theta_fn", [linear_sweep, bent_sweep, lambda s: THETA0 * (1.0 - s)], ids=["linear", "bent", "falling"]
-)
-def test_lz_samplers_match_their_scalar_closures(theta_fn):
-    scheds = lz_schedules(DELTA, theta_fn, 1.0e-4, 101)
-    ref = _reference_lz_samplers(DELTA, theta_fn, 1.0e-4)
-    grid = _oracle_grid(801)
-    for name, sampler in ref.items():
-        assert scheds[name].vectorized
-        want = np.array([sampler(s) for s in grid.tolist()])
-        assert _same_bits(scheds[name].sample(grid), want), name
-        assert _same_bits(scheds[name].at(0.3), sampler(0.3)), name
-    with pytest.raises(ValueError, match=r"^sweep angle reaches pi/2 at s=0\.5000; field diverges$"):
-        lz_schedules(DELTA, lambda s: math.pi * s, 1.0e-4, 11)["h0"].sample(np.linspace(0.0, 1.0, 5))
 
 
 @pytest.mark.parametrize("variant", ["adiabatic", "standard", "optimal"])
@@ -311,7 +282,7 @@ def test_matrix_series_schedule_snaps_to_nodes():
 
 
 def test_sigma_is_stationary_at_the_gauge_phases():
-    frame = lz_frame(1.0e-4)
+    frame = linear_lz_frame(1.0e-4)
     base = optimal_phases(frame)
     sigma0 = energy_cost_sigma(generalized_tqd(frame, base))
     eps = 1e-3 * DELTA
@@ -327,17 +298,29 @@ def test_sigma_is_stationary_at_the_gauge_phases():
 
 
 def test_sigma_ranks_the_protocols():
-    frame = lz_frame(1.0e-4)
+    frame = linear_lz_frame(1.0e-4)
     s_opt = energy_cost_sigma(generalized_tqd(frame, optimal_phases(frame)))
     s_std = energy_cost_sigma(standard_tqd(frame))
     assert 0.0 < s_opt < s_std
 
 
+def _lz_integrals(theta_fn, n_quad, trapezoid=np.trapezoid):
+    """int tan^2 theta ds and int |d theta/ds|^2 ds by the quadrature of
+    lz_intensities: the trapezoid rule on n_quad points, with a
+    fourth-order d theta/ds."""
+    grid = np.linspace(0.0, 1.0, n_quad)
+    theta = np.array([theta_fn(s) for s in grid])
+    dtheta = fourth_order_derivative(theta, grid[1] - grid[0])
+    return float(trapezoid(np.tan(theta) ** 2, grid)), float(trapezoid(dtheta**2, grid))
+
+
 def test_lz_intensities_match_quadrature_closed_forms():
     res = lz_intensities(linear_sweep, DELTA, 1.0, n_quad=2001)
+    quad_tan2, quad_dtheta2 = _lz_integrals(linear_sweep, 2001)
+    assert res["i_opt"] == quad_dtheta2 / float(4.0 * 1.0**2 * DELTA**2 * quad_tan2)
     int_tan2 = 3.0 * math.sqrt(3.0) / math.pi - 1.0
-    assert res["int_tan2"] == pytest.approx(int_tan2, rel=1e-6)
-    assert res["int_dtheta2"] == pytest.approx(THETA0**2, rel=1e-6)
+    assert quad_tan2 == pytest.approx(int_tan2, rel=1e-6)
+    assert quad_dtheta2 == pytest.approx(THETA0**2, rel=1e-6)
     assert res["i_std"] == 1.0 + res["i_opt"]
 
     tau_b_exact = math.sqrt(THETA0**2 / int_tan2) / (2.0 * DELTA)
@@ -349,7 +332,7 @@ def test_lz_intensities_match_quadrature_closed_forms():
 
 
 def test_field_integrals_keep_scipys_trapezoid_bits():
-    frame = lz_frame(1.0e-4)
+    frame = linear_lz_frame(1.0e-4)
     h = generalized_tqd(frame, optimal_phases(frame))
     grid = np.linspace(0.0, 1.0, 801)
     hams = h.sample(grid)
@@ -357,11 +340,9 @@ def test_field_integrals_keep_scipys_trapezoid_bits():
     assert energy_cost_sigma(h).hex() == float(scipy.integrate.trapezoid(sizes, grid)).hex()
 
     res = lz_intensities(linear_sweep, DELTA, 1.0, n_quad=2001)
-    grid = np.linspace(0.0, 1.0, 2001)
-    theta = np.array([linear_sweep(s) for s in grid])
-    dtheta = fourth_order_derivative(theta, grid[1] - grid[0])
-    assert res["int_tan2"].hex() == float(scipy.integrate.trapezoid(np.tan(theta) ** 2, grid)).hex()
-    assert res["int_dtheta2"].hex() == float(scipy.integrate.trapezoid(dtheta**2, grid)).hex()
+    int_tan2, int_dtheta2 = _lz_integrals(linear_sweep, 2001, scipy.integrate.trapezoid)
+    assert res["i_opt"].hex() == (int_dtheta2 / float(4.0 * 1.0**2 * DELTA**2 * int_tan2)).hex()
+    assert res["tau_b"].hex() == (math.sqrt(int_dtheta2 / int_tan2) / (2.0 * abs(DELTA))).hex()
 
 
 def test_lz_intensity_scaling_and_guards():
