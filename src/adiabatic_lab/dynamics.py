@@ -67,7 +67,7 @@ class LindbladGenerator:
 
     @functools.cached_property
     def channels(self) -> tuple:
-        if not self.jumps:  # lindblad_action skips the empty stacks
+        if not self.jumps:  # empty stacks: lindblad_action adds no channel term
             empty = np.empty((0,) + self.hamiltonian.shape[-2:], dtype=complex)
             return (np.empty((0, 1, 1)), empty, empty, empty)
         rates, ops = zip(*self.jumps)
@@ -116,11 +116,10 @@ def lindblad_action(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
     h = gen.hamiltonian
     out = -1j * (h @ rho - rho @ h)
     rates, j, jd, jdj = gen.channels
-    if rates.size:  # without jumps, skip four empty matmuls (about 10 us a call)
-        r = rho[..., None, :, :]
-        terms = rates * (j @ r @ jd - 0.5 * (jdj @ r + r @ jdj))
-        for c in range(rates.shape[-3]):
-            out += terms[..., c, :, :]
+    r = rho[..., None, :, :]
+    terms = rates * (j @ r @ jd - 0.5 * (jdj @ r + r @ jdj))
+    for c in range(rates.shape[-3]):
+        out += terms[..., c, :, :]
     return out
 
 

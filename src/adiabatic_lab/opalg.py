@@ -206,7 +206,6 @@ class Superoperator:
     """
 
     matrix: np.ndarray
-    basis: OperatorBasis
     trace_preserving: bool | np.ndarray
 
 
@@ -271,5 +270,5 @@ def superoperator_matrix(
     # the flag to float roundoff
     scale = np.maximum(1.0, np.max(np.abs(mat), axis=(-2, -1)))
     tp = np.max(np.abs(mat[..., 0, :]), axis=-1) < 1e-12 * scale
-    return Superoperator(matrix=mat, basis=basis, trace_preserving=tp if lead else bool(tp))
+    return Superoperator(matrix=mat, trace_preserving=tp if lead else bool(tp))
 

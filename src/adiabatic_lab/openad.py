@@ -48,31 +48,23 @@ IDENTICAL_BLOCK_TOL = 1e-10
 EXPANSION_RESIDUAL_TOL = 1e-8
 
 
-def superoperator_at(l: Schedule, s, basis: OperatorBasis) -> np.ndarray:
-    """Sample a Liouvillian schedule as coherence-vector matrices (1/s).
+def superoperator_at(l: Schedule, grid: np.ndarray, basis: OperatorBasis) -> np.ndarray:
+    """Sample a Liouvillian schedule as coherence-vector matrices (1/s):
+    one D^2 x D^2 matrix per node of the (M,) ``grid`` of normalized times.
 
-    ``s`` is one normalized time or an array of them; the result is one
-    D^2 x D^2 matrix or a stack of them with the shape of ``s`` in front.
     The schedule is sampled once through :meth:`Schedule.generators`, and
     every node's matrix comes from one :func:`lindblad_action` call over the
-    node axis.  The sampler may return a :class:`LindbladGenerator`, a bare
-    Hamiltonian (coherent part only), or the D^2 x D^2 matrix itself.
+    node axis.  The sampler may return a :class:`LindbladGenerator` or a
+    bare Hamiltonian (coherent part only), D x D for the basis's D.
     """
-    s = np.asarray(s, dtype=float)
-    grid = s.reshape(-1)
     gen = l.generators(grid)
-    dim = basis.dim
     shape = gen.hamiltonian.shape[1:]
-    if shape == (dim * dim, dim * dim) and not gen.jumps:
-        mats = gen.hamiltonian
-    elif shape == (dim, dim):
-        try:
-            mats = superoperator_matrix(lambda ops: lindblad_action(gen, ops[:, None]), basis).matrix
-        except LinearityError as exc:
-            raise ValueError(f"generator failed the linearity probe at s={grid[exc.node]}") from None
-    else:
+    if shape != (basis.dim, basis.dim):
         raise ValueError(f"cannot interpret Liouvillian sample of shape {shape}")
-    return mats.reshape(s.shape + mats.shape[1:])
+    try:
+        return superoperator_matrix(lambda ops: lindblad_action(gen, ops[:, None]), basis).matrix
+    except LinearityError as exc:
+        raise ValueError(f"generator failed the linearity probe at s={grid[exc.node]}") from None
 
 
 @dataclass(eq=False)
@@ -86,7 +78,6 @@ class LiouvilleFrame:
     """
 
     grid: np.ndarray
-    tau: float
     eigenvalues: np.ndarray
     right: np.ndarray
     left: np.ndarray
@@ -140,7 +131,6 @@ def track_liouville_spectrum(
     connection = np.einsum("kab,kbc->kac", left, dright)
     return LiouvilleFrame(
         grid=grid,
-        tau=l.tau,
         eigenvalues=eigenvalues,
         right=right,
         left=left,
@@ -153,11 +143,8 @@ class XiReport:
     """Validity coefficients for the one-dimensional-block adiabatic
     approximation, with excluded (diagonal or degenerate) pairs as NaN."""
 
-    grid: np.ndarray
-    tau: float
     xi1: np.ndarray  # (M, B, B), pair (alpha, beta)
     xi2: np.ndarray
-    eigenvalues: np.ndarray
 
     def max_xi1(self) -> float:
         return float(np.nanmax(self.xi1))
@@ -214,9 +201,7 @@ def xi_coefficients(
 
     xi1[:, excluded] = np.nan
     xi2[:, excluded] = np.nan
-    return XiReport(
-        grid=grid, tau=tau, xi1=xi1, xi2=xi2, eigenvalues=frame.eigenvalues
-    )
+    return XiReport(xi1=xi1, xi2=xi2)
 
 
 def expand_in_blocks(
@@ -246,10 +231,7 @@ class AdiabaticOpenSolution:
     """Block-adiabatic trajectory: decoupled coefficients riding their own
     eigenvalue and diagonal connection, recombined into states."""
 
-    grid: np.ndarray
-    tau: float
     states: np.ndarray  # (M, D, D)
-    frame: LiouvilleFrame
     expansion_residual: float
 
 
@@ -269,13 +251,7 @@ def adiabatic_propagate_1d(
     coeffs = r0[None, :] * np.exp(exponent)
 
     states = combine_components((frame.right @ coeffs[..., None])[..., 0], basis)
-    return AdiabaticOpenSolution(
-        grid=frame.grid,
-        tau=tau,
-        states=states,
-        frame=frame,
-        expansion_residual=residual,
-    )
+    return AdiabaticOpenSolution(states=states, expansion_residual=residual)
 
 
 def jordan_block_coefficient_ode(
@@ -349,7 +325,7 @@ def deutsch_scenario(
     (F = 0) function pairs.  Dephasing acts along z at the constant rate
     gamma.
 
-    Returns the integrated trajectory and two fidelity series: against
+    Returns two fidelity series of the integrated states: against
     the open-system adiabatic reference (coherence damped by
     exp(-2 gamma t)) and against the decoherence-free rotating pure
     state, both from one :func:`fidelity` call over the two targets.  A
@@ -384,14 +360,7 @@ def deutsch_scenario(
     damping = np.exp(-2.0 * gamma_int)[..., None, None]
     f_os, f_cs = fidelity(traj.states, 0.5 * (SIGMA_0 + np.stack([damping * coherence, coherence])))
 
-    results = []
-    for r in range(sweep.members):
-        member = traj.member(r)
-        results.append({
-            "trajectory": member,
-            "f_os": f_os[:, r],
-            "f_cs": f_cs[:, r],
-        })
+    results = [{"f_os": f_os[:, r], "f_cs": f_cs[:, r]} for r in range(sweep.members)]
     return results if taus.ndim else results[0]
 
 

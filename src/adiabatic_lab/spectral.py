@@ -16,7 +16,6 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import Schedule
-from .opalg import Superoperator
 
 GAP_TOL_FACTOR = 1e-8
 CLUSTER_TOL_FACTOR = 1e-7
@@ -280,7 +279,6 @@ class LiouvilleSpectrum:
     which is the matrix form of the quasi-eigenvector biorthonormality.
     """
 
-    eigenvalues: np.ndarray
     right: np.ndarray  # columns
     left: np.ndarray  # rows
     block_sizes: list
@@ -323,7 +321,7 @@ def _jordan_block_sizes(mat: np.ndarray, lam: complex, alg_mult: int) -> list:
     return sorted(sizes, reverse=True)
 
 
-def liouville_spectrum(l: Superoperator | np.ndarray) -> LiouvilleSpectrum:
+def liouville_spectrum(mat: np.ndarray) -> LiouvilleSpectrum:
     """Eigen-decompose a Liouvillian matrix, reporting Jordan structure.
 
     Eigenvalues are clustered at 1e-7 of the matrix scale; for each cluster
@@ -334,7 +332,7 @@ def liouville_spectrum(l: Superoperator | np.ndarray) -> LiouvilleSpectrum:
     Near-defective spectra (eigenvector condition number above 1e10) fall
     back to a pseudoinverse and are flagged rather than trusted.
     """
-    mat = l.matrix if isinstance(l, Superoperator) else np.asarray(l, dtype=complex)
+    mat = np.asarray(mat, dtype=complex)
     n = mat.shape[0]
     scale = max(1.0, float(np.linalg.norm(mat, 2)))
     tol_cluster = CLUSTER_TOL_FACTOR * scale
@@ -382,7 +380,6 @@ def liouville_spectrum(l: Superoperator | np.ndarray) -> LiouvilleSpectrum:
         left = np.linalg.inv(vecs)
 
     return LiouvilleSpectrum(
-        eigenvalues=vals,
         right=vecs,
         left=left,
         block_sizes=sorted(block_sizes, reverse=True),

@@ -138,7 +138,6 @@ class ThermoLedger:
     integrator tolerance.
     """
 
-    times: np.ndarray
     heat: np.ndarray
     heat_rate: np.ndarray
     entropy_rate: np.ndarray
@@ -159,14 +158,10 @@ def build_ledger(
     """
     times = traj.times
     rho = traj.states
-    m = len(times)
 
     gen = l.generators(times / l.tau)
     hams = gen.hamiltonian
-    if m >= 5:
-        h_dots = fourth_order_derivative(hams, times[1] - times[0])
-    else:
-        h_dots = np.gradient(hams, times, axis=0)
+    h_dots = fourth_order_derivative(hams, times[1] - times[0])
 
     q_rate = heat_rate(gen, rho, hams, basis)
     w_rate = work_rate(h_dots, rho, basis)
@@ -177,7 +172,6 @@ def build_ledger(
     work = cumtrapz(w_rate, times)
     residual = float(np.max(np.abs(u - u[0] - heat - work)))
     return ThermoLedger(
-        times=times,
         heat=heat,
         heat_rate=q_rate,
         entropy_rate=s_rate,

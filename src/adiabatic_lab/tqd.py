@@ -409,16 +409,16 @@ def gate_run(
     register_state = np.asarray(register_state, dtype=complex)
     register_state = register_state / np.linalg.norm(register_state)
     psi0 = np.kron(register_state, np.array([1.0, 0.0], dtype=complex))
-    traj = evolve_unitary(schedule, psi0, n_steps)
-    runs = [traj] if schedule.members is None else [traj.member(r) for r in range(schedule.members)]
+    final = evolve_unitary(schedule, psi0, n_steps).final
+    finals = [final] if schedule.members is None else list(final)
     u_rot = gate_target_unitary(axis, phi)
     if controlled:
         u_rot = np.kron(np.diag([1.0, 0.0]), SIGMA_0) + np.kron(np.diag([0.0, 1.0]), u_rot)
     expected = u_rot @ register_state
 
     results = []
-    for run in runs:
-        branch = run.final.reshape(-1, 2)[:, 1]
+    for final in finals:
+        branch = final.reshape(-1, 2)[:, 1]
         success = float(np.real(np.vdot(branch, branch)))
         if success < 1e-12:
             raise ValueError("post-selected branch has no weight")
@@ -428,7 +428,6 @@ def gate_run(
             "success_prob": success,
             "output": out,
             "fidelity": fid,
-            "trajectory": run,
         })
     return results[0] if schedule.members is None else results
 

@@ -1,5 +1,6 @@
 import ast
 import builtins
+import functools
 import importlib
 import inspect
 import math
@@ -465,31 +466,215 @@ def _taken_whole(node):
     return None
 
 
-def _referenced(nodes) -> set:
+@functools.lru_cache(maxsize=None)
+def _tree(text: str) -> ast.Module:
+    """One parse per source text, so a node's id names it in every pass."""
+    return ast.parse(text)
+
+
+class _Scope:
+    """The names a function (or a module) body binds, each with every way it
+    is bound there; a name it does not bind is looked up in the enclosing
+    scope."""
+
+    def __init__(self, parent):
+        self.parent, self.bound = parent, {}
+
+    def bind(self, name: str, how: tuple) -> None:
+        self.bound.setdefault(name, []).append(how)
+
+
+class _Producers:
+    """Resolve the receiver of a read to what produced it: a package class,
+    labelled ``module.Class``, or a package function that returns dict
+    displays, directly or through a list, labelled ``module.function`` (as
+    :func:`_outputs` labels its keys).  A name resolves when every binding
+    in its scope gives the same producer: a parameter's annotation (the
+    class for a method's first parameter), the class of a constructor call,
+    the return annotation of a called function (for one without, the
+    producer of its returns), or the dict function itself.  An item of a
+    dict function's result (a loop target, through ``zip`` too, or a
+    non-string subscript) is one of its dicts, and a dataclass field's
+    annotation types the next link of a chain.  Anything else resolves to
+    None."""
+
+    def __init__(self, package: Path, roots, outputs):
+        self.classes, self.functions, self.scope_of, self.handled, self.busy = {}, {}, {}, set(), set()
+        self.dicts = {label.split("[")[0] for label, readers in outputs  # bound to the function's own name
+                      if "*" + label.split("[")[0].rsplit(".", 1)[-1] in readers}
+        for path in sorted(package.glob("*.py")):
+            for node in _tree(path.read_text()).body:
+                if isinstance(node, ast.ClassDef):
+                    fields = {i.target.id: i.annotation for i in node.body if isinstance(i, ast.AnnAssign)
+                              and isinstance(i.target, ast.Name)} if any(
+                        _label(d) == "dataclass" for d in node.decorator_list) else {}
+                    methods = {i.name: i for i in node.body if isinstance(i, ast.FunctionDef)}
+                    self.classes[f"{path.stem}.{node.name}"] = (fields, methods)
+                    self.functions.setdefault(node.name, []).append((f"{path.stem}.{node.name}", None))
+                elif isinstance(node, ast.FunctionDef):
+                    self.functions.setdefault(node.name, []).append((f"{path.stem}.{node.name}", node))
+        for path in sorted(package.glob("*.py")) + [r for r in roots if r.parent != package]:
+            self._index(_tree(path.read_text()), _Scope(None), path.stem)
+
+    def _index(self, node, scope: _Scope, module: str, owner=None) -> None:
+        """Record the scope of every node under ``node``, opening a scope at
+        each function and class body; ``owner`` is the class of a method."""
+        self.scope_of[id(node)] = scope
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            inner, args = _Scope(scope), node.args
+            for i, a in enumerate(args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]):
+                if a is not None:
+                    inner.bind(a.arg, ("is", self._annotation(a.annotation) or (owner if i == 0 else None)))
+            if isinstance(node, ast.FunctionDef):
+                scope.bind(node.name, ("def", (f"{module}.{node.name}" if scope.parent is None else None, node)))
+            scope = inner
+        elif isinstance(node, ast.ClassDef):  # calling it constructs it
+            label = f"{module}.{node.name}" if f"{module}.{node.name}" in self.classes else None
+            scope.bind(node.name, ("def", (label, None)))
+            body = _Scope(scope)
+            for child in ast.iter_child_nodes(node):
+                self._index(child, body, module, label)
+            return
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                self._bind(target, ("value", node.value), scope)
+        elif isinstance(node, (ast.For, ast.comprehension)):
+            self._bind(node.target, ("item", node.iter), scope)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                scope.bind((alias.asname or alias.name).split(".")[0], ("import", None))
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load) and id(node) not in self.handled:
+            scope.bind(node.id, ("is", None))
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            scope.bind(node.name, ("is", None))
+        for child in ast.iter_child_nodes(node):
+            self._index(child, scope, module)
+
+    def _bind(self, target, how: tuple, scope: _Scope) -> None:
+        """Bind a target to a value, or to an item of one; an item of a
+        literal tuple or list is each of its elements in turn."""
+        kind, value = how
+        if kind == "item" and isinstance(value, (ast.Tuple, ast.List)):
+            for element in value.elts:
+                self._bind(target, ("value", element), scope)
+        elif isinstance(target, ast.Name):
+            scope.bind(target.id, ("def", (None, value)) if isinstance(value, ast.Lambda) else how)
+            self.handled.add(id(target))
+        elif isinstance(target, (ast.Tuple, ast.List)):
+            n = len(target.elts)
+            if kind == "value" and isinstance(value, (ast.Tuple, ast.List)) and len(value.elts) == n:
+                parts = [("value", v) for v in value.elts]
+            elif kind == "item" and _label(value) == "zip" and isinstance(value, ast.Call) and len(value.args) == n:
+                parts = [("item", a) for a in value.args]
+            else:
+                parts = [("is", None)] * n
+            for t, part in zip(target.elts, parts):
+                self._bind(t, part, scope)
+
+    def _annotation(self, node):
+        """The package class an annotation names (``C``, ``"C"``, ``m.C``,
+        ``C | None``), or None."""
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            node = ast.parse(node.value, mode="eval").body
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+            sides = [n for n in (node.left, node.right) if not (isinstance(n, ast.Constant) and n.value is None)]
+            node = sides[0] if len(sides) == 1 else None
+        labels = [label for label, fn in self.functions.get(_label(node), []) if fn is None]
+        return labels[0] if isinstance(node, (ast.Name, ast.Attribute)) and len(labels) == 1 else None
+
+    def _item(self, producer):
+        return producer if producer in self.dicts else None
+
+    def _returns(self, label, fn):
+        if fn is None:
+            return label
+        if isinstance(fn, ast.Lambda):
+            return self.producer(fn.body, self.scope_of[id(fn.body)])
+        if fn.returns is not None or label in self.dicts:
+            return self._annotation(fn.returns) or self._item(label)
+        found = {self.producer(r.value, self.scope_of[id(r)]) for r in ast.walk(fn)
+                 if isinstance(r, ast.Return) and r.value is not None and self.scope_of[id(r)].parent
+                 is self.scope_of[id(fn)]}
+        return found.pop() if len(found) == 1 else None
+
+    def _bindings(self, name: str, scope: _Scope) -> list:
+        while scope is not None and name not in scope.bound:
+            scope = scope.parent
+        return [] if scope is None else [(kind, value, scope) for kind, value in scope.bound[name]]
+
+    def _call(self, call: ast.Call, scope: _Scope):
+        name = _label(call)
+        if isinstance(call.func, ast.Attribute):
+            receiver = self.producer(call.func.value, scope)
+            methods = self.classes.get(receiver, ({}, {}))[1]
+            callees = [(f"{receiver}.{name}", methods[name])] if name in methods else self.functions.get(
+                name, []) + [(f"{c}.{name}", d[1][name]) for c, d in self.classes.items() if name in d[1]]
+        else:  # what the caller's scope defines, else what it imports
+            kinds = [(kind, value) for kind, value, _ in self._bindings(name, scope)]
+            callees = ([value for _, value in kinds] if {k for k, _ in kinds} == {"def"}
+                       else self.functions.get(name, []) if {k for k, _ in kinds} <= {"import"} else [])
+        found = {self._returns(*callee) for callee in callees}
+        return found.pop() if len(found) == 1 else None
+
+    def producer(self, expr, scope: _Scope):
+        """The producer of the value of ``expr`` in ``scope``, or None."""
+        if isinstance(expr, ast.Name):
+            bound = self._bindings(expr.id, scope)
+            if not bound or (id(bound[0][2]), expr.id) in self.busy:
+                return None
+            self.busy.add((id(bound[0][2]), expr.id))
+            found = {value if kind == "is" else self.producer(value, where) if kind == "value"
+                     else self._item(self.producer(value, where)) if kind == "item" else None
+                     for kind, value, where in bound}
+            self.busy.discard((id(bound[0][2]), expr.id))
+            return found.pop() if len(found) == 1 else None
+        if isinstance(expr, ast.Call):
+            return self._call(expr, scope)
+        if isinstance(expr, ast.Attribute):
+            cls = self.classes.get(self.producer(expr.value, scope))
+            return self._annotation(cls[0].get(expr.attr)) if cls else None
+        if isinstance(expr, ast.Subscript) and not isinstance(expr.slice, ast.Constant):
+            return self._item(self.producer(expr.value, scope))
+        return None
+
+    def read(self, node, name: str) -> str:
+        """What a read counts for: ``name`` (``.field`` or ``["key"]``) of
+        the receiver's producer when it has such a field or keys, else the
+        bare ``name``."""
+        receiver = node.func.value if isinstance(node, ast.Call) else node.value
+        producer = self.producer(receiver, self.scope_of[id(node)])
+        if name.startswith("."):
+            return producer + name if name[1:] in self.classes.get(producer, ({},))[0] else name
+        return producer + name if producer in self.dicts else name
+
+
+def _referenced(nodes, producers: _Producers) -> set:
     """Names the nodes read: ``name`` for a bare name, ``.name`` for an
     attribute access, ``["key"]`` for a string key read by subscript or by
     ``.get``, and ``*name`` for a dict taken whole (``list(d)``,
     ``d.values()``, ``d.items()``, ``d.keys()``, a loop over d) whose
-    expression ends in ``name`` (see _label).  A loop over a literal tuple
-    whose variable keys such a read reads every string of the tuple.  A
-    dict comprehension over ``d.items()`` copies d's keys rather than
-    reading them."""
+    expression ends in ``name`` (see _label).  A field or key read whose
+    receiver ``producers`` resolves counts only for that producer's field
+    or key (``module.Class.name``, ``module.function["key"]``).  A loop over
+    a literal tuple whose variable keys such a read reads every string of
+    the tuple.  A dict comprehension over ``d.items()`` copies d's keys
+    rather than reading them."""
     names, copies = set(), set()
     for node in nodes:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
                 names.add(sub.id)
             elif isinstance(sub, ast.Attribute):
-                names.add("." + sub.attr)
+                names.add(producers.read(sub, "." + sub.attr))
             if isinstance(_key(sub), ast.Constant):
-                names |= _strings(_key(sub))
+                names |= {producers.read(sub, key) for key in _strings(_key(sub))}
             if isinstance(sub, ast.DictComp):
                 copies |= {id(loop.iter) for loop in sub.generators}
             for loop in [sub] if isinstance(sub, ast.For) else getattr(sub, "generators", []):
                 drawn = {n.id for n in ast.walk(loop.target) if isinstance(n, ast.Name)}
-                if isinstance(loop.iter, (ast.Tuple, ast.List)) and any(
-                        getattr(_key(n), "id", None) in drawn for n in ast.walk(sub)):
-                    names |= _strings(loop.iter)
+                if isinstance(loop.iter, (ast.Tuple, ast.List)):
+                    names |= {producers.read(n, key) for n in ast.walk(sub)
+                              if getattr(_key(n), "id", None) in drawn for key in _strings(loop.iter)}
             whole = _taken_whole(sub)
             if whole is not None and id(sub) not in copies:
                 names.add("*" + _label(whole))
@@ -500,7 +685,7 @@ def _package_functions(package: Path):
     """(module, qualified name, def node, is method) of every function and
     method defined at the top of a package module or of its classes."""
     for path in sorted(package.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+        for node in _tree(path.read_text()).body:
             if isinstance(node, ast.FunctionDef):
                 yield path.stem, node.name, node, False
             elif isinstance(node, ast.ClassDef):
@@ -518,7 +703,7 @@ def _outputs(package: Path):
     itself, which returns it directly or through a list.  A display that is
     subscripted in place is a lookup table, not an output."""
     for path in sorted(package.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+        for node in _tree(path.read_text()).body:
             if isinstance(node, ast.ClassDef) and any(_label(d) == "dataclass" for d in node.decorator_list):
                 for item in node.body:
                     if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
@@ -549,36 +734,40 @@ def unreached_public_names(repo: Path, held=HELD) -> list:
     reached by its bare name or by an attribute access (``module.name``); a
     method or a field only by an attribute access, so a local variable that
     shares its name reaches nothing; a dict key as :func:`_outputs` says.
+    A field or key read whose receiver :class:`_Producers` resolves counts
+    only for that producer's field or key.
     A ``held`` function seeds the walk as a root would, and no ``held``
     name, nor an output of a held function, is reported."""
     package = repo / "src" / "adiabatic_lab"
+    outputs = list(_outputs(package))
+    producers = _Producers(package, _roots(repo), outputs)
     bodies, seeds = {}, set()
     for path in sorted(package.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+        for node in _tree(path.read_text()).body:
             if isinstance(node, ast.ClassDef):  # its dunder methods run when it is used
                 rest = [n for n in node.body if not isinstance(n, ast.FunctionDef) or n.name.startswith("__")]
                 bodies.setdefault(node.name, []).append((f"{path.stem}.{node.name}", rest + node.bases + node.decorator_list))
             elif not isinstance(node, ast.FunctionDef):
-                seeds |= _referenced([node])  # runs on import
+                seeds |= _referenced([node], producers)  # runs on import
     for module, qualname, node, method in _package_functions(package):
         bodies.setdefault("." * method + node.name, []).append((f"{module}.{qualname}", [node]))
     held_defs = {name.split("(")[0] for name in held}
     seeds |= {name for name, defs in bodies.items() for label, _ in defs if label in held_defs}
     for root in _roots(repo):
-        seeds |= _referenced([ast.parse(root.read_text())])
+        seeds |= _referenced([_tree(root.read_text())], producers)
     reached, todo = set(), list(seeds)
     while todo:
         name = todo.pop()
         if name not in reached:
             reached.add(name)
             for _, nodes in bodies.get(name, []):
-                todo += _referenced(nodes) - reached
+                todo += _referenced(nodes, producers) - reached
             if name.startswith("."):
                 todo.append(name[1:])
     unreached = [label for name, defs in bodies.items() for label, _ in defs
                  if name not in reached and not name.lstrip(".").startswith("_")]
-    unreached += [label for label, readers in _outputs(package)
-                  if not readers & reached and not re.search(r'[.\["]_', label) and label.split("[")[0] not in held]
+    unreached += [label for label, readers in outputs if not (readers | {label}) & reached
+                  and not re.search(r'[.\["]_', label) and label.split("[")[0] not in held]
     return sorted(label for label in unreached if label not in held)
 
 
@@ -624,7 +813,9 @@ def test_output_guard_read_rules(tmp_path):
     """On a small package: a field is read by attribute, a key by subscript,
     by ``.get``, by a loop over a literal tuple whose variable keys a read,
     or by taking its dict whole; a loop whose variable keys nothing reads
-    nothing, and a dict comprehension over ``d.items()`` only copies d."""
+    nothing, and a dict comprehension over ``d.items()`` only copies d.  A
+    read on a receiver of known producer counts only for that producer's
+    field or key; a read on an unresolved receiver counts by name."""
     package = tmp_path / "src" / "adiabatic_lab"
     package.mkdir(parents=True)
     (package / "m.py").write_text(
@@ -636,24 +827,36 @@ def test_output_guard_read_rules(tmp_path):
         "    notes: dict\n\n"
         "    def copy(self):\n"
         "        return Report(self.read, 0.0, notes={k: v for k, v in self.notes.items()})\n\n\n"
+        "@dataclass\n"
+        "class Other:\n"
+        "    read: float\n"
+        "    shared: float\n\n\n"
         "def report():\n"
         "    return Report(1.0, 2.0, notes={'note': 1})\n\n\n"
+        "def other() -> Other:\n"
+        "    return Other(1.0, 2.0)\n\n\n"
         "def run():\n"
         "    checks = {'whole': True}\n"
-        "    return {'sub': 1, 'got': 2, 'looped': 3, 'checks': checks, 'unread_key': 4}\n"
+        "    return {'sub': 1, 'got': 2, 'looped': 3, 'checks': checks, 'unread_key': 4}\n\n\n"
+        "def run2():\n"
+        "    return [{'sub': 5}]\n"
     )
     (package / "cli.py").write_text(
         "from . import m\n\n\n"
+        "def show(item):\n"
+        "    return item.shared\n\n\n"
         "def main():\n"
         "    rep, out = m.report().copy(), m.run()\n"
         "    for name in ('unread_key',):\n"
         "        print(name)\n"
+        "    print(show(m.other()), m.run2())\n"
         "    return rep.read, rep.notes, out['sub'], out.get('got'), [out[k] for k in ('looped',)], list(out['checks'])\n"
     )
     for root in ("tests/test_acceptance.py", "bench/workloads.py"):
         (tmp_path / root).parent.mkdir()
         (tmp_path / root).write_text("from adiabatic_lab.cli import main\nmain()\n")
-    assert unreached_public_names(tmp_path, held={}) == ['m.Report.unread', 'm.report["note"]', 'm.run["unread_key"]']
+    assert unreached_public_names(tmp_path, held={}) == [
+        'm.Other.read', 'm.Report.unread', 'm.report["note"]', 'm.run2["sub"]', 'm.run["unread_key"]']
 
 
 def test_held_and_sidecar_entries_exist_and_are_unreached():

@@ -41,31 +41,29 @@ def dephasing_schedule(omega, gamma, tau):
 # sampling and tracking
 
 
-def test_superoperator_at_accepts_three_sample_kinds():
-    gen = LindbladGenerator(SIGMA_Z, ((0.3, SIGMA_Z),))
-    mat = superoperator_at(Schedule(1.0, lambda s: gen), 0.0, BASIS)
-    # generator, raw matrix, and bare Hamiltonian all round through
-    mat2 = superoperator_at(Schedule(1.0, lambda s: mat), 0.0, BASIS)
-    assert np.max(np.abs(mat - mat2)) == 0.0
-    mat3 = superoperator_at(Schedule(1.0, lambda s: SIGMA_Z), 0.0, BASIS)
-    want = superoperator_matrix(
-        lambda op: -1j * (SIGMA_Z @ op - op @ SIGMA_Z), BASIS
-    ).matrix
-    assert np.max(np.abs(mat3 - want)) < 1e-14
-    with pytest.raises(ValueError, match="shape"):
-        superoperator_at(Schedule(1.0, lambda s: np.zeros((3, 3))), 0.0, BASIS)
-
-    # a grid call passes each kind through node by node
+def test_superoperator_at_takes_generators_and_bare_hamiltonians():
+    """A grid of generator samples gives one matrix per node; a bare
+    Hamiltonian is a generator without jumps; a sample of any other shape,
+    a raw D^2 x D^2 matrix among them, is refused."""
     grid = np.linspace(0.0, 1.0, 5)
-    raw = Schedule(1.0, lambda s: s * np.arange(16.0).reshape(4, 4))
-    assert np.array_equal(superoperator_at(raw, grid, BASIS), np.array([raw.at(s) for s in grid]))
+    gen = LindbladGenerator(SIGMA_Z, ((0.3, SIGMA_Z),))
+    mats = superoperator_at(Schedule(1.0, lambda s: gen), grid, BASIS)
+    want = superoperator_matrix(
+        lambda op: -1j * (SIGMA_Z @ op - op @ SIGMA_Z) + 0.3 * (SIGMA_Z @ op @ SIGMA_Z - op), BASIS
+    ).matrix
+    assert mats.shape == (5, 4, 4)
+    assert np.max(np.abs(mats - want)) < 1e-14
+    coherent = superoperator_at(Schedule(1.0, lambda s: SIGMA_Z), grid, BASIS)
+    want = superoperator_matrix(lambda op: -1j * (SIGMA_Z @ op - op @ SIGMA_Z), BASIS).matrix
+    assert np.max(np.abs(coherent - want)) < 1e-14
     bare = Schedule(1.0, lambda s: np.cos(s) * SIGMA_X + s * SIGMA_Z)
     got = superoperator_at(bare, grid, BASIS)
     assert got.shape == (5, 4, 4)
     assert np.array_equal(got, superoperator_at(Schedule(1.0, lambda s: LindbladGenerator(bare.at(s))), grid, BASIS))
-    assert np.array_equal(got, np.array([superoperator_at(bare, s, BASIS) for s in grid]))
-    with pytest.raises(ValueError, match=r"shape \(3, 3\)"):
-        superoperator_at(Schedule(1.0, lambda s: np.zeros((3, 3))), grid, BASIS)
+    assert np.array_equal(got, np.array([superoperator_at(bare, grid[k:k + 1], BASIS)[0] for k in range(5)]))
+    for shape in ((3, 3), (4, 4)):
+        with pytest.raises(ValueError, match=f"shape \\({shape[0]}, {shape[1]}\\)"):
+            superoperator_at(Schedule(1.0, lambda s: np.zeros(shape)), grid, BASIS)
 
 
 def test_grid_linearity_probe_names_first_failing_s(monkeypatch):
@@ -94,15 +92,25 @@ def test_tracked_spectrum_constant_dephasing_eigenvalues():
     assert np.max(np.abs(frame.connection)) < 1e-6
 
 
-def test_tracked_spectrum_rejects_defective_liouvillian():
+def _feed_raw_matrices(monkeypatch):
+    """Make the tracker (and the per-node oracle) read a schedule's samples as
+    raw D^2 x D^2 generator matrices, which superoperator_at does not take:
+    spectra that no small Lindblad schedule gives exactly, such as Jordan
+    chains, reach the tracker this way."""
+    monkeypatch.setattr(openad, "superoperator_at",
+                        lambda l, grid, basis: np.array([l.at(s) for s in grid], dtype=complex))
+
+
+def test_tracked_spectrum_rejects_defective_liouvillian(monkeypatch):
     # a full-size Jordan chain fed in as a raw generator matrix
     chain = np.eye(4, k=1)
     sched = Schedule(1.0, lambda s: chain)
+    _feed_raw_matrices(monkeypatch)
     with pytest.raises(ValueError, match="defective"):
         track_liouville_spectrum(sched, 11, BASIS)
 
 
-def test_tracked_spectrum_names_first_defective_node():
+def test_tracked_spectrum_names_first_defective_node(monkeypatch):
     # a 2x2 Jordan block forms where c(s) = 0, at s = 0.25 and s = 0.75
     def sampler(s):
         c = 16.0 * (s - 0.25) * (s - 0.75)
@@ -110,6 +118,7 @@ def test_tracked_spectrum_names_first_defective_node():
             [[0.0, 1.0, 0.0, 0.0], [0.0, c, 0.0, 0.0], [0.0, 0.0, -5.0, 0.0], [0.0, 0.0, 0.0, -7.0]]
         )
 
+    _feed_raw_matrices(monkeypatch)
     with pytest.raises(ValueError, match=r"defective at s=0\.2500"):
         track_liouville_spectrum(Schedule(1.0, sampler), 5, BASIS)
 
@@ -125,7 +134,7 @@ def _track_per_node(l, n_points, basis):
     eigenvalues = np.empty((n_points, d2), dtype=complex)
     right = np.empty((n_points, d2, d2), dtype=complex)
     prev_vals = prev_vecs = None
-    for k, mat in enumerate(superoperator_at(l, grid, basis)):
+    for k, mat in enumerate(openad.superoperator_at(l, grid, basis)):
         vals, vecs = scipy.linalg.eig(mat)
         vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
         if prev_vecs is None:
@@ -185,7 +194,7 @@ def _qutrit_schedule():
 
 
 def _crossing_schedule():
-    """A raw 4x4 generator V diag(lambda(s)) V^-1 whose eigenvalues are far
+    """A raw 4x4 generator V diag(lambda(s)) V^-1 (see _feed_raw_matrices) whose eigenvalues are far
     apart against the eigenvector overlaps, with eig returning them out of
     the tracked order, so the eigenvalue-distance term must follow the
     previous node's order."""
@@ -215,6 +224,8 @@ def test_tracked_spectrum_equals_per_node_oracle(case, n_solved, monkeypatch):
         "qutrit": (_qutrit_schedule(), _gell_mann_basis(), 61),
         "crossing": (_crossing_schedule(), BASIS, 41),
     }[case]
+    if case == "crossing":
+        _feed_raw_matrices(monkeypatch)
     solver, calls = scipy.optimize.linear_sum_assignment, []
     with monkeypatch.context() as patch:
         patch.setattr(scipy.optimize, "linear_sum_assignment", lambda cost: calls.append(cost) or solver(cost))
@@ -226,7 +237,7 @@ def test_tracked_spectrum_equals_per_node_oracle(case, n_solved, monkeypatch):
     if case == "crossing":
         # the tracked order differs from eig's own order before the last
         # node, where it feeds the distance term of the next assignment
-        raw = np.linalg.eig(superoperator_at(sched, frame.grid, basis))[0]
+        raw = np.linalg.eig(openad.superoperator_at(sched, frame.grid, basis))[0]
         assert np.any(frame.eigenvalues[:-1] != raw[:-1])
 
 
@@ -268,10 +279,11 @@ def test_adiabatic_propagation_exact_for_constant_generator():
     sol = adiabatic_propagate_1d(sched, rho0, tau, BASIS, n_points=101)
     assert sol.expansion_residual < 1e-10
 
-    mat = superoperator_at(sched, 0.0, BASIS)
+    mat = superoperator_at(sched, np.zeros(1), BASIS)[0]
     v0 = to_coherence_vector(rho0, BASIS).components
+    grid = np.linspace(0.0, 1.0, 101)
     for k in (0, 33, 66, 100):
-        t = sol.grid[k] * tau
+        t = grid[k] * tau
         want_vec = scipy.linalg.expm(mat * t) @ v0
         v = CoherenceVector(want_vec, BASIS)
         want = combine_components(v.components, v.basis)
@@ -288,17 +300,19 @@ def test_propagated_states_equal_per_node_reconstruction():
     rho0 = a @ a.conj().T
     rho0 = rho0 / np.trace(rho0)
     sol = adiabatic_propagate_1d(sched, rho0, 2.0, basis, n_points=41)
-    # the block coefficients r_a(s) = r_a(0) exp(int_0^s (tau lambda_a - c_a) ds')
-    r0, _ = expand_in_blocks(rho0, sol.frame, basis)
-    diag_conn = np.einsum("kaa->ka", sol.frame.connection)
-    coefficients = r0[None, :] * np.exp(cumtrapz(sol.tau * sol.frame.eigenvalues - diag_conn, sol.grid))
+    # the block coefficients r_a(s) = r_a(0) exp(int_0^s (tau lambda_a - c_a) ds'),
+    # on the frame the propagation tracks
+    frame = track_liouville_spectrum(sched, 41, basis)
+    r0, _ = expand_in_blocks(rho0, frame, basis)
+    diag_conn = np.einsum("kaa->ka", frame.connection)
+    coefficients = r0[None, :] * np.exp(cumtrapz(2.0 * frame.eigenvalues - diag_conn, frame.grid))
     want = np.zeros_like(sol.states)
-    for k, (right, c) in enumerate(zip(sol.frame.right, coefficients)):
+    for k, (right, c) in enumerate(zip(frame.right, coefficients)):
         # reference: one node at a time, c_n sigma_n added in basis order
         for comp, sig in zip(right @ c, basis.elements):
             want[k] += comp * sig
     assert np.array_equal(sol.states, want / 4)
-    last = CoherenceVector(sol.frame.right[-1] @ coefficients[-1], basis)
+    last = CoherenceVector(frame.right[-1] @ coefficients[-1], basis)
     assert np.array_equal(sol.states[-1], combine_components(last.components, last.basis))
 
 
@@ -412,24 +426,34 @@ def test_deutsch_balanced_adiabatic_fidelity():
     assert res["f_cs"][-1] == pytest.approx(np.sqrt(0.5), abs=5e-3)
 
 
-def test_deutsch_constant_pair_keeps_plus_state():
+def _deutsch_and_trajectory(monkeypatch, *args, **kwargs):
+    """deutsch_scenario's result and the sweep trajectory that its
+    evolve_lindblad call integrated, one member per duration."""
+    trajs = []
+    monkeypatch.setattr(openad, "evolve_lindblad", lambda l, *a: trajs.append(evolve_lindblad(l, *a)) or trajs[-1])
+    res = deutsch_scenario(*args, **kwargs)
+    (traj,) = trajs
+    return res, traj
+
+
+def test_deutsch_constant_pair_keeps_plus_state(monkeypatch):
     """F = 0 leaves the Hamiltonian static along x; no rotation happens."""
     omega = 2 * np.pi * 1e4
     tau = 50.0 / omega
-    res = deutsch_scenario((1, 1), omega, 0.0, tau, n_steps=1500)
-    rho = res["trajectory"].final
+    _, traj = _deutsch_and_trajectory(monkeypatch, (1, 1), omega, 0.0, tau, n_steps=1500)
+    rho = traj.member(0).final
     plus = 0.5 * (np.eye(2) + SIGMA_X)
     assert np.max(np.abs(rho - plus)) < 1e-8
 
 
-def test_deutsch_dephasing_matches_integrated_decay():
+def test_deutsch_dephasing_matches_integrated_decay(monkeypatch):
     """With the drive off, pure dephasing at rate gamma is exactly
     exp(-2 gamma t) on the coherence, and the adiabatic reference
     integrates the same rate, so f_os stays 1."""
     tau = 1.0e-4
     gamma0 = 2.0e4
-    res = deutsch_scenario((0, 0), 0.0, gamma0, tau, n_steps=1500)
-    rho = res["trajectory"].final
+    res, traj = _deutsch_and_trajectory(monkeypatch, (0, 0), 0.0, gamma0, tau, n_steps=1500)
+    rho = traj.member(0).final
     coh = 2.0 * abs(rho[0, 1])
     assert coh == pytest.approx(np.exp(-2.0 * gamma0 * tau), rel=1e-9)
     assert np.max(np.abs(res["f_os"] - 1.0)) < 1e-9
@@ -454,21 +478,24 @@ def test_deutsch_fidelities_take_one_square_root_of_the_states(monkeypatch):
             assert np.array_equal(res[key], alone[:, r]) and res[key].tobytes() == alone[:, r].tobytes()
 
 
-def test_deutsch_duration_sweep_equals_scalar_calls():
+def test_deutsch_duration_sweep_equals_scalar_calls(monkeypatch):
     """A sequence of durations gives one dict per duration, equal to the
-    dict of that duration's own call."""
+    dict of that duration's own call, and integrates each duration as its
+    own call does."""
     omega = 2 * np.pi * 1e4
     taus = [20.0 / omega, 35.0 / omega, 80.0 / omega]
     gamma = 0.1 * omega
-    sweep = deutsch_scenario((0, 1), omega, gamma, taus, n_steps=150)
+    sweep, traj = _deutsch_and_trajectory(monkeypatch, (0, 1), omega, gamma, taus, n_steps=150)
     assert len(sweep) == len(taus)
-    for got, tau in zip(sweep, taus):
-        want = deutsch_scenario((0, 1), omega, gamma, tau, n_steps=150)
+    for r, (got, tau) in enumerate(zip(sweep, taus)):
+        want, alone = _deutsch_and_trajectory(monkeypatch, (0, 1), omega, gamma, tau, n_steps=150)
+        assert list(got) == list(want) == ["f_os", "f_cs"]
         for key in ("f_os", "f_cs"):
             assert np.array_equal(got[key], want[key])
-        assert np.array_equal(got["trajectory"].times, want["trajectory"].times)
-        assert np.array_equal(got["trajectory"].states, want["trajectory"].states)
-        assert got["trajectory"].diagnostics == want["trajectory"].diagnostics
+        member, alone = traj.member(r), alone.member(0)
+        assert np.array_equal(member.times, alone.times)
+        assert np.array_equal(member.states, alone.states)
+        assert member.diagnostics == alone.diagnostics
 
 
 # (9, 3) node-by-member grid of s; every member's column holds s = 0 and s = 1

@@ -158,6 +158,15 @@ def test_ledger_first_law_residual_shrinks_with_the_grid():
     assert ratio > 8.0
 
 
+def test_ledger_refuses_a_trajectory_too_short_for_its_stencil():
+    """The work rate takes dH/dt from the five-point stencil, so a ledger
+    needs at least 5 nodes and names the shortfall."""
+    sched = Schedule(1.0, lambda s: LindbladGenerator((1.0 + s) * SIGMA_X, ((0.3, SIGMA_Z),)))
+    traj = evolve_lindblad(sched, 0.5 * (np.eye(2, dtype=complex) + SIGMA_Z), 3)
+    with pytest.raises(ValueError, match="at least 5 samples"):
+        build_ledger(sched, traj)
+
+
 def test_scenario_heat_matches_closed_form_constant_rate():
     gamma0 = 628.0
     res = dephasing_heat_scenario(OMEGA, BETA, gamma0, TAU_DEC, n_steps=2000)
@@ -294,7 +303,7 @@ def _ledger_per_node(l, traj):
     ])
     q_rate, w_rate, u, s_rate = cols.T
     heat, work = cumtrapz(q_rate, times), cumtrapz(w_rate, times)
-    return times, heat, q_rate, s_rate, float(np.max(np.abs(u - u[0] - heat - work)))
+    return heat, q_rate, s_rate, float(np.max(np.abs(u - u[0] - heat - work)))
 
 
 def _three_level_ham(s):
@@ -326,7 +335,7 @@ def test_ledger_equals_per_node_loop(bare):
     rho0[0, 1] = rho0[1, 0] = 0.1
     traj = evolve_lindblad(sched, rho0, 200)
     led = build_ledger(sched, traj)
-    got = (led.times, led.heat, led.heat_rate, led.entropy_rate, led.first_law_residual)
+    got = (led.heat, led.heat_rate, led.entropy_rate, led.first_law_residual)
     for a, b in zip(got, _ledger_per_node(sched, traj)):
         assert np.array_equal(a, b)
 
@@ -337,7 +346,7 @@ def test_ledger_with_basis_runs_the_dual_route_check(monkeypatch):
 
     def scaled(generator, basis):
         op = real(generator, basis)
-        return Superoperator(1.5 * op.matrix, op.basis, op.trace_preserving)
+        return Superoperator(1.5 * op.matrix, op.trace_preserving)
 
     monkeypatch.setattr(thermo, "superoperator_matrix", scaled)
     with pytest.raises(AssertionError, match="heat rate: operator-trace route"):

@@ -490,12 +490,15 @@ def test_gate_run_on_a_sweep_equals_one_run_per_duration(controlled):
     assert sweep.members == 3
     got = gate_run(sweep, register, axis, math.pi, n_steps=300, controlled=controlled)
     assert len(got) == 3
-    for res, tau in zip(got, taus):
-        want = gate_run(controlled_gate_schedule(*args, tau, "standard", controlled), register, axis,
-                        math.pi, n_steps=300, controlled=controlled)
+    # the integration gate_run post-selects from: register times ancilla |0>
+    psi0 = np.kron(register / np.linalg.norm(register), np.array([1.0, 0.0], dtype=complex))
+    members = evolve_unitary(sweep, psi0, 300)
+    for r, (res, tau) in enumerate(zip(got, taus)):
+        one = controlled_gate_schedule(*args, tau, "standard", controlled)
+        want = gate_run(one, register, axis, math.pi, n_steps=300, controlled=controlled)
         assert res["success_prob"] == want["success_prob"] and res["fidelity"] == want["fidelity"]
         assert res["output"].tobytes() == want["output"].tobytes()
-        assert res["trajectory"].states.tobytes() == want["trajectory"].states.tobytes()
+        assert members.member(r).states.tobytes() == evolve_unitary(one, psi0, 300).states.tobytes()
 
 
 def test_gate_run_refuses_empty_branch():
