@@ -18,17 +18,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import LindbladGenerator, Schedule, evolve_lindblad, evolve_unitary
+from .dynamics import READOUT_BLOCK, LindbladGenerator, Schedule, evolve_lindblad, evolve_unitary
 from .opalg import SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, is_hermitian
 from .spectral import cumtrapz, fourth_order_derivative
 
 BOUNDARY_TOL = 1e-9
 RAMP_TOL = 1e-12
-# Nodes per block of the two-cell power readout.  A whole-grid stack of
-# power observables costs M D^2 complex entries, 12 MB for 12001 nodes, and
-# with its temporaries it raised the peak RSS by 53 MB; 256-node blocks keep
-# the peak at the per-node loop's.
-_POWER_BLOCK = 256
 # The two-cell sweep holds its final bonds for this fraction of tau.
 TWO_CELL_HOLD = 0.1
 
@@ -171,7 +166,8 @@ def stirap_charge(
     tau: float,
     noise: dict | None = None,
     n_steps: int = 4000,
-    protocol: str | None = None,
+    *,
+    protocol: str,
     hold_fraction: float = 0.1,
 ) -> ChargeReport:
     """Charge the three-level ladder with a two-tone drive.
@@ -180,8 +176,10 @@ def stirap_charge(
     ``omega23(s)`` (rad/s, s = t/tau) in the resonant rotating frame;
     jumps and dephasing act identically in that frame, and the ladder
     energies ``spectrum`` enter only the ergotropy bookkeeping, which the
-    frame change leaves untouched.  ``protocol`` ("stable"/"unstable")
-    turns on the matching boundary checks.
+    frame change leaves untouched.  ``protocol`` ("stable" or "unstable")
+    picks the boundary checks of that drive pair; any other value is a
+    ValueError.  The ergotropy is read out over ``READOUT_BLOCK`` nodes at
+    a time, so the readout costs one block beyond the states.
 
     After the sweep the drive is held at its final value for an extra
     ``hold_fraction`` of tau; ``tail_max_power`` is the largest |P| seen
@@ -201,7 +199,7 @@ def stirap_charge(
     elif protocol == "unstable":
         _check_boundary(omega23(0.0), scale, "omega23(0)")
         _check_boundary(omega12(1.0), scale, "omega12(1)")
-    elif protocol is not None:
+    else:
         raise ValueError(f"unknown protocol {protocol!r}")
 
     rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
@@ -209,7 +207,8 @@ def stirap_charge(
 
     h0 = np.diag([w1, w2, w3]).astype(complex)
     states = np.asarray(traj.states)
-    erg = ergotropy(states, h0)
+    erg = np.concatenate([ergotropy(states[a:a + READOUT_BLOCK], h0)
+                          for a in range(0, len(states), READOUT_BLOCK)])
     pops = np.real(np.einsum("tii->ti", states))
     power = fourth_order_derivative(erg, traj.times[1] - traj.times[0])
     k_end = int(np.searchsorted(traj.times, tau, side="right"))
@@ -340,7 +339,8 @@ def two_cell_discharge(
     because it commutes with the hub energy, the power in that window is
     identically zero for any state, which is the no-backflow stability
     mechanism.  ``tail_max_power`` reports the largest |P| seen there and
-    ``peak_power`` the run's own maximum for normalizing it.
+    ``peak_power`` the run's own maximum for normalizing it.  Charge,
+    parity and power are read out over ``READOUT_BLOCK`` nodes at a time.
     """
     sched = two_cell_schedule(ramp, j_coupling, tau)
     singlet = np.zeros(4, dtype=complex)
@@ -353,15 +353,16 @@ def two_cell_discharge(
     h0_hub = np.kron(np.kron(SIGMA_0, SIGMA_0), -omega0 * SIGMA_Z)
     parity_op = np.kron(np.kron(SIGMA_Z, SIGMA_Z), SIGMA_Z)
     m = len(traj.times)
-    charge = _expectation(traj.states, h0_hub) + omega0
-    parity = _expectation(traj.states, parity_op)
-    power = np.empty(m)
+    charge, power, parity = np.empty(m), np.empty(m), np.empty(m)
     # one sampler call per block re-samples the nodes rk4 sampled and dropped:
     # keeping every sample would cost memory that blocks do not
-    for a in range(0, m, _POWER_BLOCK):
-        block = slice(a, a + _POWER_BLOCK)
+    for a in range(0, m, READOUT_BLOCK):
+        block = slice(a, a + READOUT_BLOCK)
+        states = traj.states[block]
+        charge[block] = _expectation(states, h0_hub) + omega0
+        parity[block] = _expectation(states, parity_op)
         p_op = power_operator(h0_hub, sched.sample(traj.times[block] / sched.tau))
-        power[block] = _expectation(traj.states[block], p_op)
+        power[block] = _expectation(states, p_op)
     k_end = int(np.searchsorted(traj.times, tau, side="right"))
     tail = np.abs(power[min(k_end, m - 1):])
     return DischargeReport(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from . import battery as _battery
 from . import openad as _openad
 from . import thermo as _thermo
 from . import tqd as _tqd
-from .dynamics import IntegrationError
+from .dynamics import READOUT_BLOCK, IntegrationError
 
 MIN_GRID = 100
 
@@ -428,7 +429,7 @@ def _run_battery_stirap(cfg: dict):
     rep = _battery.stirap_charge(
         o12, o23, spectrum, tau, noise=noise, n_steps=cfg["n_steps"], protocol=cfg["protocol"]
     )
-    rows = list(zip(rep.times.tolist(), rep.ergotropy.tolist(), rep.power.tolist(), *rep.populations.T.tolist()))
+    rows = _column_rows(rep.times, rep.ergotropy, rep.power, *rep.populations.T)
     extra = [
         f"e_max_rads={spectrum[2] - spectrum[0]!r}",
         f"p_max_norm={rep.p_max_norm!r}",
@@ -447,7 +448,7 @@ def _run_battery_cells(cfg: dict):
         tau,
         n_steps=cfg["n_steps"],
     )
-    rows = list(zip(rep.times.tolist(), rep.charge.tolist(), rep.power.tolist(), rep.parity.tolist()))
+    rows = _column_rows(rep.times, rep.charge, rep.power, rep.parity)
     extra = [
         f"c_max_rads={rep.c_max!r}",
         f"tail_max_power={rep.tail_max_power!r}",
@@ -481,24 +482,26 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _render_csv(name: str, cfg: dict, extra: list[str], header: list[str], rows: list) -> str:
+def _column_rows(*columns: np.ndarray):
+    """The rows of equal-length 1-D columns, as tuples of Python floats
+    (whose repr the table prints; a numpy scalar's differs), converted
+    ``READOUT_BLOCK`` rows at a time as the writer takes them."""
+    for a in range(0, len(columns[0]), READOUT_BLOCK):
+        yield from zip(*(col[a:a + READOUT_BLOCK].tolist() for col in columns))
+
+
+def _write_csv(out, name: str, cfg: dict, extra: list[str], header: list[str], rows) -> None:
+    """Write the table to the open text stream ``out``: the comment lines and
+    the header, then each row as it is rendered, so the table is never held
+    whole."""
     lines = [f"# adiabatic-lab {name}"]
     for key in sorted(cfg):
         lines.append(f"# {key}={_fmt(cfg[key])}")
     for note in extra:
         lines.append(f"# {note}")
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(map(repr, row)))
-    return "\n".join(lines) + "\n"
-
-
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    out.write("\n".join(lines) + "\n")
+    out.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -568,11 +571,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _fail([exc])
     except ArithmeticError as exc:  # a float that underflowed to 0 or overflowed past range
         return _fail([f"{type(exc).__name__}: {exc}"])
-    if isinstance(result, str):
-        _emit(result, args.out)
-    else:
-        extra, header, rows = result
-        _emit(_render_csv(name, cfg, extra, header, rows), args.out)
+    sink = open(args.out, "w", encoding="utf-8", newline="\n") if args.out else contextlib.nullcontext(sys.stdout)
+    with sink as out:
+        if isinstance(result, str):
+            out.write(result)
+        else:
+            _write_csv(out, name, cfg, *result)
     return 0
 
 

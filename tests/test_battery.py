@@ -205,13 +205,13 @@ def test_boundary_checks_catch_swapped_drives():
 def test_stirap_charge_input_guards():
     om12, om23 = stable_protocol(OMEGA_R)
     with pytest.raises(ValueError, match="w3 > w1"):
-        stirap_charge(om12, om23, (1.0, 0.5, 0.5), 1.0e-3, n_steps=200)
+        stirap_charge(om12, om23, (1.0, 0.5, 0.5), 1.0e-3, n_steps=200, protocol="stable")
     with pytest.raises(ValueError, match="negative rate"):
-        stirap_charge(om12, om23, SPECTRUM, 1.0e-3, noise={"gamma21": -1.0}, n_steps=200)
+        stirap_charge(om12, om23, SPECTRUM, 1.0e-3, noise={"gamma21": -1.0}, n_steps=200, protocol="stable")
     with pytest.raises(ValueError, match="unknown protocol"):
         stirap_charge(om12, om23, SPECTRUM, 1.0e-3, n_steps=200, protocol="resonant")
     with pytest.raises(ValueError, match="hold_fraction"):
-        stirap_charge(om12, om23, SPECTRUM, 1.0e-3, n_steps=200, hold_fraction=-0.1)
+        stirap_charge(om12, om23, SPECTRUM, 1.0e-3, n_steps=200, protocol="stable", hold_fraction=-0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,15 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from adiabatic_lab.cli import SCENARIOS, _merge_config, check_config, main
-from adiabatic_lab.dynamics import IntegrationError
+from adiabatic_lab import battery
+from adiabatic_lab.cli import RUNNERS, SCENARIOS, _fmt, _merge_config, check_config, main
+from adiabatic_lab.dynamics import READOUT_BLOCK, IntegrationError
 from adiabatic_lab.openad import deutsch_scenario
 from adiabatic_lab.tqd import compile_pulse_sequence, parse_pulse_sequence
 
@@ -44,6 +46,77 @@ def test_scenario_output_matches_golden(name, tmp_path):
     out = tmp_path / f"{name}.csv"
     assert main(CASES[name] + ["--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+# The long-trajectory tables: the scenario's argv, the report function the
+# runner calls, and the report's columns in table order.
+STREAMED = {
+    "battery-cells": (["battery-cells", "--jtau", "10"], "two_cell_discharge",
+                      lambda rep: [rep.times, rep.charge, rep.power, rep.parity]),
+    "battery-stirap": (["battery-stirap", "--omega0tau", "5", "--gamma0", "0.01"], "stirap_charge",
+                       lambda rep: [rep.times, rep.ergotropy, rep.power, *rep.populations.T]),
+}
+
+
+def _whole_table(name: str, cfg: dict, extra: list, header: list, rows) -> str:
+    """The table as one string: every line joined by newlines, plus the last."""
+    lines = [f"# adiabatic-lab {name}"] + [f"# {key}={_fmt(cfg[key])}" for key in sorted(cfg)]
+    lines += [f"# {note}" for note in extra] + [",".join(header)]
+    lines += [",".join(map(repr, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+# 768 rows fill three blocks exactly; 1001 rows leave a ragged fourth block
+@pytest.mark.parametrize("n_steps", [3 * READOUT_BLOCK - 1, 1000])
+@pytest.mark.parametrize("name", sorted(STREAMED))
+def test_streamed_table_equals_the_whole_string_table(name, n_steps, tmp_path, monkeypatch, capsys):
+    """Rows written block by block, to stdout and to --out, give the bytes of
+    the table rendered whole from the same report."""
+    argv, producer, columns = STREAMED[name]
+    argv = argv + ["--n-steps", str(n_steps)]
+    run, produce = RUNNERS[name], getattr(battery, producer)
+    reports, tables = [], []
+
+    def report(*args, **kwargs):
+        reports.append(produce(*args, **kwargs))
+        return reports[-1]
+
+    def runner(cfg):
+        extra, header, rows = run(cfg)
+        whole_rows = zip(*(col.tolist() for col in columns(reports[-1])))
+        tables.append(_whole_table(name, cfg, extra, header, whole_rows))
+        return extra, header, rows
+
+    monkeypatch.setattr(battery, producer, report)
+    monkeypatch.setitem(RUNNERS, name, runner)
+    assert main(argv) == 0
+    streamed = capsys.readouterr().out
+    out = tmp_path / "table.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert len(streamed.splitlines()) > n_steps > 2 * READOUT_BLOCK
+    assert [streamed, out.read_bytes().decode("utf-8")] == tables
+
+
+@pytest.mark.parametrize("argv, node_bytes, n_steps", [
+    (["battery-cells"], 8 * 16, 6000),  # an (8,) complex amplitude vector per node
+    # a (3, 3) complex density matrix per node; the jump route runs slowly under tracemalloc
+    (["battery-stirap", "--gamma0", "0.01"], 9 * 16, 1500),
+], ids=["battery-cells", "battery-stirap-noisy"])
+def test_doubling_a_long_run_grows_its_peak_by_little_beyond_the_states(argv, node_bytes, n_steps, tmp_path):
+    """Readouts and the writer take one block at a time, so the peak traced
+    memory of a run with --out grows by at most 1.5 times its state array
+    when the step count doubles (whole-trajectory copies gave 3.6 and 4.5)."""
+    out = str(tmp_path / "table.csv")
+    assert main(argv + ["--n-steps", "400", "--out", out]) == 0  # caches filled on first use are no growth
+    peaks = []
+    for n in (n_steps, 2 * n_steps):
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--n-steps", str(n), "--out", out]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 1.5 * n_steps * node_bytes
 
 
 @pytest.mark.parametrize(
