@@ -1,12 +1,13 @@
 """Adiabaticity condition evaluators and frame-equivalence checks.
 
-All evaluators work on a :class:`~adiabatic_lab.spectral.SpectralFrame`
-plus the Hamiltonian schedule that produced it, with hbar = 1 so energies
-and rates are rad/s.  Four condition families are provided: the
-traditional gap criterion, its three-part refinement, the
-gauge-invariant resonance-sensitive criterion, and the norm-based
-rigorous bound.  Two theorem checkers compare adiabatic verdicts between
-frames related by a time-dependent unitary.
+All evaluators work on a :class:`~adiabatic_lab.spectral.SpectralFrame`,
+and all but the resonance-sensitive one also on the (M, D, D) stack of
+dH/dt on the frame's grid that :func:`hdot_samples` takes once per
+model, with hbar = 1 so energies and rates are rad/s.  Four condition
+families are provided: the traditional gap criterion, its three-part
+refinement, the gauge-invariant resonance-sensitive criterion, and the
+norm-based rigorous bound.  Two theorem checkers compare adiabatic
+verdicts between frames related by a time-dependent unitary.
 """
 
 from __future__ import annotations
@@ -22,8 +23,12 @@ from .dynamics import Schedule, frame_transform
 from .opalg import SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, stack_2x2
 from .spectral import SpectralFrame, fourth_order_derivative, frame_from_functions
 
-def _hdot_samples(h: Schedule, grid: np.ndarray, tau: float) -> np.ndarray:
-    return fourth_order_derivative(h.sample(grid), grid[1] - grid[0]) / tau
+
+def hdot_samples(kit: ModelKit) -> np.ndarray:
+    """dH/dt on the grid of the kit's frame, (M, D, D): one sample of the
+    schedule, differentiated at fourth order."""
+    grid = kit.frame.grid
+    return fourth_order_derivative(kit.schedule.sample(grid), grid[1] - grid[0]) / kit.frame.tau
 
 
 def _profile(series: np.ndarray) -> np.ndarray:
@@ -32,12 +37,11 @@ def _profile(series: np.ndarray) -> np.ndarray:
     return np.max(np.ascontiguousarray(np.moveaxis(np.abs(series), 0, -1)), axis=-1)
 
 
-def _coupling(frame: SpectralFrame, h: Schedule, modulus: bool = False) -> np.ndarray:
+def _coupling(frame: SpectralFrame, hdot: np.ndarray, modulus: bool = False) -> np.ndarray:
     """<E_m|dH/dt|E_n> / (E_m - E_n)^2 on every node, (M, d, d) with a zero
     diagonal.  ``modulus`` divides |<E_m|dH/dt|E_n>| instead, as
     :func:`c_trad` is defined; that rounds differently from the modulus of
     the quotient."""
-    hdot = _hdot_samples(h, frame.grid, frame.tau)
     num = dagger(frame.vectors) @ hdot @ frame.vectors
     if modulus:
         num = np.abs(num)
@@ -50,13 +54,13 @@ def _coupling(frame: SpectralFrame, h: Schedule, modulus: bool = False) -> np.nd
     return out
 
 
-def c_trad(frame: SpectralFrame, h: Schedule) -> float:
+def c_trad(frame: SpectralFrame, hdot: np.ndarray) -> float:
     """Traditional gap condition: max over time and level pairs of
     |<E_m|dH/dt|E_n>| / (E_m - E_n)^2."""
-    return float(np.max(_coupling(frame, h, modulus=True)))
+    return float(np.max(_coupling(frame, hdot, modulus=True)))
 
 
-def c_tong(frame: SpectralFrame, h: Schedule) -> float:
+def c_tong(frame: SpectralFrame, hdot: np.ndarray) -> float:
     """Three-part refinement of the gap condition.
 
     Returns the largest of the parts (a), (b) and (c).  Part (a) is the
@@ -66,7 +70,7 @@ def c_tong(frame: SpectralFrame, h: Schedule) -> float:
     """
     grid, tau = frame.grid, frame.tau
     dim = frame.n_levels
-    coupling = _coupling(frame, h)
+    coupling = _coupling(frame, hdot)
     part_a = float(np.max(np.abs(coupling)))
 
     dcoupling = fourth_order_derivative(coupling, grid[1] - grid[0]) / tau
@@ -122,7 +126,7 @@ def c_wu(frame: SpectralFrame) -> float:
     return worst
 
 
-def c_ar(frame: SpectralFrame, h: Schedule) -> float:
+def c_ar(frame: SpectralFrame, hdot: np.ndarray) -> float:
     """Norm-based rigorous bound, Frobenius norms throughout.
 
     max over time of max(|dH/dt|^3 / gap^4, |dH/dt| |d2H/dt2| / gap^3)
@@ -131,7 +135,6 @@ def c_ar(frame: SpectralFrame, h: Schedule) -> float:
     """
     grid, tau = frame.grid, frame.tau
     ds = grid[1] - grid[0]
-    hdot = _hdot_samples(h, grid, tau)
     hddot = fourth_order_derivative(hdot, ds) / tau
     norm1 = np.linalg.norm(hdot, axis=(1, 2))
     norm2 = np.linalg.norm(hddot, axis=(1, 2))

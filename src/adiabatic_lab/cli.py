@@ -316,13 +316,13 @@ def _run_adcheck(cfg: dict):
     def point(r: float):
         try:
             kit = kit_for(r)
-            frame, sched = kit.frame, kit.schedule
+            frame, hdot = kit.frame, _adcheck.hdot_samples(kit)
             return (
                 r,
-                _adcheck.c_trad(frame, sched),
-                _adcheck.c_tong(frame, sched),
+                _adcheck.c_trad(frame, hdot),
+                _adcheck.c_tong(frame, hdot),
                 _adcheck.c_wu(frame),
-                _adcheck.c_ar(frame, sched),
+                _adcheck.c_ar(frame, hdot),
             )
         except ValueError:
             return (r, math.nan, math.nan, math.nan, math.nan)

@@ -291,8 +291,9 @@ def rk4(sample: Callable[[np.ndarray], object], y0: np.ndarray, times: np.ndarra
     are the textbook loop's bit for bit.  The steps run in blocks of
     :data:`BLOCK`, and each block takes its samples from one ``sample``
     call in step order, [node 0,] midpoint, node, midpoint, node, ...: at
-    most 2 * BLOCK + 1 samples, so the samples never cost more memory than
-    one block's worth, however long the run.  ``sample`` must be a pure
+    most 2 * BLOCK + 1 samples.  The block forms its own sample times and
+    step sizes, so neither they nor the samples cost more memory than one
+    block's worth, however long the run.  ``sample`` must be a pure
     function of t.
 
     The stage inputs y + (h/2) k, the k-combination and the new state are
@@ -321,11 +322,6 @@ def rk4(sample: Callable[[np.ndarray], object], y0: np.ndarray, times: np.ndarra
     n = len(times) - 1
     out = np.empty((n + 1,) + y.shape, dtype=complex)
     out[0] = y
-    dt = times[1:] - times[:-1]
-    # every sample time in call order: node 0, then each step's midpoint and end node
-    ts = np.empty((2 * n + 1,) + times.shape[1:])
-    ts[0::2] = times
-    ts[1::2] = times[:-1] + 0.5 * dt
     # The step sizes h, h/2 and h/6 carry ``unit``.  For unit = -1j this is
     # exact: multiplying by -i swaps the real and imaginary parts and flips
     # one sign, without rounding, so it commutes with the real scalings and
@@ -335,19 +331,26 @@ def rk4(sample: Callable[[np.ndarray], object], y0: np.ndarray, times: np.ndarra
     # component is an exact zero; only the sign of an exact zero could
     # differ.  Scaling the samples instead, (-i A) y, would change the
     # rounding of the matrix product.
-    if times.ndim > 1:  # a member's step sizes broadcast over its own state
-        dt = dt.reshape(dt.shape + (1,) * (y.ndim - 1))
-    steps = [unit * dt, unit * (0.5 * dt), unit * (dt / 6.0)]
     buf = np.empty_like(y)
     add, mul = np.add, np.multiply
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(0, n, BLOCK):
             b = min(a + BLOCK, n)
             j = int(a == 0)  # where the block's first midpoint sits
-            nodes = sample(ts[2 * a + 1 - j:2 * b + 1])
+            grid = times[a:b + 1]
+            dt = grid[1:] - grid[:-1]
+            # the block's sample times in call order: its first node, then
+            # each step's midpoint and end node
+            ts = np.empty((2 * (b - a) + 1,) + times.shape[1:])
+            ts[0::2] = grid
+            ts[1::2] = grid[:-1] + 0.5 * dt
+            nodes = sample(ts[1 - j:])
             if j:
                 a_end = nodes[0]
-            for k, h, h_half, h_sixth in zip(range(a + 1, b + 1), *(x[a:b] for x in steps)):
+            if times.ndim > 1:  # a member's step sizes broadcast over its own state
+                dt = dt.reshape(dt.shape + (1,) * (y.ndim - 1))
+            steps = unit * dt, unit * (0.5 * dt), unit * (dt / 6.0)
+            for k, h, h_half, h_sixth in zip(range(a + 1, b + 1), *steps):
                 k1 = act(a_end, y)
                 a_mid = nodes[j]
                 k2 = act(a_mid, add(y, mul(h_half, k1, out=buf), out=buf))
@@ -406,10 +409,11 @@ def evolve_lindblad(l: Schedule, rho0: np.ndarray, n_steps: int) -> Trajectory:
     means the step size is too coarse for the generator's fastest rate).  A
     positivity dip beyond ``TOL_POS`` is only flagged with a step-size hint
     since transient negative eigenvalues at the integrator tolerance level
-    are expected.  The positivity guard takes the eigenvalues of
-    (rho + rho^dag) / 2 over :data:`READOUT_BLOCK` nodes at a time, so it
-    costs one block beyond the states, and its minimum per member is the
-    whole run's.
+    are expected.  Both guards read the states in one pass, over
+    :data:`READOUT_BLOCK` nodes at a time, so they cost one block beyond the
+    states; the drift, its first worst node and the minimum eigenvalue of
+    (rho + rho^dag) / 2 per member are the whole run's.  Blocks after the
+    drift reaches ``TRACE_TOL`` take no eigenvalues, as the run will raise.
 
     The probe's 5 samples pick the route.  When none of them carries a jump,
     :func:`rk4` steps the Hamiltonian stack alone, with ``act`` = [H, rho]
@@ -451,19 +455,21 @@ def evolve_lindblad(l: Schedule, rho0: np.ndarray, n_steps: int) -> Trajectory:
     else:
         states = rk4(sample, y0, times, lindblad_action)
     per_member = states.reshape((len(times), -1) + rho0.shape)
-    deviation = np.abs(np.trace(per_member, axis1=-2, axis2=-1) - 1.0)
-    drift = np.max(deviation, axis=0)
-    failing = np.flatnonzero(drift >= TRACE_TOL)
-    if failing.size:
-        r = failing[0]
-        raise IntegrationError(
-            int(np.argmax(deviation[:, r])),
-            f"trace drift {drift[r]:.3e} exceeds {TRACE_TOL:.1e}",
-        )
+    drift = np.zeros(per_member.shape[1])
+    worst = np.zeros(per_member.shape[1], dtype=int)  # each member's first node of largest drift
     dips = []
     for a in range(0, len(times), READOUT_BLOCK):
         block = per_member[a:a + READOUT_BLOCK]
-        dips.append(np.min(np.linalg.eigvalsh(0.5 * (block + dagger(block))), axis=(0, 2)))
+        deviation = np.abs(np.trace(block, axis1=-2, axis2=-1) - 1.0)
+        peak = np.max(deviation, axis=0)
+        worst = np.where(peak > drift, a + np.argmax(deviation, axis=0), worst)
+        drift = np.maximum(drift, peak)
+        if not np.any(drift >= TRACE_TOL):
+            dips.append(np.min(np.linalg.eigvalsh(0.5 * (block + dagger(block))), axis=(0, 2)))
+    failing = np.flatnonzero(drift >= TRACE_TOL)
+    if failing.size:
+        r = failing[0]
+        raise IntegrationError(int(worst[r]), f"trace drift {drift[r]:.3e} exceeds {TRACE_TOL:.1e}")
     min_eig = np.min(dips, axis=0)
     for dip in min_eig[min_eig < -TOL_POS]:
         warnings.warn(

@@ -141,25 +141,9 @@ def pauli_basis(n_qubits: int) -> OperatorBasis:
     return OperatorBasis(dim=2**n_qubits, elements=tuple(elements), labels=tuple(labels))
 
 
-@dataclass(eq=False)
-class CoherenceVector:
-    """Component vector of an operator in an :class:`OperatorBasis`, or a
-    stack (..., D^2) of them, one per node."""
-
-    components: np.ndarray
-    basis: OperatorBasis
-
-    def __post_init__(self) -> None:
-        self.components = np.asarray(self.components, dtype=complex)
-        if self.components.shape[-1:] != (self.basis.dim**2,):
-            raise ValueError(
-                f"expected {self.basis.dim ** 2} components, "
-                f"got shape {self.components.shape}"
-            )
-
-
-def to_coherence_vector(rho: np.ndarray, basis: OperatorBasis) -> CoherenceVector:
-    """Expand an operator over the basis, components c_n = Tr(rho sigma_n^dag).
+def to_coherence_vector(rho: np.ndarray, basis: OperatorBasis) -> np.ndarray:
+    """Expand an operator over the basis, components c_n = Tr(rho sigma_n^dag),
+    a complex (D^2,) array.
 
     A stack of operators (..., D, D) gives a stack of component vectors
     (..., D^2).  Each component is one batched 1 x D^2 by D^2 x 1 product,
@@ -171,20 +155,23 @@ def to_coherence_vector(rho: np.ndarray, basis: OperatorBasis) -> CoherenceVecto
         raise ValueError(f"operator shape {rho.shape} does not match dim {basis.dim}")
     d2 = basis.dim**2
     sig = np.conj(np.array(basis.elements).reshape(d2, 1, d2))
-    comps = (sig @ rho.reshape(rho.shape[:-2] + (1, d2, 1)))[..., 0, 0]
-    return CoherenceVector(components=comps, basis=basis)
+    return (sig @ rho.reshape(rho.shape[:-2] + (1, d2, 1)))[..., 0, 0]
 
 
-def from_coherence_vector(v: CoherenceVector) -> np.ndarray:
-    """Reconstruct the state (1/D) sum_n c_n sigma_n, or a stack of them.
+def from_coherence_vector(comps: np.ndarray, basis: OperatorBasis) -> np.ndarray:
+    """Reconstruct the state (1/D) sum_n c_n sigma_n from components
+    (..., D^2), or a stack of states; a component count other than D^2 is
+    refused.
 
     The identity coefficient is pinned to 1, the value any density matrix
     must carry in this convention; :func:`combine_components` rebuilds
     general (traceless or non-state) operators such as generator outputs.
     """
-    comps = v.components.copy()
+    comps = np.array(comps, dtype=complex)
+    if comps.shape[-1:] != (basis.dim**2,):
+        raise ValueError(f"expected {basis.dim ** 2} components, got shape {comps.shape}")
     comps[..., 0] = 1.0
-    return combine_components(comps, v.basis)
+    return combine_components(comps, basis)
 
 
 def combine_components(comps: np.ndarray, basis: OperatorBasis) -> np.ndarray:

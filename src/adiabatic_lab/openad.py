@@ -212,7 +212,7 @@ def expand_in_blocks(
     Raises when the family does not reproduce the state to 1e-8, which
     happens when the spectrum was truncated or mis-tracked.
     """
-    vec = to_coherence_vector(np.asarray(rho0, dtype=complex), basis).components
+    vec = to_coherence_vector(np.asarray(rho0, dtype=complex), basis)
     coeffs = frame.left[0] @ vec
     residual = float(
         np.linalg.norm(frame.right[0] @ coeffs - vec)

@@ -80,8 +80,8 @@ def heat_rate(
     direct = _real_trace(lindblad_action(gen, rho) @ h)
     if basis is not None:
         lmat = superoperator_matrix(lambda ops: lindblad_action(gen, ops[:, None]), basis).matrix
-        h_vec = to_coherence_vector(h, basis).components
-        l_rho = (lmat @ to_coherence_vector(rho, basis).components[..., None])[..., 0]
+        h_vec = to_coherence_vector(h, basis)
+        l_rho = (lmat @ to_coherence_vector(rho, basis)[..., None])[..., 0]
         paired = np.real(np.sum(h_vec * l_rho, axis=-1)) / basis.dim
         _dual_route_check(direct, paired, "heat rate")
     return direct
@@ -97,8 +97,8 @@ def work_rate(
     :func:`heat_rate`."""
     direct = _real_trace(np.asarray(rho) @ np.asarray(h_dot))
     if basis is not None:
-        hd_vec = to_coherence_vector(h_dot, basis).components
-        rho_vec = to_coherence_vector(rho, basis).components
+        hd_vec = to_coherence_vector(h_dot, basis)
+        rho_vec = to_coherence_vector(rho, basis)
         _dual_route_check(direct, np.real(np.sum(hd_vec * rho_vec, axis=-1)) / basis.dim, "work rate")
     return direct
 

@@ -2,10 +2,11 @@
 field-cost scenarios, gate constructions, and a pulse-program compiler.
 
 A driving Hamiltonian built from a tracked frame reproduces the frame's
-eigenstates exactly at any speed, carrying per-level phases chosen by a
-:class:`PhaseChoice`.  The adiabatic choice mimics slow driving, the
-optimal choice zeroes every controllable phase and minimizes the
-Hilbert-Schmidt field cost.
+eigenstates exactly at any speed, carrying per-level phases at rates
+theta_n(s) that the caller chooses: an (M, d) array on the frame grid, in
+rad/s.  The adiabatic choice mimics slow driving, the optimal choice
+zeroes every controllable phase and minimizes the Hilbert-Schmidt field
+cost.
 
 All frequencies are rad/s with hbar = 1 except where a parameter name
 says ``_hz``; those are plain Hz at the lab boundary.
@@ -32,23 +33,13 @@ PHASE_IMAG_TOL = 1e-8
 # phase freedoms and driving schedules
 
 
-@dataclass(eq=False)
-class PhaseChoice:
-    """Per-level phase rates theta_n(s) on a frame grid, in rad/s."""
-
-    theta: np.ndarray  # (M, d) real
-
-    def __post_init__(self) -> None:
-        self.theta = np.asarray(self.theta, dtype=float)
-
-
-def adiabatic_phases(frame: SpectralFrame) -> PhaseChoice:
+def adiabatic_phases(frame: SpectralFrame) -> np.ndarray:
     """Phase rates that mimic slow driving: -E_n plus the connection term
     i <E_n|dE_n/dt>."""
-    return PhaseChoice(optimal_phases(frame).theta - frame.energies)
+    return optimal_phases(frame) - frame.energies
 
 
-def optimal_phases(frame: SpectralFrame) -> PhaseChoice:
+def optimal_phases(frame: SpectralFrame) -> np.ndarray:
     """Minimal-field phase rates theta_n = i <E_n|dE_n/dt>; in a
     parallel-transport gauge these vanish identically."""
     conn = 1j * np.einsum("knn->kn", frame.connection)
@@ -57,13 +48,12 @@ def optimal_phases(frame: SpectralFrame) -> PhaseChoice:
     bad = np.flatnonzero(worst > PHASE_IMAG_TOL * scale)
     if bad.size:
         raise AssertionError(f"optimal phase has imaginary residual {worst[bad[0]]:.2e}")
-    return PhaseChoice(np.real(conn))
+    return np.real(conn)
 
 
-def constant_phases(frame: SpectralFrame, values: Sequence[float]) -> PhaseChoice:
+def constant_phases(frame: SpectralFrame, values: Sequence[float]) -> np.ndarray:
     values = np.asarray(values, dtype=float)
-    theta = np.broadcast_to(values, (len(frame.grid), values.shape[0])).copy()
-    return PhaseChoice(theta)
+    return np.broadcast_to(values, (len(frame.grid), values.shape[0])).copy()
 
 
 def matrix_series_schedule(grid: np.ndarray, tau: float, mats: np.ndarray) -> Schedule:
@@ -88,18 +78,20 @@ def matrix_series_schedule(grid: np.ndarray, tau: float, mats: np.ndarray) -> Sc
     return Schedule(tau=tau, sampler=sampler, vectorized=True)
 
 
-def generalized_tqd(frame: SpectralFrame, phases: PhaseChoice) -> Schedule:
+def generalized_tqd(frame: SpectralFrame, theta: np.ndarray) -> Schedule:
     """Driving schedule that follows the frame's eigenstates exactly while
-    each level accumulates exp(i int theta_n dt).
+    each level accumulates exp(i int theta_n dt), for phase rates
+    ``theta`` of shape (M, d) on the frame grid.
 
     H(t) = i sum_n |dE_n/dt><E_n|  -  sum_n theta_n |E_n><E_n|,
     Hermitized with an asserted residual below 1e-8 of its scale.
     """
     m, d = frame.energies.shape
-    if phases.theta.shape != (m, d):
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (m, d):
         raise ValueError("phase array does not match the frame grid")
     v, dv = frame.vectors, frame.dvectors
-    h = 1j * (dv @ dagger(v)) - (v * phases.theta[:, None, :]) @ dagger(v)
+    h = 1j * (dv @ dagger(v)) - (v * theta[:, None, :]) @ dagger(v)
     asym = np.max(np.abs(h - dagger(h)), axis=(1, 2))
     scale = np.maximum(1.0, np.max(np.abs(h), axis=(1, 2)))
     bad = np.flatnonzero(asym > HERMITICITY_TOL * scale)
@@ -127,7 +119,7 @@ def energy_cost_sigma(h: Schedule) -> float:
     return float(np.trapezoid(vals, grid))
 
 
-def tqd_time_independence(frame: SpectralFrame, phases: PhaseChoice) -> dict:
+def tqd_time_independence(frame: SpectralFrame, theta: np.ndarray) -> dict:
     """Premise and conclusion of the constant-driving criterion.
 
     When every connection <E_k|dE_m/dt> is constant in time, constant
@@ -139,7 +131,7 @@ def tqd_time_independence(frame: SpectralFrame, phases: PhaseChoice) -> dict:
     drift = float(np.max(np.abs(conn - conn[:1])))
     conn_scale = max(float(np.max(np.abs(conn[0]))), 1e-300)
 
-    hams = generalized_tqd(frame, phases).sample(frame.grid)
+    hams = generalized_tqd(frame, theta).sample(frame.grid)
     h_scale = max(float(np.max(np.abs(hams[0]))), 1e-300)
     h_drift = float(np.max(np.abs(hams - hams[0])))
     return {

@@ -11,6 +11,7 @@ from adiabatic_lab.adcheck import (
     c_tong,
     c_trad,
     c_wu,
+    hdot_samples,
     min_gap_noninertial,
     nmr_rotating,
     nmr_rotating_frame,
@@ -48,7 +49,7 @@ def nmr_kit(r, n_points=2001):
 def test_nmr_c_trad_closed_form(r):
     kit = nmr_kit(r)
     want = 0.5 * abs(r * np.sin(THETA) * np.cos(THETA))
-    assert c_trad(kit.frame, kit.schedule) == pytest.approx(want, rel=1e-4)
+    assert c_trad(kit.frame, hdot_samples(kit)) == pytest.approx(want, rel=1e-4)
 
 
 @pytest.mark.parametrize("r", [0.1, 0.5, 1.0, 2.0, 3.0])
@@ -65,16 +66,17 @@ def test_nmr_c_tong_part_a_is_c_trad():
     """Part (a) of c_tong, the largest |<E_m|dH/dt|E_n> / (E_m - E_n)^2|, is
     the traditional condition, and c_tong is at least part (a)."""
     kit = nmr_kit(1.5, n_points=801)
-    part_a = float(np.max(np.abs(_coupling(kit.frame, kit.schedule))))
-    assert part_a == pytest.approx(c_trad(kit.frame, kit.schedule), rel=1e-10)
-    assert c_tong(kit.frame, kit.schedule) >= part_a
+    hdot = hdot_samples(kit)
+    part_a = float(np.max(np.abs(_coupling(kit.frame, hdot))))
+    assert part_a == pytest.approx(c_trad(kit.frame, hdot), rel=1e-10)
+    assert c_tong(kit.frame, hdot) >= part_a
 
 
 def test_c_ar_scales_with_tau_squared():
     k1 = nmr_rotating(W0, W1, 0.5 * W0, TAU, n_points=801)
     k2 = nmr_rotating(W0, W1, 0.5 * W0, 2 * TAU, n_points=801)
-    v1 = c_ar(k1.frame, k1.schedule)
-    v2 = c_ar(k2.frame, k2.schedule)
+    v1 = c_ar(k1.frame, hdot_samples(k1))
+    v2 = c_ar(k2.frame, hdot_samples(k2))
     # dH/dt is tau independent in physical time, so the bound grows as tau^2
     assert v2 / v1 == pytest.approx(4.0, rel=1e-3)
 
@@ -83,15 +85,16 @@ def test_c_ar_custom_gap_profile():
     """c_ar reads its gap from the frame's energies; hand-built frames set
     the gap profile."""
     kit = nmr_kit(0.5, n_points=801)
-    base = c_ar(kit.frame, kit.schedule)
+    hdot = hdot_samples(kit)
+    base = c_ar(kit.frame, hdot)
     halved_frame = dataclasses.replace(kit.frame, energies=0.5 * kit.frame.energies)
-    halved = c_ar(halved_frame, kit.schedule)
+    halved = c_ar(halved_frame, hdot)
     # the curvature term |H'||H''|/gap^3 dominates this model, so halving
     # the gap multiplies the bound by 8
     assert halved == pytest.approx(8.0 * base, rel=1e-9)
     closed_frame = dataclasses.replace(kit.frame, energies=np.zeros_like(kit.frame.energies))
     with pytest.raises(ValueError, match="positive"):
-        c_ar(closed_frame, kit.schedule)
+        c_ar(closed_frame, hdot)
 
 
 # ---------------------------------------------------------------------------

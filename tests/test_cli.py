@@ -15,7 +15,7 @@ import pytest
 
 from adiabatic_lab import battery
 from adiabatic_lab.cli import RUNNERS, SCENARIOS, _fmt, _merge_config, check_config, main
-from adiabatic_lab.dynamics import READOUT_BLOCK, IntegrationError
+from adiabatic_lab.dynamics import READOUT_BLOCK, IntegrationError, Schedule
 from adiabatic_lab.openad import deutsch_scenario
 from adiabatic_lab.tqd import compile_pulse_sequence, parse_pulse_sequence
 
@@ -235,6 +235,26 @@ def test_resonant_sweep_point_becomes_nan_row():
     by_r = {row[0]: row[1:] for row in rows}
     assert all(v == "nan" for v in by_r["1.0"])
     assert all(v != "nan" for v in by_r["0.5"])
+
+
+@pytest.mark.filterwarnings("ignore:coupling between levels:RuntimeWarning")
+def test_each_adcheck_point_samples_its_schedule_once(monkeypatch, capsys):
+    """The three conditions that read dH/dt share one sample of the
+    schedule per point; the resonant point r = 1 builds no model, and the
+    undriven point r = 0 skips its vanishing c_wu pairs with a warning."""
+    grids = []
+    sample = Schedule.sample
+
+    def counting(self, grid):
+        grids.append(len(grid))
+        return sample(self, grid)
+
+    monkeypatch.setattr(Schedule, "sample", counting)
+    assert main(["adcheck", "--r-sweep", "0:1:0.5"]) == 0
+    rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines() if ln[:1].isdigit()]
+    evaluated = [row for row in rows if row[1] != "nan"]
+    assert [row[0] for row in rows] == ["0.0", "0.5", "1.0"] and len(evaluated) == 2
+    assert grids == [301] * len(evaluated)
 
 
 def test_pulses_output_parses_back(tmp_path):

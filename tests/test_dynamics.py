@@ -577,6 +577,31 @@ def test_lindblad_trace_drift_error_on_coarse_grid():
         evolve_lindblad(sched, rho0, 10)
 
 
+@pytest.mark.filterwarnings("ignore:positivity dip:RuntimeWarning")
+@pytest.mark.parametrize("block", [1, 4, 7, 256])
+def test_trace_drift_raise_is_the_whole_runs_in_any_readout_block(block, monkeypatch):
+    """The trace-drift guard reads the states block by block, yet it names
+    what the whole trajectory gives: the first failing member's drift, at
+    the first node where that drift peaks.  Here member 1 sits at its peak
+    of 1.0 from node 6 on, and member 2 fails too."""
+    taus = np.array([1.0e-5, 1.0e-2, 4.0e-3])
+    lower = np.array([[0, 1], [0, 0]], dtype=complex)
+    sched = Schedule(taus, lambda s: LindbladGenerator(np.zeros((2, 2)), ((np.full(taus.shape, 5.0e4), lower),)))
+    rho0 = np.diag([0.0, 1.0]).astype(complex)
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "TRACE_TOL", np.inf)
+        states = evolve_lindblad(sched, rho0, 40).states
+    deviation = np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0)
+    drift = np.max(deviation, axis=0)
+    r = np.flatnonzero(drift >= dynamics.TRACE_TOL)[0]
+    node = int(np.argmax(deviation[:, r]))
+    assert (r, node) == (1, 6) and np.count_nonzero(deviation[:, r] == drift[r]) > 1
+    monkeypatch.setattr(dynamics, "READOUT_BLOCK", block)
+    with pytest.raises(IntegrationError) as err:
+        evolve_lindblad(sched, rho0, 40)
+    assert str(err.value) == f"step {node}: trace drift {drift[r]:.3e} exceeds {dynamics.TRACE_TOL:.1e}"
+
+
 def test_evolve_lindblad_sweep_matches_member_runs():
     """A sweep schedule's members, integrated in lock step, equal their own
     runs: times, states and diagnostics.  The sweep sampler takes the (R,)

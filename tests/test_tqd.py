@@ -12,7 +12,6 @@ from adiabatic_lab.tqd import (
     _ancilla_cd,
     _ancilla_ham,
     _projector_pair,
-    PhaseChoice,
     adiabatic_phases,
     compile_pulse_sequence,
     constant_phases,
@@ -85,7 +84,7 @@ def test_standard_tqd_reproduces_adiabatic_relative_phase():
     psi = evolve_unitary(standard_tqd(frame), psi0, 400).final
     amps = frame.vectors[-1].conj().T @ psi
 
-    theta = adiabatic_phases(frame).theta
+    theta = adiabatic_phases(frame)
     expected = tau * np.trapezoid(theta, frame.grid, axis=0)
     measured = np.angle(amps[1]) - np.angle(amps[0])
     mismatch = math.remainder(measured - (expected[1] - expected[0]), 2.0 * math.pi)
@@ -94,9 +93,9 @@ def test_standard_tqd_reproduces_adiabatic_relative_phase():
 
 def test_optimal_phases_vanish_in_parallel_transport_gauge():
     frame = linear_lz_frame(1.0e-4)
-    theta = optimal_phases(frame).theta
+    theta = optimal_phases(frame)
     assert np.max(np.abs(theta)) < 1e-6 * np.max(np.abs(frame.energies))
-    adiab = adiabatic_phases(frame).theta
+    adiab = adiabatic_phases(frame)
     assert np.max(np.abs(adiab + frame.energies)) < 1e-6 * np.max(np.abs(frame.energies))
 
 
@@ -120,7 +119,7 @@ def test_counter_diabatic_term_matches_closed_form():
 def test_generalized_tqd_rejects_mismatched_phase_grid():
     frame = linear_lz_frame(1.0e-4, n_points=101)
     with pytest.raises(ValueError, match="does not match the frame grid"):
-        generalized_tqd(frame, PhaseChoice(np.zeros((7, 2))))
+        generalized_tqd(frame, np.zeros((7, 2)))
 
 
 def _static_frame(n_points, dvector):
@@ -146,7 +145,7 @@ def test_generalized_tqd_asymmetry_names_node_on_its_own_scale():
     theta = np.full((51, 2), 1e9)
     theta[20] = 0.0
     with pytest.raises(AssertionError, match="asymmetry 1.00e-04 at node 20;"):
-        generalized_tqd(frame, PhaseChoice(theta))
+        generalized_tqd(frame, theta)
 
 
 def test_time_independence_for_linear_sweep():
@@ -287,12 +286,12 @@ def test_sigma_is_stationary_at_the_gauge_phases():
     sigma0 = energy_cost_sigma(generalized_tqd(frame, base))
     eps = 1e-3 * DELTA
     for level in (0, 1):
-        up = base.theta.copy()
+        up = base.copy()
         up[:, level] += eps
-        down = base.theta.copy()
+        down = base.copy()
         down[:, level] -= eps
-        s_up = energy_cost_sigma(generalized_tqd(frame, PhaseChoice(up)))
-        s_down = energy_cost_sigma(generalized_tqd(frame, PhaseChoice(down)))
+        s_up = energy_cost_sigma(generalized_tqd(frame, up))
+        s_down = energy_cost_sigma(generalized_tqd(frame, down))
         assert s_up > sigma0 and s_down > sigma0
         assert abs(s_up - s_down) < 1e-6 * sigma0
 
