@@ -25,7 +25,8 @@ TRACE_TOL = 1e-9
 BLOCK = 32
 # Nodes per block of every pass over a finished trajectory: rk4's non-finite
 # check, the positivity guard of evolve_lindblad, the battery readouts and
-# the CLI's CSV writer.  Beyond the state array a long run's output then
+# the CLI's CSV writer; also the steps whose sample times and step sizes
+# rk4 forms at once, cut into blocks of BLOCK.  Beyond the state array a long run's output then
 # costs one block.  Whole-trajectory passes cost 3.4-4.5 times the state
 # array (a whole-grid stack of the two-cell power observables alone raised
 # the peak RSS by 53 MB at 12001 nodes); 256-node blocks cost a per-node
@@ -44,22 +45,28 @@ class IntegrationError(RuntimeError):
 class LindbladGenerator:
     """Open-system generator: Hamiltonian part plus (rate, jump) channels.
 
-    ``channels`` holds (rates, J, J^dag, J^dag J) for
-    :func:`lindblad_action`: ``rates`` is one float array of the channel
-    rates, shaped (..., C, 1, 1) so that ``rates[..., c, :, :]`` scales
-    channel c, and J, J^dag and J^dag J are stacked on the same channel
-    axis, (..., C, D, D).  They are built on first use and kept, so a
-    generator that is only read for its parts, as the one-node samples that
-    :meth:`Schedule.sample` restacks are, never builds them.  A generator
-    is not to be mutated after it is built.
+    ``channels`` holds (rates, left, J^dag) for :func:`lindblad_action`,
+    each with its operator kind on the leading axis: ``rates`` is one float
+    array of the channel rates, shaped (C, ..., 1, 1) so that ``rates[c]``
+    scales channel c; ``left`` stacks the left operands
+    [J^dag J_1..C, J_1..C], (2C, ..., D, D); and J^dag is (C, ..., D, D).
+    They are built on first use and kept, so a generator that is only read
+    for its parts, as the one-node samples that :meth:`Schedule.sample`
+    restacks are, never builds them.  A generator is not to be mutated
+    after it is built.
 
     A generator may also hold a stack of M nodes (or M sweep members): an
     (M, D, D) Hamiltonian and, per jump, (M,) rates with (M, D, D) jumps, or
-    one (D, D) jump shared by every node.  Its channel rates are then
-    (M, C, 1, 1) when any rate is per node, and its channel stacks
-    (M, C, D, D) when any jump is per node, so :func:`lindblad_action` acts
-    node by node on an (M, D, D) stack of states.
+    one (D, D) jump shared by every node.  Its rates are then (C, M, 1, 1)
+    when any rate is per node, and its operator stacks (2C, M, D, D) and
+    (C, M, D, D) when any jump is per node, so :func:`lindblad_action` acts
+    node by node on an (M, D, D) stack of states.  Node k, ``gen[k]``,
+    carries its Hamiltonian in front of its left operands,
+    [H_k, J^dag J..., J...]: a slice of :attr:`kinds`, which the stack
+    builds on its first node access.
     """
+
+    _node = None  # (stack, k) on node k of a stacked generator
 
     def __init__(self, hamiltonian: np.ndarray, jumps: tuple = ()):
         self.hamiltonian = np.asarray(hamiltonian, dtype=complex)
@@ -75,34 +82,48 @@ class LindbladGenerator:
 
     @functools.cached_property
     def channels(self) -> tuple:
+        node = self._node
+        if node is not None and node[0]._node is None:  # node k of a stack: slices of the stack's
+            stack, k = node
+            rates, _, jd = stack.channels
+            kinds = stack.kinds
+            left = kinds[k] if kinds.ndim > 3 else kinds
+            # the rates and J^dag take the node's member axes here, not in every stage
+            rates, jd = (_unit_axes(x[:, k] if x.ndim > 3 else x, left.ndim, 1) for x in (rates, jd))
+            return rates, left, jd
         if not self.jumps:  # empty stacks: lindblad_action adds no channel term
             empty = np.empty((0,) + self.hamiltonian.shape[-2:], dtype=complex)
-            return (np.empty((0, 1, 1)), empty, empty, empty)
+            return (np.empty((0, 1, 1)), empty, empty)
         rates, ops = zip(*self.jumps)
-        # np.array and a transpose take 2 us where np.stack takes 5 us
-        try:
-            stack = np.array(ops)
-        except ValueError:  # jumps shared by every node beside per-node ones
-            stack = np.array(np.broadcast_arrays(*ops))
-        n = stack.ndim
-        j = stack.transpose(*range(1, n - 2), 0, n - 2, n - 1)
+        j = np.array(np.broadcast_arrays(*ops))  # a shared jump beside per-node ones is copied per node
         jd = dagger(j)
-        rates = np.stack(np.broadcast_arrays(*rates), axis=-1)[..., None, None]
-        return (rates, j, jd, jd @ j)
+        return (np.array(np.broadcast_arrays(*rates))[..., None, None], np.concatenate([jd @ j, j]), jd)
+
+    @functools.cached_property
+    def kinds(self) -> np.ndarray:
+        """Every node's [H, J^dag J..., J...], node first, so that node k's
+        are ``kinds[k]``: (M, 1 + 2C, ..., D, D), or one (1 + 2C, D, D)
+        array when neither the Hamiltonian nor any jump is per node."""
+        h = self.hamiltonian
+        parts = (h[None], self.channels[1])  # kind first, then the node axis where there is one
+        per_node = [x for x in parts if x.ndim > 3]
+        if not per_node:
+            return np.concatenate(parts)
+        lead = np.broadcast_shapes(*[x.shape[2:-2] for x in per_node])  # a node's own axes: its members
+        nodes = np.empty(per_node[0].shape[1:2] + (len(parts[1]) + 1,) + lead + h.shape[-2:], dtype=complex)
+        kinds = np.moveaxis(nodes, 1, 0)
+        for dst, x in zip((kinds[:1], kinds[1:]), parts):
+            dst[...] = _unit_axes(x if x.ndim > 3 else x[:, None], kinds.ndim, 2)
+        return nodes
 
     def __getitem__(self, k: int) -> "LindbladGenerator":
-        """Node (or member) k of a stacked generator: a few slices.  Parts
-        shared by every node stay whole, the channel stacks are sliced from
-        the stack's own, which are built here if not yet used, and ``jumps``
-        is taken from the stack's only when read, so :func:`rk4` takes the
+        """Node (or member) k of a stacked generator: a few slices.  A part
+        shared by every node stays whole, and ``channels`` and ``jumps`` are
+        taken from the stack's only when read, so :func:`rk4` takes the
         nodes of a block one by one without rebuilding anything."""
         h = self.hamiltonian
         new = object.__new__(LindbladGenerator)
         new.hamiltonian = h[k] if h.ndim > 2 else h
-        channels = self.channels
-        if channels[0].ndim > 3 or channels[1].ndim > 3:  # some rate or jump is per node
-            channels = tuple([x[k] if x.ndim > 3 else x for x in channels])
-        new.channels = channels
         new._node = (self, k)
         return new
 
@@ -114,21 +135,51 @@ def _rate(g):
     return float(g)
 
 
+def _unit_axes(x: np.ndarray, ndim: int, at: int) -> np.ndarray:
+    """A view of ``x`` with unit axes inserted at axis ``at`` up to ``ndim`` axes."""
+    return x[(slice(None),) * at + (None,) * (ndim - x.ndim)]
+
+
 def lindblad_action(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
     """Right-hand side -i[H, rho] + sum_n g_n (J rho J^dag - {J^dag J, rho}/2).
 
-    The channel terms come from one set of matmuls over the channel axis
-    and one multiply by the rates, and are added into the result one at a
-    time, in channel order.
+    A node view's products come from three batched matmuls over its kind
+    axis: ``left @ rho`` gives H rho, J^dag J rho and J rho, ``rho @
+    left[:C+1]`` gives rho H and rho J^dag J, and (J rho) @ J^dag the
+    sandwich.  A stacked generator keeps H apart, in two more calls, so
+    jumps that every node shares are multiplied into rho once, not once
+    per node.  Each batched matmul runs the same ``zgemm`` on each slice
+    as a call of its own would, and the channel terms are added into the
+    result one at a time, in channel order, so the result is the
+    per-channel loop's bit for bit.
     """
-    h = gen.hamiltonian
-    out = -1j * (h @ rho - rho @ h)
-    rates, j, jd, jdj = gen.channels
-    r = rho[..., None, :, :]
-    terms = rates * (j @ r @ jd - 0.5 * (jdj @ r + r @ jdj))
-    for c in range(rates.shape[-3]):
-        out += terms[..., c, :, :]
+    rates, left, jd = gen.channels
+    c = len(rates)
+    if left.ndim <= rho.ndim:  # operands with fewer lead axes than rho: broadcast them over rho's
+        left = _unit_axes(left, rho.ndim + 1, 1)
+    xl = left @ rho
+    if len(left) > 2 * c:  # a node view: its Hamiltonian leads the kinds
+        xr = rho @ left[:c + 1]
+        out = -1j * (xl[0] - xr[0])
+        xl, xr = xl[1:], xr[1:]
+    else:
+        h = gen.hamiltonian
+        out = -1j * (h @ rho - rho @ h)
+        xr = rho @ left[:c]
+    if jd.ndim < xl.ndim:
+        jd = _unit_axes(jd, xl.ndim, 1)
+    if rates.ndim < xl.ndim:
+        rates = _unit_axes(rates, xl.ndim, 1)
+    terms = rates * (xl[c:] @ jd - 0.5 * (xl[:c] + xr))
+    for n in range(c):
+        out += terms[n]
     return out
+
+
+def commutator(h: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """[H, rho] = H rho - rho H, of two matrices or two stacks that broadcast:
+    the ``act`` of :func:`evolve_lindblad`'s route without jumps."""
+    return h @ rho - rho @ h
 
 
 @dataclass(eq=False)
@@ -281,8 +332,8 @@ def rk4(sample: Callable[[np.ndarray], object], y0: np.ndarray, times: np.ndarra
     returns A y as a new array.  ``unit`` is a constant factor of the flow,
     folded into the step sizes once per run: -1j for the Schrodinger
     equation (``act`` a matrix-vector product, batched over a sweep's
-    members) and for a Lindblad generator without jumps (``act`` the
-    commutator [H, rho]); the Lindblad flow with jumps and the
+    members) and for a Lindblad generator without jumps (``act`` =
+    :func:`commutator`); the Lindblad flow with jumps and the
     Jordan-block coefficient flow keep the default 1.  k1 and k4 take the samples at the grid nodes, and k2 and
     k3 share the one at the step's midpoint, so n steps take 2n + 1
     samples instead of the textbook 4n, with its arithmetic.  On a
@@ -291,10 +342,10 @@ def rk4(sample: Callable[[np.ndarray], object], y0: np.ndarray, times: np.ndarra
     are the textbook loop's bit for bit.  The steps run in blocks of
     :data:`BLOCK`, and each block takes its samples from one ``sample``
     call in step order, [node 0,] midpoint, node, midpoint, node, ...: at
-    most 2 * BLOCK + 1 samples.  The block forms its own sample times and
-    step sizes, so neither they nor the samples cost more memory than one
-    block's worth, however long the run.  ``sample`` must be a pure
-    function of t.
+    most 2 * BLOCK + 1 samples.  The sample times and step sizes are
+    formed once per :data:`READOUT_BLOCK` steps, elementwise, so neither
+    they nor the samples cost more memory than one such block's worth,
+    however long the run.  ``sample`` must be a pure function of t.
 
     The stage inputs y + (h/2) k, the k-combination and the new state are
     formed with ``out=``, in one scratch buffer and in the state's own row
@@ -334,33 +385,37 @@ def rk4(sample: Callable[[np.ndarray], object], y0: np.ndarray, times: np.ndarra
     buf = np.empty_like(y)
     add, mul = np.add, np.multiply
     with np.errstate(over="ignore", invalid="ignore"):
-        for a in range(0, n, BLOCK):
-            b = min(a + BLOCK, n)
-            j = int(a == 0)  # where the block's first midpoint sits
-            grid = times[a:b + 1]
+        for c in range(0, n, READOUT_BLOCK):
+            e = min(c + READOUT_BLOCK, n)
+            grid = times[c:e + 1]
             dt = grid[1:] - grid[:-1]
-            # the block's sample times in call order: its first node, then
-            # each step's midpoint and end node
-            ts = np.empty((2 * (b - a) + 1,) + times.shape[1:])
+            # the sample times in call order: node c, then each step's
+            # midpoint and end node
+            ts = np.empty((2 * (e - c) + 1,) + times.shape[1:])
             ts[0::2] = grid
             ts[1::2] = grid[:-1] + 0.5 * dt
-            nodes = sample(ts[1 - j:])
-            if j:
-                a_end = nodes[0]
             if times.ndim > 1:  # a member's step sizes broadcast over its own state
                 dt = dt.reshape(dt.shape + (1,) * (y.ndim - 1))
-            steps = unit * dt, unit * (0.5 * dt), unit * (dt / 6.0)
-            for k, h, h_half, h_sixth in zip(range(a + 1, b + 1), *steps):
-                k1 = act(a_end, y)
-                a_mid = nodes[j]
-                k2 = act(a_mid, add(y, mul(h_half, k1, out=buf), out=buf))
-                k3 = act(a_mid, add(y, mul(h_half, k2, out=buf), out=buf))
-                a_end = nodes[j + 1]
-                j += 2
-                k4 = act(a_end, add(y, mul(h, k3, out=buf), out=buf))
-                # y + h/6 (k1 + 2 (k2 + k3) + k4), in that order, straight into row k
-                add(k1, mul(2.0, add(k2, k3, out=buf), out=buf), out=buf)
-                y = add(y, mul(h_sixth, add(buf, k4, out=buf), out=buf), out=out[k])
+            # one iterator over the steps of every block below: zip stops at
+            # a block's end without taking a step from it
+            steps = zip(unit * dt, unit * (0.5 * dt), unit * (dt / 6.0))
+            for a in range(c, e, BLOCK):
+                b = min(a + BLOCK, e)
+                j = int(a == 0)  # where the block's first midpoint sits
+                nodes = sample(ts[2 * (a - c) + 1 - j:2 * (b - c) + 1])
+                if j:
+                    a_end = nodes[0]
+                for k, (h, h_half, h_sixth) in zip(range(a + 1, b + 1), steps):
+                    k1 = act(a_end, y)
+                    a_mid = nodes[j]
+                    k2 = act(a_mid, add(y, mul(h_half, k1, out=buf), out=buf))
+                    k3 = act(a_mid, add(y, mul(h_half, k2, out=buf), out=buf))
+                    a_end = nodes[j + 1]
+                    j += 2
+                    k4 = act(a_end, add(y, mul(h, k3, out=buf), out=buf))
+                    # y + h/6 (k1 + 2 (k2 + k3) + k4), in that order, straight into row k
+                    add(k1, mul(2.0, add(k2, k3, out=buf), out=buf), out=buf)
+                    y = add(y, mul(h_sixth, add(buf, k4, out=buf), out=buf), out=out[k])
     for a in range(1, n + 1, READOUT_BLOCK):
         finite = np.all(np.isfinite(out[a:a + READOUT_BLOCK]), axis=tuple(range(1, out.ndim)))
         if not finite.all():
@@ -416,7 +471,7 @@ def evolve_lindblad(l: Schedule, rho0: np.ndarray, n_steps: int) -> Trajectory:
     drift reaches ``TRACE_TOL`` take no eigenvalues, as the run will raise.
 
     The probe's 5 samples pick the route.  When none of them carries a jump,
-    :func:`rk4` steps the Hamiltonian stack alone, with ``act`` = [H, rho]
+    :func:`rk4` steps the Hamiltonian stack alone, with ``act`` = :func:`commutator`
     and ``unit`` = -1j, so the -i sits in the step sizes as in
     :func:`evolve_unitary`; the states are those of :func:`lindblad_action`
     on the same samples, bit for bit, by the argument :func:`rk4` documents.
@@ -451,7 +506,7 @@ def evolve_lindblad(l: Schedule, rho0: np.ndarray, n_steps: int) -> Trajectory:
         return gen.hamiltonian if jumpless else gen
 
     if jumpless:
-        states = rk4(sample, y0, times, lambda h, rho: h @ rho - rho @ h, -1j)
+        states = rk4(sample, y0, times, commutator, -1j)
     else:
         states = rk4(sample, y0, times, lindblad_action)
     per_member = states.reshape((len(times), -1) + rho0.shape)

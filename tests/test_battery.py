@@ -342,7 +342,7 @@ def test_stirap_array_sampler_matches_scalar_closure(case):
     assert len(gen.jumps) == (4 if case == "noisy" else 0)
     for (rate, jump), (rate_k, jump_k) in zip(gen.jumps, want[0].jumps):
         assert rate == rate_k and np.array_equal(jump, jump_k)
-    assert gen.channels[1].ndim == 3  # one (C, D, D) channel stack for every node
+    assert gen.channels[1].shape == (2 * len(gen.jumps), 3, 3)  # one [J^dag J..., J...] stack for every node
     rho = np.array([random_density(3) for _ in GRID])
     acts = np.array([lindblad_action(g, r) for g, r in zip(want, rho)])
     assert np.array_equal(lindblad_action(gen, rho), acts)

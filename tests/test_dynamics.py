@@ -312,65 +312,104 @@ def _lindblad_action_per_call(gen, rho):
 @pytest.mark.parametrize("n_jumps", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_lindblad_action_cache_is_bit_identical(n_jumps, dim):
-    """The channel-stacked action equals the per-channel loop for scalar,
+    """The kind-stacked action equals the per-channel loop for scalar,
     per-node and sampled rates (a sampled generator is the stack that
     ``Schedule.sample`` builds from M one-node generators, and keeps a jump
     that is one object at every node shared) and for shared, stacked and
     mixed jumps: on a stack of M nodes, on the superoperator builder's
     (N, 1, D, D) operand stack, and on node k, which acts as its own
-    generator does."""
+    generator does, and so does member r of node k of a sweep's stack.
+    The stack is either M nodes or a sweep's (M, R) nodes by members, and
+    its Hamiltonian is stacked over every axis, one (D, D) matrix for all,
+    or, in a sweep, one per node for every member (a sweep sampler whose
+    Hamiltonian has no member axis)."""
     rng = np.random.default_rng(10 * dim + n_jumps)
     m = 5
 
     def mat(*lead):
         return rng.normal(size=lead + (dim, dim)) + 1j * rng.normal(size=lead + (dim, dim))
 
-    h = mat(m)
-    h = h + dagger(h)
-    rho = mat(m)
-    for rates in ("scalar", "per-node", "sampled", "mixed"):
-        for jumps in ("shared", "stacked", "mixed"):
-            ops = [mat() if jumps == "shared" or (jumps == "mixed" and n % 2) else mat(m) for n in range(n_jumps)]
-            gammas = [float(rng.uniform(0.0, 2.0)) if rates == "scalar" or (rates == "mixed" and n % 2)
-                      else rng.uniform(0.0, 2.0, m) for n in range(n_jumps)]
+    for lead in ((m,), (m, 3)):
+        h = mat(*lead)
+        h = h + dagger(h)
+        rho = mat(*lead)
+        for ham in (h, h[(0,) * len(lead)]) + ((h[:, 0],) if len(lead) > 1 else ()):
+            for rates in ("scalar", "per-node", "sampled", "mixed"):
+                for jumps in ("shared", "stacked", "mixed"):
+                    ops = [mat() if jumps == "shared" or (jumps == "mixed" and n % 2) else mat(*lead)
+                           for n in range(n_jumps)]
+                    gammas = [float(rng.uniform(0.0, 2.0)) if rates == "scalar" or (rates == "mixed" and n % 2)
+                              else rng.uniform(0.0, 2.0, lead) for n in range(n_jumps)]
 
-            def node(k):
-                return LindbladGenerator(h[k], tuple((g[k] if np.ndim(g) else g, j[k] if j.ndim > 2 else j)
-                                                     for g, j in zip(gammas, ops)))
+                    def node(k):
+                        return LindbladGenerator(ham[k] if ham.ndim > 2 else ham,
+                                                 tuple((g[k] if np.ndim(g) else g, j[k] if j.ndim > 2 else j)
+                                                       for g, j in zip(gammas, ops)))
 
-            if rates == "sampled":
-                gen = Schedule(1.0, lambda s: node(int(s))).sample(np.arange(m))
-                assert all(j is op if op.ndim == 2 else j.shape == op.shape for (_, j), op in zip(gen.jumps, ops))
-            else:
-                gen = LindbladGenerator(h, tuple(zip(gammas, ops)))
-            assert np.array_equal(lindblad_action(gen, rho), _lindblad_action_per_call(gen, rho))
-            assert np.array_equal(lindblad_action(gen, rho[:, None]), _lindblad_action_per_call(gen, rho[:, None]))
-            for k in (0, m - 1):
-                assert np.array_equal(lindblad_action(gen[k], rho[k]), _lindblad_action_per_call(node(k), rho[k]))
-                assert np.array_equal(lindblad_action(gen[k], rho[k]), lindblad_action(gen, rho)[k])
-    single = LindbladGenerator(h[0], tuple((float(rng.uniform(0.0, 2.0)), mat()) for _ in range(n_jumps)))
-    assert np.array_equal(lindblad_action(single, rho[0]), _lindblad_action_per_call(single, rho[0]))
+                    if rates == "sampled":
+                        gen = Schedule(1.0, lambda s: node(int(s))).sample(np.arange(m))
+                        assert all(j is op if op.ndim == 2 else j.shape == op.shape
+                                   for (_, j), op in zip(gen.jumps, ops))
+                    else:
+                        gen = LindbladGenerator(ham, tuple(zip(gammas, ops)))
+                    whole = gen.hamiltonian.ndim - 2 in (0, len(lead))  # H broadcasts over the stack
+                    if whole:
+                        assert np.array_equal(lindblad_action(gen, rho), _lindblad_action_per_call(gen, rho))
+                    if gen.hamiltonian.ndim - 2 == len(lead):  # the superoperator's operands take every node
+                        assert np.array_equal(lindblad_action(gen, rho[:, None]),
+                                              _lindblad_action_per_call(gen, rho[:, None]))
+                    for k in (0, m - 1):
+                        got = lindblad_action(gen[k], rho[k])
+                        assert np.array_equal(got, _lindblad_action_per_call(node(k), rho[k]))
+                        assert not whole or np.array_equal(got, lindblad_action(gen, rho)[k])
+                        if len(lead) > 1:  # member r of node k builds its own channels
+                            assert np.array_equal(lindblad_action(gen[k][1], rho[k, 1]),
+                                                  _lindblad_action_per_call(node(k)[1], rho[k, 1]))
+    single = LindbladGenerator(h[0, 0], tuple((float(rng.uniform(0.0, 2.0)), mat()) for _ in range(n_jumps)))
+    assert np.array_equal(lindblad_action(single, rho[0, 0]), _lindblad_action_per_call(single, rho[0, 0]))
+
+
+@pytest.mark.parametrize("jumps", ["shared", "stacked"])
+@pytest.mark.parametrize("members", [None, 3])
+def test_node_views_slice_their_stacks_kinds(jumps, members):
+    """Every node of a stacked generator takes its [H, J^dag J..., J...]
+    from one array that the stack builds on its first node access, and its
+    rates and J^dag from the stack's own: the node views of a block share
+    their stack's arrays and build nothing of their own."""
+    rng = np.random.default_rng(7)
+    lead = (6,) if members is None else (6, members)
+
+    def mat(*shape):
+        return rng.normal(size=shape + (3, 3)) + 1j * rng.normal(size=shape + (3, 3))
+
+    ops = [mat(*lead) if jumps == "stacked" else mat() for _ in range(2)]
+    gen = LindbladGenerator(mat(*lead), ((rng.uniform(0.0, 2.0, lead), ops[0]), (0.5, ops[1])))
+    views = [gen[k] for k in range(lead[0])]
+    assert "kinds" not in vars(gen)
+    rates, _, jd = gen.channels
+    for k, view in enumerate(views):
+        assert view.channels[1].shape == (5,) + lead[1:] + (3, 3)
+        for part, whole in zip(view.channels, (rates, gen.kinds, jd)):
+            assert np.shares_memory(part, whole)
+        assert np.array_equal(view.channels[1][0], gen.hamiltonian[k])
+    assert vars(gen)["kinds"] is gen.kinds and gen.kinds.shape == (lead[0], 5) + lead[1:] + (3, 3)
 
 
 def _eager(gen):
     """A copy of ``gen`` whose channel stacks are built up front, as the
-    constructor once built them for every generator."""
+    constructor once built them for every generator: the rates, the left
+    operands [J^dag J..., J...] and J^dag, each channel first."""
     new = object.__new__(LindbladGenerator)
     new.hamiltonian, new.jumps = gen.hamiltonian, gen.jumps
     rates = [g for g, _ in gen.jumps]
     ops = [j for _, j in gen.jumps]
     if not ops:
         empty = np.empty((0,) + gen.hamiltonian.shape[-2:], dtype=complex)
-        new.channels = (np.empty((0, 1, 1)), empty, empty, empty)
+        new.channels = (np.empty((0, 1, 1)), empty, empty)
         return new
-    try:
-        stack = np.array(ops)
-    except ValueError:
-        stack = np.array(np.broadcast_arrays(*ops))
-    n = stack.ndim
-    j = stack.transpose(*range(1, n - 2), 0, n - 2, n - 1)
+    j = np.array(np.broadcast_arrays(*ops))
     jd = dagger(j)
-    new.channels = (np.stack(np.broadcast_arrays(*rates), axis=-1)[..., None, None], j, jd, jd @ j)
+    new.channels = (np.array(np.broadcast_arrays(*rates))[..., None, None], np.concatenate([jd @ j, j]), jd)
     return new
 
 
