@@ -372,14 +372,9 @@ def _run_lz_tqd(cfg: dict):
     delta = 2.0 * math.pi * cfg["delta_hz"]
     theta0 = cfg["theta0_rad"]
     taus = np.geomspace(cfg["tau_min_s"], cfg["tau_max_s"], cfg["n_tau"])
-
-    def point(tau: float):
-        res = _tqd.lz_intensities(lambda s: theta0 * s, delta, tau, n_quad=cfg["n_quad"])
-        return (float(tau), float(res["i_std"]), float(res["i_opt"]))
-
-    rows = [point(tau) for tau in taus]
-    tau_b = _tqd.lz_intensities(lambda s: theta0 * s, delta, 1.0, n_quad=cfg["n_quad"])["tau_b"]
-    return [f"tau_b_s={tau_b!r}"], ["tau_s", "i_std", "i_opt"], rows
+    results = _tqd.lz_intensities(lambda s: theta0 * s, delta, taus, n_quad=cfg["n_quad"])
+    rows = [(float(tau), res["i_std"], res["i_opt"]) for tau, res in zip(taus, results)]
+    return [f"tau_b_s={results[0]['tau_b']!r}"], ["tau_s", "i_std", "i_opt"], rows
 
 
 def _run_nmr_tqd(cfg: dict):

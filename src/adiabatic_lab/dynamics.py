@@ -20,8 +20,10 @@ from .opalg import TOL_HERM, TOL_POS, dagger, is_density_matrix, is_hermitian, i
 TRACE_TOL = 1e-9
 # Steps per sampling block of rk4.  A block's samples and its sampler's
 # temporaries are live at once: with the 8x8 controlled gate, blocks of 256
-# steps raised the closed-sweep benchmark's peak RSS from 85.6 to 86.5 MB
-# and blocks of 64 to 86.0 MB; blocks of 32 keep it at the per-node loop's.
+# steps raise the closed-sweep benchmark's peak RSS from 40.7-40.9 MB to
+# 44.3 MB (three runs of each on a 2-vCPU VM).  Blocks of 64 peak at the
+# same 40.7-40.9 MB as blocks of 32, so memory no longer separates the two;
+# 32 stays until a timed comparison picks between them.
 BLOCK = 32
 # Nodes per block of every pass over a finished trajectory: rk4's non-finite
 # check, the positivity guard of evolve_lindblad, the battery readouts and
@@ -143,29 +145,35 @@ def _unit_axes(x: np.ndarray, ndim: int, at: int) -> np.ndarray:
 def lindblad_action(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
     """Right-hand side -i[H, rho] + sum_n g_n (J rho J^dag - {J^dag J, rho}/2).
 
-    A node view's products come from three batched matmuls over its kind
-    axis: ``left @ rho`` gives H rho, J^dag J rho and J rho, ``rho @
-    left[:C+1]`` gives rho H and rho J^dag J, and (J rho) @ J^dag the
-    sandwich.  A stacked generator keeps H apart, in two more calls, so
-    jumps that every node shares are multiplied into rho once, not once
-    per node.  Each batched matmul runs the same ``zgemm`` on each slice
-    as a call of its own would, and the channel terms are added into the
-    result one at a time, in channel order, so the result is the
-    per-channel loop's bit for bit.
+    A node view's products come from three batched calls over its kind
+    axis: the left products H rho, J^dag J rho and J rho, ``rho @
+    left[:C+1]`` for rho H and rho J^dag J, and (J rho) @ J^dag for the
+    sandwich.  A stacked generator keeps H apart, in :func:`commutator`,
+    so jumps that every node shares are multiplied into rho once, not once
+    per node.  On one state (a 2-D ``rho``) the left products are one 2-D
+    ``ndarray.dot`` of the kinds' stacked rows, which skips the ``matmul``
+    gufunc's dispatch; stacked states keep ``matmul``.  Either way each
+    slice gets the ``zgemm`` that a call of its own would run, and the
+    channel terms are added into the result one at a time, in channel
+    order, so the result is the per-channel loop's bit for bit.
     """
     rates, left, jd = gen.channels
     c = len(rates)
-    if left.ndim <= rho.ndim:  # operands with fewer lead axes than rho: broadcast them over rho's
-        left = _unit_axes(left, rho.ndim + 1, 1)
-    xl = left @ rho
+    if rho.ndim == 2:
+        xl = left.reshape(-1, rho.shape[0]).dot(rho).reshape(left.shape)
+    else:
+        if left.ndim <= rho.ndim:  # operands with fewer lead axes than rho: broadcast them over rho's
+            left = _unit_axes(left, rho.ndim + 1, 1)
+        xl = left @ rho
     if len(left) > 2 * c:  # a node view: its Hamiltonian leads the kinds
         xr = rho @ left[:c + 1]
         out = -1j * (xl[0] - xr[0])
         xl, xr = xl[1:], xr[1:]
     else:
-        h = gen.hamiltonian
-        out = -1j * (h @ rho - rho @ h)
+        out = -1j * commutator(gen.hamiltonian, rho)
         xr = rho @ left[:c]
+        if rates.ndim > xl.ndim:  # per-node rates, shared jumps, one state: the products take the node axes
+            xl, xr, jd = (_unit_axes(x, rates.ndim, 1) for x in (xl, xr, jd))
     if jd.ndim < xl.ndim:
         jd = _unit_axes(jd, xl.ndim, 1)
     if rates.ndim < xl.ndim:
@@ -178,7 +186,11 @@ def lindblad_action(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
 
 def commutator(h: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """[H, rho] = H rho - rho H, of two matrices or two stacks that broadcast:
-    the ``act`` of :func:`evolve_lindblad`'s route without jumps."""
+    the ``act`` of :func:`evolve_lindblad`'s route without jumps.  Two
+    matrices multiply through ``ndarray.dot``, the ``zgemm`` of ``@`` with
+    the same bits and without the ``matmul`` gufunc's dispatch."""
+    if h.ndim == rho.ndim == 2:
+        return h.dot(rho) - rho.dot(h)
     return h @ rho - rho @ h
 
 
@@ -331,12 +343,17 @@ def rk4(sample: Callable[[np.ndarray], object], y0: np.ndarray, times: np.ndarra
     array or a stacked :class:`LindbladGenerator`.  ``act(a, y)``
     returns A y as a new array.  ``unit`` is a constant factor of the flow,
     folded into the step sizes once per run: -1j for the Schrodinger
-    equation (``act`` a matrix-vector product, batched over a sweep's
-    members) and for a Lindblad generator without jumps (``act`` =
-    :func:`commutator`); the Lindblad flow with jumps and the
-    Jordan-block coefficient flow keep the default 1.  k1 and k4 take the samples at the grid nodes, and k2 and
-    k3 share the one at the step's midpoint, so n steps take 2n + 1
-    samples instead of the textbook 4n, with its arithmetic.  On a
+    equation (``act`` a matrix-vector product, ``ndarray.dot`` for one
+    run and ``matmul`` batched over a sweep's members) and for a Lindblad
+    generator without jumps (``act`` = :func:`commutator`); the Lindblad
+    flow with jumps (:func:`lindblad_action`) and the Jordan-block
+    coefficient flow keep the default 1.  In a single run the Schrodinger
+    ``act``, :func:`commutator` and the left products of
+    :func:`lindblad_action` multiply through ``ndarray.dot``: the
+    ``zgemv`` or ``zgemm`` that ``matmul`` calls, with its bits and at
+    about half its dispatch cost.  k1 and k4 take the samples at the grid
+    nodes, and k2 and k3 share the one at the step's midpoint, so n steps
+    take 2n + 1 samples instead of the textbook 4n, with its arithmetic.  On a
     ``linspace`` grid the textbook's end time t + dt is the next node's
     float, because t_{k+1} - t_k is exact there (Sterbenz), so the states
     are the textbook loop's bit for bit.  The steps run in blocks of
@@ -428,18 +445,23 @@ def evolve_unitary(h: Schedule, psi0: np.ndarray, n_steps: int) -> Trajectory:
 
     The flow psi' = -i H psi runs through :func:`rk4` with ``unit`` = -1j,
     so the -i sits in the step sizes and each stage costs one
-    matrix-vector product (``act`` = ``np.matmul``); the states are those
-    of the loop that multiplies every H psi by -1j, bit for bit.  States
-    are not renormalized: the norm drift of the raw integrator output is a
-    useful accuracy diagnostic and is reported in
-    ``diagnostics["final_norm_deviation"]``.
+    matrix-vector product, ``act`` = ``np.ndarray.dot``: the BLAS call of
+    ``H @ psi`` with its bits, without the ``matmul`` gufunc's dispatch.
+    That holds for node matrices that are C- or Fortran-contiguous; a
+    sampler whose node matrices are neither (the nodes of
+    ``np.asfortranarray`` of a stack) may move the states at rounding
+    level.  The states are those of the loop that multiplies every H psi
+    by -1j, bit for bit.  States are not renormalized: the norm drift of
+    the raw integrator output is a useful accuracy diagnostic and is
+    reported in ``diagnostics["final_norm_deviation"]``.
 
     A sweep schedule integrates its R members in one lock-step :func:`rk4`
     from the same ``psi0``, each on its own grid, as :func:`evolve_lindblad`
     does: the trajectory has (n+1, R) times, (n+1, R, D) states and an (R,)
     norm deviation, and :meth:`Trajectory.member` gives each member's own
     run bit for bit.  Each stage is then one matrix-vector product per
-    member, batched over the member axis.
+    member, batched over the member axis by ``matmul``, since ``dot`` has
+    other semantics on stacks.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
@@ -447,7 +469,7 @@ def evolve_unitary(h: Schedule, psi0: np.ndarray, n_steps: int) -> Trajectory:
     h.probe()
     times = np.linspace(0.0, h.tau, n_steps + 1)
     if h.members is None:
-        y0, act = psi0, np.matmul
+        y0, act = psi0, np.ndarray.dot
     else:  # (R, D, D) samples on (R, D) states, one matrix-vector product per member
         y0, act = np.stack([psi0] * h.members), lambda a, psi: (a @ psi[..., None])[..., 0]
 

@@ -185,16 +185,18 @@ def lz_frame(
 def lz_intensities(
     theta_fn: Callable[[float], float],
     delta: float,
-    tau: float,
+    tau: float | Sequence[float],
     n_quad: int = 2001,
-) -> dict:
+) -> dict | list[dict]:
     """Relative field intensities of the avoided-crossing sweep variants.
 
     Normalized so the bare sweep has unit intensity:
     i_opt = int |theta'|^2 ds / (4 tau^2 delta^2 int tan^2 theta ds) and
     i_std = 1 + i_opt.  ``tau_b`` is the duration where the correction
     intensity matches the bare one, sqrt(int |theta'|^2 / int tan^2) /
-    (2 |delta|).
+    (2 |delta|), whatever tau is.  A sequence of durations ``tau`` forms
+    the two integrals once and returns a list with one such dict per
+    duration, each equal to the dict of its own scalar call.
     """
     grid = np.linspace(0.0, 1.0, n_quad)
     theta = np.array([theta_fn(s) for s in grid])
@@ -206,25 +208,27 @@ def lz_intensities(
     int_dth2 = float(np.trapezoid(dtheta**2, grid))
     if int_tan2 <= 0.0:
         raise ValueError("bare sweep intensity vanishes; nothing to normalize by")
-    # divided in Python floats and refused by name when the denominator
-    # overflows or underflows or the quotient overflows: a numpy float64 tau
-    # (the CLI's geomspace) would warn and give an i_opt = 0 or inf row.  The
-    # product keeps numpy's tau**2, whose bits the lz_tqd golden holds, with
-    # its overflow warning silenced and the overflow named just below.
-    with np.errstate(over="ignore"):
-        denom = float(4.0 * tau**2 * delta**2 * int_tan2)
-    if math.isinf(denom):
-        raise OverflowError(f"4 tau^2 delta^2 int tan^2 overflows at tau={float(tau)!r}")
-    if denom == 0.0:
-        raise ZeroDivisionError(f"4 tau^2 delta^2 int tan^2 underflows to 0 at tau={float(tau)!r}")
-    i_opt = int_dth2 / denom
-    if math.isinf(i_opt):
-        raise OverflowError(f"correction intensity overflows at tau={float(tau)!r}")
-    return {
-        "i_opt": i_opt,
-        "i_std": 1.0 + i_opt,
-        "tau_b": math.sqrt(int_dth2 / int_tan2) / (2.0 * abs(delta)),
-    }
+    tau_b = math.sqrt(int_dth2 / int_tan2) / (2.0 * abs(delta))
+    taus = np.asarray(tau, dtype=float)
+    results = []
+    # Each duration is divided in Python floats and refused by name when the
+    # denominator overflows or underflows or the quotient overflows: a numpy
+    # float64 tau would warn and give an i_opt = 0 or inf row.  The product
+    # keeps numpy's scalar tau**2, whose bits the lz_tqd golden holds (an
+    # array's taus**2 multiplies and may round otherwise), with its overflow
+    # warning silenced and the overflow named just below.
+    for t in taus.reshape(-1):
+        with np.errstate(over="ignore"):
+            denom = float(4.0 * t**2 * delta**2 * int_tan2)
+        if math.isinf(denom):
+            raise OverflowError(f"4 tau^2 delta^2 int tan^2 overflows at tau={float(t)!r}")
+        if denom == 0.0:
+            raise ZeroDivisionError(f"4 tau^2 delta^2 int tan^2 underflows to 0 at tau={float(t)!r}")
+        i_opt = int_dth2 / denom
+        if math.isinf(i_opt):
+            raise OverflowError(f"correction intensity overflows at tau={float(t)!r}")
+        results.append({"i_opt": i_opt, "i_std": 1.0 + i_opt, "tau_b": tau_b})
+    return results if taus.ndim else results[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adiabatic_lab import battery
+from adiabatic_lab import battery, tqd
 from adiabatic_lab.cli import RUNNERS, SCENARIOS, _fmt, _merge_config, check_config, main
 from adiabatic_lab.dynamics import READOUT_BLOCK, IntegrationError, Schedule
 from adiabatic_lab.openad import deutsch_scenario
@@ -173,6 +173,29 @@ def test_config_that_passes_its_checks_but_not_float_range_exits_two(argv, named
     (line,) = captured.err.splitlines()
     assert line.startswith(f"error: {named}")
     assert captured.out == ""
+
+
+def test_lz_tqd_takes_its_ladder_and_tau_b_from_one_quadrature(capsys, monkeypatch):
+    """lz-tqd forms its integrals once, in one lz_intensities call over the
+    ladder, and divides only at the durations it was asked for: a delta
+    whose 4 tau^2 delta^2 int tan^2 overflows at tau = 1 s but at no tau of
+    the ladder runs, since tau_b does not depend on tau.  Each row carries
+    the bits of its own scalar call."""
+    calls = []
+    lz_intensities = tqd.lz_intensities
+    monkeypatch.setattr(tqd, "lz_intensities", lambda *a, **k: calls.append(a) or lz_intensities(*a, **k))
+    assert main(["lz-tqd", "--delta-hz", "1e153", "--theta0-rad", "1.5", "--n-tau", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(calls) == 1
+    cfg = {**_default_config("lz-tqd"), "delta_hz": 1e153, "theta0_rad": 1.5, "n_tau": 3}
+    delta = 2.0 * math.pi * cfg["delta_hz"]
+    taus = np.geomspace(cfg["tau_min_s"], cfg["tau_max_s"], cfg["n_tau"])
+    want = [lz_intensities(lambda s: 1.5 * s, delta, tau, n_quad=cfg["n_quad"]) for tau in taus]
+    rows = [[float(x) for x in ln.split(",")] for ln in lines if ln[:1].isdigit()]
+    assert len(rows) == 3
+    for row, tau, res in zip(rows, taus, want):
+        assert np.array(row).tobytes() == np.array([tau, res["i_std"], res["i_opt"]]).tobytes()
+    assert f"# tau_b_s={want[0]['tau_b']!r}" in lines
 
 
 def test_negative_eigenvalue_config_warns_of_the_positivity_dip():

@@ -360,13 +360,62 @@ def test_lindblad_action_cache_is_bit_identical(n_jumps, dim):
                                               _lindblad_action_per_call(gen, rho[:, None]))
                     for k in (0, m - 1):
                         got = lindblad_action(gen[k], rho[k])
-                        assert np.array_equal(got, _lindblad_action_per_call(node(k), rho[k]))
+                        assert _same_bytes(got, _lindblad_action_per_call(node(k), rho[k]))
                         assert not whole or np.array_equal(got, lindblad_action(gen, rho)[k])
                         if len(lead) > 1:  # member r of node k builds its own channels
-                            assert np.array_equal(lindblad_action(gen[k][1], rho[k, 1]),
-                                                  _lindblad_action_per_call(node(k)[1], rho[k, 1]))
+                            assert _same_bytes(lindblad_action(gen[k][1], rho[k, 1]),
+                                               _lindblad_action_per_call(node(k)[1], rho[k, 1]))
     single = LindbladGenerator(h[0, 0], tuple((float(rng.uniform(0.0, 2.0)), mat()) for _ in range(n_jumps)))
-    assert np.array_equal(lindblad_action(single, rho[0, 0]), _lindblad_action_per_call(single, rho[0, 0]))
+    assert _same_bytes(lindblad_action(single, rho[0, 0]), _lindblad_action_per_call(single, rho[0, 0]))
+
+
+def _same_bytes(got, want):
+    """Equal shapes and equal bytes: unlike np.array_equal, -0.0 is not 0.0."""
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_jumps", [1, 4])
+@pytest.mark.parametrize("dim", [2, 3, 8])
+def test_lindblad_action_on_one_state_keeps_the_per_channel_bits(dim, n_jumps):
+    """On one state (a 2-D rho) the left products are one 2-D
+    ``ndarray.dot`` and an unstacked generator's commutator is two; the
+    action is the per-channel matmul loop's byte for byte, signed zeros
+    included, on node views of stacks with shared, per-node and mixed
+    jumps and scalar or per-node rates, on the whole stacks, and on the
+    nodes' own unstacked generators, with complex and with real inputs.
+    A whole stack with per-node rates and shared jumps once broadcast its
+    rates' node axis against the channel axis of one state's products:
+    a ValueError, or, with as many channels as nodes, a wrong action."""
+    rng = np.random.default_rng(100 * dim + n_jumps)
+    m = 4
+
+    def mat(*lead, real=False):
+        x = rng.normal(size=lead + (dim, dim))
+        return x + 0.0j if real else x + 1j * rng.normal(size=lead + (dim, dim))
+
+    for real in (False, True):
+        h = mat(m, real=real)
+        h = h + dagger(h)
+        psi = rng.normal(size=dim) + (0.0 if real else 1j) * rng.normal(size=dim)
+        states = (mat(real=real), pure_state_density(psi / np.linalg.norm(psi)))
+        for jumps in ("shared", "stacked", "mixed"):
+            ops = [mat(real=real) if jumps == "shared" or (jumps == "mixed" and n % 2) else mat(m, real=real)
+                   for n in range(n_jumps)]
+            for rates in ("scalar", "per-node"):
+                gammas = [float(rng.uniform(0.0, 2.0)) if rates == "scalar" else rng.uniform(0.0, 2.0, m)
+                          for _ in range(n_jumps)]
+                gen = LindbladGenerator(h, tuple(zip(gammas, ops)))
+
+                def node(k):
+                    return LindbladGenerator(h[k], tuple((g[k] if np.ndim(g) else g, j[k] if j.ndim > 2 else j)
+                                                         for g, j in zip(gammas, ops)))
+
+                for rho in states:
+                    assert _same_bytes(lindblad_action(gen, rho), _lindblad_action_per_call(gen, rho))
+                    for k in range(m):
+                        want = _lindblad_action_per_call(node(k), rho)
+                        assert _same_bytes(lindblad_action(gen[k], rho), want)
+                        assert _same_bytes(lindblad_action(node(k), rho), want)
 
 
 @pytest.mark.parametrize("jumps", ["shared", "stacked"])
@@ -555,6 +604,38 @@ def test_evolve_unitary_folds_minus_i_into_the_step_sizes_bit_for_bit(case, n_st
     would take -0.0 for 0.0)."""
     got, want = _folded_and_oracle(case, n_steps)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "broadcast", "strided"])
+@pytest.mark.parametrize("dim", [2, 3, 8])
+def test_evolve_unitary_single_run_keeps_matmul_bits_for_contiguous_nodes(dim, layout):
+    """A single run forms each stage's H psi with ``ndarray.dot``; its states
+    are the ``a @ psi`` loop's byte for byte when the sampler's stack is
+    C-contiguous, holds Fortran-ordered node matrices, or broadcasts one
+    matrix over its nodes.  Nodes that are neither C- nor F-contiguous (the
+    nodes of ``np.asfortranarray`` of a stack) go through a copy in ``dot``
+    and a strided loop in ``matmul``, so their states agree at rounding
+    level only."""
+    sched, psi0 = _random_drive(dim)
+    h_fixed = sched.at(0.3)
+    layouts = {
+        "C": sched.sample,
+        "F": lambda s: np.swapaxes(np.swapaxes(sched.sample(s), 1, 2).copy(), 1, 2),
+        "broadcast": lambda s: np.broadcast_to(h_fixed, s.shape + h_fixed.shape),
+        "strided": lambda s: np.asfortranarray(sched.sample(s)),
+    }
+    vec = Schedule(sched.tau, layouts[layout], vectorized=True)
+    node = vec.sample(np.linspace(0.0, 1.0, 5))[2]
+    assert node.flags.c_contiguous or node.flags.f_contiguous or layout == "strided"
+    assert layout != "F" or not node.flags.c_contiguous
+    n_steps = 2 * BLOCK + 1
+    times = np.linspace(0.0, vec.tau, n_steps + 1)
+    want = _rk4_allocating(lambda t: vec.sample(t / vec.tau), psi0, times, lambda a, psi: -1j * (a @ psi))
+    got = evolve_unitary(vec, psi0, n_steps).states
+    if layout == "strided":
+        assert np.max(np.abs(got - want)) < 1e-12
+    else:
+        assert got.tobytes() == want.tobytes()
 
 
 def test_two_cell_fold_keeps_the_signed_zeros_of_the_parity_subspace():

@@ -354,6 +354,25 @@ def test_lz_intensity_scaling_and_guards():
         lz_intensities(lambda s: 0.0, DELTA, 1.0)
 
 
+def test_lz_intensities_of_a_ladder_equal_its_scalar_calls():
+    """A sequence of durations gives one dict per duration, in order, each
+    the dict of its own scalar call bit for bit: Python floats and the
+    CLI's numpy geomspace alike.  An overflow or underflow is named at the
+    first duration of the ladder that has it."""
+    taus = np.geomspace(1.0e-6, 1.0e-3, 25)
+    for ladder in (taus, taus.tolist()):
+        got = lz_intensities(linear_sweep, DELTA, ladder, n_quad=501)
+        assert len(got) == len(taus)
+        for res, tau in zip(got, ladder):
+            want = lz_intensities(linear_sweep, DELTA, tau, n_quad=501)
+            assert np.array(list(res.values())).tobytes() == np.array(list(want.values())).tobytes()
+    assert isinstance(lz_intensities(linear_sweep, DELTA, 1.0e-4), dict)
+    with pytest.raises(OverflowError, match=r"at tau=1e\+200"):
+        lz_intensities(linear_sweep, DELTA, [1.0e-4, 1.0e200, 1.0e201])
+    with pytest.raises(ZeroDivisionError, match=r"at tau=1e-200"):
+        lz_intensities(linear_sweep, DELTA, [1.0e-4, 1.0e-200])
+
+
 def test_nmr_field_ratio_balanced_drive_is_two():
     w = 2.0 * math.pi * 1.0e4
     assert nmr_field_ratio(w, w, w) == 2.0
