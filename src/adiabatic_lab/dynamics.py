@@ -22,8 +22,13 @@ TRACE_TOL = 1e-9
 # temporaries are live at once: with the 8x8 controlled gate, blocks of 256
 # steps raise the closed-sweep benchmark's peak RSS from 40.7-40.9 MB to
 # 44.3 MB (three runs of each on a 2-vCPU VM).  Blocks of 64 peak at the
-# same 40.7-40.9 MB as blocks of 32, so memory no longer separates the two;
-# 32 stays until a timed comparison picks between them.
+# same 40.7-40.9 MB as blocks of 32, so memory no longer separates the two.
+# Nor does time, now that each block also builds its node operand list and
+# its step-size rows: best in-process passes over 4 alternating processes
+# per value read 32 against 64 at 0.145 against 0.145 s (open-sweep), 0.483
+# against 0.481 s (long-trajectory), 0.325 against 0.320 s (closed-sweep)
+# and 0.151 against 0.150 s (liouville), within the runs' own spread.  32
+# stays: a sampler's bits may depend on the length of its calls.
 BLOCK = 32
 # Nodes per block of every pass over a finished trajectory: rk4's non-finite
 # check, the positivity guard of evolve_lindblad, the battery readouts and
@@ -34,6 +39,11 @@ BLOCK = 32
 # the peak RSS by 53 MB at 12001 nodes); 256-node blocks cost a per-node
 # loop's memory, not its time.
 READOUT_BLOCK = 256
+# The constant factors of lindblad_action and rk4 as 0-d complex arrays, made
+# from the literals they stand for (-1j keeps its real part, -0.0): numpy
+# casts a Python scalar to the same complex value before every multiply, so
+# the bits are the same, and each call skips that conversion.
+_MINUS_I, _HALF, _TWO = np.array(-1j), np.array(0.5, dtype=complex), np.array(2.0, dtype=complex)
 
 
 class IntegrationError(RuntimeError):
@@ -48,9 +58,11 @@ class LindbladGenerator:
     """Open-system generator: Hamiltonian part plus (rate, jump) channels.
 
     ``channels`` holds (rates, left, J^dag) for :func:`lindblad_action`,
-    each with its operator kind on the leading axis: ``rates`` is one float
-    array of the channel rates, shaped (C, ..., 1, 1) so that ``rates[c]``
-    scales channel c; ``left`` stacks the left operands
+    each with its operator kind on the leading axis: ``rates`` is one
+    complex array of the channel rates (each r + 0j, the value numpy casts a
+    float rate to before it multiplies a complex product, so no call casts
+    them again), shaped (C, ..., 1, 1) so that ``rates[c]`` scales channel
+    c; ``left`` stacks the left operands
     [J^dag J_1..C, J_1..C], (2C, ..., D, D); and J^dag is (C, ..., D, D).
     They are built on first use and kept, so a generator that is only read
     for its parts, as the one-node samples that :meth:`Schedule.sample`
@@ -62,10 +74,12 @@ class LindbladGenerator:
     one (D, D) jump shared by every node.  Its rates are then (C, M, 1, 1)
     when any rate is per node, and its operator stacks (2C, M, D, D) and
     (C, M, D, D) when any jump is per node, so :func:`lindblad_action` acts
-    node by node on an (M, D, D) stack of states.  Node k, ``gen[k]``,
-    carries its Hamiltonian in front of its left operands,
-    [H_k, J^dag J..., J...]: a slice of :attr:`kinds`, which the stack
-    builds on its first node access.
+    node by node on an (M, D, D) stack of states.  Node k's operands are
+    the tuple ``nodes[k]``, (rates, [H_k, J^dag J..., J...], J^dag): its
+    Hamiltonian sits in front of its left operands, a slice of
+    :attr:`kinds`, and the whole list is built in one pass on first use.
+    :func:`rk4` steps the jump route through that list, and a node view,
+    ``gen[k]``, takes its ``channels`` from it.
     """
 
     _node = None  # (stack, k) on node k of a stacked generator
@@ -85,21 +99,32 @@ class LindbladGenerator:
     @functools.cached_property
     def channels(self) -> tuple:
         node = self._node
-        if node is not None and node[0]._node is None:  # node k of a stack: slices of the stack's
-            stack, k = node
-            rates, _, jd = stack.channels
-            kinds = stack.kinds
-            left = kinds[k] if kinds.ndim > 3 else kinds
-            # the rates and J^dag take the node's member axes here, not in every stage
-            rates, jd = (_unit_axes(x[:, k] if x.ndim > 3 else x, left.ndim, 1) for x in (rates, jd))
-            return rates, left, jd
+        if node is not None and node[0]._node is None:  # node k of a stack: its operand tuple
+            nodes, k = node[0].nodes, node[1]
+            return nodes[k] if len(nodes) > 1 else nodes[0]  # one tuple serves a stack without a node axis
         if not self.jumps:  # empty stacks: lindblad_action adds no channel term
             empty = np.empty((0,) + self.hamiltonian.shape[-2:], dtype=complex)
-            return (np.empty((0, 1, 1)), empty, empty)
+            return (np.empty((0, 1, 1), dtype=complex), empty, empty)
         rates, ops = zip(*self.jumps)
         j = np.array(np.broadcast_arrays(*ops))  # a shared jump beside per-node ones is copied per node
         jd = dagger(j)
-        return (np.array(np.broadcast_arrays(*rates))[..., None, None], np.concatenate([jd @ j, j]), jd)
+        rates = np.array(np.broadcast_arrays(*rates), dtype=complex)
+        return (rates[..., None, None], np.concatenate([jd @ j, j]), jd)
+
+    @functools.cached_property
+    def nodes(self) -> list:
+        """Every node's operand tuple (rates, kinds[k], J^dag), node k's at
+        index k, in one pass over the stack: the rates and J^dag are views
+        of the stack's with the node's member axes added, as
+        :func:`lindblad_action` takes them.  A part that no node has its own
+        of is the same view in every tuple."""
+        rates, _, jd = self.channels
+        kinds = self.kinds
+        ndim = kinds.ndim - (kinds.ndim > 3)  # the axes of a node's kinds
+        parts = [_unit_axes(np.moveaxis(x, 1, 0) if x.ndim > 3 else x[None], ndim + 1, 2) for x in (rates, jd)]
+        parts.insert(1, kinds if kinds.ndim > 3 else kinds[None])
+        m = max(map(len, parts))
+        return list(zip(*(x if len(x) == m else [x[0]] * m for x in parts)))
 
     @functools.cached_property
     def kinds(self) -> np.ndarray:
@@ -121,8 +146,9 @@ class LindbladGenerator:
     def __getitem__(self, k: int) -> "LindbladGenerator":
         """Node (or member) k of a stacked generator: a few slices.  A part
         shared by every node stays whole, and ``channels`` and ``jumps`` are
-        taken from the stack's only when read, so :func:`rk4` takes the
-        nodes of a block one by one without rebuilding anything."""
+        taken from the stack's only when read: ``channels`` is
+        ``nodes[k]``, the one operand tuple of every node of a stack without
+        a node axis.  A node of a node builds its own, from its jumps."""
         h = self.hamiltonian
         new = object.__new__(LindbladGenerator)
         new.hamiltonian = h[k] if h.ndim > 2 else h
@@ -142,22 +168,27 @@ def _unit_axes(x: np.ndarray, ndim: int, at: int) -> np.ndarray:
     return x[(slice(None),) * at + (None,) * (ndim - x.ndim)]
 
 
-def lindblad_action(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
+def lindblad_action(gen: LindbladGenerator | tuple, rho: np.ndarray) -> np.ndarray:
     """Right-hand side -i[H, rho] + sum_n g_n (J rho J^dag - {J^dag J, rho}/2).
 
-    A node view's products come from three batched calls over its kind
-    axis: the left products H rho, J^dag J rho and J rho, ``rho @
-    left[:C+1]`` for rho H and rho J^dag J, and (J rho) @ J^dag for the
-    sandwich.  A stacked generator keeps H apart, in :func:`commutator`,
-    so jumps that every node shares are multiplied into rho once, not once
-    per node.  On one state (a 2-D ``rho``) the left products are one 2-D
+    ``gen`` is a generator, or a node's operand tuple from
+    :attr:`LindbladGenerator.nodes`, which is what :func:`evolve_lindblad`
+    passes to every stage: the tuple acts as the node view ``gen[k]``
+    does, bit for bit, without the view object.  A node's products come
+    from three batched calls over its kind axis: the left products H rho,
+    J^dag J rho and J rho, ``rho @ left[:C+1]`` for rho H and rho J^dag J,
+    and (J rho) @ J^dag for the sandwich.  A stacked generator keeps H
+    apart, in :func:`commutator`, so jumps that every node shares are
+    multiplied into rho once, not once per node.  On one state (a 2-D ``rho``) the left products are one 2-D
     ``ndarray.dot`` of the kinds' stacked rows, which skips the ``matmul``
     gufunc's dispatch; stacked states keep ``matmul``.  Either way each
     slice gets the ``zgemm`` that a call of its own would run, and the
     channel terms are added into the result one at a time, in channel
-    order, so the result is the per-channel loop's bit for bit.
+    order, so the result is the per-channel loop's bit for bit.  The
+    factors -1j and 0.5 are the module's 0-d complex constants, the values
+    numpy would cast the Python scalars to.
     """
-    rates, left, jd = gen.channels
+    rates, left, jd = gen if isinstance(gen, tuple) else gen.channels
     c = len(rates)
     if rho.ndim == 2:
         xl = left.reshape(-1, rho.shape[0]).dot(rho).reshape(left.shape)
@@ -165,12 +196,12 @@ def lindblad_action(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
         if left.ndim <= rho.ndim:  # operands with fewer lead axes than rho: broadcast them over rho's
             left = _unit_axes(left, rho.ndim + 1, 1)
         xl = left @ rho
-    if len(left) > 2 * c:  # a node view: its Hamiltonian leads the kinds
+    if len(left) > 2 * c:  # a node: its Hamiltonian leads the kinds
         xr = rho @ left[:c + 1]
-        out = -1j * (xl[0] - xr[0])
+        out = _MINUS_I * (xl[0] - xr[0])
         xl, xr = xl[1:], xr[1:]
     else:
-        out = -1j * commutator(gen.hamiltonian, rho)
+        out = _MINUS_I * commutator(gen.hamiltonian, rho)
         xr = rho @ left[:c]
         if rates.ndim > xl.ndim:  # per-node rates, shared jumps, one state: the products take the node axes
             xl, xr, jd = (_unit_axes(x, rates.ndim, 1) for x in (xl, xr, jd))
@@ -178,7 +209,7 @@ def lindblad_action(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
         jd = _unit_axes(jd, xl.ndim, 1)
     if rates.ndim < xl.ndim:
         rates = _unit_axes(rates, xl.ndim, 1)
-    terms = rates * (xl[c:] @ jd - 0.5 * (xl[:c] + xr))
+    terms = rates * (xl[c:] @ jd - _HALF * (xl[:c] + xr))
     for n in range(c):
         out += terms[n]
     return out
@@ -340,7 +371,8 @@ def rk4(sample: Callable[[np.ndarray], object], y0: np.ndarray, times: np.ndarra
 
     ``sample(ts)`` returns the generators A at an array of physical times
     ``ts``, stacked so that ``sample(ts)[i]`` is A(ts[i]): an (m, D, D)
-    array or a stacked :class:`LindbladGenerator`.  ``act(a, y)``
+    array, a stacked :class:`LindbladGenerator`, or the list of its
+    nodes' operand tuples (:attr:`LindbladGenerator.nodes`).  ``act(a, y)``
     returns A y as a new array.  ``unit`` is a constant factor of the flow,
     folded into the step sizes once per run: -1j for the Schrodinger
     equation (``act`` a matrix-vector product, ``ndarray.dot`` for one
@@ -360,14 +392,20 @@ def rk4(sample: Callable[[np.ndarray], object], y0: np.ndarray, times: np.ndarra
     :data:`BLOCK`, and each block takes its samples from one ``sample``
     call in step order, [node 0,] midpoint, node, midpoint, node, ...: at
     most 2 * BLOCK + 1 samples.  The sample times and step sizes are
-    formed once per :data:`READOUT_BLOCK` steps, elementwise, so neither
-    they nor the samples cost more memory than one such block's worth,
-    however long the run.  ``sample`` must be a pure function of t.
+    formed once per :data:`READOUT_BLOCK` steps, elementwise, and each
+    block copies its steps' h, h/2 and h/6 into complex arrays of one row
+    per step, each row of the state's shape: the values numpy would cast a
+    float step, or a sweep's (R, 1, ...) broadcast, to before each
+    multiply, so the rows change no bit and no stage converts a scalar or
+    broadcasts.  Neither they nor the samples cost more memory than one
+    block's worth, however long the run.  ``sample`` must be a pure
+    function of t.
 
     The stage inputs y + (h/2) k, the k-combination and the new state are
-    formed with ``out=``, in one scratch buffer and in the state's own row
-    of the result, in the textbook's operation order, so they allocate
-    nothing per step and change no bit.  The states equal those of the loop
+    formed into given outputs, passed positionally: one scratch buffer and
+    the state's own row of the result, in the textbook's operation order,
+    so they allocate nothing per step and change no bit; the 2 of
+    2 (k2 + k3) is a 0-d complex 2+0j.  The states equal those of the loop
     that multiplies every ``act`` result by ``unit``, bit for bit (see the
     comment on the step sizes).
 
@@ -411,28 +449,28 @@ def rk4(sample: Callable[[np.ndarray], object], y0: np.ndarray, times: np.ndarra
             ts = np.empty((2 * (e - c) + 1,) + times.shape[1:])
             ts[0::2] = grid
             ts[1::2] = grid[:-1] + 0.5 * dt
-            if times.ndim > 1:  # a member's step sizes broadcast over its own state
-                dt = dt.reshape(dt.shape + (1,) * (y.ndim - 1))
-            # one iterator over the steps of every block below: zip stops at
-            # a block's end without taking a step from it
-            steps = zip(unit * dt, unit * (0.5 * dt), unit * (dt / 6.0))
+            dt = dt.reshape(dt.shape + (1,) * (y.ndim + 1 - dt.ndim))  # a step's sizes broadcast over its state
+            sizes = np.stack([unit * dt, unit * (0.5 * dt), unit * (dt / 6.0)])
             for a in range(c, e, BLOCK):
                 b = min(a + BLOCK, e)
                 j = int(a == 0)  # where the block's first midpoint sits
                 nodes = sample(ts[2 * (a - c) + 1 - j:2 * (b - c) + 1])
                 if j:
                     a_end = nodes[0]
-                for k, (h, h_half, h_sixth) in zip(range(a + 1, b + 1), steps):
+                # h, h/2 and h/6 of each step of the block, each a complex row of the state's shape
+                steps = np.empty((3, b - a) + y.shape, dtype=complex)
+                steps[...] = sizes[:, a - c:b - c]
+                for k, h, h_half, h_sixth in zip(range(a + 1, b + 1), *steps):
                     k1 = act(a_end, y)
                     a_mid = nodes[j]
-                    k2 = act(a_mid, add(y, mul(h_half, k1, out=buf), out=buf))
-                    k3 = act(a_mid, add(y, mul(h_half, k2, out=buf), out=buf))
+                    k2 = act(a_mid, add(y, mul(h_half, k1, buf), buf))
+                    k3 = act(a_mid, add(y, mul(h_half, k2, buf), buf))
                     a_end = nodes[j + 1]
                     j += 2
-                    k4 = act(a_end, add(y, mul(h, k3, out=buf), out=buf))
+                    k4 = act(a_end, add(y, mul(h, k3, buf), buf))
                     # y + h/6 (k1 + 2 (k2 + k3) + k4), in that order, straight into row k
-                    add(k1, mul(2.0, add(k2, k3, out=buf), out=buf), out=buf)
-                    y = add(y, mul(h_sixth, add(buf, k4, out=buf), out=buf), out=out[k])
+                    add(k1, mul(_TWO, add(k2, k3, buf), buf), buf)
+                    y = add(y, mul(h_sixth, add(buf, k4, buf), buf), out[k])
     for a in range(1, n + 1, READOUT_BLOCK):
         finite = np.all(np.isfinite(out[a:a + READOUT_BLOCK]), axis=tuple(range(1, out.ndim)))
         if not finite.all():
@@ -497,7 +535,11 @@ def evolve_lindblad(l: Schedule, rho0: np.ndarray, n_steps: int) -> Trajectory:
     and ``unit`` = -1j, so the -i sits in the step sizes as in
     :func:`evolve_unitary`; the states are those of :func:`lindblad_action`
     on the same samples, bit for bit, by the argument :func:`rk4` documents.
-    Otherwise every stage runs through :func:`lindblad_action`.  Either
+    Otherwise every stage runs through :func:`lindblad_action`, on the
+    operand tuples of each block's stacked generator
+    (:attr:`LindbladGenerator.nodes`), which the block builds once, not
+    once per stage; ``lindblad_action`` is the module's name as
+    ``evolve_lindblad`` finds it when called.  Either
     route takes its samples through :meth:`Schedule.generators`, and each
     block's jump count must be that of the sample at s = 0: a count that
     changes along s, inside a block (:meth:`Schedule.sample`) or from one
@@ -525,7 +567,7 @@ def evolve_lindblad(l: Schedule, rho0: np.ndarray, n_steps: int) -> Trajectory:
         gen = l.generators(s)
         if len(gen.jumps) != count:
             raise ValueError(f"jump count ({count} -> {len(gen.jumps)}) changes at s={s[0]}")
-        return gen.hamiltonian if jumpless else gen
+        return gen.hamiltonian if jumpless else gen.nodes
 
     if jumpless:
         states = rk4(sample, y0, times, commutator, -1j)

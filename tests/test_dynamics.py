@@ -213,6 +213,66 @@ def test_rk4_block_boundaries_match_four_sample_rk4_bit_for_bit(n_steps, members
         assert np.array_equal(got[:, r], want)
 
 
+def _rk4_scalar_steps(sample, y0, times, act, unit):
+    """rk4 with the call forms of its stage loop before the step sizes became
+    full-shape rows: numpy-scalar step sizes (a sweep's (R, 1, ...)
+    broadcasts) from ``zip(unit * dt, unit * (0.5 * dt), unit * (dt / 6.0))``,
+    a Python ``2.0`` and ``out=`` keywords, in the same operation order,
+    sampling the whole grid in one call."""
+    y = np.asarray(y0, dtype=complex)
+    n = len(times) - 1
+    out = np.empty((n + 1,) + y.shape, dtype=complex)
+    out[0] = y
+    dt = times[1:] - times[:-1]
+    ts = np.empty((2 * n + 1,) + times.shape[1:])
+    ts[0::2], ts[1::2] = times, times[:-1] + 0.5 * dt
+    nodes = sample(ts)
+    if times.ndim > 1:
+        dt = dt.reshape(dt.shape + (1,) * (y.ndim - 1))
+    buf = np.empty_like(y)
+    add, mul = np.add, np.multiply
+    for k, (h, h_half, h_sixth) in enumerate(zip(unit * dt, unit * (0.5 * dt), unit * (dt / 6.0))):
+        k1 = act(nodes[2 * k], y)
+        k2 = act(nodes[2 * k + 1], add(y, mul(h_half, k1, out=buf), out=buf))
+        k3 = act(nodes[2 * k + 1], add(y, mul(h_half, k2, out=buf), out=buf))
+        k4 = act(nodes[2 * k + 2], add(y, mul(h, k3, out=buf), out=buf))
+        add(k1, mul(2.0, add(k2, k3, out=buf), out=buf), out=buf)
+        y = add(y, mul(h_sixth, add(buf, k4, out=buf), out=buf), out=out[k + 1])
+    return out
+
+
+@pytest.mark.parametrize("readout", [1, 7, 256])
+@pytest.mark.parametrize("block", [1, 5])
+def test_stage_loop_keeps_the_scalar_step_bits(readout, block, monkeypatch):
+    """The full-shape complex step-size rows, the 0-d 2+0j and the positional
+    outputs of rk4's stage loop give the states of the scalar call forms
+    byte for byte, signed zeros included, for unit 1 and -1j: single vector
+    runs at D = 2 and 8, a single matrix run at D = 3 and a 3-member sweep
+    at D = 2, from initial states with exact and negative zeros, across
+    block and readout-block edges."""
+    monkeypatch.setattr(dynamics, "READOUT_BLOCK", readout)
+    monkeypatch.setattr(dynamics, "BLOCK", block)
+    rng = np.random.default_rng(readout + block)
+    n_steps = 23
+    for dim, state, members, act in ((2, (), None, np.ndarray.dot), (8, (), None, np.ndarray.dot),
+                                     (3, (3,), None, dynamics.commutator), (2, (2,), 3, dynamics.commutator)):
+        lead = () if members is None else (members,)
+        a0, a1, a2 = (rng.normal(size=lead + (dim, dim)) + 1j * rng.normal(size=lead + (dim, dim))
+                      for _ in range(3))
+
+        def sample(ts):
+            t = ts[..., None, None]
+            return a0 + np.cos(3.0 * t) * a1 + t * a2
+
+        y0 = rng.normal(size=lead + (dim,) + state) + 1j * rng.normal(size=lead + (dim,) + state)
+        y0.real.flat[::3], y0.imag.flat[1::3] = 0.0, -0.0
+        y0.real.flat[1::4] = -0.0
+        times = np.linspace(0.0, 1.5 if members is None else rng.uniform(0.5, 2.0, members), n_steps + 1)
+        for unit in (1.0, -1j):
+            want = _rk4_scalar_steps(sample, y0, times, act, unit)
+            assert rk4(sample, y0, times, act, unit).tobytes() == want.tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     members=st.integers(1, 4),
@@ -444,21 +504,65 @@ def test_node_views_slice_their_stacks_kinds(jumps, members):
     assert vars(gen)["kinds"] is gen.kinds and gen.kinds.shape == (lead[0], 5) + lead[1:] + (3, 3)
 
 
+@pytest.mark.parametrize("n_jumps", [1, 4])
+@pytest.mark.parametrize("dim", [2, 3, 8])
+@pytest.mark.parametrize("members", [None, 3])
+def test_node_operand_tuples_act_as_node_views(members, dim, n_jumps):
+    """``nodes[k]`` acts on a state as the node view ``gen[k]`` does, as node
+    k's own generator does through the per-channel loop, and as row k of the
+    whole stack's action where the stack has one, byte for byte: single runs
+    and sweeps, shared and per-node rates and jumps.  Member r of node k,
+    ``gen[k][r]``, builds its own channels and acts as row r of node k's
+    tuple does.  The rates are stored complex."""
+    rng = np.random.default_rng(1000 * dim + 10 * n_jumps + (members or 0))
+    lead = (4,) if members is None else (4, members)
+
+    def mat(*shape):
+        return rng.normal(size=shape + (dim, dim)) + 1j * rng.normal(size=shape + (dim, dim))
+
+    h = mat(*lead)
+    h = h + dagger(h)
+    rho = mat(*lead)
+    rho.real.flat[::5] = -0.0
+    for rates in ("shared", "per-node"):
+        for jumps in ("shared", "per-node"):
+            gammas = [float(rng.uniform(0.0, 2.0)) if rates == "shared" else rng.uniform(0.0, 2.0, lead)
+                      for _ in range(n_jumps)]
+            ops = [mat() if jumps == "shared" else mat(*lead) for _ in range(n_jumps)]
+            gen = LindbladGenerator(h, tuple(zip(gammas, ops)))
+            assert gen.channels[0].dtype == np.complex128
+            whole = lindblad_action(gen, rho)
+            assert len(gen.nodes) == lead[0]
+            for k, operands in enumerate(gen.nodes):
+                got = lindblad_action(operands, rho[k])
+                own = LindbladGenerator(h[k], tuple((g[k] if np.ndim(g) else g, j[k] if j.ndim > 2 else j)
+                                                    for g, j in zip(gammas, ops)))
+                assert _same_bytes(got, lindblad_action(gen[k], rho[k]))
+                assert _same_bytes(got, _lindblad_action_per_call(own, rho[k]))
+                assert _same_bytes(got, whole[k])
+                if members:
+                    for r in range(members):
+                        node = lindblad_action(gen[k][r], rho[k, r])
+                        assert _same_bytes(node, got[r])
+                        assert _same_bytes(node, _lindblad_action_per_call(own[r], rho[k, r]))
+
+
 def _eager(gen):
     """A copy of ``gen`` whose channel stacks are built up front, as the
-    constructor once built them for every generator: the rates, the left
-    operands [J^dag J..., J...] and J^dag, each channel first."""
+    constructor once built them for every generator: the complex rates,
+    the left operands [J^dag J..., J...] and J^dag, each channel first."""
     new = object.__new__(LindbladGenerator)
     new.hamiltonian, new.jumps = gen.hamiltonian, gen.jumps
     rates = [g for g, _ in gen.jumps]
     ops = [j for _, j in gen.jumps]
     if not ops:
         empty = np.empty((0,) + gen.hamiltonian.shape[-2:], dtype=complex)
-        new.channels = (np.empty((0, 1, 1)), empty, empty)
+        new.channels = (np.empty((0, 1, 1), dtype=complex), empty, empty)
         return new
     j = np.array(np.broadcast_arrays(*ops))
     jd = dagger(j)
-    new.channels = (np.array(np.broadcast_arrays(*rates))[..., None, None], np.concatenate([jd @ j, j]), jd)
+    rates = np.array(np.broadcast_arrays(*rates), dtype=complex)[..., None, None]
+    new.channels = (rates, np.concatenate([jd @ j, j]), jd)
     return new
 
 
