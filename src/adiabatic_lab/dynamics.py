@@ -76,32 +76,18 @@ class LindbladGenerator:
     (C, M, D, D) when any jump is per node, so :func:`lindblad_action` acts
     node by node on an (M, D, D) stack of states.  Node k's operands are
     the tuple ``nodes[k]``, (rates, [H_k, J^dag J..., J...], J^dag): its
-    Hamiltonian sits in front of its left operands, a slice of
-    :attr:`kinds`, and the whole list is built in one pass on first use.
-    :func:`rk4` steps the jump route through that list, and a node view,
-    ``gen[k]``, takes its ``channels`` from it.
+    Hamiltonian sits in front of its left operands, and the whole list is
+    built in one pass on first use.  :func:`rk4` steps the jump route
+    through that list.  ``gen[k]`` is node k as a generator of its own,
+    which builds its channels from its own jumps when it needs them.
     """
-
-    _node = None  # (stack, k) on node k of a stacked generator
 
     def __init__(self, hamiltonian: np.ndarray, jumps: tuple = ()):
         self.hamiltonian = np.asarray(hamiltonian, dtype=complex)
         self.jumps = tuple([(_rate(g), np.asarray(j, dtype=complex)) for g, j in jumps])
 
     @functools.cached_property
-    def jumps(self) -> tuple:
-        """A node view's (rate, J) pairs, taken from its stack's on first read;
-        the constructor sets every other generator's."""
-        stack, k = self._node
-        return tuple([(_rate(g[k]) if isinstance(g, np.ndarray) else g, op[k] if op.ndim > 2 else op)
-                      for g, op in stack.jumps])
-
-    @functools.cached_property
     def channels(self) -> tuple:
-        node = self._node
-        if node is not None and node[0]._node is None:  # node k of a stack: its operand tuple
-            nodes, k = node[0].nodes, node[1]
-            return nodes[k] if len(nodes) > 1 else nodes[0]  # one tuple serves a stack without a node axis
         if not self.jumps:  # empty stacks: lindblad_action adds no channel term
             empty = np.empty((0,) + self.hamiltonian.shape[-2:], dtype=complex)
             return (np.empty((0, 1, 1), dtype=complex), empty, empty)
@@ -113,47 +99,39 @@ class LindbladGenerator:
 
     @functools.cached_property
     def nodes(self) -> list:
-        """Every node's operand tuple (rates, kinds[k], J^dag), node k's at
-        index k, in one pass over the stack: the rates and J^dag are views
-        of the stack's with the node's member axes added, as
+        """Every node's operand tuple (rates, [H, J^dag J..., J...], J^dag),
+        node k's at index k, in one pass over the stack: every node's kinds
+        are a slice of one node-first array, and the rates and J^dag are
+        views of the stack's with the node's member axes added, as
         :func:`lindblad_action` takes them.  A part that no node has its own
-        of is the same view in every tuple."""
-        rates, _, jd = self.channels
-        kinds = self.kinds
-        ndim = kinds.ndim - (kinds.ndim > 3)  # the axes of a node's kinds
+        of is the same view in every tuple, and a stack without a node axis
+        has one tuple."""
+        h = self.hamiltonian
+        rates, left, jd = self.channels
+        parts = (h[None], left)  # kind first, then the node axis where there is one
+        per_node = [x for x in parts if x.ndim > 3]
+        if per_node:
+            lead = np.broadcast_shapes(*[x.shape[2:-2] for x in per_node])  # a node's own axes: its members
+            kinds = np.empty(per_node[0].shape[1:2] + (len(left) + 1,) + lead + h.shape[-2:], dtype=complex)
+            by_kind = np.moveaxis(kinds, 1, 0)
+            for dst, x in zip((by_kind[:1], by_kind[1:]), parts):
+                dst[...] = _unit_axes(x if x.ndim > 3 else x[:, None], by_kind.ndim, 2)
+        else:
+            kinds = np.concatenate(parts)[None]
+        ndim = kinds.ndim - 1  # the axes of a node's kinds
         parts = [_unit_axes(np.moveaxis(x, 1, 0) if x.ndim > 3 else x[None], ndim + 1, 2) for x in (rates, jd)]
-        parts.insert(1, kinds if kinds.ndim > 3 else kinds[None])
+        parts.insert(1, kinds)
         m = max(map(len, parts))
         return list(zip(*(x if len(x) == m else [x[0]] * m for x in parts)))
 
-    @functools.cached_property
-    def kinds(self) -> np.ndarray:
-        """Every node's [H, J^dag J..., J...], node first, so that node k's
-        are ``kinds[k]``: (M, 1 + 2C, ..., D, D), or one (1 + 2C, D, D)
-        array when neither the Hamiltonian nor any jump is per node."""
-        h = self.hamiltonian
-        parts = (h[None], self.channels[1])  # kind first, then the node axis where there is one
-        per_node = [x for x in parts if x.ndim > 3]
-        if not per_node:
-            return np.concatenate(parts)
-        lead = np.broadcast_shapes(*[x.shape[2:-2] for x in per_node])  # a node's own axes: its members
-        nodes = np.empty(per_node[0].shape[1:2] + (len(parts[1]) + 1,) + lead + h.shape[-2:], dtype=complex)
-        kinds = np.moveaxis(nodes, 1, 0)
-        for dst, x in zip((kinds[:1], kinds[1:]), parts):
-            dst[...] = _unit_axes(x if x.ndim > 3 else x[:, None], kinds.ndim, 2)
-        return nodes
-
     def __getitem__(self, k: int) -> "LindbladGenerator":
-        """Node (or member) k of a stacked generator: a few slices.  A part
-        shared by every node stays whole, and ``channels`` and ``jumps`` are
-        taken from the stack's only when read: ``channels`` is
-        ``nodes[k]``, the one operand tuple of every node of a stack without
-        a node axis.  A node of a node builds its own, from its jumps."""
+        """Node (or member) k of a stacked generator, built by the
+        constructor from the stack's parts indexed by k where they have a
+        node axis; a part that every node shares stays the same object."""
         h = self.hamiltonian
-        new = object.__new__(LindbladGenerator)
-        new.hamiltonian = h[k] if h.ndim > 2 else h
-        new._node = (self, k)
-        return new
+        return LindbladGenerator(h[k] if h.ndim > 2 else h,
+                                 tuple([(g[k] if isinstance(g, np.ndarray) else g, op[k] if op.ndim > 2 else op)
+                                        for g, op in self.jumps]))
 
 
 def _rate(g):
@@ -173,8 +151,8 @@ def lindblad_action(gen: LindbladGenerator | tuple, rho: np.ndarray) -> np.ndarr
 
     ``gen`` is a generator, or a node's operand tuple from
     :attr:`LindbladGenerator.nodes`, which is what :func:`evolve_lindblad`
-    passes to every stage: the tuple acts as the node view ``gen[k]``
-    does, bit for bit, without the view object.  A node's products come
+    passes to every stage: node k's tuple acts as node k's own generator,
+    ``gen[k]``, does, bit for bit.  A node's products come
     from three batched calls over its kind axis: the left products H rho,
     J^dag J rho and J rho, ``rho @ left[:C+1]`` for rho H and rho J^dag J,
     and (J rho) @ J^dag for the sandwich.  A stacked generator keeps H
@@ -371,8 +349,10 @@ def rk4(sample: Callable[[np.ndarray], object], y0: np.ndarray, times: np.ndarra
 
     ``sample(ts)`` returns the generators A at an array of physical times
     ``ts``, stacked so that ``sample(ts)[i]`` is A(ts[i]): an (m, D, D)
-    array, a stacked :class:`LindbladGenerator`, or the list of its
-    nodes' operand tuples (:attr:`LindbladGenerator.nodes`).  ``act(a, y)``
+    array, or the list of a stacked :class:`LindbladGenerator`'s node
+    operand tuples (:attr:`LindbladGenerator.nodes`), which are sliced once
+    per block where the generator's own ``gen[i]`` would build node i
+    anew on every read.  ``act(a, y)``
     returns A y as a new array.  ``unit`` is a constant factor of the flow,
     folded into the step sizes once per run: -1j for the Schrodinger
     equation (``act`` a matrix-vector product, ``ndarray.dot`` for one

@@ -478,32 +478,6 @@ def test_lindblad_action_on_one_state_keeps_the_per_channel_bits(dim, n_jumps):
                         assert _same_bytes(lindblad_action(node(k), rho), want)
 
 
-@pytest.mark.parametrize("jumps", ["shared", "stacked"])
-@pytest.mark.parametrize("members", [None, 3])
-def test_node_views_slice_their_stacks_kinds(jumps, members):
-    """Every node of a stacked generator takes its [H, J^dag J..., J...]
-    from one array that the stack builds on its first node access, and its
-    rates and J^dag from the stack's own: the node views of a block share
-    their stack's arrays and build nothing of their own."""
-    rng = np.random.default_rng(7)
-    lead = (6,) if members is None else (6, members)
-
-    def mat(*shape):
-        return rng.normal(size=shape + (3, 3)) + 1j * rng.normal(size=shape + (3, 3))
-
-    ops = [mat(*lead) if jumps == "stacked" else mat() for _ in range(2)]
-    gen = LindbladGenerator(mat(*lead), ((rng.uniform(0.0, 2.0, lead), ops[0]), (0.5, ops[1])))
-    views = [gen[k] for k in range(lead[0])]
-    assert "kinds" not in vars(gen)
-    rates, _, jd = gen.channels
-    for k, view in enumerate(views):
-        assert view.channels[1].shape == (5,) + lead[1:] + (3, 3)
-        for part, whole in zip(view.channels, (rates, gen.kinds, jd)):
-            assert np.shares_memory(part, whole)
-        assert np.array_equal(view.channels[1][0], gen.hamiltonian[k])
-    assert vars(gen)["kinds"] is gen.kinds and gen.kinds.shape == (lead[0], 5) + lead[1:] + (3, 3)
-
-
 @pytest.mark.parametrize("n_jumps", [1, 4])
 @pytest.mark.parametrize("dim", [2, 3, 8])
 @pytest.mark.parametrize("members", [None, 3])
@@ -779,6 +753,51 @@ def test_schedule_probe_rejects_nan_rate():
     rho0 = 0.5 * np.eye(2, dtype=complex)
     with pytest.raises(ValueError, match=r"negative or NaN rate nan at s=0\.5"):
         evolve_lindblad(sched, rho0, 16)
+
+
+@pytest.mark.parametrize("bad_rate, message", [
+    (-0.1, r"negative or NaN rate -0\.1 at s=0\.75$"),
+    (np.nan, r"negative or NaN rate nan at s=0\.75$"),
+    (None, r"non-Hermitian Hamiltonian sample at s=0\.25$"),
+])
+def test_schedule_probe_checks_a_vectorized_sweeps_members_in_order(bad_rate, message):
+    """The probe of a vectorized sweep takes each sample as a one-node
+    generator and checks its members in sweep order: member 1's bad rate at
+    s = 0.75 wins over member 2's non-Hermitian Hamiltonian at s = 0.25."""
+
+    def sampler(s):  # (M, R) member times
+        ham = np.broadcast_to(SIGMA_X, s.shape + (2, 2)).copy()
+        ham[..., 2, :, :][s[..., 2] == 0.25] += 1j * np.eye(2)
+        rates = 0.1 + 0.0 * s
+        if bad_rate is not None:
+            rates[..., 1][s[..., 1] == 0.75] = bad_rate
+        return LindbladGenerator(ham, ((rates, SIGMA_Z),))
+
+    sched = Schedule([1.0, 2.0, 3.0], sampler, vectorized=True)
+    with pytest.raises(ValueError, match=message):
+        evolve_lindblad(sched, 0.5 * np.eye(2, dtype=complex), 16)
+
+
+def test_shared_operators_with_per_node_rates_step_as_a_scalar_sampler():
+    """A vectorized sampler that returns one (D, D) Hamiltonian and jump for
+    every node, with only its rates per node, samples to a stack whose node
+    operand tuples all share one kinds array; its run equals, byte for byte,
+    that of the scalar sampler of the same model, whose stack has a
+    Hamiltonian per node."""
+    ham = 0.7 * SIGMA_X + 0.2 * SIGMA_Z
+    jump = SIGMA_Z + 0.3 * SIGMA_X
+
+    def sampler(s):  # one s, or an (M,) array of them
+        return LindbladGenerator(ham, ((0.3 + 0.2 * s, jump),))
+
+    vec = Schedule(2.0, sampler, vectorized=True)
+    scalar = Schedule(2.0, sampler)
+    stack = vec.generators(np.linspace(0.0, 1.0, 5))
+    assert stack.hamiltonian.ndim == 2 and len(stack.nodes) == 5
+    assert all(operands[1] is stack.nodes[0][1] for operands in stack.nodes)
+    rho0 = pure_state_density(np.array([0.6, 0.8j]))
+    got = evolve_lindblad(vec, rho0, 100).states
+    assert _same_bytes(got, evolve_lindblad(scalar, rho0, 100).states)
 
 
 def test_lindblad_dephasing_closed_form():
