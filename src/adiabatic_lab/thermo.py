@@ -43,12 +43,13 @@ ENTROPY_EIG_FLOOR = 1e-14
 
 def _dual_route_check(direct, paired, label: str) -> None:
     """Require the two routes to agree on every node; a disagreement names
-    the first failing node of a stack."""
-    direct = np.asarray(direct)
+    the first failing node of a stack, scanning an (M, R) sweep stack
+    member by member in sweep order."""
+    direct, paired = np.asarray(direct).T, np.asarray(paired).T
     bad = np.ravel(np.abs(direct - paired) > DUAL_ROUTE_TOL * np.maximum(1.0, np.abs(direct)))
     if bad.any():
         k = int(np.argmax(bad))
-        where = f" at node {k}" if direct.ndim else ""
+        where = f" at node {k % direct.shape[-1]}" if direct.ndim else ""
         raise AssertionError(
             f"{label}: operator-trace route {float(np.ravel(direct)[k])!r} and coherence-vector "
             f"route {float(np.ravel(paired)[k])!r} disagree beyond {DUAL_ROUTE_TOL}{where}"
@@ -69,17 +70,18 @@ def heat_rate(
 ):
     """Instantaneous heat current Tr(L[rho] H).
 
-    Takes one node or a stack of M nodes (a stacked generator with (M, D, D)
-    states and Hamiltonians) and gives a float or an (M,) array.  When
-    ``basis`` is supplied the same number is recomputed on every node as the
-    bilinear pairing (1/D) h . (L rho) of component vectors, from one
-    stacked superoperator build, and the two routes are required to agree
-    within 1e-10 relative; an AssertionError names the first node where
-    they do not.
+    Takes one node or a stack of M (or M x R sweep) nodes with (..., D, D)
+    states and Hamiltonians, and gives a float or an array of the stack's
+    shape.  When ``basis`` is supplied the same number is recomputed on
+    every node as the bilinear pairing (1/D) h . (L rho) of component
+    vectors, from one stacked superoperator build, and the two routes are
+    required to agree within 1e-10 relative; an AssertionError names the
+    first node where they do not.
     """
     direct = _real_trace(lindblad_action(gen, rho) @ h)
     if basis is not None:
-        lmat = superoperator_matrix(lambda ops: lindblad_action(gen, ops[:, None]), basis).matrix
+        lead = (None,) * (gen.hamiltonian.ndim - 2)  # a unit axis per node or member axis of the generator
+        lmat = superoperator_matrix(lambda ops: lindblad_action(gen, ops[(slice(None),) + lead]), basis).matrix
         h_vec = to_coherence_vector(h, basis)
         l_rho = (lmat @ to_coherence_vector(rho, basis)[..., None])[..., 0]
         paired = np.real(np.sum(h_vec * l_rho, axis=-1)) / basis.dim
@@ -110,11 +112,11 @@ def entropy_rate(gen: LindbladGenerator, rho: np.ndarray):
     Eigenvalues of rho below 1e-14 are floored there (and flagged once per
     call) so the logarithm stays finite; an eigenvalue that is negative
     beyond tolerance means the input is not a state and is refused, naming
-    the lowest eigenvalue of the first such node.
+    the lowest eigenvalue of the first such node, in sweep order on a sweep.
     """
     rho = np.asarray(rho, dtype=complex)
     vals, vecs = np.linalg.eigh(0.5 * (rho + dagger(rho)))
-    lowest = np.ravel(vals.min(axis=-1))
+    lowest = np.ravel(vals.min(axis=-1).T)
     bad = lowest < -1e-12
     if bad.any():
         raise ValueError(f"state has negative eigenvalue {lowest[np.argmax(bad)]:.3e}")
@@ -134,14 +136,14 @@ class ThermoLedger:
     """Time-resolved energy bookkeeping along an open trajectory.
 
     ``first_law_residual`` is max |U(t) - U(0) - Q(t) - W(t)| over the
-    grid; it is integration noise, not physics, and should sit at the
-    integrator tolerance.
+    grid, a float (an (R,) array for a sweep); it is integration noise, not
+    physics, and should sit at the integrator tolerance.
     """
 
     heat: np.ndarray
     heat_rate: np.ndarray
     entropy_rate: np.ndarray
-    first_law_residual: float
+    first_law_residual: float | np.ndarray
 
 
 def build_ledger(
@@ -153,15 +155,15 @@ def build_ledger(
     trajectory, with the first-law residual of its heat and work.
 
     The schedule is sampled once on the trajectory's grid and every rate is
-    one stacked evaluation.  With a ``basis``, the dual-route agreement
-    check of :func:`heat_rate` and :func:`work_rate` runs on every node.
+    one stacked evaluation; a sweep's gives one ledger over its (n+1, R)
+    grid, whose column r is member r's own ledger bit for bit.  With a
+    ``basis``, the dual-route agreement check of :func:`heat_rate` and
+    :func:`work_rate` runs on every node.
     """
-    times = traj.times
-    rho = traj.states
-
+    times, rho = traj.times, traj.states
     gen = l.generators(times / l.tau)
     hams = gen.hamiltonian
-    h_dots = fourth_order_derivative(hams, times[1] - times[0])
+    h_dots = fourth_order_derivative(hams, (times[1] - times[0])[..., None, None])
 
     q_rate = heat_rate(gen, rho, hams, basis)
     w_rate = work_rate(h_dots, rho, basis)
@@ -169,14 +171,9 @@ def build_ledger(
     s_rate = entropy_rate(gen, rho)
 
     heat = cumtrapz(q_rate, times)
-    work = cumtrapz(w_rate, times)
-    residual = float(np.max(np.abs(u - u[0] - heat - work)))
-    return ThermoLedger(
-        heat=heat,
-        heat_rate=q_rate,
-        entropy_rate=s_rate,
-        first_law_residual=residual,
-    )
+    residual = np.max(np.abs(u - u[0] - heat - cumtrapz(w_rate, times)), axis=0)
+    return ThermoLedger(heat=heat, heat_rate=q_rate, entropy_rate=s_rate,
+                        first_law_residual=residual if residual.ndim else float(residual))
 
 
 def unitary_conjugate_channel(l: Schedule, u: np.ndarray) -> Schedule:
@@ -224,7 +221,8 @@ def dephasing_heat_scenario(
     omega)).  A sequence of rates ``gamma`` (each
     a callable or a float) integrates every rate as one member of a single
     lock-step sweep and returns a list with one such dict per rate, each
-    equal to the dict of its own scalar call.
+    equal to the dict of its own scalar call, cut from one ledger of the
+    whole sweep.
     """
     if omega <= 0 or beta <= 0:
         raise ValueError("omega and beta must be positive")
@@ -234,30 +232,27 @@ def dephasing_heat_scenario(
     g0 = np.tanh(beta * omega)
     rho0 = 0.5 * (SIGMA_0 - g0 * SIGMA_X)
 
+    def rates(s: np.ndarray) -> np.ndarray:
+        """The rates at an (m, R) node-by-member array of s."""
+        return np.array([[f(x) for f, x in zip(gamma_fns, row)] for row in s.tolist()])
+
     def sampler(s: np.ndarray) -> LindbladGenerator:
         """The generators at an (m, R) node-by-member array of s."""
-        rates = np.array([[f(x) for f, x in zip(gamma_fns, row)] for row in s.tolist()])
-        return LindbladGenerator(np.broadcast_to(ham, s.shape + ham.shape), ((rates, SIGMA_Z),))
+        return LindbladGenerator(np.broadcast_to(ham, s.shape + ham.shape), ((rates(s), SIGMA_Z),))
 
-    traj = evolve_lindblad(Schedule(np.full(len(gamma_fns), tau), sampler, vectorized=True), rho0, n_steps)
+    sweep = Schedule(np.full(len(gamma_fns), tau), sampler, vectorized=True)
+    traj = evolve_lindblad(sweep, rho0, n_steps)
+    ledger = build_ledger(sweep, traj, basis)
+    gamma_int = cumtrapz(rates(traj.times / tau), traj.times)[-1]
 
-    results = []
-    for r, gamma_fn in enumerate(gamma_fns):
-        member = traj.member(r)
-        sched = Schedule(tau, lambda s, f=gamma_fn: LindbladGenerator(
-            np.broadcast_to(ham, s.shape + ham.shape), ((np.array([f(x) for x in s.tolist()]), SIGMA_Z),)),
-            vectorized=True)
-        ledger = build_ledger(sched, member, basis=basis)
-        s_grid = member.times / tau
-        gamma_int = cumtrapz(np.array([gamma_fn(s) for s in s_grid]), member.times)
-        q_closed = omega * g0 * (1.0 - np.exp(-2.0 * gamma_int[-1]))
-        results.append({
-            "ledger": ledger,
-            "trajectory": member,
-            "q_total": float(ledger.heat[-1]),
-            "q_closed": float(q_closed),
-            "q_asymptote": float(omega * g0),
-        })
+    results = [{
+        "ledger": ThermoLedger(*(x[:, r] for x in (ledger.heat, ledger.heat_rate, ledger.entropy_rate)),
+                               float(ledger.first_law_residual[r])),
+        "trajectory": traj.member(r),
+        "q_total": float(ledger.heat[-1, r]),
+        "q_closed": float(omega * g0 * (1.0 - np.exp(-2.0 * gamma_int[r]))),
+        "q_asymptote": float(omega * g0),
+    } for r in range(sweep.members)]
     return results[0] if one else results
 
 

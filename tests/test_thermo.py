@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from adiabatic_lab import thermo
-from adiabatic_lab.dynamics import LindbladGenerator, Schedule, evolve_lindblad, lindblad_action
+from adiabatic_lab.dynamics import LindbladGenerator, Schedule, Trajectory, evolve_lindblad, lindblad_action
 from adiabatic_lab.opalg import SIGMA_X, SIGMA_Y, SIGMA_Z, OperatorBasis, Superoperator, dagger, pauli_basis
 from adiabatic_lab.spectral import cumtrapz, fourth_order_derivative
 from adiabatic_lab.thermo import (
@@ -45,6 +45,18 @@ def test_heat_and_work_rate_dual_routes():
     assert q == pytest.approx(heat_rate(gen, rho, h), rel=1e-12)
     w = work_rate(0.9 * SIGMA_Y, rho, BASIS)
     assert w == pytest.approx(work_rate(0.9 * SIGMA_Y, rho), rel=1e-12)
+    # an (M, R) stack of sweep nodes gives each member's own (M,) stack
+    s = np.linspace(0.0, 1.0, 5)[:, None] * np.array([1.0, 0.5, 2.0])
+    col = s[..., None, None]
+    gen = LindbladGenerator(0.7 * SIGMA_X + col * SIGMA_Z, ((0.4 * (1.0 + s), SIGMA_Z),))
+    rho = 0.5 * (np.eye(2) + 0.3 * np.cos(col) * SIGMA_X + 0.1 * col * SIGMA_Y - 0.5 * SIGMA_Z)
+    h, h_dot = (1.3 + col) * SIGMA_X, 0.9 * col * SIGMA_Y
+    q, w = heat_rate(gen, rho, h, BASIS), work_rate(h_dot, rho, BASIS)
+    assert q.shape == w.shape == s.shape
+    for r in range(3):
+        member = LindbladGenerator(gen.hamiltonian[:, r], ((gen.jumps[0][0][:, r], SIGMA_Z),))
+        assert np.array_equal(heat_rate(member, rho[:, r], h[:, r], BASIS), q[:, r])
+        assert np.array_equal(work_rate(h_dot[:, r], rho[:, r], BASIS), w[:, r])
 
 
 # Element 0 the identity, traceless, Tr(a b^dag) = 2 delta, but not
@@ -229,10 +241,11 @@ def test_rate_sweep_equals_scalar_calls():
 
 @pytest.mark.parametrize("gamma", [628.0, lambda s: 314.0 * (1.0 + s * s)], ids=["float", "callable"])
 def test_scenario_ledger_samples_once_and_matches_the_scalar_schedule(monkeypatch, gamma):
-    """The scenario's sweep and ledger schedules are vectorized: the run
-    makes the 5 Schedule.at probe calls, one sweep sample per rk4 block of
-    32 steps and one ledger sample, and the ledger equals the one from the
-    one-s schedule (a stacked sigma_z jump per node) bit for bit."""
+    """The scenario's sweep schedule is vectorized and its ledger reads the
+    same one-member sweep: the run makes the 5 Schedule.at probe calls, one
+    sweep sample per rk4 block of 32 steps and one ledger sample, and the
+    ledger equals the one from the one-s schedule (a stacked sigma_z jump
+    per node) bit for bit."""
     calls, samples = [], []
     real_at, real_sample = Schedule.at, Schedule.sample
     monkeypatch.setattr(Schedule, "at", lambda self, s: calls.append(s) or real_at(self, s))
@@ -240,7 +253,7 @@ def test_scenario_ledger_samples_once_and_matches_the_scalar_schedule(monkeypatc
                         lambda self, grid: samples.append(self.members) or real_sample(self, grid))
     res = dephasing_heat_scenario(OMEGA, BETA, gamma, TAU_DEC, n_steps=300)
     assert len(calls) == 5
-    assert samples == [1] * -(-300 // 32) + [None]
+    assert samples == [1] * -(-300 // 32) + [1]
     monkeypatch.undo()
     rate = gamma if callable(gamma) else (lambda s: gamma)
     ham = OMEGA * SIGMA_X
@@ -320,24 +333,97 @@ def _lowering(a, b):
     return j
 
 
-@pytest.mark.parametrize("bare", [False, True], ids=["two-channels", "bare-hamiltonian"])
-def test_ledger_equals_per_node_loop(bare):
-    def sampler(s):
-        if bare:
-            return _three_level_ham(s)
-        return LindbladGenerator(_three_level_ham(s), (
-            (0.3 * (1.0 + s), _lowering(0, 1)),
-            (0.2 * s * s, np.cos(s) * _lowering(1, 2) + s * _lowering(0, 2)),
-        ))
+def _two_channels(s):
+    """A three-level generator with two decay channels, one of whose jumps
+    changes with s."""
+    return LindbladGenerator(_three_level_ham(s), (
+        (0.3 * (1.0 + s), _lowering(0, 1)),
+        (0.2 * s * s, np.cos(s) * _lowering(1, 2) + s * _lowering(0, 2)),
+    ))
 
-    sched = Schedule(2.0, sampler)
+
+def _qutrit_rho0():
     rho0 = np.diag([0.5, 0.3, 0.2]).astype(complex)
     rho0[0, 1] = rho0[1, 0] = 0.1
-    traj = evolve_lindblad(sched, rho0, 200)
+    return rho0
+
+
+def _gell_mann_basis():
+    """The identity and sqrt(3/2) times the eight Gell-Mann matrices, so
+    that Tr(sigma_n sigma_m^dag) = 3 delta_nm."""
+    gm = []
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        e = _lowering(a, b)
+        gm += [e + e.T, 1j * (e.T - e)]
+    gm += [np.diag([1.0, -1.0, 0.0]), np.diag([1.0, 1.0, -2.0]) / np.sqrt(3.0)]
+    elements = [np.eye(3, dtype=complex)] + [np.sqrt(1.5) * np.asarray(g, dtype=complex) for g in gm]
+    return OperatorBasis(3, tuple(elements), tuple(f"g{n}" for n in range(9)))
+
+
+@pytest.mark.parametrize("bare", [False, True], ids=["two-channels", "bare-hamiltonian"])
+def test_ledger_equals_per_node_loop(bare):
+    sched = Schedule(2.0, _three_level_ham if bare else _two_channels)
+    traj = evolve_lindblad(sched, _qutrit_rho0(), 200)
     led = build_ledger(sched, traj)
     got = (led.heat, led.heat_rate, led.entropy_rate, led.first_law_residual)
     for a, b in zip(got, _ledger_per_node(sched, traj)):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("basis", [None, _gell_mann_basis()], ids=["no-basis", "gell-mann"])
+def test_sweep_ledger_equals_each_members_own_ledger(basis):
+    """One ledger of a 2-member sweep (per-node jumps, two channels): its
+    column r is, byte for byte, the ledger of member r under its own
+    schedule, and the residual is one entry per member."""
+    taus = [2.0, 3.0]
+    # the sweep sampler stacks each member's scalar sample over the members
+    sweep = Schedule(taus, Schedule(1.0, _two_channels).sample)
+    traj = evolve_lindblad(sweep, _qutrit_rho0(), 200)
+    led = build_ledger(sweep, traj, basis)
+    assert led.heat.shape == led.heat_rate.shape == led.entropy_rate.shape == (201, 2)
+    assert led.first_law_residual.shape == (2,)
+    for r, tau in enumerate(taus):
+        own = build_ledger(Schedule(tau, _two_channels), traj.member(r), basis)
+        for name in ("heat", "heat_rate", "entropy_rate"):
+            assert getattr(led, name)[:, r].tobytes() == getattr(own, name).tobytes(), name
+        assert led.first_law_residual[r].tobytes() == np.float64(own.first_law_residual).tobytes()
+
+
+def _sigma_y_from(c):
+    """A qubit sampler on arrays of s whose Hamiltonian gains a sigma_y
+    term from s = c on, where the ladder basis's pairing disagrees with the
+    operator trace; an (R,) array of c sets it per member of a sweep."""
+    def sampler(s):
+        col = s[..., None, None]
+        ham = (1.0 + col) * SIGMA_X + 0.2 * SIGMA_Z + (col >= c[..., None, None]) * SIGMA_Y
+        return LindbladGenerator(ham, ((0.3 * (1.0 + s), SIGMA_Z),))
+    return sampler
+
+
+@pytest.mark.parametrize("guard", ["dual-route", "negative-eigenvalue"])
+def test_sweep_ledger_fails_as_its_first_failing_member(guard):
+    """Member 1 of a hand-built 2-member trajectory fails at an earlier node
+    (3) than member 0 (6); the sweep's ledger raises member 0's own error,
+    as the members are scanned in sweep order."""
+    taus = np.array([1.0, 2.0])
+    rho = np.empty((9, 2, 2, 2), dtype=complex)
+    rho[...] = 0.5 * (np.eye(2) + 0.3 * SIGMA_X + 0.2 * SIGMA_Z)
+    if guard == "dual-route":
+        c, basis, error = np.array([0.7, 0.3]), LADDER, AssertionError
+    else:
+        c, basis, error = np.full(2, np.inf), None, ValueError  # no sigma_y term
+        rho[6:, 0] = np.diag([1.1, -0.1])
+        rho[3:, 1] = np.diag([1.2, -0.2])
+    traj = Trajectory(np.linspace(0.0, taus, 9), rho)
+    own = []
+    for r in range(2):
+        with pytest.raises(error) as info:
+            build_ledger(Schedule(taus[r], _sigma_y_from(c[r]), vectorized=True), traj.member(r), basis)
+        own.append(str(info.value))
+    assert own[0] != own[1]
+    with pytest.raises(error) as info:
+        build_ledger(Schedule(taus, _sigma_y_from(c), vectorized=True), traj, basis)
+    assert str(info.value) == own[0]
 
 
 def test_ledger_with_basis_runs_the_dual_route_check(monkeypatch):
