@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -503,7 +504,11 @@ def _write_csv(out, name: str, cfg: dict, extra: list[str], header: list[str], r
 # argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first :func:`main` call and reused
+    by every later call in the process: it is a pure function of the
+    constant ``SCENARIOS`` table, and parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="adiabatic-lab",
         description="Deterministic scenario runner for driven closed- and "

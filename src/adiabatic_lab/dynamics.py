@@ -263,21 +263,27 @@ class Schedule:
         give one stacked :class:`LindbladGenerator`; every node must then be
         a generator with the same jump count.  A jump operator that is one
         and the same (D, D) matrix at every node stays one shared matrix.
-        A vectorized schedule makes one sampler call on the whole grid;
-        otherwise :meth:`at` runs node by node in grid order, so a sampler
-        error names the first failing node.
+        A vectorized schedule makes one sampler call on the whole grid.  A
+        scalar single-run sampler is called once per node, in grid order,
+        on the Python float that :meth:`at` would pass, so a sampler error
+        comes from the first failing node; matrix samples are then stacked
+        in one conversion.  A scalar sweep sampler is reached through
+        :meth:`at`, which broadcasts each s over the members.
         """
         if self.vectorized:
             out = self.sampler(np.asarray(grid, dtype=float))
             return out if isinstance(out, LindbladGenerator) else np.asarray(out, dtype=complex)
-        samples = [self.at(s) for s in grid]
+        if self.members is None:
+            samples = list(map(self.sampler, np.asarray(grid, dtype=float).tolist()))
+        else:
+            samples = [self.at(s) for s in grid]
         counts = [len(g.jumps) if isinstance(g, LindbladGenerator) else None for g in samples]
         for s, n in zip(grid, counts):
             if n != counts[0]:
                 what = "sample kind" if None in (n, counts[0]) else f"jump count ({counts[0]} -> {n})"
                 raise ValueError(f"{what} changes at s={s}")
         if not samples or counts[0] is None:
-            return np.array([np.asarray(g, dtype=complex) for g in samples])
+            return np.array(samples, dtype=complex)
         jumps = []
         for n in range(counts[0]):
             rates, ops = zip(*(g.jumps[n] for g in samples))

@@ -129,6 +129,12 @@ def track_eigenvectors(
     gauge-fixed column is real positive; overlaps below 1e-12 leave the
     phase alone.  Returns ``order`` (M, d), with ``vals[k, order[k]]`` the
     tracked eigenvalues of node k, and the gauge-fixed columns (M, D, d).
+
+    The orders of each run of clear nodes (see below) are composed on
+    Python lists, and the run's columns are gathered by one
+    ``take_along_axis``; the phase fix then runs node by node, since each
+    node's phases follow the previous node's gauge-fixed columns, which are
+    also what the assignment solver of a contested node compares with.
     """
     scale = np.maximum(1.0, np.max(np.abs(vals), axis=1))
     # eigenvalue distance of node k-1 (rows) to node k (columns), both in
@@ -158,22 +164,40 @@ def track_eigenvectors(
     order[0] = first
     out = np.empty(vecs.shape, dtype=complex)
     out[0] = vecs[0][:, first]
-    for k, is_clear in enumerate(clear.tolist(), start=1):
-        prev = out[k - 1]
-        if is_clear:
-            order[k] = best[k - 1][order[k - 1]]
-        else:
+    best, cur = best.tolist(), order[0].tolist()
+    start = 1
+    for stop in [*(np.flatnonzero(~clear) + 1).tolist(), len(vals)]:
+        # nodes start..stop-1 are clear: compose their orders, gather them at once
+        if start < stop:
+            rows = []
+            for k in range(start, stop):
+                cur = [best[k - 1][i] for i in cur]
+                rows.append(cur)
+            order[start:stop] = rows
+            _fix_phases(out, np.take_along_axis(vecs[start:stop], order[start:stop, None, :], axis=2), start)
+        # node stop is contested: the solver sees node stop-1's gauge-fixed columns
+        if stop < len(vals):
             from scipy.optimize import linear_sum_assignment
 
             row, col = linear_sum_assignment(
-                1.0 - np.abs(prev.conj().T @ vecs[k]) + dist[k - 1][order[k - 1]]
+                1.0 - np.abs(out[stop - 1].conj().T @ vecs[stop]) + dist[stop - 1][order[stop - 1]]
             )
-            order[k, row] = col
-        v = vecs[k][:, order[k]]
-        ov = np.einsum("ia,ia->a", np.conj(prev), v)
-        ov[np.abs(ov) < 1e-12] = 1.0
-        out[k] = v / (ov / np.abs(ov))[None, :]
+            order[stop, row] = col
+            cur = order[stop].tolist()
+            _fix_phases(out, vecs[stop][:, order[stop]][None], stop)
+        start = stop + 1
     return order, out
+
+
+def _fix_phases(out: np.ndarray, v: np.ndarray, start: int) -> None:
+    """Write the assigned columns ``v`` of nodes start, start+1, ... into
+    ``out``, each rotated so that its overlap with the previous node's
+    gauge-fixed column is real positive; overlaps below 1e-12 leave the
+    phase alone.  The chain is sequential: each node reads the one before."""
+    for k, cols in enumerate(v, start=start):
+        ov = np.einsum("ia,ia->a", np.conj(out[k - 1]), cols)
+        ov[np.abs(ov) < 1e-12] = 1.0
+        out[k] = cols / (ov / np.abs(ov))[None, :]
 
 
 def tracked_eigensystem(

@@ -72,16 +72,21 @@ def heat_rate(
 
     Takes one node or a stack of M (or M x R sweep) nodes with (..., D, D)
     states and Hamiltonians, and gives a float or an array of the stack's
-    shape.  When ``basis`` is supplied the same number is recomputed on
-    every node as the bilinear pairing (1/D) h . (L rho) of component
-    vectors, from one stacked superoperator build, and the two routes are
-    required to agree within 1e-10 relative; an AssertionError names the
-    first node where they do not.
+    shape; the generator's Hamiltonian may be one (D, D) matrix beside
+    per-node rates or jumps.  When ``basis`` is supplied the same number is
+    recomputed on every node as the bilinear pairing (1/D) h . (L rho) of
+    component vectors, from one stacked superoperator build, and the two
+    routes are required to agree within 1e-10 relative; an AssertionError
+    names the first node where they do not.
     """
     direct = _real_trace(lindblad_action(gen, rho) @ h)
     if basis is not None:
-        lead = (None,) * (gen.hamiltonian.ndim - 2)  # a unit axis per node or member axis of the generator
-        lmat = superoperator_matrix(lambda ops: lindblad_action(gen, ops[(slice(None),) + lead]), basis).matrix
+        h_gen, (rates, left, _) = gen.hamiltonian, gen.channels
+        lead = np.broadcast_shapes(h_gen.shape[:-2], rates.shape[1:-2], left.shape[1:-2])  # the node axes
+        if h_gen.shape[:-2] != lead:  # shared beside per-node rates or jumps: the probes need its node axes
+            gen = LindbladGenerator(np.broadcast_to(h_gen, lead + h_gen.shape[-2:]), gen.jumps)
+        probe = (slice(None),) + (None,) * len(lead)  # a unit axis per node or member axis of the generator
+        lmat = superoperator_matrix(lambda ops: lindblad_action(gen, ops[probe]), basis).matrix
         h_vec = to_coherence_vector(h, basis)
         l_rho = (lmat @ to_coherence_vector(rho, basis)[..., None])[..., 0]
         paired = np.real(np.sum(h_vec * l_rho, axis=-1)) / basis.dim

@@ -3,7 +3,9 @@ import builtins
 import functools
 import importlib
 import inspect
+import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -349,6 +351,51 @@ def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["adcheck", "--bogus", "1"])
     assert exc.value.code == 2
+
+
+# Each call's (exit code, stdout, stderr), in a fresh interpreter running the
+# argv lists of argv[1] in order; COLUMNS fixes argparse's help width.
+_CALLS = (
+    "import contextlib, io, json, sys\n"
+    f"sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+    "from adiabatic_lab.cli import main\n"
+    "def call(argv):\n"
+    "    out, err = io.StringIO(), io.StringIO()\n"
+    "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+    "        try:\n"
+    "            code = main(argv)\n"
+    "        except SystemExit as exc:\n"
+    "            code = exc.code\n"
+    "    return [code, out.getvalue(), err.getvalue()]\n"
+    "print(json.dumps([call(argv) for argv in json.loads(sys.argv[1])]))\n"
+)
+
+
+def _calls_in_one_process(argvs: list) -> list:
+    env = {**os.environ, "COLUMNS": "100"}
+    proc = subprocess.run([sys.executable, "-c", _CALLS, json.dumps(argvs)], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_later_calls_in_a_process_write_what_a_first_call_writes():
+    """The parser is built once per process and reused: an exit through
+    argparse (an unknown flag), an exit through an ``error:`` line, the
+    top-level and a scenario's --help and a table write, in each later call,
+    the bytes that each writes as the first call of its own process."""
+    argvs = [
+        ["adcheck", "--bogus", "1"],
+        ["pulses"],
+        ["--help"],
+        ["gate", "--help"],
+        ["lz-tqd", "--n-tau", "3", "--n-quad", "101"],
+    ]
+    firsts = [_calls_in_one_process([argv])[0] for argv in argvs]
+    assert [code for code, _, _ in firsts] == [2, 2, 0, 0, 0]
+    assert "unrecognized arguments: --bogus 1" in firsts[0][2] and firsts[1][2].startswith("error: ")
+    assert firsts[3][1].startswith("usage: adiabatic-lab gate ") and firsts[4][1].startswith("# adiabatic-lab lz-tqd")
+    assert _calls_in_one_process(argvs + argvs[::-1]) == firsts + firsts[::-1]
 
 
 # Every single-flag bound of the CLI schema: (scenario, key, op, bound).

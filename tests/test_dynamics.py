@@ -1244,6 +1244,69 @@ def test_sample_names_first_change_of_jump_count_or_kind():
     assert Schedule(1.0, _open_sampler(lambda s: 1)).sample(np.array([])).shape == (0,)
 
 
+def test_scalar_sample_gives_the_bits_of_the_per_node_at_stack():
+    """A scalar schedule samples each node once, on the Python float that
+    ``at`` passes, and its stack equals the per-node ``at`` stack bit for
+    bit: real and complex matrix samples, and generators with per-node
+    rates and jumps beside a jump that every node shares."""
+    rng = np.random.default_rng(23)
+    h0, h1, j0, fixed = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(4))
+    grid = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 40)), [1.0]])
+    seen = []
+    samplers = [
+        lambda s: seen.append(s) or np.cos(3.0 * s) * h0 + s * h1,
+        lambda s: seen.append(s) or np.cos(3.0 * s) * SIGMA_X.real + s * SIGMA_Z.real,
+        lambda s: seen.append(s) or LindbladGenerator(np.cos(3.0 * s) * h0, ((1.0 + s, s * j0), (0.5 * s, fixed))),
+    ]
+    for sampler in samplers:
+        sched = Schedule(1.0, sampler)
+        got = sched.sample(grid)
+        assert seen == grid.tolist() and all(type(s) is float for s in seen)
+        seen.clear()
+        nodes = [sched.at(s) for s in grid]
+        seen.clear()
+        if isinstance(got, LindbladGenerator):
+            assert got.hamiltonian.tobytes() == np.array([g.hamiltonian for g in nodes]).tobytes()
+            assert got.jumps[1][1] is fixed
+            for n, (rates, ops) in enumerate(got.jumps):
+                assert rates.tobytes() == np.array([g.jumps[n][0] for g in nodes]).tobytes()
+                want = np.broadcast_to(ops, (len(grid), 3, 3))
+                assert np.array_equal(want, [g.jumps[n][1] for g in nodes])
+        else:
+            want = np.array([np.asarray(g, dtype=complex) for g in nodes])
+            assert got.dtype == want.dtype == complex and got.tobytes() == want.tobytes()
+
+
+def test_scalar_sample_stops_at_the_first_failing_node():
+    """A sampler that raises at node k has been called on nodes 0..k only,
+    in grid order; a kind or jump-count change is named after every node
+    has been sampled once."""
+    seen = []
+
+    def sampler(s):
+        seen.append(s)
+        if s > 0.5:
+            raise ValueError(f"no sample at s={s}")
+        return s * SIGMA_X
+
+    grid = np.linspace(0.0, 1.0, 9)
+    with pytest.raises(ValueError, match=r"^no sample at s=0.625$"):
+        Schedule(1.0, sampler).sample(grid)
+    assert seen == grid[:6].tolist()
+    for counts, message in ((lambda s: 1 if s < 0.5 else 2, r"jump count \(1 -> 2\) changes at s=0.5$"),
+                            (lambda s: 0 if s < 0.7 else 1, r"jump count \(0 -> 1\) changes at s=0.75$")):
+        seen.clear()
+        sched = Schedule(1.0, lambda s, c=counts: seen.append(s) or _open_sampler(c)(s))
+        with pytest.raises(ValueError, match=message):
+            sched.sample(grid)
+        assert seen == grid.tolist()
+    seen.clear()
+    mixed = Schedule(1.0, lambda s: seen.append(s) or (SIGMA_X if s < 0.7 else LindbladGenerator(SIGMA_X)))
+    with pytest.raises(ValueError, match=r"^sample kind changes at s=0.75$"):
+        mixed.sample(grid)
+    assert seen == grid.tolist()
+
+
 def test_evolve_lindblad_refuses_a_jump_count_that_changes_along_s():
     """Open samples reach rk4 as one stacked generator per block, so a scalar
     schedule whose jump count changes along s ends in ``Schedule.sample``'s

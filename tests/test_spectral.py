@@ -17,6 +17,7 @@ from adiabatic_lab.opalg import (
     superoperator_matrix,
 )
 from adiabatic_lab.spectral import (
+    ASSIGNMENT_MARGIN,
     LevelCrossingError,
     cumtrapz,
     fourth_order_derivative,
@@ -363,6 +364,74 @@ def _one_level_grid():
     return rng.normal(size=(50, 1)), vecs, np.zeros(1, dtype=int)
 
 
+def _per_node_track_eigenvectors(vals, vecs, first):
+    """The tracker as it was before each run of clear nodes was gathered at
+    once: the same clear test, then every node's order composed and its
+    columns fancy-indexed and phase-fixed one node at a time."""
+    scale = np.maximum(1.0, np.max(np.abs(vals), axis=1))
+    dist = np.abs(vals[:-1, :, None] - vals[1:, None, :]) / scale[1:, None, None]
+    cost = 1.0 - np.abs(np.conj(vecs[:-1]).swapaxes(1, 2) @ vecs[1:]) + dist
+    best = np.argmin(cost, axis=2)
+    d = vals.shape[1]
+    runner_up = np.partition(cost, 1, axis=2)[..., 1] if d > 1 else np.inf
+    clear = (
+        np.all(runner_up - np.min(cost, axis=2) > ASSIGNMENT_MARGIN, axis=1)
+        & np.all(np.sort(best, axis=1) == np.arange(d), axis=1)
+        & np.all(np.isfinite(cost), axis=(1, 2))
+    )
+    order = np.empty(vals.shape, dtype=int)
+    order[0] = first
+    out = np.empty(vecs.shape, dtype=complex)
+    out[0] = vecs[0][:, first]
+    for k, is_clear in enumerate(clear.tolist(), start=1):
+        prev = out[k - 1]
+        if is_clear:
+            order[k] = best[k - 1][order[k - 1]]
+        else:
+            row, col = _SOLVER(1.0 - np.abs(prev.conj().T @ vecs[k]) + dist[k - 1][order[k - 1]])
+            order[k, row] = col
+        v = vecs[k][:, order[k]]
+        ov = np.einsum("ia,ia->a", np.conj(prev), v)
+        ov[np.abs(ov) < 1e-12] = 1.0
+        out[k] = v / (ov / np.abs(ov))[None, :]
+    return order, out
+
+
+def _near_tie_grid():
+    """Eight 3-level nodes, each in a shuffled column order with random
+    column phases.  At nodes 1, 4 and 7 the first two columns turn between
+    the basis e0, e1 and its 50/50 mixtures while their eigenvalues tie to
+    1e-12, so those nodes are contested: the first node after node 0, one
+    between two clear runs, and the last node."""
+    rng = np.random.default_rng(17)
+    e = np.eye(3, dtype=complex)
+    f0, f1 = np.sqrt(0.5) * (e[:, 0] + e[:, 1]), np.sqrt(0.5) * (e[:, 0] - e[:, 1])
+    tie = (0.5, 0.5 + 1e-12, 2.0)
+    nodes = [
+        ((e[:, 0], e[:, 1], e[:, 2]), (0.0, 1.0, 2.0)),
+        ((f0, f1, e[:, 2]), tie),
+        ((f0, f1, e[:, 2]), (0.4, 0.6, 2.01)),
+        ((f0, f1, e[:, 2]), (0.3, 0.7, 2.02)),
+        ((e[:, 0], e[:, 1], e[:, 2]), tie),
+        ((e[:, 0], e[:, 1], e[:, 2]), (0.2, 0.8, 2.03)),
+        ((e[:, 0], e[:, 1], e[:, 2]), (0.1, 0.9, 2.04)),
+        ((f0, f1, e[:, 2]), tie),
+    ]
+    perms = [rng.permutation(3) for _ in nodes]
+    vecs = np.array([np.stack(cols, axis=1)[:, p] for (cols, _), p in zip(nodes, perms)])
+    vecs = vecs * np.exp(1j * rng.uniform(-np.pi, np.pi, size=(len(nodes), 1, 3)))
+    vals = np.array([np.asarray(v)[p] for (_, v), p in zip(nodes, perms)])
+    return vals, vecs, np.argsort(vals[0])
+
+
+def _qutrit_cut(a, b):
+    """Nodes a..b-1 of the 201-node qutrit grid, the first of them ordered
+    as the Liouvillian tracker orders a grid's node 0."""
+    vals, vecs, _ = _qutrit_liouvillian_grid(201)
+    vals, vecs = vals[a:b], vecs[a:b]
+    return vals, vecs, np.lexsort((vals[0].imag, -vals[0].real))
+
+
 @pytest.mark.parametrize(
     "grid, solved_at",
     [
@@ -371,18 +440,30 @@ def _one_level_grid():
         (lambda: _hermitian_grid(_random_schedule(3, 5), 201), []),
         (lambda: _hermitian_grid(_random_schedule(8, 6), 201), []),
         (lambda: _qutrit_liouvillian_grid(201), [82, 159]),
+        # contested at node 1, between two clear runs and at the last node
+        (lambda: _qutrit_cut(81, 201), [1, 78]),
+        (lambda: _qutrit_cut(0, 160), [82, 159]),
+        (lambda: _qutrit_cut(81, 160), [1, 78]),
+        (_near_tie_grid, [1, 4, 7]),
         (_one_level_grid, []),
         (_contested_grid, [3, 4, 5]),
     ],
-    ids=["lz", "nmr-lab", "random-3x3", "random-8x8", "qutrit-9x9", "one-level", "contested"],
+    ids=["lz", "nmr-lab", "random-3x3", "random-8x8", "qutrit-9x9", "qutrit-first", "qutrit-last",
+         "qutrit-first-and-last", "near-tie", "one-level", "contested"],
 )
 def test_track_eigenvectors_solves_only_contested_nodes(grid, solved_at, solver_costs):
+    """The tracker gives the bits of the per-node solver and of the per-node
+    loop it replaced, and hands the solver only the contested nodes, each on
+    the cost from the previous node's gauge-fixed columns."""
     vals, vecs, first = grid()
     order, out = track_eigenvectors(vals, vecs, first)
     costs = []
     want_order, want_out = _reference_track_eigenvectors(vals, vecs, first, costs)
     assert _same_bits(order, want_order)
     assert _same_bits(out, want_out)
+    loop_order, loop_out = _per_node_track_eigenvectors(vals, vecs, first)
+    assert _same_bits(order, loop_order)
+    assert _same_bits(out, loop_out)
     assert len(solver_costs) == len(solved_at)
     for cost, k in zip(solver_costs, solved_at):
         assert _same_bits(cost, costs[k - 1])

@@ -111,6 +111,33 @@ def test_stacked_dual_route_names_the_first_failing_node(k):
         work_rate(h_dots, rhos, LADDER)
 
 
+@pytest.mark.parametrize("channel", ["per-node-rates", "per-node-jumps", "sweep-rates"])
+def test_dual_route_takes_a_shared_hamiltonian_beside_per_node_channels(channel):
+    """A generator with one (D, D) Hamiltonian beside per-node rates or jumps
+    gives the no-basis heat rates with a basis too, each node equal to its
+    own one-node call, and the check still names the first failing node."""
+    h = 1e3 * SIGMA_X
+    rho = 0.5 * (np.eye(2, dtype=complex) + 0.3 * SIGMA_Y + 0.2 * SIGMA_Z)
+    if channel == "per-node-rates":
+        gen = LindbladGenerator(h, ((np.array([1.0, 2.0, 3.0]), SIGMA_Z),))
+    elif channel == "per-node-jumps":
+        gen = LindbladGenerator(h, ((0.5, np.array([SIGMA_Z, SIGMA_X, SIGMA_Z + 0.5 * SIGMA_X])),))
+    else:
+        gen = LindbladGenerator(h, ((np.array([[1.0, 0.5], [2.0, 1.5], [3.0, 2.5]]), SIGMA_Z),))
+    lead = np.broadcast_shapes(*[np.shape(g) for g, _ in gen.jumps], *[op.shape[:-2] for _, op in gen.jumps])
+    rhos = np.broadcast_to(rho, lead + (2, 2))
+    hams = np.array(np.broadcast_to(SIGMA_Z, lead + (2, 2)))
+    q = heat_rate(gen, rhos, hams, BASIS)
+    assert q.shape == lead and q.tobytes() == heat_rate(gen, rhos, hams).tobytes()
+    for k in np.ndindex(lead):
+        node = LindbladGenerator(h, tuple((g[k] if np.ndim(g) else g, op[k] if op.ndim > 2 else op)
+                                          for g, op in gen.jumps))
+        assert heat_rate(node, rhos[k], hams[k], BASIS) == q[k]
+    hams[1] = SIGMA_Y
+    with pytest.raises(AssertionError, match=r"^heat rate: operator-trace route .* at node 1$"):
+        heat_rate(gen, rhos, hams, LADDER)
+
+
 def test_constant_hamiltonian_has_zero_work():
     rho = 0.5 * (np.eye(2, dtype=complex) + 0.4 * SIGMA_X)
     assert work_rate(np.zeros((2, 2)), rho) == 0.0
