@@ -227,6 +227,13 @@ class Schedule:
         stacked :class:`LindbladGenerator`, each node equal to the sample
         a scalar call would give.  :meth:`sample` then costs one sampler
         call, and :meth:`at` passes a one-node array and takes node 0.
+
+    The sampler must be a pure function of s: the same s gives the same
+    sample, however often and in whatever order it is called.  Callers
+    rely on that to sample fewer times than a naive loop would: :func:`rk4`
+    shares a step's end-node and midpoint samples between its stages, and
+    ``openad.track_liouville_spectrum`` keeps the last tracked frame and
+    returns it again for the same schedule, sampler, basis and grid.
     """
 
     tau: float

@@ -75,6 +75,8 @@ class LiouvilleFrame:
     phase-continuous); ``left[k][a]`` is the matching bilinear row, so
     ``left[k] @ right[k]`` is the identity.  ``connection[k]`` holds
     left @ d(right)/ds, the block-coupling matrix in normalized time.
+    The five arrays are read-only: :func:`track_liouville_spectrum` hands
+    one frame to every analysis of a schedule.
     """
 
     grid: np.ndarray
@@ -88,6 +90,11 @@ class LiouvilleFrame:
         return self.eigenvalues.shape[1]
 
 
+# The last frame that track_liouville_spectrum returned, with its key:
+# (schedule, sampler, basis, vectorized, n_points).
+_last_frame: tuple | None = None
+
+
 def track_liouville_spectrum(
     l: Schedule, n_points: int, basis: OperatorBasis
 ) -> LiouvilleFrame:
@@ -98,10 +105,34 @@ def track_liouville_spectrum(
     whose assignment weighs eigenvector overlap against eigenvalue
     distance.  The grid's matrices are decomposed in one batched ``eig``.
 
+    The last frame returned is kept in one module-level slot, so the
+    analyses of one schedule (:func:`xi_coefficients`,
+    :func:`adiabatic_propagate_1d` and
+    :func:`asymptotic_adiabaticity_certificate`) share one tracking.  A
+    call returns the kept frame itself when it passes the same ``l``,
+    ``l.sampler`` and ``basis`` objects (by identity; the slot holds them,
+    so no id is reused while it does) with an equal ``l.vectorized`` and
+    ``n_points``; any other call tracks anew and takes the slot.  This
+    relies on the sampler being a pure function of s, as :class:`Schedule`
+    requires.  Only a successful tracking is kept: a call that raises
+    leaves the slot as it was, and the same call raises again.  The
+    frame's five arrays are read-only, so no caller can change the frame
+    that another receives.
+
     Raises if any sampled Liouvillian has a non-finite entry, or if any
     sampled spectrum is defective; the one-dimensional-block theory
     implemented here has no Jordan chains to propagate.
     """
+    global _last_frame
+    held = _last_frame  # one read: the key and the frame are one entry's
+    if (
+        held is not None
+        and held[0] is l
+        and held[1] is l.sampler
+        and held[2] is basis
+        and held[3:5] == (l.vectorized, n_points)
+    ):
+        return held[5]
     require_stencil_points(n_points)
     grid = np.linspace(0.0, 1.0, n_points)
     mats = superoperator_at(l, grid, basis)
@@ -129,13 +160,17 @@ def track_liouville_spectrum(
     ds = grid[1] - grid[0]
     dright = fourth_order_derivative(right, ds)
     connection = np.einsum("kab,kbc->kac", left, dright)
-    return LiouvilleFrame(
+    for arr in (grid, eigenvalues, right, left, connection):
+        arr.flags.writeable = False
+    frame = LiouvilleFrame(
         grid=grid,
         eigenvalues=eigenvalues,
         right=right,
         left=left,
         connection=connection,
     )
+    _last_frame = (l, l.sampler, basis, l.vectorized, n_points, frame)
+    return frame
 
 
 @dataclass(eq=False)
@@ -166,7 +201,9 @@ def xi_coefficients(
     The source populations use the zeroth-order closure
     p_a(s) = r_a(0) exp(-int_0^s <<E_a|d_s D_a>>); with ``rho0`` omitted
     every block starts at unit coefficient, which upper-bounds any
-    normalized initial condition pairwise.
+    normalized initial condition pairwise.  The frame is the one
+    :func:`track_liouville_spectrum` keeps, shared with a propagation or
+    certificate of the same schedule, basis and ``n_points``.
     """
     frame = track_liouville_spectrum(l, n_points, basis)
     grid = frame.grid
@@ -243,7 +280,10 @@ def adiabatic_propagate_1d(
     n_points: int = 401,
 ) -> AdiabaticOpenSolution:
     """Propagate the block-adiabatic solution of a diagonalizable
-    Liouvillian: r_a(s) = r_a(0) exp(int_0^s (tau lambda_a - c_a) ds')."""
+    Liouvillian: r_a(s) = r_a(0) exp(int_0^s (tau lambda_a - c_a) ds').
+    The frame is the one :func:`track_liouville_spectrum` keeps, shared
+    with the coefficients or certificate of the same schedule, basis and
+    ``n_points``."""
     frame = track_liouville_spectrum(l, n_points, basis)
     r0, residual = expand_in_blocks(rho0, frame, basis)
     diag_conn = np.einsum("kaa->ka", frame.connection)
@@ -378,6 +418,12 @@ def asymptotic_adiabaticity_certificate(
     the schedule, (iii) a unique zero eigenvalue with every other real
     part strictly negative, (iv) the initial state populating the
     steady block plus at most one other.
+
+    The frame is the one :func:`track_liouville_spectrum` keeps, shared
+    with :func:`xi_coefficients` and :func:`adiabatic_propagate_1d` only
+    when they pass the same schedule, basis and ``n_points`` (their
+    default is 401, this one's 201).  The identity-row check samples the
+    schedule on 17 nodes of its own.
     """
     frame = track_liouville_spectrum(l, n_points, basis)
     scale = max(float(np.max(np.abs(frame.eigenvalues))), 1e-300)

@@ -193,11 +193,18 @@ def _fix_phases(out: np.ndarray, v: np.ndarray, start: int) -> None:
     """Write the assigned columns ``v`` of nodes start, start+1, ... into
     ``out``, each rotated so that its overlap with the previous node's
     gauge-fixed column is real positive; overlaps below 1e-12 leave the
-    phase alone.  The chain is sequential: each node reads the one before."""
+    phase alone.  The chain is sequential: each node reads the one before.
+    |ov| is taken once, and the mask written only when some overlap is
+    small (a masked overlap is 1 + 0j, whose modulus is exactly 1); on d
+    of 2 to 9 entries ``tolist`` tests that faster than ``any``."""
     for k, cols in enumerate(v, start=start):
         ov = np.einsum("ia,ia->a", np.conj(out[k - 1]), cols)
-        ov[np.abs(ov) < 1e-12] = 1.0
-        out[k] = cols / (ov / np.abs(ov))[None, :]
+        a = np.abs(ov)
+        small = a < 1e-12
+        if True in small.tolist():
+            ov[small] = 1.0
+            a[small] = 1.0
+        np.divide(cols, ov / a, out=out[k])
 
 
 def tracked_eigensystem(

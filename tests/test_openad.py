@@ -95,7 +95,9 @@ def _feed_raw_matrices(monkeypatch):
     """Make the tracker (and the per-node oracle) read a schedule's samples as
     raw D^2 x D^2 generator matrices, which superoperator_at does not take:
     spectra that no small Lindblad schedule gives exactly, such as Jordan
-    chains, reach the tracker this way."""
+    chains, reach the tracker this way.  The tracker's kept frame is keyed
+    by the schedule, not by this patch, so each caller tracks a schedule
+    built for it."""
     monkeypatch.setattr(openad, "superoperator_at",
                         lambda l, grid, basis: np.array([l.at(s) for s in grid], dtype=complex))
 
@@ -265,6 +267,116 @@ def test_tracked_spectrum_needs_five_points(n_points):
     sched = dephasing_schedule(2 * np.pi * 1e3, 100.0, 1e-3)
     with pytest.raises(ValueError, match="at least 5 samples"):
         track_liouville_spectrum(sched, n_points, BASIS)
+
+
+# ---------------------------------------------------------------------------
+# one tracked frame per schedule: the last frame is kept and shared
+
+
+def _counting_schedule(calls):
+    """A fresh scalar schedule of a driven, dephased qubit whose sampler
+    appends every s it is called on to ``calls``."""
+    def sampler(s):
+        calls.append(s)
+        return LindbladGenerator(-0.5 * 50.0 * (np.cos(s) * SIGMA_X - np.sin(s) * SIGMA_Y), ((5.0, SIGMA_Z),))
+
+    return Schedule(1.0, sampler)
+
+
+def test_analyses_of_one_schedule_share_one_tracking():
+    """xi, propagation and certificate on one schedule and grid sample it
+    n_points times for the frame, plus the certificate's 17 nodes."""
+    calls, n_points = [], 41
+    sched = _counting_schedule(calls)
+    rho0 = 0.5 * (np.eye(2, dtype=complex) + SIGMA_X)
+    xi_coefficients(sched, 1.0, BASIS, n_points=n_points)
+    adiabatic_propagate_1d(sched, rho0, 1.0, BASIS, n_points=n_points)
+    asymptotic_adiabaticity_certificate(sched, rho0, BASIS, n_points=n_points)
+    assert len(calls) == n_points + 17
+    assert track_liouville_spectrum(sched, n_points, BASIS) is track_liouville_spectrum(sched, n_points, BASIS)
+    assert len(calls) == n_points + 17
+
+
+def test_another_grid_basis_schedule_or_sampler_tracks_again():
+    calls = []
+    sched = _counting_schedule(calls)
+    frame = track_liouville_spectrum(sched, 21, BASIS)
+    assert track_liouville_spectrum(sched, 21, BASIS) is frame
+    assert len(calls) == 21
+    variants = [
+        lambda: track_liouville_spectrum(sched, 25, BASIS),
+        lambda: track_liouville_spectrum(sched, 21, pauli_basis(1)),
+        lambda: track_liouville_spectrum(Schedule(1.0, sched.sampler), 21, BASIS),
+    ]
+    for n_new, track in zip((25, 21, 21), variants):
+        del calls[:]
+        assert track() is not frame
+        assert len(calls) == n_new
+    # the same schedule object with its sampler replaced
+    del calls[:]
+    sched.sampler = _counting_schedule(calls).sampler
+    assert track_liouville_spectrum(sched, 21, BASIS) is not frame
+    assert len(calls) == 21
+
+
+def test_raising_tracking_keeps_nothing_and_raises_again():
+    calls = []
+
+    def sampler(s):
+        calls.append(s)
+        return LindbladGenerator(SIGMA_X, ((np.nan if s >= 0.5 else 0.2, SIGMA_Z),))
+
+    good_calls = []
+    good = _counting_schedule(good_calls)
+    frame = track_liouville_spectrum(good, 9, BASIS)
+    sched = Schedule(1.0, sampler)
+    messages = []
+    for _ in range(2):
+        del calls[:]
+        with pytest.raises(ValueError, match="non-finite") as err:
+            track_liouville_spectrum(sched, 9, BASIS)
+        messages.append(str(err.value))
+        assert len(calls) == 9
+    assert messages[0] == messages[1]
+    # the failed calls left the last good frame in place
+    assert track_liouville_spectrum(good, 9, BASIS) is frame
+    assert len(good_calls) == 9
+
+
+def test_tracked_frame_is_read_only():
+    frame = track_liouville_spectrum(_counting_schedule([]), 11, BASIS)
+    for arr in (frame.grid, frame.eigenvalues, frame.right, frame.left, frame.connection):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
+def test_slot_replaced_during_the_key_check_still_returns_its_own_frame():
+    """The slot is read once per call, so the key checked and the frame
+    returned are one entry's even when the slot is replaced mid-check, as
+    another thread may do: here the comparison of n_points tracks another
+    schedule."""
+    other = _counting_schedule([])
+
+    class Points(int):
+        def __eq__(self, value):
+            track_liouville_spectrum(other, 11, BASIS)
+            return int(self) == int(value)
+
+        __hash__ = int.__hash__
+
+    sched = dephasing_schedule(2 * np.pi * 10.0, 3.0, 1.0)
+    frame = track_liouville_spectrum(sched, 11, BASIS)
+    assert track_liouville_spectrum(sched, Points(11), BASIS) is frame
+
+
+def test_kept_frame_equals_a_fresh_tracking():
+    sched = _counting_schedule([])
+    kept = track_liouville_spectrum(sched, 31, BASIS)
+    assert track_liouville_spectrum(sched, 31, BASIS) is kept
+    fresh = track_liouville_spectrum(Schedule(1.0, sched.sampler), 31, BASIS)
+    assert fresh is not kept
+    for name in ("grid", "eigenvalues", "right", "left", "connection"):
+        assert getattr(kept, name).tobytes() == getattr(fresh, name).tobytes()
 
 
 # ---------------------------------------------------------------------------
