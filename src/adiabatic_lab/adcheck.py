@@ -96,7 +96,9 @@ def c_wu(frame: SpectralFrame) -> float:
 
     The construction is gauge invariant up to finite-difference error;
     pairs whose coupling gamma_nm vanishes identically are skipped with a
-    notice since their phase derivative is undefined.
+    notice since their phase derivative is undefined.  A duration too short
+    for float range, where a denominator or the result is not finite,
+    raises an OverflowError that names tau.
     """
     grid, tau = frame.grid, frame.tau
     ds = grid[1] - grid[0]
@@ -105,24 +107,29 @@ def c_wu(frame: SpectralFrame) -> float:
 
     worst = 0.0
     scale = np.max(np.abs(gamma))
-    for m, n in itertools.permutations(range(dim), 2):
-        g_nm = gamma[:, n, m]
-        if np.max(np.abs(g_nm)) < 1e-14 * max(scale, 1e-300):
-            warnings.warn(
-                f"coupling between levels {n} and {m} vanishes; pair skipped",
-                RuntimeWarning,
-            )
-            continue
-        phase = np.unwrap(np.angle(g_nm))
-        dphase = fourth_order_derivative(phase, ds) / tau
-        detune = np.real(gamma[:, m, m] - gamma[:, n, n]) + dphase
-        gap = frame.energies[:, n] - frame.energies[:, m]
-        denom = np.sqrt(gap**2 + detune**2)
-        for k in range(dim):
-            if k == m:
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, n in itertools.permutations(range(dim), 2):
+            g_nm = gamma[:, n, m]
+            if np.max(np.abs(g_nm)) < 1e-14 * max(scale, 1e-300):
+                warnings.warn(
+                    f"coupling between levels {n} and {m} vanishes; pair skipped",
+                    RuntimeWarning,
+                )
                 continue
-            ratio = np.sqrt(dim - 1) * np.abs(gamma[:, k, m]) / denom
-            worst = max(worst, float(np.max(ratio)))
+            phase = np.unwrap(np.angle(g_nm))
+            dphase = fourth_order_derivative(phase, ds) / tau
+            detune = np.real(gamma[:, m, m] - gamma[:, n, n]) + dphase
+            gap = frame.energies[:, n] - frame.energies[:, m]
+            denom = np.sqrt(gap**2 + detune**2)
+            if not np.all(np.isfinite(denom)):
+                raise OverflowError(f"c_wu denominator overflows at tau={float(tau)!r}")
+            for k in range(dim):
+                if k == m:
+                    continue
+                ratio = np.sqrt(dim - 1) * np.abs(gamma[:, k, m]) / denom
+                worst = max(worst, float(np.max(ratio)))
+    if not np.isfinite(worst):
+        raise OverflowError(f"c_wu overflows at tau={float(tau)!r}")
     return worst
 
 
@@ -131,18 +138,24 @@ def c_ar(frame: SpectralFrame, hdot: np.ndarray) -> float:
 
     max over time of max(|dH/dt|^3 / gap^4, |dH/dt| |d2H/dt2| / gap^3)
     times tau^2, with the lowest spectral gap E_1 - E_0; a gap that is
-    not strictly positive on some node is refused.
+    not strictly positive on some node is refused.  A duration too short
+    for float range, where the result is not finite, raises an
+    OverflowError that names tau.
     """
     grid, tau = frame.grid, frame.tau
     ds = grid[1] - grid[0]
-    hddot = fourth_order_derivative(hdot, ds) / tau
-    norm1 = np.linalg.norm(hdot, axis=(1, 2))
-    norm2 = np.linalg.norm(hddot, axis=(1, 2))
     gap = frame.energies[:, 1] - frame.energies[:, 0]
     if np.any(gap <= 0):
         raise ValueError("gap profile must be strictly positive")
-    bound = np.maximum(norm1**3 / gap**4, norm1 * norm2 / gap**3)
-    return float(np.max(bound) * tau**2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hddot = fourth_order_derivative(hdot, ds) / tau
+        norm1 = np.linalg.norm(hdot, axis=(1, 2))
+        norm2 = np.linalg.norm(hddot, axis=(1, 2))
+        bound = np.maximum(norm1**3 / gap**4, norm1 * norm2 / gap**3)
+        result = float(np.max(bound) * tau**2)
+    if not np.isfinite(result):
+        raise OverflowError(f"c_ar overflows at tau={float(tau)!r}")
+    return result
 
 
 def scan_min_gap(h: Schedule, n_points: int = 1001) -> float:

@@ -43,7 +43,6 @@ from adiabatic_lab.dynamics import (
 )
 from adiabatic_lab.opalg import (
     SIGMA_X,
-    SIGMA_Y,
     SIGMA_Z,
     dagger,
     from_coherence_vector,
@@ -76,6 +75,7 @@ from adiabatic_lab.tqd import (
     standard_tqd,
     tqd_time_independence,
 )
+from oracles import nmr_lab_schedule
 
 W0 = 2.0 * math.pi * 1.0e4
 THETA = 0.03
@@ -101,25 +101,11 @@ def _lz_frame(tau, n_points=801):
     return lz_frame(LZ_DELTA, lambda s: LZ_THETA0 * s, tau, n_points)
 
 
-def _nmr_lab_schedule(r):
-    w = r * W0
-
-    def sampler(s):
-        t = s * TAU
-        return 0.5 * W0 * SIGMA_Z + 0.5 * W1 * (
-            np.cos(w * t) * SIGMA_X + np.sin(w * t) * SIGMA_Y
-        )
-
-    return Schedule(TAU, sampler)
-
-
 def test_criterion_01_nmr_survival_closed_form():
     t0 = time.monotonic()
     worst = 0.0
     for r in (0.1, 0.5, 1.0, 2.0, 3.0):
-        traj = evolve_unitary(
-            _nmr_lab_schedule(r), np.array([1.0, 0.0], dtype=complex), 10000
-        )
+        traj = evolve_unitary(nmr_lab_schedule(W0, W1, r * W0, TAU), np.array([1.0, 0.0], dtype=complex), 10000)
         times = traj.times[::10]  # 1001 comparison nodes
         p_integrated = np.abs(traj.states[::10, 0]) ** 2
         p_formula = nmr_closed_form_p0(W0, W1, r * W0, times)

@@ -23,18 +23,12 @@ from adiabatic_lab.adcheck import (
 )
 from adiabatic_lab.dynamics import Schedule, evolve_unitary, nmr_closed_form_p0
 from adiabatic_lab.opalg import SIGMA_X, SIGMA_Y, SIGMA_Z
-from adiabatic_lab.spectral import LevelCrossingError, frame_from_functions
+from oracles import frame_per_node, nmr_lab_schedule, same_bits
 
 W0 = 2 * np.pi * 1.0e4
 THETA = 0.03
 TAU = 1.0e-3
 W1 = W0 * np.tan(THETA)
-
-
-def _same_bits(a, b):
-    """np.array_equal, and the same bytes: array_equal takes -0.0 for 0.0."""
-    a, b = np.asarray(a), np.asarray(b)
-    return np.array_equal(a, b) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def nmr_kit(r, n_points=2001):
@@ -237,28 +231,10 @@ def test_survival_probability_closed_form_vs_integration():
 # Python float)
 
 
-def _per_node(fn, dtype):
-    return lambda s: np.array([np.asarray(fn(x), dtype=dtype) for x in s])
-
-
-def _reference_frame(tau, n_points, energy_fn, vector_fn, dvector_fn=None):
-    return frame_from_functions(tau, n_points, lambda s: (
-        _per_node(energy_fn, float)(s),
-        _per_node(vector_fn, complex)(s),
-        None if dvector_fn is None else _per_node(dvector_fn, complex)(s),
-    ))
-
-
 def _reference_nmr_rotating(omega0, omega1, omega, tau, n_points):
     theta = np.arctan2(omega1, omega0)
     half, sec = 0.5 * theta, 1.0 / np.cos(theta)
     e_split = 0.5 * omega0 * sec
-
-    def sampler(s):
-        t = s * tau
-        return 0.5 * omega0 * SIGMA_Z + 0.5 * omega1 * (
-            np.cos(omega * t) * SIGMA_X + np.sin(omega * t) * SIGMA_Y
-        )
 
     def energy_fn(s):
         return np.array([-e_split, e_split])
@@ -273,7 +249,8 @@ def _reference_nmr_rotating(omega0, omega1, omega, tau, n_points):
             [[1j * omega * ph * np.sin(half), -1j * omega * ph * np.cos(half)], [0.0, 0.0]]
         )
 
-    return sampler, _reference_frame(tau, n_points, energy_fn, vector_fn, dvector_fn)
+    sampler = nmr_lab_schedule(omega0, omega1, omega, tau).sampler
+    return sampler, frame_per_node(tau, n_points, energy_fn, vector_fn, dvector_fn)
 
 
 def _reference_nmr_rotating_frame(omega0, omega1, omega, tau, n_points):
@@ -282,7 +259,7 @@ def _reference_nmr_rotating_frame(omega0, omega1, omega, tau, n_points):
     mix = 0.5 * np.arctan2(omega1, detuning)
     ham = 0.5 * detuning * SIGMA_Z + 0.5 * omega1 * SIGMA_X
     vecs = np.array([[-np.sin(mix), np.cos(mix)], [np.cos(mix), np.sin(mix)]], dtype=complex)
-    frame = _reference_frame(
+    frame = frame_per_node(
         tau,
         n_points,
         lambda s: np.array([-split, split]),
@@ -322,7 +299,7 @@ def _reference_oscillating(omega0, theta, omega, tau, n_points):
             [[-np.cos(half), -np.sin(half)], [-np.sin(half), np.cos(half)]], dtype=complex
         )
 
-    return sampler, _reference_frame(tau, n_points, energy_fn, vector_fn, dvector_fn)
+    return sampler, frame_per_node(tau, n_points, energy_fn, vector_fn, dvector_fn)
 
 
 def _reference_oscillating_noninertial(omega0, theta, omega, tau, n_points):
@@ -363,7 +340,7 @@ def _reference_oscillating_noninertial(omega0, theta, omega, tau, n_points):
             u = (h[0] - 1j * h[1]) / (2.0 * r * sn)
             return np.array([[-sn, u], [np.conj(u), sn]])
 
-    return sampler, _reference_frame(tau, n_points, energy_fn, vector_fn)
+    return sampler, frame_per_node(tau, n_points, energy_fn, vector_fn)
 
 
 @pytest.mark.parametrize("n_points", [101, 301])
@@ -383,9 +360,9 @@ def test_kits_match_their_scalar_closures(kit_fn, reference_fn, drive, r, n_poin
     sampler, frame = reference_fn(W0, drive, r * W0, TAU, n_points)
     grid = kit.frame.grid
     want = np.array([np.asarray(sampler(s), dtype=complex) for s in grid.tolist()])
-    assert _same_bits(kit.schedule.sample(grid), want)
+    assert same_bits(kit.schedule.sample(grid), want)
     for name in ("energies", "vectors", "dvectors"):
-        assert _same_bits(getattr(kit.frame, name), getattr(frame, name)), name
+        assert same_bits(getattr(kit.frame, name), getattr(frame, name)), name
 
 
 def _expm_z_rotation(omega, tau):
@@ -419,4 +396,4 @@ def test_closed_form_frame_map_matches_expm(r):
         got, want = check(kit), check(expm_kit)
         assert set(got) == set(want)
         for key in want:
-            assert _same_bits(got[key], want[key]), key
+            assert same_bits(got[key], want[key]), key

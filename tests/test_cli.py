@@ -162,6 +162,10 @@ def test_hopeless_config_exits_two_with_error_line(argv, capsys):
         pytest.param(["nmr-tqd", "--omega0-hz", "1e300"], "OverflowError: ", id="nmr-tqd-overflow"),
         pytest.param(["adcheck", "--tau-s", "1e300", "--r-sweep", "0.5:0.5:1", "--n-points", "100"],
                      "OverflowError: ", id="adcheck-overflow"),
+        pytest.param(["adcheck", "--tau-s", "1e-160", "--r-sweep", "0.5:0.5:1", "--n-points", "100"],
+                     "OverflowError: c_ar overflows at tau=1e-160", id="adcheck-c-ar-overflow"),
+        pytest.param(["adcheck", "--tau-s", "1e-300", "--r-sweep", "0.5:0.5:1", "--n-points", "100"],
+                     "OverflowError: c_wu denominator overflows at tau=1e-300", id="adcheck-c-wu-overflow"),
         pytest.param(["battery-stirap", "--omega0tau", "1e-300", "--rabi-hz", "1e300", "--n-steps", "100"],
                      "a schedule's duration must be positive, not 0.0", id="battery-stirap-zero-duration"),
     ],
@@ -542,6 +546,23 @@ def test_package_modules_use_every_name_they_import():
                     if name not in used:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert sorted(PACKAGE.glob("*.py")) and not unused, unused
+
+
+def test_every_oracle_is_imported_and_defined_once():
+    """Each function of tests/oracles.py is imported by some test module, and
+    no test module defines a function of the same name, with or without a
+    leading underscore."""
+    tests = Path(__file__).parent
+    oracles = {node.name for node in ast.parse((tests / "oracles.py").read_text()).body
+               if isinstance(node, ast.FunctionDef)}
+    imported, copies = set(), []
+    for path in sorted(tests.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "oracles":
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.FunctionDef) and node.name.lstrip("_") in oracles:
+                copies.append(f"{path.name}:{node.lineno} {node.name}")
+    assert oracles and oracles <= imported and not copies, (sorted(oracles - imported), copies)
 
 
 def test_package_private_names_are_all_referenced():

@@ -26,7 +26,6 @@ from adiabatic_lab.battery import ergotropy, stable_protocol, stirap_schedule, t
 from adiabatic_lab.cli import RAMPS
 from adiabatic_lab.opalg import (
     SIGMA_X,
-    SIGMA_Y,
     SIGMA_Z,
     Superoperator,
     dagger,
@@ -37,14 +36,9 @@ from adiabatic_lab.opalg import (
 from adiabatic_lab.openad import superoperator_at
 from adiabatic_lab.thermo import entropy_rate, heat_rate, work_rate
 from adiabatic_lab.tqd import controlled_gate_schedule
+from oracles import lindblad_action_per_call, nmr_lab_schedule, per_node, rk4_reference, same_bits
 
 RNG = np.random.default_rng(7)
-
-
-def _per_node(f):
-    """rk4's block sampler from a sampler of one time: f at each time of the
-    block, in order, stacked."""
-    return lambda ts: np.array([f(t) for t in ts])
 
 
 def test_rk4_against_matrix_exponential():
@@ -59,7 +53,7 @@ def test_rk4_against_matrix_exponential():
 
 
 def _switch(onset):
-    return _per_node(lambda t: np.array([[0.0 if t < onset else 1e200]]))
+    return per_node(lambda t: np.array([[0.0 if t < onset else 1e200]]))
 
 
 def test_rk4_raises_on_blowup():
@@ -104,24 +98,7 @@ def test_rk4_sampler_error_at_a_later_node_wins_over_an_earlier_blowup():
             return np.array([[0.0 if t < 2.0 else 1e200]])
 
         with pytest.raises(ValueError, match=re.escape(f"no sample at t={bad!r}") + "$"):
-            rk4(_per_node(sample), np.array([1.0]), times, np.matmul)
-
-
-def _rk4_four_samples(sample, y0, times, act):
-    """Textbook RK4 that samples the generator four times per step: at the
-    step's start node, twice at its midpoint, and at its end node."""
-    y = np.asarray(y0, dtype=complex)
-    out = [y]
-    for k in range(len(times) - 1):
-        t = times[k]
-        dt = times[k + 1] - t
-        k1 = act(sample(t), y)
-        k2 = act(sample(t + 0.5 * dt), y + 0.5 * dt * k1)
-        k3 = act(sample(t + 0.5 * dt), y + 0.5 * dt * k2)
-        k4 = act(sample(times[k + 1]), y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        out.append(y)
-    return np.array(out)
+            rk4(per_node(sample), np.array([1.0]), times, np.matmul)
 
 
 def _recording(f, blocks):
@@ -173,7 +150,7 @@ def test_rk4_matches_four_sample_rk4_bit_for_bit(dim, seed, t_end, n_steps, unif
     else:
         times = np.sort(rng.uniform(-t_end, t_end, n_steps + 1) * 10.0 ** rng.uniform(-4, 0, n_steps + 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        want = _rk4_four_samples(f, y0, times, np.matmul)
+        want = rk4_reference(per_node(f), y0, times, np.matmul)
     if not np.all(np.isfinite(want)):
         return
     blocks = []
@@ -197,7 +174,7 @@ def test_rk4_block_boundaries_match_four_sample_rk4_bit_for_bit(n_steps, members
         y0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         blocks = []
         got = rk4(_recording(f, blocks), y0, times, np.matmul)
-        assert np.array_equal(got, _rk4_four_samples(f, y0, times, np.matmul))
+        assert np.array_equal(got, rk4_reference(per_node(f), y0, times, np.matmul))
         _assert_blocks(blocks, times, n_steps)
         return
     taus = rng.uniform(0.5, 2.0, members)
@@ -209,44 +186,17 @@ def test_rk4_block_boundaries_match_four_sample_rk4_bit_for_bit(n_steps, members
     got = rk4(stacked, y0[..., None], times, np.matmul)
     _assert_blocks(blocks, times, n_steps)
     for r, f in enumerate(drives):
-        want = _rk4_four_samples(f, y0[r, :, None], times[:, r], np.matmul)
+        want = rk4_reference(per_node(f), y0[r, :, None], times[:, r], np.matmul)
         assert np.array_equal(got[:, r], want)
-
-
-def _rk4_scalar_steps(sample, y0, times, act, unit):
-    """rk4 with the call forms of its stage loop before the step sizes became
-    full-shape rows: numpy-scalar step sizes (a sweep's (R, 1, ...)
-    broadcasts) from ``zip(unit * dt, unit * (0.5 * dt), unit * (dt / 6.0))``,
-    a Python ``2.0`` and ``out=`` keywords, in the same operation order,
-    sampling the whole grid in one call."""
-    y = np.asarray(y0, dtype=complex)
-    n = len(times) - 1
-    out = np.empty((n + 1,) + y.shape, dtype=complex)
-    out[0] = y
-    dt = times[1:] - times[:-1]
-    ts = np.empty((2 * n + 1,) + times.shape[1:])
-    ts[0::2], ts[1::2] = times, times[:-1] + 0.5 * dt
-    nodes = sample(ts)
-    if times.ndim > 1:
-        dt = dt.reshape(dt.shape + (1,) * (y.ndim - 1))
-    buf = np.empty_like(y)
-    add, mul = np.add, np.multiply
-    for k, (h, h_half, h_sixth) in enumerate(zip(unit * dt, unit * (0.5 * dt), unit * (dt / 6.0))):
-        k1 = act(nodes[2 * k], y)
-        k2 = act(nodes[2 * k + 1], add(y, mul(h_half, k1, out=buf), out=buf))
-        k3 = act(nodes[2 * k + 1], add(y, mul(h_half, k2, out=buf), out=buf))
-        k4 = act(nodes[2 * k + 2], add(y, mul(h, k3, out=buf), out=buf))
-        add(k1, mul(2.0, add(k2, k3, out=buf), out=buf), out=buf)
-        y = add(y, mul(h_sixth, add(buf, k4, out=buf), out=buf), out=out[k + 1])
-    return out
 
 
 @pytest.mark.parametrize("readout", [1, 7, 256])
 @pytest.mark.parametrize("block", [1, 5])
 def test_stage_loop_keeps_the_scalar_step_bits(readout, block, monkeypatch):
     """The full-shape complex step-size rows, the 0-d 2+0j and the positional
-    outputs of rk4's stage loop give the states of the scalar call forms
-    byte for byte, signed zeros included, for unit 1 and -1j: single vector
+    outputs of rk4's stage loop give the states of the textbook loop that
+    multiplies every ``act`` result by ``unit``, byte for byte, signed
+    zeros included, for unit 1 and -1j: single vector
     runs at D = 2 and 8, a single matrix run at D = 3 and a 3-member sweep
     at D = 2, from initial states with exact and negative zeros, across
     block and readout-block edges."""
@@ -269,7 +219,7 @@ def test_stage_loop_keeps_the_scalar_step_bits(readout, block, monkeypatch):
         y0.real.flat[1::4] = -0.0
         times = np.linspace(0.0, 1.5 if members is None else rng.uniform(0.5, 2.0, members), n_steps + 1)
         for unit in (1.0, -1j):
-            want = _rk4_scalar_steps(sample, y0, times, act, unit)
+            want = rk4_reference(sample, y0, times, lambda a, y: unit * act(a, y))
             assert rk4(sample, y0, times, act, unit).tobytes() == want.tobytes()
 
 
@@ -303,7 +253,7 @@ def test_member_axis_rk4_matches_separate_runs(members, dim, seed, n_steps):
     _assert_blocks(blocks, times, n_steps)
     for r, f in enumerate(samplers):
         assert np.array_equal(times[:, r], np.linspace(0.0, taus[r], n_steps + 1))
-        assert np.array_equal(got[:, r], rk4(_per_node(f), y0[r], times[:, r], np.matmul))
+        assert np.array_equal(got[:, r], rk4(per_node(f), y0[r], times[:, r], np.matmul))
 
 
 def _counting(sampler):
@@ -356,19 +306,6 @@ def test_evolve_samples_a_vectorized_schedule_once_per_block(n_steps):
         assert np.array_equal(got.states, want.states)
 
 
-def _lindblad_action_per_call(gen, rho):
-    """Reference lindblad_action: a loop over the channels that forms
-    J^dag and J^dag J on every call."""
-    h = gen.hamiltonian
-    out = -1j * (h @ rho - rho @ h)
-    for rate, jump in gen.jumps:
-        jd = dagger(jump)
-        jdj = jd @ jump
-        scale = rate[..., None, None] if np.ndim(rate) else rate
-        out += scale * (jump @ rho @ jd - 0.5 * (jdj @ rho + rho @ jdj))
-    return out
-
-
 @pytest.mark.parametrize("n_jumps", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_lindblad_action_cache_is_bit_identical(n_jumps, dim):
@@ -414,24 +351,19 @@ def test_lindblad_action_cache_is_bit_identical(n_jumps, dim):
                         gen = LindbladGenerator(ham, tuple(zip(gammas, ops)))
                     whole = gen.hamiltonian.ndim - 2 in (0, len(lead))  # H broadcasts over the stack
                     if whole:
-                        assert np.array_equal(lindblad_action(gen, rho), _lindblad_action_per_call(gen, rho))
+                        assert np.array_equal(lindblad_action(gen, rho), lindblad_action_per_call(gen, rho))
                     if gen.hamiltonian.ndim - 2 == len(lead):  # the superoperator's operands take every node
                         assert np.array_equal(lindblad_action(gen, rho[:, None]),
-                                              _lindblad_action_per_call(gen, rho[:, None]))
+                                              lindblad_action_per_call(gen, rho[:, None]))
                     for k in (0, m - 1):
                         got = lindblad_action(gen[k], rho[k])
-                        assert _same_bytes(got, _lindblad_action_per_call(node(k), rho[k]))
+                        assert same_bits(got, lindblad_action_per_call(node(k), rho[k]))
                         assert not whole or np.array_equal(got, lindblad_action(gen, rho)[k])
                         if len(lead) > 1:  # member r of node k builds its own channels
-                            assert _same_bytes(lindblad_action(gen[k][1], rho[k, 1]),
-                                               _lindblad_action_per_call(node(k)[1], rho[k, 1]))
+                            assert same_bits(lindblad_action(gen[k][1], rho[k, 1]),
+                                             lindblad_action_per_call(node(k)[1], rho[k, 1]))
     single = LindbladGenerator(h[0, 0], tuple((float(rng.uniform(0.0, 2.0)), mat()) for _ in range(n_jumps)))
-    assert _same_bytes(lindblad_action(single, rho[0, 0]), _lindblad_action_per_call(single, rho[0, 0]))
-
-
-def _same_bytes(got, want):
-    """Equal shapes and equal bytes: unlike np.array_equal, -0.0 is not 0.0."""
-    return got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert same_bits(lindblad_action(single, rho[0, 0]), lindblad_action_per_call(single, rho[0, 0]))
 
 
 @pytest.mark.parametrize("n_jumps", [1, 4])
@@ -471,11 +403,11 @@ def test_lindblad_action_on_one_state_keeps_the_per_channel_bits(dim, n_jumps):
                                                          for g, j in zip(gammas, ops)))
 
                 for rho in states:
-                    assert _same_bytes(lindblad_action(gen, rho), _lindblad_action_per_call(gen, rho))
+                    assert same_bits(lindblad_action(gen, rho), lindblad_action_per_call(gen, rho))
                     for k in range(m):
-                        want = _lindblad_action_per_call(node(k), rho)
-                        assert _same_bytes(lindblad_action(gen[k], rho), want)
-                        assert _same_bytes(lindblad_action(node(k), rho), want)
+                        want = lindblad_action_per_call(node(k), rho)
+                        assert same_bits(lindblad_action(gen[k], rho), want)
+                        assert same_bits(lindblad_action(node(k), rho), want)
 
 
 @pytest.mark.parametrize("n_jumps", [1, 4])
@@ -511,14 +443,14 @@ def test_node_operand_tuples_act_as_node_views(members, dim, n_jumps):
                 got = lindblad_action(operands, rho[k])
                 own = LindbladGenerator(h[k], tuple((g[k] if np.ndim(g) else g, j[k] if j.ndim > 2 else j)
                                                     for g, j in zip(gammas, ops)))
-                assert _same_bytes(got, lindblad_action(gen[k], rho[k]))
-                assert _same_bytes(got, _lindblad_action_per_call(own, rho[k]))
-                assert _same_bytes(got, whole[k])
+                assert same_bits(got, lindblad_action(gen[k], rho[k]))
+                assert same_bits(got, lindblad_action_per_call(own, rho[k]))
+                assert same_bits(got, whole[k])
                 if members:
                     for r in range(members):
                         node = lindblad_action(gen[k][r], rho[k, r])
-                        assert _same_bytes(node, got[r])
-                        assert _same_bytes(node, _lindblad_action_per_call(own[r], rho[k, r]))
+                        assert same_bits(node, got[r])
+                        assert same_bits(node, lindblad_action_per_call(own[r], rho[k, r]))
 
 
 def _eager(gen):
@@ -594,47 +526,6 @@ def test_evolve_unitary_norm_and_oracle():
     assert traj.diagnostics["final_norm_deviation"] < 1e-8
 
 
-def _rk4_allocating(sample, y0, times, act):
-    """Reference rk4 loop: the same blocks of samples, a fresh array for
-    every stage and state, and unit factors left to ``act``."""
-    y = np.asarray(y0, dtype=complex)
-    n = len(times) - 1
-    out = np.empty((n + 1,) + y.shape, dtype=complex)
-    out[0] = y
-    dt = times[1:] - times[:-1]
-    ts = np.empty(2 * n + 1)
-    ts[0::2] = times
-    ts[1::2] = times[:-1] + 0.5 * dt
-    for a in range(0, n, BLOCK):
-        b = min(a + BLOCK, n)
-        j = int(a == 0)
-        nodes = sample(ts[2 * a + 1 - j:2 * b + 1])
-        if j:
-            a_end = nodes[0]
-        for k, (h, h_half, h_sixth) in enumerate(zip(dt[a:b], 0.5 * dt[a:b], dt[a:b] / 6.0), a + 1):
-            k1 = act(a_end, y)
-            a_mid = nodes[j]
-            k2 = act(a_mid, y + h_half * k1)
-            k3 = act(a_mid, y + h_half * k2)
-            a_end = nodes[j + 1]
-            j += 2
-            k4 = act(a_end, y + h * k3)
-            y = y + h_sixth * (k1 + 2.0 * (k2 + k3) + k4)
-            out[k] = y
-    return out
-
-
-def _nmr_lab_schedule(w0, w1, r, tau):
-    """The benchmark's scalar lab-frame NMR drive."""
-    w = r * w0
-
-    def sampler(s):
-        t = s * tau
-        return 0.5 * w0 * SIGMA_Z + 0.5 * w1 * (np.cos(w * t) * SIGMA_X + np.sin(w * t) * SIGMA_Y)
-
-    return Schedule(tau, sampler)
-
-
 def _random_drive(dim):
     """A scalar schedule of random Hermitian matrices, and a random unit state."""
     rng = np.random.default_rng(dim)
@@ -652,7 +543,7 @@ def _closed_case(case):
         return two_cell_schedule(RAMPS[arg], j_rad, 80.0 / j_rad), psi0
     if kind == "nmr":
         w0 = 2.0 * np.pi * 1.0e3
-        return _nmr_lab_schedule(w0, 0.3 * w0, 0.8, 2.0e-3), np.array([1.0, 0.0])
+        return nmr_lab_schedule(w0, 0.3 * w0, 0.8 * w0, 2.0e-3), np.array([1.0, 0.0])
     if kind == "gate":  # the gate scenario's defaults at tau = 1e-3, with the register in |+>
         controlled = arg == "controlled"
         sched = controlled_gate_schedule((0.0, 0.0, 1.0), np.pi, np.pi, 2.0 * np.pi * 35.0, 1.0e-3,
@@ -667,7 +558,7 @@ def _folded_and_oracle(case, n_steps):
     """evolve_unitary's states, and the reference loop's with -1j in ``act``."""
     sched, psi0 = _closed_case(case)
     times = np.linspace(0.0, sched.tau, n_steps + 1)
-    want = _rk4_allocating(lambda t: sched.sample(t / sched.tau), psi0, times, lambda a, psi: -1j * (a @ psi))
+    want = rk4_reference(lambda t: sched.sample(t / sched.tau), psi0, times, lambda a, psi: -1j * (a @ psi))
     return evolve_unitary(sched, psi0, n_steps).states, want
 
 
@@ -708,7 +599,7 @@ def test_evolve_unitary_single_run_keeps_matmul_bits_for_contiguous_nodes(dim, l
     assert layout != "F" or not node.flags.c_contiguous
     n_steps = 2 * BLOCK + 1
     times = np.linspace(0.0, vec.tau, n_steps + 1)
-    want = _rk4_allocating(lambda t: vec.sample(t / vec.tau), psi0, times, lambda a, psi: -1j * (a @ psi))
+    want = rk4_reference(lambda t: vec.sample(t / vec.tau), psi0, times, lambda a, psi: -1j * (a @ psi))
     got = evolve_unitary(vec, psi0, n_steps).states
     if layout == "strided":
         assert np.max(np.abs(got - want)) < 1e-12
@@ -797,7 +688,7 @@ def test_shared_operators_with_per_node_rates_step_as_a_scalar_sampler():
     assert all(operands[1] is stack.nodes[0][1] for operands in stack.nodes)
     rho0 = pure_state_density(np.array([0.6, 0.8j]))
     got = evolve_lindblad(vec, rho0, 100).states
-    assert _same_bytes(got, evolve_lindblad(scalar, rho0, 100).states)
+    assert same_bits(got, evolve_lindblad(scalar, rho0, 100).states)
 
 
 def test_lindblad_dephasing_closed_form():
@@ -903,14 +794,7 @@ def test_frame_transform_rotating_drive_becomes_static():
     """The z-rotating transverse drive is static in the co-rotating frame."""
     w0, w1, w = 2 * np.pi * 1e4, 2 * np.pi * 4e3, 2 * np.pi * 7e3
     tau = 1e-3
-
-    def sampler(s):
-        t = s * tau
-        return 0.5 * w0 * SIGMA_Z + 0.5 * w1 * (
-            np.cos(w * t) * SIGMA_X + np.sin(w * t) * SIGMA_Y
-        )
-
-    transformed = frame_transform(Schedule(tau, sampler), *_z_map(w, tau))
+    transformed = frame_transform(nmr_lab_schedule(w0, w1, w, tau), *_z_map(w, tau))
     want = 0.5 * (w0 - w) * SIGMA_Z + 0.5 * w1 * SIGMA_X
     for s in (0.0, 0.31, 0.77, 1.0):
         assert np.max(np.abs(np.asarray(transformed.at(s)) - want)) < 1e-6 * w0
@@ -1008,14 +892,7 @@ def test_nmr_closed_form_against_integration():
     """Survival of the bare spin-up start under the rotating drive."""
     w0, w1, w = 2 * np.pi * 1e4, 2 * np.pi * 5e3, 2 * np.pi * 8e3
     tau = 4.0e-4
-
-    def sampler(s):
-        t = s * tau
-        return 0.5 * w0 * SIGMA_Z + 0.5 * w1 * (
-            np.cos(w * t) * SIGMA_X + np.sin(w * t) * SIGMA_Y
-        )
-
-    traj = evolve_unitary(Schedule(tau, sampler), np.array([1.0, 0.0]), 4000)
+    traj = evolve_unitary(nmr_lab_schedule(w0, w1, w, tau), np.array([1.0, 0.0]), 4000)
     p0 = np.abs(traj.states[:, 0]) ** 2
     want = nmr_closed_form_p0(w0, w1, w, traj.times)
     assert np.max(np.abs(p0 - want)) < 1e-7

@@ -8,7 +8,6 @@ from adiabatic_lab.opalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    OperatorBasis,
     combine_components,
     pauli_basis,
     superoperator_matrix,
@@ -26,6 +25,7 @@ from adiabatic_lab.openad import (
     xi_coefficients,
 )
 from adiabatic_lab.spectral import cumtrapz, fourth_order_derivative
+from oracles import gell_mann_basis, track_eigenvectors_per_node
 
 BASIS = pauli_basis(1)
 RNG = np.random.default_rng(23)
@@ -125,56 +125,18 @@ def test_tracked_spectrum_names_first_defective_node(monkeypatch):
 
 
 def _track_per_node(l, n_points, basis):
-    """Reference tracker: scipy's eig on one node at a time, each node
-    ordered against the previous node's gauge-fixed vectors and reordered
-    eigenvalues as it is decomposed."""
-    from scipy.optimize import linear_sum_assignment
-
+    """Reference tracker: scipy's eig on one node at a time, then the
+    per-node tracker, which orders each node against the previous node's
+    gauge-fixed vectors."""
     grid = np.linspace(0.0, 1.0, n_points)
-    d2 = basis.dim**2
-    eigenvalues = np.empty((n_points, d2), dtype=complex)
-    right = np.empty((n_points, d2, d2), dtype=complex)
-    prev_vals = prev_vecs = None
-    for k, mat in enumerate(openad.superoperator_at(l, grid, basis)):
-        vals, vecs = scipy.linalg.eig(mat)
-        vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
-        if prev_vecs is None:
-            order = np.lexsort((vals.imag, -vals.real))
-        else:
-            scale = max(1.0, float(np.max(np.abs(vals))))
-            cost = 1.0 - np.abs(prev_vecs.conj().T @ vecs)
-            cost = cost + np.abs(prev_vals[:, None] - vals[None, :]) / scale
-            row, col = linear_sum_assignment(cost)
-            order = np.empty(d2, dtype=int)
-            order[row] = col
-        vals, vecs = vals[order], vecs[:, order]
-        if k > 0:
-            ov = np.einsum("ia,ia->a", np.conj(prev_vecs), vecs)
-            bad = np.abs(ov) < 1e-12
-            ov[bad] = 1.0
-            vecs = vecs / (ov / np.abs(ov))[None, :]
-        eigenvalues[k], right[k] = vals, vecs
-        prev_vals, prev_vecs = vals, vecs
+    pairs = [scipy.linalg.eig(mat) for mat in openad.superoperator_at(l, grid, basis)]
+    vals = np.array([v for v, _ in pairs])
+    vecs = np.array([w / np.linalg.norm(w, axis=0, keepdims=True) for _, w in pairs])
+    order, right = track_eigenvectors_per_node(vals, vecs, np.lexsort((vals[0].imag, -vals[0].real)), [])
+    eigenvalues = np.take_along_axis(vals, order, axis=1)
     left = np.linalg.inv(right)
     connection = np.einsum("kab,kbc->kac", left, fourth_order_derivative(right, grid[1] - grid[0]))
     return eigenvalues, right, left, connection
-
-
-def _gell_mann_basis():
-    """Qutrit basis: the identity and the eight Gell-Mann matrices scaled
-    to Tr(sigma_n sigma_m^dag) = 3 delta_nm."""
-    elements = [np.eye(3, dtype=complex)]
-    for a in range(3):
-        for b in range(a + 1, 3):
-            sym = np.zeros((3, 3), dtype=complex)
-            sym[a, b] = sym[b, a] = 1.0
-            asym = np.zeros((3, 3), dtype=complex)
-            asym[a, b], asym[b, a] = -1j, 1j
-            elements += [sym, asym]
-    elements.append(np.diag([1.0, -1.0, 0.0]).astype(complex))
-    elements.append(np.diag([1.0, 1.0, -2.0]).astype(complex) / np.sqrt(3.0))
-    elements = [elements[0]] + [np.sqrt(1.5) * e for e in elements[1:]]
-    return OperatorBasis(dim=3, elements=tuple(elements), labels=tuple(f"g{n}" for n in range(9)))
 
 
 def _qutrit_schedule():
@@ -222,7 +184,7 @@ def test_tracked_spectrum_equals_per_node_oracle(case, n_solved, monkeypatch):
 
     sched, basis, n_points = {
         "dephasing": (dephasing_schedule(2 * np.pi * 1e3, 150.0, 1e-3), BASIS, 41),
-        "qutrit": (_qutrit_schedule(), _gell_mann_basis(), 61),
+        "qutrit": (_qutrit_schedule(), gell_mann_basis(), 61),
         "crossing": (_crossing_schedule(), BASIS, 41),
     }[case]
     if case == "crossing":

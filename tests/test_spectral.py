@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from adiabatic_lab.dynamics import Schedule
 from adiabatic_lab.opalg import (
     SIGMA_X,
-    SIGMA_Y,
     SIGMA_Z,
     dagger,
     pauli_basis,
@@ -17,7 +16,6 @@ from adiabatic_lab.opalg import (
     superoperator_matrix,
 )
 from adiabatic_lab.spectral import (
-    ASSIGNMENT_MARGIN,
     LevelCrossingError,
     cumtrapz,
     fourth_order_derivative,
@@ -26,14 +24,11 @@ from adiabatic_lab.spectral import (
     track_eigenvectors,
     tracked_eigensystem,
 )
+from oracles import nmr_lab_schedule, same_bits, track_eigenvectors_per_node
 
 RNG = np.random.default_rng(11)
-
-
-def _same_bits(a, b):
-    """np.array_equal, and the same bytes: array_equal takes -0.0 for 0.0."""
-    a, b = np.asarray(a), np.asarray(b)
-    return np.array_equal(a, b) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+NMR_W0 = 2.0 * np.pi * 1.0e4
+NMR_LAB = nmr_lab_schedule(NMR_W0, NMR_W0 * np.tan(0.03), NMR_W0, 1.0e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +71,8 @@ def test_fourth_order_derivative_needs_five_samples():
 )
 def test_trapezoid_rules_keep_scipys_bits(y, x):
     want = scipy.integrate.cumulative_trapezoid(y, x, axis=0, initial=0)
-    assert _same_bits(cumtrapz(y, x), want)
-    assert _same_bits(np.trapezoid(y, x, axis=0), scipy.integrate.trapezoid(y, x, axis=0))
+    assert same_bits(cumtrapz(y, x), want)
+    assert same_bits(np.trapezoid(y, x, axis=0), scipy.integrate.trapezoid(y, x, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +126,7 @@ def test_connection_is_formed_once_with_the_einsum_bytes():
     first = frame.connection
     assert frame.connection is first
     want = np.einsum("kin,kim->knm", np.conj(frame.vectors), frame.dvectors)
-    assert _same_bits(first, want)
+    assert same_bits(first, want)
 
 
 def test_level_crossing_refused():
@@ -221,17 +216,6 @@ def _reference_tracked_eigensystem(h, n_points):
     return energies, vectors, dvectors, denergies, max_res
 
 
-def _nmr_lab_schedule(r):
-    w0, tau = 2.0 * np.pi * 1.0e4, 1.0e-3
-    w1, w = w0 * np.tan(0.03), r * w0
-
-    def sampler(s):
-        t = s * tau
-        return 0.5 * w0 * SIGMA_Z + 0.5 * w1 * (np.cos(w * t) * SIGMA_X + np.sin(w * t) * SIGMA_Y)
-
-    return Schedule(tau, sampler)
-
-
 def _random_schedule(dim, seed):
     rng = np.random.default_rng(seed)
     a, b = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(2))
@@ -244,7 +228,7 @@ def _random_schedule(dim, seed):
     "sched, n_points",
     [
         (_lz_schedule(2 * np.pi * 2e3, np.pi / 3, 1e-3), 201),
-        (_nmr_lab_schedule(1.0), 1001),
+        (NMR_LAB, 1001),
         (_random_schedule(3, 5), 201),
         (_random_schedule(8, 6), 201),
     ],
@@ -253,51 +237,26 @@ def _random_schedule(dim, seed):
 def test_tracked_eigensystem_matches_node_by_node_reference(sched, n_points):
     frame = tracked_eigensystem(sched, n_points)
     energies, vectors, dvectors, denergies, max_res = _reference_tracked_eigensystem(sched, n_points)
-    assert _same_bits(frame.energies, energies)
-    assert _same_bits(frame.vectors, vectors)
-    assert _same_bits(frame.dvectors, dvectors)
-    assert _same_bits(_denergies(frame), denergies)
-    assert _same_bits(frame.max_residual, max_res)
+    assert same_bits(frame.energies, energies)
+    assert same_bits(frame.vectors, vectors)
+    assert same_bits(frame.dvectors, dvectors)
+    assert same_bits(_denergies(frame), denergies)
+    assert same_bits(frame.max_residual, max_res)
 
 
 # ---------------------------------------------------------------------------
 # the assignment step of track_eigenvectors, against the per-node solver
 
 
-_SOLVER = scipy.optimize.linear_sum_assignment
-
-
-def _reference_track_eigenvectors(vals, vecs, first, costs):
-    """The per-node tracker: every node's assignment solved on the cost
-    from the previous node's gauge-fixed columns.  Appends each node's cost
-    to ``costs``."""
-    scale = np.maximum(1.0, np.max(np.abs(vals), axis=1))
-    dist = np.abs(vals[:-1, :, None] - vals[1:, None, :]) / scale[1:, None, None]
-    order = np.empty(vals.shape, dtype=int)
-    order[0] = first
-    out = np.empty(vecs.shape, dtype=complex)
-    out[0] = vecs[0][:, first]
-    for k in range(1, len(vals)):
-        prev = out[k - 1]
-        cost = 1.0 - np.abs(prev.conj().T @ vecs[k]) + dist[k - 1][order[k - 1]]
-        costs.append(cost)
-        row, col = _SOLVER(cost)
-        order[k, row] = col
-        v = vecs[k][:, order[k]]
-        ov = np.einsum("ia,ia->a", np.conj(prev), v)
-        ov[np.abs(ov) < 1e-12] = 1.0
-        out[k] = v / (ov / np.abs(ov))[None, :]
-    return order, out
-
-
 @pytest.fixture
 def solver_costs(monkeypatch):
     """The cost matrices that track_eigenvectors hands the solver."""
     seen = []
+    solver = scipy.optimize.linear_sum_assignment
 
     def counting(cost):
         seen.append(np.array(cost))
-        return _SOLVER(cost)
+        return solver(cost)
 
     monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counting)
     return seen
@@ -364,39 +323,6 @@ def _one_level_grid():
     return rng.normal(size=(50, 1)), vecs, np.zeros(1, dtype=int)
 
 
-def _per_node_track_eigenvectors(vals, vecs, first):
-    """The tracker as it was before each run of clear nodes was gathered at
-    once: the same clear test, then every node's order composed and its
-    columns fancy-indexed and phase-fixed one node at a time."""
-    scale = np.maximum(1.0, np.max(np.abs(vals), axis=1))
-    dist = np.abs(vals[:-1, :, None] - vals[1:, None, :]) / scale[1:, None, None]
-    cost = 1.0 - np.abs(np.conj(vecs[:-1]).swapaxes(1, 2) @ vecs[1:]) + dist
-    best = np.argmin(cost, axis=2)
-    d = vals.shape[1]
-    runner_up = np.partition(cost, 1, axis=2)[..., 1] if d > 1 else np.inf
-    clear = (
-        np.all(runner_up - np.min(cost, axis=2) > ASSIGNMENT_MARGIN, axis=1)
-        & np.all(np.sort(best, axis=1) == np.arange(d), axis=1)
-        & np.all(np.isfinite(cost), axis=(1, 2))
-    )
-    order = np.empty(vals.shape, dtype=int)
-    order[0] = first
-    out = np.empty(vecs.shape, dtype=complex)
-    out[0] = vecs[0][:, first]
-    for k, is_clear in enumerate(clear.tolist(), start=1):
-        prev = out[k - 1]
-        if is_clear:
-            order[k] = best[k - 1][order[k - 1]]
-        else:
-            row, col = _SOLVER(1.0 - np.abs(prev.conj().T @ vecs[k]) + dist[k - 1][order[k - 1]])
-            order[k, row] = col
-        v = vecs[k][:, order[k]]
-        ov = np.einsum("ia,ia->a", np.conj(prev), v)
-        ov[np.abs(ov) < 1e-12] = 1.0
-        out[k] = v / (ov / np.abs(ov))[None, :]
-    return order, out
-
-
 def _near_tie_grid():
     """Eight 3-level nodes, each in a shuffled column order with random
     column phases.  At nodes 1, 4 and 7 the first two columns turn between
@@ -436,7 +362,7 @@ def _qutrit_cut(a, b):
     "grid, solved_at",
     [
         (lambda: _hermitian_grid(_lz_schedule(2 * np.pi * 2e3, np.pi / 3, 1e-3), 201), []),
-        (lambda: _hermitian_grid(_nmr_lab_schedule(1.0), 1001), []),
+        (lambda: _hermitian_grid(NMR_LAB, 1001), []),
         (lambda: _hermitian_grid(_random_schedule(3, 5), 201), []),
         (lambda: _hermitian_grid(_random_schedule(8, 6), 201), []),
         (lambda: _qutrit_liouvillian_grid(201), [82, 159]),
@@ -452,21 +378,18 @@ def _qutrit_cut(a, b):
          "qutrit-first-and-last", "near-tie", "one-level", "contested"],
 )
 def test_track_eigenvectors_solves_only_contested_nodes(grid, solved_at, solver_costs):
-    """The tracker gives the bits of the per-node solver and of the per-node
-    loop it replaced, and hands the solver only the contested nodes, each on
-    the cost from the previous node's gauge-fixed columns."""
+    """The tracker gives the bits of the per-node solver, and hands the
+    solver only the contested nodes, each on the cost from the previous
+    node's gauge-fixed columns."""
     vals, vecs, first = grid()
     order, out = track_eigenvectors(vals, vecs, first)
     costs = []
-    want_order, want_out = _reference_track_eigenvectors(vals, vecs, first, costs)
-    assert _same_bits(order, want_order)
-    assert _same_bits(out, want_out)
-    loop_order, loop_out = _per_node_track_eigenvectors(vals, vecs, first)
-    assert _same_bits(order, loop_order)
-    assert _same_bits(out, loop_out)
+    want_order, want_out = track_eigenvectors_per_node(vals, vecs, first, costs)
+    assert same_bits(order, want_order)
+    assert same_bits(out, want_out)
     assert len(solver_costs) == len(solved_at)
     for cost, k in zip(solver_costs, solved_at):
-        assert _same_bits(cost, costs[k - 1])
+        assert same_bits(cost, costs[k - 1])
 
 
 def test_track_eigenvectors_raises_on_a_nan_cost():

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from adiabatic_lab import thermo
 from adiabatic_lab.dynamics import LindbladGenerator, Schedule, Trajectory, evolve_lindblad, lindblad_action
@@ -17,6 +16,7 @@ from adiabatic_lab.thermo import (
     unitary_conjugate_channel,
     work_rate,
 )
+from oracles import gell_mann_basis
 
 BASIS = pauli_basis(1)
 RNG = np.random.default_rng(31)
@@ -375,18 +375,6 @@ def _qutrit_rho0():
     return rho0
 
 
-def _gell_mann_basis():
-    """The identity and sqrt(3/2) times the eight Gell-Mann matrices, so
-    that Tr(sigma_n sigma_m^dag) = 3 delta_nm."""
-    gm = []
-    for a, b in ((0, 1), (0, 2), (1, 2)):
-        e = _lowering(a, b)
-        gm += [e + e.T, 1j * (e.T - e)]
-    gm += [np.diag([1.0, -1.0, 0.0]), np.diag([1.0, 1.0, -2.0]) / np.sqrt(3.0)]
-    elements = [np.eye(3, dtype=complex)] + [np.sqrt(1.5) * np.asarray(g, dtype=complex) for g in gm]
-    return OperatorBasis(3, tuple(elements), tuple(f"g{n}" for n in range(9)))
-
-
 @pytest.mark.parametrize("bare", [False, True], ids=["two-channels", "bare-hamiltonian"])
 def test_ledger_equals_per_node_loop(bare):
     sched = Schedule(2.0, _three_level_ham if bare else _two_channels)
@@ -397,7 +385,7 @@ def test_ledger_equals_per_node_loop(bare):
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("basis", [None, _gell_mann_basis()], ids=["no-basis", "gell-mann"])
+@pytest.mark.parametrize("basis", [None, gell_mann_basis()], ids=["no-basis", "gell-mann"])
 def test_sweep_ledger_equals_each_members_own_ledger(basis):
     """One ledger of a 2-member sweep (per-node jumps, two channels): its
     column r is, byte for byte, the ledger of member r under its own

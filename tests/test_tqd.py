@@ -5,7 +5,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from adiabatic_lab.dynamics import Schedule, difference_points, evolve_unitary
+from adiabatic_lab.dynamics import difference_points, evolve_unitary
 from adiabatic_lab.opalg import SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z
 from adiabatic_lab.spectral import fourth_order_derivative, frame_from_functions
 from adiabatic_lab.tqd import (
@@ -33,14 +33,9 @@ from adiabatic_lab.tqd import (
     standard_tqd,
     variant_sampler,
 )
+from oracles import frame_per_node, same_bits
 
 RNG = np.random.default_rng(77)
-
-
-def _same_bits(a, b):
-    """np.array_equal, and the same bytes: array_equal takes -0.0 for 0.0."""
-    a, b = np.asarray(a), np.asarray(b)
-    return np.array_equal(a, b) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 DELTA = 2.0 * math.pi * 2000.0
 THETA0 = math.pi / 3.0
@@ -187,12 +182,7 @@ def _reference_lz_frame(delta, theta_fn, tau, n_points):
             [[-math.cos(half), -math.sin(half)], [-math.sin(half), math.cos(half)]], dtype=complex
         )
 
-    def per_node(fn, dtype):
-        return lambda s: np.array([np.asarray(fn(x), dtype=dtype) for x in s])
-
-    return frame_from_functions(tau, n_points, lambda s: (
-        per_node(energy_fn, float)(s), per_node(vector_fn, complex)(s), per_node(dvector_fn, complex)(s),
-    ))
+    return frame_per_node(tau, n_points, energy_fn, vector_fn, dvector_fn)
 
 
 @pytest.mark.parametrize("n_points", [101, 301])
@@ -203,7 +193,7 @@ def test_lz_frame_matches_its_scalar_closures(theta_fn, n_points):
     frame = lz_frame(DELTA, theta_fn, 1.0e-4, n_points)
     want = _reference_lz_frame(DELTA, theta_fn, 1.0e-4, n_points)
     for name in ("energies", "vectors", "dvectors"):
-        assert _same_bits(getattr(frame, name), getattr(want, name)), name
+        assert same_bits(getattr(frame, name), getattr(want, name)), name
 
 
 def test_lz_frame_calls_theta_once_per_node_and_twice_for_its_derivative():
@@ -234,7 +224,7 @@ def test_phase_gate_sampler_matches_its_scalar_closure(variant):
     sched = phase_gate_schedule(nu, tau, variant)
     assert sched.vectorized
     grid = _oracle_grid(4001)
-    assert _same_bits(sched.sample(grid), np.array([ref(s) for s in grid.tolist()]))
+    assert same_bits(sched.sample(grid), np.array([ref(s) for s in grid.tolist()]))
 
 
 def _reference_matrix_series(grid, mats):
@@ -265,7 +255,7 @@ def test_matrix_series_schedule_matches_its_scalar_closure(m):
     near = grid[1:-1] + np.array([[-0.4e-6], [0.4e-6]]) / (m - 1)
     points = np.concatenate([_oracle_grid(m), near.ravel()])
     assert sched.vectorized
-    assert _same_bits(sched.sample(points), np.array([ref(s) for s in points.tolist()]))
+    assert same_bits(sched.sample(points), np.array([ref(s) for s in points.tolist()]))
 
 
 def test_matrix_series_schedule_snaps_to_nodes():
