@@ -139,8 +139,8 @@ def c_ar(frame: SpectralFrame, hdot: np.ndarray) -> float:
     max over time of max(|dH/dt|^3 / gap^4, |dH/dt| |d2H/dt2| / gap^3)
     times tau^2, with the lowest spectral gap E_1 - E_0; a gap that is
     not strictly positive on some node is refused.  A duration too short
-    for float range, where the result is not finite, raises an
-    OverflowError that names tau.
+    or too long for float range, where the result is not finite, raises
+    an OverflowError that names tau.
     """
     grid, tau = frame.grid, frame.tau
     ds = grid[1] - grid[0]
@@ -152,7 +152,7 @@ def c_ar(frame: SpectralFrame, hdot: np.ndarray) -> float:
         norm1 = np.linalg.norm(hdot, axis=(1, 2))
         norm2 = np.linalg.norm(hddot, axis=(1, 2))
         bound = np.maximum(norm1**3 / gap**4, norm1 * norm2 / gap**3)
-        result = float(np.max(bound) * tau**2)
+        result = float(np.max(bound) * np.float_power(tau, 2.0))  # libm pow: tau**2's bits, inf past float range
     if not np.isfinite(result):
         raise OverflowError(f"c_ar overflows at tau={float(tau)!r}")
     return result

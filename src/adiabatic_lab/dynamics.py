@@ -510,6 +510,16 @@ def evolve_unitary(h: Schedule, psi0: np.ndarray, n_steps: int) -> Trajectory:
                       diagnostics={"final_norm_deviation": float(drift[0]) if h.members is None else drift})
 
 
+def _member_zero(gen: LindbladGenerator) -> LindbladGenerator:
+    """A one-member sweep's stacked generator without its member axis: each
+    part with a node and a member axis taken at member 0, each part without
+    a member axis kept as it is."""
+    h = gen.hamiltonian
+    return LindbladGenerator(h[:, 0] if h.ndim > 3 else h,
+                             tuple([(g[:, 0] if np.ndim(g) > 1 else g, op[:, 0] if op.ndim > 3 else op)
+                                    for g, op in gen.jumps]))
+
+
 def evolve_lindblad(l: Schedule, rho0: np.ndarray, n_steps: int) -> Trajectory:
     """Integrate a Lindblad master equation for an open schedule.
 
@@ -544,7 +554,15 @@ def evolve_lindblad(l: Schedule, rho0: np.ndarray, n_steps: int) -> Trajectory:
     trajectory with a member axis.  The probe, the non-finite check, the
     trace-drift raise and the positivity warning each scan the members in
     sweep order, and the first guard that trips wins, so a sweep with one
-    failing member fails as that member fails on its own.
+    failing member fails as that member fails on its own.  A one-member
+    sweep steps as the single run it is: :func:`rk4` runs on member 0's
+    grid with ``rho0`` as a 2-D state, and each block's generators, sampled
+    on the (m, 1) node-by-member times as for any sweep, drop their member
+    axis, so :func:`lindblad_action` and :func:`commutator` take their 2-D
+    ``ndarray.dot`` products in place of the stacked ``matmul``; the
+    trajectory gets its member axis back.  Its states are those of its own
+    single run and of member 0 of a larger sweep, byte for byte, as checked
+    at D = 2 under OpenBLAS's SkylakeX and Haswell kernels.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if not is_density_matrix(rho0):
@@ -553,19 +571,25 @@ def evolve_lindblad(l: Schedule, rho0: np.ndarray, n_steps: int) -> Trajectory:
     count = len(probed[0].jumps)
     jumpless = not any(g.jumps for g in probed)
     times = np.linspace(0.0, l.tau, n_steps + 1)
-    y0 = rho0 if l.members is None else np.stack([rho0] * l.members)
+    one = l.members == 1  # steps on member 0's grid and 2-D states, as a single run
+    y0 = rho0 if l.members in (None, 1) else np.stack([rho0] * l.members)
 
     def sample(t: np.ndarray):
-        s = t / l.tau
+        s = (t[:, None] if one else t) / l.tau
         gen = l.generators(s)
         if len(gen.jumps) != count:
             raise ValueError(f"jump count ({count} -> {len(gen.jumps)}) changes at s={s[0]}")
+        if one:
+            gen = _member_zero(gen)
         return gen.hamiltonian if jumpless else gen.nodes
 
+    grid = times[:, 0] if one else times
     if jumpless:
-        states = rk4(sample, y0, times, commutator, -1j)
+        states = rk4(sample, y0, grid, commutator, -1j)
     else:
-        states = rk4(sample, y0, times, lindblad_action)
+        states = rk4(sample, y0, grid, lindblad_action)
+    if one:
+        states = states[:, None]
     per_member = states.reshape((len(times), -1) + rho0.shape)
     drift = np.zeros(per_member.shape[1])
     worst = np.zeros(per_member.shape[1], dtype=int)  # each member's first node of largest drift

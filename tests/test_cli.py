@@ -161,7 +161,9 @@ def test_hopeless_config_exits_two_with_error_line(argv, capsys):
                      id="lz-tqd-tau-overflow"),
         pytest.param(["nmr-tqd", "--omega0-hz", "1e300"], "OverflowError: ", id="nmr-tqd-overflow"),
         pytest.param(["adcheck", "--tau-s", "1e300", "--r-sweep", "0.5:0.5:1", "--n-points", "100"],
-                     "OverflowError: ", id="adcheck-overflow"),
+                     "OverflowError: c_ar overflows at tau=1e+300", id="adcheck-overflow"),
+        pytest.param(["adcheck", "--tau-s", "1e200", "--r-sweep", "0.5:0.5:1", "--n-points", "100"],
+                     "OverflowError: c_ar overflows at tau=1e+200", id="adcheck-c-ar-long-overflow"),
         pytest.param(["adcheck", "--tau-s", "1e-160", "--r-sweep", "0.5:0.5:1", "--n-points", "100"],
                      "OverflowError: c_ar overflows at tau=1e-160", id="adcheck-c-ar-overflow"),
         pytest.param(["adcheck", "--tau-s", "1e-300", "--r-sweep", "0.5:0.5:1", "--n-points", "100"],

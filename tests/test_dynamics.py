@@ -736,11 +736,17 @@ def test_trace_drift_raise_is_the_whole_runs_in_any_readout_block(block, monkeyp
     assert str(err.value) == f"step {node}: trace drift {drift[r]:.3e} exceeds {dynamics.TRACE_TOL:.1e}"
 
 
-def test_evolve_lindblad_sweep_matches_member_runs():
+@pytest.mark.parametrize("with_jumps", [True, False], ids=["jumps", "jumpless"])
+def test_evolve_lindblad_sweep_matches_member_runs(with_jumps, monkeypatch):
     """A sweep schedule's members, integrated in lock step, equal their own
     runs: times, states and diagnostics.  The sweep sampler takes the (R,)
     member times of one node, or with ``vectorized=True`` an (m, R)
-    node-by-member array; both give the same runs."""
+    node-by-member array; both give the same runs.  A one-member sweep
+    steps as the single run it is: every stage of the jump route's
+    lindblad_action, or of the jumpless route's commutator, sees a 2-D
+    state, so a fallback to the stacked route fails here, and its states
+    are those of its own run and of member 0 of the larger sweep, byte for
+    byte, signed zeros included."""
     taus = np.array([1.0e-3, 2.5e-3, 4.0e-3])
     rates = np.array([50.0, 300.0, 900.0])
     lower = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -748,17 +754,22 @@ def test_evolve_lindblad_sweep_matches_member_runs():
     def alone(r):
         return lambda s: LindbladGenerator(
             (2e3 * np.cos(3.0 * s)) * SIGMA_X + 1e3 * s * SIGMA_Z,
-            ((rates[r] * (1.0 + s), lower), (rates[r], SIGMA_Z)),
+            ((rates[r] * (1.0 + s), lower), (rates[r], SIGMA_Z)) if with_jumps else (),
         )
 
-    def stacked(s):
-        ham = (2e3 * np.cos(3.0 * s))[..., None, None] * SIGMA_X + (1e3 * s)[..., None, None] * SIGMA_Z
-        return LindbladGenerator(ham, ((rates * (1.0 + s), lower), (np.broadcast_to(rates, s.shape), SIGMA_Z)))
+    def stacked(rs):
+        def sampler(s):
+            ham = (2e3 * np.cos(3.0 * s))[..., None, None] * SIGMA_X + (1e3 * s)[..., None, None] * SIGMA_Z
+            return LindbladGenerator(ham, ((rs * (1.0 + s), lower), (np.broadcast_to(rs, s.shape), SIGMA_Z))
+                                     if with_jumps else ())
+        return sampler
 
+    route = "lindblad_action" if with_jumps else "commutator"
+    act = getattr(dynamics, route)
     rho0 = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
     wants = [evolve_lindblad(Schedule(tau, alone(r)), rho0, 200) for r, tau in enumerate(taus)]
     for vectorized in (False, True):
-        sweep = evolve_lindblad(Schedule(taus, stacked, vectorized=vectorized), rho0, 200)
+        sweep = evolve_lindblad(Schedule(taus, stacked(rates), vectorized=vectorized), rho0, 200)
         assert sweep.times.shape == (201, 3) and sweep.states.shape == (201, 3, 2, 2)
         for r, want in enumerate(wants):
             got = sweep.member(r)
@@ -766,6 +777,17 @@ def test_evolve_lindblad_sweep_matches_member_runs():
             assert np.array_equal(got.states, want.states)
             assert got.diagnostics == want.diagnostics
             assert all(type(v) is float for v in got.diagnostics.values())
+        seen = []
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, route, lambda gen, rho: seen.append(rho.ndim) or act(gen, rho))
+            one = evolve_lindblad(Schedule(taus[:1], stacked(rates[:1]), vectorized=vectorized), rho0, 200)
+        assert len(seen) == 4 * 200 and set(seen) == {2}
+        assert one.times.shape == (201, 1) and one.states.shape == (201, 1, 2, 2)
+        assert all(v.shape == (1,) for v in one.diagnostics.values())
+        got = one.member(0)
+        assert same_bits(got.times, wants[0].times)
+        assert same_bits(got.states, wants[0].states) and same_bits(got.states, sweep.member(0).states)
+        assert got.diagnostics == wants[0].diagnostics
 
 
 def test_lindblad_action_matches_brute_force():
