@@ -407,7 +407,9 @@ def rk4(sample: Callable[[np.ndarray], object], y0: np.ndarray, times: np.ndarra
     ``sample`` gets an (m, R) array of member times and returns samples
     stacked over both axes, and each member's step broadcasts over its own
     state.  Each member's states are the ones its own run would give, bit
-    for bit.
+    for bit.  With R = 1, ``y0`` may also be the one state without a member
+    axis: the (n+1, 1) grid's steps then broadcast over it as a single
+    run's.
 
     Overflow and invalid-value warnings are silenced inside the loop: the
     update is linear, so an inf or NaN never turns finite again, and one
@@ -555,14 +557,17 @@ def evolve_lindblad(l: Schedule, rho0: np.ndarray, n_steps: int) -> Trajectory:
     trace-drift raise and the positivity warning each scan the members in
     sweep order, and the first guard that trips wins, so a sweep with one
     failing member fails as that member fails on its own.  A one-member
-    sweep steps as the single run it is: :func:`rk4` runs on member 0's
-    grid with ``rho0`` as a 2-D state, and each block's generators, sampled
-    on the (m, 1) node-by-member times as for any sweep, drop their member
+    sweep steps as the single run it is: :func:`rk4` steps ``rho0`` as a
+    2-D state on the (n+1, 1) grid, and each block's generators, sampled on
+    the (m, 1) node-by-member times as for any sweep, drop their member
     axis, so :func:`lindblad_action` and :func:`commutator` take their 2-D
     ``ndarray.dot`` products in place of the stacked ``matmul``; the
     trajectory gets its member axis back.  Its states are those of its own
-    single run and of member 0 of a larger sweep, byte for byte, as checked
-    at D = 2 under OpenBLAS's SkylakeX and Haswell kernels.
+    single run, byte for byte, as checked at D = 2, 4 and 8 under OpenBLAS's
+    SkylakeX and Haswell kernels.  They are also member 0's of a larger
+    sweep under SkylakeX, and under Haswell at D = 2; under Haswell the
+    stacked and the 2-D products round differently from D = 4 with jumps,
+    so there they differ from member 0 at rounding level.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if not is_density_matrix(rho0):
@@ -571,11 +576,11 @@ def evolve_lindblad(l: Schedule, rho0: np.ndarray, n_steps: int) -> Trajectory:
     count = len(probed[0].jumps)
     jumpless = not any(g.jumps for g in probed)
     times = np.linspace(0.0, l.tau, n_steps + 1)
-    one = l.members == 1  # steps on member 0's grid and 2-D states, as a single run
+    one = l.members == 1  # steps on 2-D states, as a single run
     y0 = rho0 if l.members in (None, 1) else np.stack([rho0] * l.members)
 
     def sample(t: np.ndarray):
-        s = (t[:, None] if one else t) / l.tau
+        s = t / l.tau
         gen = l.generators(s)
         if len(gen.jumps) != count:
             raise ValueError(f"jump count ({count} -> {len(gen.jumps)}) changes at s={s[0]}")
@@ -583,11 +588,10 @@ def evolve_lindblad(l: Schedule, rho0: np.ndarray, n_steps: int) -> Trajectory:
             gen = _member_zero(gen)
         return gen.hamiltonian if jumpless else gen.nodes
 
-    grid = times[:, 0] if one else times
     if jumpless:
-        states = rk4(sample, y0, grid, commutator, -1j)
+        states = rk4(sample, y0, times, commutator, -1j)
     else:
-        states = rk4(sample, y0, grid, lindblad_action)
+        states = rk4(sample, y0, times, lindblad_action)
     if one:
         states = states[:, None]
     per_member = states.reshape((len(times), -1) + rho0.shape)

@@ -3,12 +3,11 @@
 The goldens and the bit-identity tests hold on the BLAS kernel they were
 captured with, so a change that keeps every byte on one kernel may still
 move bits on another.  This report runs the suite in a subprocess per
-kernel, with ``OPENBLAS_CORETYPE`` set for that process, and prints the
-kernel that OpenBLAS reports it picked, the suite's summary line and the id
-of every failing or erroring test::
+kernel in :data:`KERNELS`, with ``OPENBLAS_CORETYPE`` set for that
+process, and prints the kernel that OpenBLAS reports it picked, the
+suite's summary line and the id of every failing or erroring test::
 
-    python tests/kernel_report.py                      # SkylakeX and Haswell
-    python tests/kernel_report.py --kernels Haswell Sandybridge
+    python tests/kernel_report.py
 
 The file is not named ``test_*.py``, so the suite itself never collects
 it.  A kernel that the CPU cannot run is not emulated: OpenBLAS falls back to
@@ -17,13 +16,14 @@ another, and the reported kernel then differs from the requested one.
 
 from __future__ import annotations
 
-import argparse
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# The kernel the goldens hold on, and the AVX2 kernel of x86 machines without AVX-512.
+KERNELS = ("SkylakeX", "Haswell")
 # The kernel OpenBLAS picked, read through the symbol of the OpenBLAS that
 # numpy bundles; "unknown" where numpy links another BLAS.
 CORENAME = """
@@ -52,11 +52,7 @@ def run(kernel: str) -> tuple[str, str, list[str]]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--kernels", nargs="+", default=["SkylakeX", "Haswell"],
-                        help="OPENBLAS_CORETYPE values to run under (default: SkylakeX Haswell)")
-    args = parser.parse_args()
-    for kernel in args.kernels:
+    for kernel in KERNELS:
         core, summary, failing = run(kernel)
         print(f"{kernel} (OpenBLAS reports {core}): {summary}")
         for test_id in failing:
